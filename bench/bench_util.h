@@ -94,7 +94,7 @@ class BenchJson {
 /// Peak resident set size of this process in bytes (0 where unsupported).
 /// The implementation — with its Linux-KiB/macOS-bytes ru_maxrss quirk —
 /// lives in src/obs/process_stats.h, shared with the MetricsExporter's
-/// isum_process_* gauges.
+/// process.* gauges.
 inline uint64_t PeakRssBytes() { return obs::ProcessPeakRssBytes(); }
 
 /// The parsed observability flags of one bench invocation. Split out of
@@ -116,7 +116,6 @@ struct ObsFlags {
   uint64_t checkpoint_every = 16;
   uint64_t trace_every = 1;
   double time_budget_seconds = 0.0;
-  int serve_metrics_port = -1;  ///< -1 = no listener
   int profile_hz = 100;
   bool profile_alloc = false;
   bool allow_truncated = false;
@@ -139,9 +138,6 @@ struct ObsFlags {
         flags.bench_label = arg + 14;
       } else if (std::strncmp(arg, "--journal=", 10) == 0) {
         flags.journal_path = arg + 10;
-      } else if (std::strncmp(arg, "--serve-metrics=", 16) == 0) {
-        flags.serve_metrics_port =
-            static_cast<int>(std::strtol(arg + 16, nullptr, 10));
       } else if (std::strncmp(arg, "--metrics-snapshot=", 19) == 0) {
         flags.metrics_snapshot_path = arg + 19;
       } else if (std::strncmp(arg, "--profile=", 10) == 0) {
@@ -219,14 +215,9 @@ struct ObsFlags {
 ///                      (isum-events-v1 JSONL, src/obs/journal.h); closed
 ///                      with `journal_end` at exit. `tracecat explain`
 ///                      reconstructs the run from it
-///   --serve-metrics=<p> serve live registry snapshots over HTTP on
-///                      127.0.0.1:<p> while the run executes (GET /metrics
-///                      = Prometheus text, GET /healthz); 0 picks an
-///                      ephemeral port (printed to stderr). Poll it with
-///                      `tracecat watch --url=...`
-///   --metrics-snapshot=<path> rewrite a Prometheus-text snapshot file once
-///                      per second (and finally at exit) — the air-gapped
-///                      companion of --serve-metrics for CI artifacts and
+///   --metrics-snapshot=<path> rewrite a metrics-JSONL snapshot file once
+///                      per second (and finally at exit) while the run
+///                      executes, for CI artifacts and live run health via
 ///                      `tracecat watch <path>`
 ///   --profile=<path>   run the sampling CPU profiler (obs/profiler.h) for
 ///                      the whole run; written as an isum-profile-v1 record
@@ -289,10 +280,8 @@ class ObsScope {
         std::exit(2);
       }
     }
-    if (flags_.serve_metrics_port >= 0 ||
-        !flags_.metrics_snapshot_path.empty()) {
+    if (!flags_.metrics_snapshot_path.empty()) {
       obs::MetricsExporterOptions exporter_options;
-      exporter_options.http_port = flags_.serve_metrics_port;
       exporter_options.snapshot_path = flags_.metrics_snapshot_path;
       exporter_ = std::make_unique<obs::MetricsExporter>(
           &obs::MetricsRegistry::Global(), std::move(exporter_options));
@@ -301,10 +290,6 @@ class ObsScope {
         std::fprintf(stderr, "metrics exporter: %s\n",
                      status.ToString().c_str());
         std::exit(2);
-      }
-      if (flags_.serve_metrics_port >= 0) {
-        std::fprintf(stderr, "serving metrics on http://127.0.0.1:%d/metrics\n",
-                     exporter_->port());
       }
     }
     if (!flags_.profile_path.empty()) {
@@ -417,10 +402,9 @@ class ObsScope {
     }
   }
 
-  /// Renders one self-contained bench record. The layout is valid JSON kept
-  /// deliberately line-disciplined — one object or scalar per line — so
-  /// tools/tracecat (and grep) can process it without a full JSON parser,
-  /// like the Chrome trace exporter. Schema: docs/BENCHMARKING.md.
+  /// Renders one self-contained bench record: a JSON object written one
+  /// scalar or section entry per line so diffs stay readable.
+  /// Schema: docs/BENCHMARKING.md.
   std::string RenderBenchJson(const obs::TraceDump& dump,
                               double wall_seconds) const {
     // Per-phase totals, aggregated by span name, descending total.

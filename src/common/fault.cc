@@ -77,9 +77,13 @@ Status FaultInjector::Configure(const std::string& spec) {
   auto config = std::make_shared<Config>();
   config->seed = kDefaultSeed;
   for (const std::string& entry : SplitEntries(spec)) {
-    if (JsonHasKey(entry, "seed")) {
-      ISUM_ASSIGN_OR_RETURN(const double seed,
-                            JsonExtractNumber(entry, "seed"));
+    ISUM_ASSIGN_OR_RETURN(const JsonValue object, ParseJson(entry));
+    if (!object.is_object()) {
+      return Status::ParseError("fault spec: entry is not a JSON object: " +
+                                entry);
+    }
+    if (object.Has("seed")) {
+      ISUM_ASSIGN_OR_RETURN(const double seed, object.Number("seed"));
       if (seed < 0.0) {
         return Status::InvalidArgument("fault spec: seed must be >= 0 in " +
                                        entry);
@@ -88,9 +92,8 @@ Status FaultInjector::Configure(const std::string& spec) {
       continue;
     }
     auto fault = std::make_unique<Fault>();
-    ISUM_ASSIGN_OR_RETURN(fault->site, JsonExtractString(entry, "site"));
-    ISUM_ASSIGN_OR_RETURN(const std::string kind,
-                          JsonExtractString(entry, "kind"));
+    ISUM_ASSIGN_OR_RETURN(fault->site, object.String("site"));
+    ISUM_ASSIGN_OR_RETURN(const std::string kind, object.String("kind"));
     if (kind == "error") {
       fault->kind = Kind::kError;
     } else if (kind == "latency") {
@@ -99,22 +102,21 @@ Status FaultInjector::Configure(const std::string& spec) {
       return Status::InvalidArgument("fault spec: unknown kind \"" + kind +
                                      "\" in " + entry);
     }
-    ISUM_ASSIGN_OR_RETURN(fault->probability, JsonExtractNumber(entry, "p"));
+    ISUM_ASSIGN_OR_RETURN(fault->probability, object.Number("p"));
     if (fault->probability < 0.0 || fault->probability > 1.0) {
       return Status::InvalidArgument("fault spec: p must be in [0, 1] in " +
                                      entry);
     }
     if (fault->kind == Kind::kLatency) {
-      ISUM_ASSIGN_OR_RETURN(const double ms, JsonExtractNumber(entry, "ms"));
+      ISUM_ASSIGN_OR_RETURN(const double ms, object.Number("ms"));
       if (ms < 0.0) {
         return Status::InvalidArgument("fault spec: ms must be >= 0 in " +
                                        entry);
       }
       fault->latency_nanos = static_cast<uint64_t>(ms * 1e6);
     }
-    if (JsonHasKey(entry, "after")) {
-      ISUM_ASSIGN_OR_RETURN(const double after,
-                            JsonExtractNumber(entry, "after"));
+    if (object.Has("after")) {
+      ISUM_ASSIGN_OR_RETURN(const double after, object.Number("after"));
       if (after < 0.0) {
         return Status::InvalidArgument("fault spec: after must be >= 0 in " +
                                        entry);

@@ -120,30 +120,6 @@ std::vector<double> WeighWithSignals(const workload::Workload& workload,
 }  // namespace
 
 std::vector<double> WeighSelectedQueries(const workload::Workload& workload,
-                                         const SelectionResult& selection,
-                                         const FeaturizationOptions& feat_options,
-                                         UtilityMode utility_mode,
-                                         WeighingStrategy strategy) {
-  const size_t k = selection.selected.size();
-  if (k == 0) return {};
-  if (strategy == WeighingStrategy::kNone) return UniformWeights(k);
-  if (strategy == WeighingStrategy::kSelectionBenefit) {
-    return Normalized(selection.selection_benefits);
-  }
-
-  // Fresh signals (original features and utilities).
-  FeatureSpace space;
-  Featurizer featurizer(workload.env().catalog, workload.env().stats, &space);
-  std::vector<SparseVector> features(workload.size());
-  for (size_t i = 0; i < workload.size(); ++i) {
-    features[i] = featurizer.Featurize(workload.query(i).bound, feat_options);
-  }
-  std::vector<double> utilities = ComputeUtilities(workload, utility_mode);
-  return WeighWithSignals(workload, selection, std::move(features),
-                          std::move(utilities), space.size(), strategy);
-}
-
-std::vector<double> WeighSelectedQueries(const workload::Workload& workload,
                                          const CompressionState& state,
                                          const SelectionResult& selection,
                                          WeighingStrategy strategy) {

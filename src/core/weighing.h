@@ -25,18 +25,8 @@ enum class WeighingStrategy {
 
 /// Computes the weight of each selected query (§7, Algorithms 4 and 5).
 /// Returned weights are parallel to `selection.selected` and normalized to
-/// sum to 1.
-std::vector<double> WeighSelectedQueries(const workload::Workload& workload,
-                                         const SelectionResult& selection,
-                                         const FeaturizationOptions& feat_options,
-                                         UtilityMode utility_mode,
-                                         WeighingStrategy strategy);
-
-/// Same, but reuses the original (pre-update) features and utilities already
-/// computed inside `state` instead of re-featurizing the workload — the
-/// signals are identical, so the weights are too. This is the path
-/// Isum::Compress takes; the signature above remains for callers that only
-/// have a SelectionResult.
+/// sum to 1. The original (pre-update) features and utilities come from
+/// `state`, so the workload is not re-featurized.
 std::vector<double> WeighSelectedQueries(const workload::Workload& workload,
                                          const CompressionState& state,
                                          const SelectionResult& selection,

@@ -55,18 +55,6 @@ std::string SpanArgsJson(const SpanRecord& span) {
   return out;
 }
 
-/// Metric name in the Prometheus exposition alphabet: [a-zA-Z0-9_] with the
-/// repo-wide `isum_` prefix ("whatif.cache_hits" -> "isum_whatif_cache_hits").
-std::string PrometheusName(const std::string& name) {
-  std::string out = "isum_";
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string ChromeTraceJson(const TraceDump& dump) {
@@ -132,36 +120,6 @@ std::string MetricsJsonl(const MetricsSnapshot& snapshot) {
         "\"sum\":%llu,\"p50\":%.6g,\"p95\":%.6g,\"p99\":%.6g}\n",
         JsonEscape(h.name).c_str(), static_cast<unsigned long long>(h.count),
         static_cast<unsigned long long>(h.sum), h.p50, h.p95, h.p99);
-  }
-  return out;
-}
-
-std::string PrometheusText(const MetricsSnapshot& snapshot) {
-  std::string out;
-  for (const auto& [name, value] : snapshot.counters) {
-    const std::string prom = PrometheusName(name);
-    out += StrFormat("# TYPE %s counter\n", prom.c_str());
-    out += StrFormat("%s %llu\n", prom.c_str(),
-                     static_cast<unsigned long long>(value));
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    const std::string prom = PrometheusName(name);
-    out += StrFormat("# TYPE %s gauge\n", prom.c_str());
-    out += StrFormat("%s %.6g\n", prom.c_str(), value);
-  }
-  for (const auto& h : snapshot.histograms) {
-    // Log-scale histograms export as precomputed-quantile summaries: the
-    // native bucket boundaries are not cumulative `le` thresholds, and the
-    // registry already answers p50/p95/p99 from them.
-    const std::string prom = PrometheusName(h.name);
-    out += StrFormat("# TYPE %s summary\n", prom.c_str());
-    out += StrFormat("%s{quantile=\"0.5\"} %.6g\n", prom.c_str(), h.p50);
-    out += StrFormat("%s{quantile=\"0.95\"} %.6g\n", prom.c_str(), h.p95);
-    out += StrFormat("%s{quantile=\"0.99\"} %.6g\n", prom.c_str(), h.p99);
-    out += StrFormat("%s_sum %llu\n", prom.c_str(),
-                     static_cast<unsigned long long>(h.sum));
-    out += StrFormat("%s_count %llu\n", prom.c_str(),
-                     static_cast<unsigned long long>(h.count));
   }
   return out;
 }

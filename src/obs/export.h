@@ -14,13 +14,14 @@ namespace isum::obs {
 ///
 ///  - Chrome trace JSON (`trace.json`): loads directly in Perfetto
 ///    (https://ui.perfetto.dev) or chrome://tracing. One complete event
-///    ("ph":"X") per span, preceded by thread_name metadata events. The
-///    file is a JSON array with one event per line, so line-oriented tools
-///    (tools/tracecat, grep) can process it without a full JSON parser.
+///    ("ph":"X") per span, preceded by thread_name metadata events, in a
+///    JSON array written one event per line for grep.
 ///
-///  - JSONL: one flat JSON object per line for spans
-///    ({"type":"span",...}) and metrics ({"type":"counter"|"gauge"|
-///    "histogram",...}), matching the common/jsonl.h helpers.
+///  - JSONL: one JSON object per line for spans ({"type":"span",...}) and
+///    metrics ({"type":"counter"|"gauge"|"histogram",...}). The metrics
+///    form is also the MetricsExporter's snapshot file (obs/exporter.h).
+///
+/// tools/tracecat reads all of them back through common/jsonl.h.
 ///
 /// Timestamps/durations are microseconds with nanosecond precision
 /// (Chrome's native unit).
@@ -33,14 +34,6 @@ std::string SpansJsonl(const TraceDump& dump);
 
 /// Renders `snapshot` as metrics JSONL.
 std::string MetricsJsonl(const MetricsSnapshot& snapshot);
-
-/// Renders `snapshot` in Prometheus/OpenMetrics text exposition format:
-/// counters and gauges as `isum_<name> <value>` samples, histograms as
-/// summaries (quantile-labelled samples plus _sum/_count). Metric names are
-/// sanitized (`.` and other non-identifier bytes become `_`) and prefixed
-/// `isum_`. Served by MetricsExporter (obs/exporter.h) and written as
-/// air-gapped snapshot files; parsed back by tracecat watch.
-std::string PrometheusText(const MetricsSnapshot& snapshot);
 
 /// Run metadata stamped into an isum-profile-v1 record, mirroring the
 /// isum-bench-v1 header fields so the two artifacts of one run correlate.
@@ -58,9 +51,8 @@ struct ProfileMeta {
 /// ObsScope writes this next to --profile= as `<path>.collapsed`.
 std::string CollapsedStacks(const ProfileDump& dump);
 
-/// Renders `dump` as a structured isum-profile-v1 record: one JSON object,
-/// line-disciplined like isum-bench-v1 (one scalar or object per line), with
-/// per-phase sample totals, top frames by self/total samples, and the
+/// Renders `dump` as a structured isum-profile-v1 record: one JSON object
+/// with per-phase sample totals, top frames by self/total samples, and the
 /// allocation hot-list. Read back by `tracecat profile`; schema documented
 /// in docs/OBSERVABILITY.md.
 std::string ProfileJson(const ProfileDump& dump, const ProfileMeta& meta);

@@ -1,35 +1,10 @@
 #include "obs/exporter.h"
 
-#include <algorithm>
-#include <cstring>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define ISUM_EXPORTER_HAVE_SOCKETS 1
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
-
 #include "common/deadline.h"
-#include "common/string_util.h"
 #include "obs/export.h"
 #include "obs/process_stats.h"
 
 namespace isum::obs {
-
-namespace {
-
-/// Requests are one GET line plus headers; anything beyond this is not a
-/// scrape and gets dropped.
-constexpr size_t kMaxRequestBytes = 4096;
-
-/// Cap on the poll timeout so the worker notices Stop() and budget expiry
-/// promptly even with long snapshot periods.
-constexpr uint64_t kMaxPollNanos = 200'000'000;  // 200ms
-
-}  // namespace
 
 MetricsExporter::MetricsExporter(MetricsRegistry* registry,
                                  MetricsExporterOptions options)
@@ -41,48 +16,6 @@ Status MetricsExporter::Start() {
   {
     MutexLock lock(mu_);
     if (started_) return Status::InvalidArgument("exporter already started");
-  }
-#if ISUM_EXPORTER_HAVE_SOCKETS
-  if (options_.http_port >= 0) {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) {
-      return Status::Internal("exporter: socket() failed");
-    }
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(options_.http_port));
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(listen_fd_, 8) != 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return Status::InvalidArgument(
-          StrFormat("exporter: cannot listen on 127.0.0.1:%d",
-                    options_.http_port));
-    }
-    sockaddr_in bound{};
-    socklen_t bound_len = sizeof(bound);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                      &bound_len) == 0) {
-      port_ = ntohs(bound.sin_port);
-    }
-    if (::pipe(wake_pipe_) != 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return Status::Internal("exporter: pipe() failed");
-    }
-  }
-#else
-  if (options_.http_port >= 0) {
-    return Status::InvalidArgument(
-        "exporter: HTTP listener unsupported on this platform");
-  }
-#endif
-  {
-    MutexLock lock(mu_);
     stop_ = false;
     started_ = true;
   }
@@ -98,22 +31,7 @@ void MetricsExporter::Stop() {
     stop_ = true;
   }
   stop_cv_.NotifyAll();
-#if ISUM_EXPORTER_HAVE_SOCKETS
-  if (wake_pipe_[1] >= 0) {
-    const char byte = 'x';
-    // Best-effort wake; the 200ms poll cap bounds the join either way.
-    (void)!::write(wake_pipe_[1], &byte, 1);
-  }
-#endif
   if (worker_.joinable()) worker_.join();
-#if ISUM_EXPORTER_HAVE_SOCKETS
-  for (int* fd : {&listen_fd_, &wake_pipe_[0], &wake_pipe_[1]}) {
-    if (*fd >= 0) {
-      ::close(*fd);
-      *fd = -1;
-    }
-  }
-#endif
   // Final snapshot after the worker quiesced, through Tick() so the budget
   // gauge is fresh in the file even when the worker never got a tick in
   // (Stop() can beat the worker's first iteration).
@@ -123,7 +41,7 @@ void MetricsExporter::Stop() {
 void MetricsExporter::WriteSnapshotFile() {
   if (options_.snapshot_path.empty()) return;
   const Status status =
-      WriteFile(options_.snapshot_path, PrometheusText(registry_->Snapshot()));
+      WriteFile(options_.snapshot_path, MetricsJsonl(registry_->Snapshot()));
   if (status.ok()) {
     snapshots_written_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -137,9 +55,9 @@ bool MetricsExporter::Tick() {
         static_cast<double>(budget.deadline().remaining_nanos()) * 1e-9;
   }
   registry_->GetGauge("budget.remaining_seconds")->Set(remaining);
-  // Process-level health next to the registry metrics, so /metrics answers
-  // "is this run leaking / spinning / fanning out" without a second tool
-  // (obs/process_stats.h; published as isum_process_*).
+  // Process-level health next to the registry metrics, so the snapshot
+  // answers "is this run leaking / spinning / fanning out" without a second
+  // tool (obs/process_stats.h; published as process.*).
   registry_->GetGauge("process.peak_rss_bytes")
       ->Set(static_cast<double>(ProcessPeakRssBytes()));
   registry_->GetGauge("process.cpu_seconds_total")->Set(ProcessCpuSeconds());
@@ -147,42 +65,13 @@ bool MetricsExporter::Tick() {
       ->Set(static_cast<double>(ProcessThreadCount()));
   WriteSnapshotFile();
   // Budget-aware shutdown: once the run's ambient budget is gone, the last
-  // snapshot above is final and the surfaces go away with the run.
+  // snapshot above is final and the worker goes away with the run.
   return !(budget.limited() && budget.Expired());
 }
 
 void MetricsExporter::Run() {
-#if ISUM_EXPORTER_HAVE_SOCKETS
-  if (listen_fd_ >= 0) {
-    uint64_t next_tick = MonotonicNanos();
-    for (;;) {
-      {
-        MutexLock lock(mu_);
-        if (stop_) return;
-      }
-      const uint64_t now = MonotonicNanos();
-      if (now >= next_tick) {
-        if (!Tick()) return;
-        next_tick = now + options_.period_nanos;
-      }
-      const uint64_t wait =
-          std::min(next_tick > now ? next_tick - now : 0, kMaxPollNanos);
-      pollfd fds[2];
-      fds[0] = {listen_fd_, POLLIN, 0};
-      fds[1] = {wake_pipe_[0], POLLIN, 0};
-      const int ready =
-          ::poll(fds, 2, static_cast<int>(wait / 1'000'000) + 1);
-      if (ready <= 0) continue;
-      if ((fds[1].revents & POLLIN) != 0) {
-        char drain[16];
-        (void)!::read(wake_pipe_[0], drain, sizeof(drain));
-      }
-      if ((fds[0].revents & POLLIN) != 0) ServeOne();
-    }
-  }
-#endif
-  // Snapshot-only mode: timed waits on the stop flag, one Tick per period.
-  // Tick() does file I/O, so it runs outside the critical section.
+  // Timed waits on the stop flag, one Tick per period. Tick() does file
+  // I/O, so it runs outside the critical section.
   for (;;) {
     {
       MutexLock lock(mu_);
@@ -193,45 +82,6 @@ void MetricsExporter::Run() {
     if (stop_) return;
     stop_cv_.WaitForNanos(mu_, options_.period_nanos);
   }
-}
-
-void MetricsExporter::ServeOne() {
-#if ISUM_EXPORTER_HAVE_SOCKETS
-  const int conn = ::accept(listen_fd_, nullptr, nullptr);
-  if (conn < 0) return;
-  char request[kMaxRequestBytes];
-  const ssize_t n = ::read(conn, request, sizeof(request) - 1);
-  std::string body;
-  const char* status_line = "HTTP/1.1 404 Not Found";
-  const char* content_type = "text/plain; charset=utf-8";
-  if (n > 0) {
-    request[n] = '\0';
-    const char* line = request;
-    if (std::strncmp(line, "GET /metrics", 12) == 0) {
-      status_line = "HTTP/1.1 200 OK";
-      content_type = "text/plain; version=0.0.4; charset=utf-8";
-      body = PrometheusText(registry_->Snapshot());
-    } else if (std::strncmp(line, "GET /healthz", 12) == 0) {
-      status_line = "HTTP/1.1 200 OK";
-      body = "ok\n";
-    } else {
-      body = "not found\n";
-    }
-  }
-  const std::string response = StrFormat(
-      "%s\r\nContent-Type: %s\r\nContent-Length: %zu\r\n"
-      "Connection: close\r\n\r\n%s",
-      status_line, content_type, body.size(), body.c_str());
-  size_t written = 0;
-  while (written < response.size()) {
-    const ssize_t w =
-        ::write(conn, response.data() + written, response.size() - written);
-    if (w <= 0) break;
-    written += static_cast<size_t>(w);
-  }
-  ::close(conn);
-  requests_served_.fetch_add(1, std::memory_order_relaxed);
-#endif
 }
 
 }  // namespace isum::obs

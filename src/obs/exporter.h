@@ -13,15 +13,9 @@
 
 namespace isum::obs {
 
-/// Live telemetry export: a background thread that publishes periodic
-/// MetricsRegistry snapshots in Prometheus/OpenMetrics text format
-/// (obs/export.h PrometheusText) through two surfaces:
-///
-///  - a minimal HTTP listener on 127.0.0.1 serving `GET /metrics` (the
-///    exposition payload) and `GET /healthz` ("ok"), enough for a
-///    Prometheus scrape config, curl, or `tracecat watch --url=`;
-///  - a snapshot file rewritten once per period, for air-gapped CI and
-///    `tracecat watch <file>`.
+/// Live telemetry export: a background thread that rewrites a snapshot
+/// file of the MetricsRegistry once per period, in the metrics JSONL format
+/// (obs/export.h MetricsJsonl), for CI artifacts and `tracecat watch <file>`.
 ///
 /// Lifecycle: construct, Start(), Stop() (the destructor stops too). The
 /// worker owns all I/O; no library hot path ever blocks on the exporter —
@@ -30,13 +24,9 @@ namespace isum::obs {
 /// Budget awareness: every period the worker publishes the ambient budget's
 /// remaining time as the "budget.remaining_seconds" gauge (-1 when
 /// unlimited), and once that budget expires it writes one final snapshot
-/// and shuts the surfaces down — a deadline-killed run still leaves its
-/// last state on disk, and the listener does not outlive the run's budget.
+/// and exits — a deadline-killed run still leaves its last state on disk.
 struct MetricsExporterOptions {
-  /// Port for the HTTP listener on 127.0.0.1; 0 picks an ephemeral port
-  /// (read it back via port()), negative disables HTTP entirely.
-  int http_port = -1;
-  /// When non-empty, the Prometheus-text snapshot is rewritten here every
+  /// When non-empty, the metrics-JSONL snapshot is rewritten here every
   /// period and once more on shutdown.
   std::string snapshot_path;
   /// Snapshot/refresh period.
@@ -52,26 +42,16 @@ class MetricsExporter {
   MetricsExporter(const MetricsExporter&) = delete;
   MetricsExporter& operator=(const MetricsExporter&) = delete;
 
-  /// Binds the listener (when enabled) and launches the worker thread.
-  /// Fails without side effects when the port cannot be bound.
+  /// Launches the worker thread.
   Status Start();
 
-  /// Stops the worker: wakes it, joins, writes the final snapshot, closes
-  /// the listener. Idempotent.
+  /// Stops the worker: wakes it, joins, writes the final snapshot.
+  /// Idempotent.
   void Stop();
-
-  /// The bound HTTP port (after a successful Start() with http_port >= 0;
-  /// 0 otherwise). With http_port = 0 this is the ephemeral port the OS
-  /// assigned.
-  int port() const { return port_; }
 
   /// Snapshot files written so far (tests; includes the shutdown write).
   uint64_t snapshots_written() const {
     return snapshots_written_.load(std::memory_order_relaxed);
-  }
-  /// HTTP requests answered so far (tests).
-  uint64_t requests_served() const {
-    return requests_served_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -80,17 +60,11 @@ class MetricsExporter {
   /// Returns false once the ambient budget has expired (worker exits).
   bool Tick();
   void WriteSnapshotFile();
-  /// Accepts and answers one HTTP connection (bounded read, one response).
-  void ServeOne();
 
   MetricsRegistry* const registry_;
   const MetricsExporterOptions options_;
-  int port_ = 0;
-  int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};  ///< self-pipe: Stop() wakes the poll()
   std::thread worker_;
   std::atomic<uint64_t> snapshots_written_{0};
-  std::atomic<uint64_t> requests_served_{0};
   Mutex mu_;
   bool stop_ ISUM_GUARDED_BY(mu_) = false;
   bool started_ ISUM_GUARDED_BY(mu_) = false;

@@ -6,8 +6,8 @@
 namespace isum::obs {
 
 /// Process-level resource readings shared by bench/bench_util.h (bench
-/// records), the MetricsExporter (isum_process_* gauges on /metrics), and
-/// the profiler docs' memory workflow. Hoisted here so the
+/// records), the MetricsExporter (process.* gauges in its snapshot file),
+/// and the profiler docs' memory workflow. Hoisted here so the
 /// ru_maxrss unit quirk — KiB on Linux, bytes on macOS — lives in exactly
 /// one place. All readers are cheap enough for once-per-run-phase or
 /// once-per-exporter-tick use; none allocate beyond a small stack buffer.

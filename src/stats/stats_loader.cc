@@ -11,28 +11,27 @@ StatusOr<int> LoadColumnStats(const std::string& jsonl,
   DataGenerator generator;
   Rng rng(seed);
   int loaded = 0;
-  for (const std::string& line : Split(jsonl, '\n')) {
-    if (Trim(line).empty()) continue;
-    ISUM_ASSIGN_OR_RETURN(std::string table, JsonExtractString(line, "table"));
-    ISUM_ASSIGN_OR_RETURN(std::string column,
-                          JsonExtractString(line, "column"));
+  ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue> lines,
+                        ParseJsonLines(jsonl));
+  for (const JsonValue& line : lines) {
+    ISUM_ASSIGN_OR_RETURN(std::string table, line.String("table"));
+    ISUM_ASSIGN_OR_RETURN(std::string column, line.String("column"));
     const catalog::ColumnId id = catalog.ResolveColumn(table, column);
     if (!id.valid()) {
       return Status::NotFound("unknown column '" + table + "." + column + "'");
     }
 
     ColumnDataSpec spec;
-    ISUM_ASSIGN_OR_RETURN(double distinct, JsonExtractNumber(line, "distinct"));
+    ISUM_ASSIGN_OR_RETURN(double distinct, line.Number("distinct"));
     spec.distinct = static_cast<uint64_t>(std::max(1.0, distinct));
-    ISUM_ASSIGN_OR_RETURN(spec.domain_min, JsonExtractNumber(line, "min"));
-    ISUM_ASSIGN_OR_RETURN(spec.domain_max, JsonExtractNumber(line, "max"));
+    ISUM_ASSIGN_OR_RETURN(spec.domain_min, line.Number("min"));
+    ISUM_ASSIGN_OR_RETURN(spec.domain_max, line.Number("max"));
     if (spec.domain_max < spec.domain_min) {
       return Status::InvalidArgument("min > max for '" + table + "." + column +
                                      "'");
     }
-    if (JsonHasKey(line, "distribution")) {
-      ISUM_ASSIGN_OR_RETURN(std::string dist,
-                            JsonExtractString(line, "distribution"));
+    if (line.Has("distribution")) {
+      ISUM_ASSIGN_OR_RETURN(std::string dist, line.String("distribution"));
       const std::string lower = ToLower(dist);
       if (lower == "uniform") {
         spec.distribution = Distribution::kUniform;
@@ -44,12 +43,11 @@ StatusOr<int> LoadColumnStats(const std::string& jsonl,
         return Status::InvalidArgument("unknown distribution '" + dist + "'");
       }
     }
-    if (JsonHasKey(line, "skew")) {
-      ISUM_ASSIGN_OR_RETURN(spec.zipf_skew, JsonExtractNumber(line, "skew"));
+    if (line.Has("skew")) {
+      ISUM_ASSIGN_OR_RETURN(spec.zipf_skew, line.Number("skew"));
     }
-    if (JsonHasKey(line, "nulls")) {
-      ISUM_ASSIGN_OR_RETURN(spec.null_fraction,
-                            JsonExtractNumber(line, "nulls"));
+    if (line.Has("nulls")) {
+      ISUM_ASSIGN_OR_RETURN(spec.null_fraction, line.Number("nulls"));
     }
 
     Rng column_rng = rng.Fork(static_cast<uint64_t>(loaded) + 1);

@@ -7,12 +7,6 @@
 
 namespace isum::workload {
 
-std::string JsonEscape(const std::string& raw) { return isum::JsonEscape(raw); }
-
-StatusOr<std::string> JsonUnescape(const std::string& escaped) {
-  return isum::JsonUnescape(escaped);
-}
-
 std::string SaveQueryStore(const Workload& workload) {
   std::string out;
   for (size_t i = 0; i < workload.size(); ++i) {
@@ -20,9 +14,9 @@ std::string SaveQueryStore(const Workload& workload) {
     // The query-store JSONL format predates the obs emitters and is a
     // persistence format (load/save round-trip), not telemetry.
     // NOLINTNEXTLINE(isum-journal-schema)
-    out += StrFormat("{\"sql\": \"%s\", \"cost\": %.6f, \"tag\": \"%s\"}\n",
-                     isum::JsonEscape(q.sql).c_str(), q.base_cost,
-                     isum::JsonEscape(q.tag).c_str());
+    out += StrFormat("{\"sql\": \"%s\", \"cost\": %.17g, \"tag\": \"%s\"}\n",
+                     JsonEscape(q.sql).c_str(), q.base_cost,
+                     JsonEscape(q.tag).c_str());
   }
   return out;
 }
@@ -30,13 +24,14 @@ std::string SaveQueryStore(const Workload& workload) {
 StatusOr<int> LoadQueryStore(const std::string& jsonl, Workload* workload) {
   int loaded = 0;
   sql::Binder binder(workload->env().catalog, workload->env().stats);
-  for (const std::string& line : Split(jsonl, '\n')) {
-    if (Trim(line).empty()) continue;
-    ISUM_ASSIGN_OR_RETURN(std::string sql, JsonExtractString(line, "sql"));
-    ISUM_ASSIGN_OR_RETURN(double cost, JsonExtractNumber(line, "cost"));
+  ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue> lines,
+                        ParseJsonLines(jsonl));
+  for (const JsonValue& line : lines) {
+    ISUM_ASSIGN_OR_RETURN(std::string sql, line.String("sql"));
+    ISUM_ASSIGN_OR_RETURN(double cost, line.Number("cost"));
     std::string tag;
-    if (JsonHasKey(line, "tag")) {
-      ISUM_ASSIGN_OR_RETURN(tag, JsonExtractString(line, "tag"));
+    if (line.Has("tag")) {
+      ISUM_ASSIGN_OR_RETURN(tag, line.String("tag"));
     }
     ISUM_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::ParseSelect(sql));
     ISUM_ASSIGN_OR_RETURN(sql::BoundQuery bound, binder.Bind(stmt, sql));

@@ -22,10 +22,6 @@ std::string SaveQueryStore(const Workload& workload);
 /// malformed lines or unbindable SQL.
 StatusOr<int> LoadQueryStore(const std::string& jsonl, Workload* workload);
 
-/// JSON string escaping helpers (exposed for tests).
-std::string JsonEscape(const std::string& raw);
-StatusOr<std::string> JsonUnescape(const std::string& escaped);
-
 }  // namespace isum::workload
 
 #endif  // ISUM_WORKLOAD_QUERY_STORE_H_

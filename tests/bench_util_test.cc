@@ -46,7 +46,6 @@ TEST(BenchObsFlags, DefaultsWithNoFlags) {
   EXPECT_TRUE(flags.profile_path.empty());
   EXPECT_EQ(flags.trace_every, 1u);
   EXPECT_EQ(flags.time_budget_seconds, 0.0);
-  EXPECT_EQ(flags.serve_metrics_port, -1);
   EXPECT_EQ(flags.profile_hz, 100);
   EXPECT_FALSE(flags.profile_alloc);
   EXPECT_EQ(args.Remaining(),
@@ -69,7 +68,7 @@ TEST(BenchObsFlags, ParsesEveryFlag) {
   ArgvFixture args({"bench", "--trace=t.json", "--trace-every=4",
                     "--metrics=m.jsonl", "--bench-json=b.json",
                     "--bench-label=campaign", "--journal=j.jsonl",
-                    "--serve-metrics=0", "--metrics-snapshot=s.prom",
+                    "--metrics-snapshot=s.jsonl",
                     "--faults=whatif:every=7", "--time-budget=2.5",
                     "--profile=p.json", "--profile-hz=250",
                     "--profile-alloc=1"});
@@ -80,8 +79,7 @@ TEST(BenchObsFlags, ParsesEveryFlag) {
   EXPECT_EQ(flags.bench_json_path, "b.json");
   EXPECT_EQ(flags.bench_label, "campaign");
   EXPECT_EQ(flags.journal_path, "j.jsonl");
-  EXPECT_EQ(flags.serve_metrics_port, 0);
-  EXPECT_EQ(flags.metrics_snapshot_path, "s.prom");
+  EXPECT_EQ(flags.metrics_snapshot_path, "s.jsonl");
   EXPECT_EQ(flags.faults_spec, "whatif:every=7");
   EXPECT_DOUBLE_EQ(flags.time_budget_seconds, 2.5);
   EXPECT_EQ(flags.profile_path, "p.json");

@@ -304,12 +304,13 @@ TEST_F(CoreTest, SummaryInfluenceWithinTheorem3Bounds) {
 TEST_F(CoreTest, WeightsNormalizedAcrossStrategies) {
   Isum isum(&W());
   SelectionResult selection = isum.Select(6);
+  const CompressionState state = isum.MakeState();
   for (WeighingStrategy strategy :
        {WeighingStrategy::kNone, WeighingStrategy::kSelectionBenefit,
         WeighingStrategy::kRecalibrated,
         WeighingStrategy::kRecalibratedWithTemplates}) {
-    const std::vector<double> weights = WeighSelectedQueries(
-        W(), selection, {}, UtilityMode::kCostOnly, strategy);
+    const std::vector<double> weights =
+        WeighSelectedQueries(W(), state, selection, strategy);
     ASSERT_EQ(weights.size(), selection.selected.size());
     double total = 0.0;
     for (double w : weights) {
@@ -324,7 +325,7 @@ TEST_F(CoreTest, NoneWeighingIsUniform) {
   Isum isum(&W());
   SelectionResult selection = isum.Select(4);
   const std::vector<double> weights = WeighSelectedQueries(
-      W(), selection, {}, UtilityMode::kCostOnly, WeighingStrategy::kNone);
+      W(), isum.MakeState(), selection, WeighingStrategy::kNone);
   for (double w : weights) EXPECT_DOUBLE_EQ(w, 0.25);
 }
 
@@ -333,12 +334,11 @@ TEST_F(CoreTest, TemplateWeighingBoostsRepresentativeInstances) {
   // its sibling; weights differ from plain recalibration for some query.
   Isum isum(&W());
   SelectionResult selection = isum.Select(6);
-  const auto recal = WeighSelectedQueries(W(), selection, {},
-                                          UtilityMode::kCostOnly,
+  const CompressionState state = isum.MakeState();
+  const auto recal = WeighSelectedQueries(W(), state, selection,
                                           WeighingStrategy::kRecalibrated);
   const auto tmpl = WeighSelectedQueries(
-      W(), selection, {}, UtilityMode::kCostOnly,
-      WeighingStrategy::kRecalibratedWithTemplates);
+      W(), state, selection, WeighingStrategy::kRecalibratedWithTemplates);
   bool any_diff = false;
   for (size_t i = 0; i < recal.size(); ++i) {
     if (std::abs(recal[i] - tmpl[i]) > 1e-6) any_diff = true;

@@ -1,28 +1,18 @@
-// Tests for src/obs/exporter.h: the live telemetry exporter (Prometheus
-// text over a minimal 127.0.0.1 HTTP listener + periodic snapshot files)
-// and the MetricsRegistry snapshot/delta semantics it publishes. Suite
+// Tests for src/obs/exporter.h: the live telemetry exporter (periodic
+// metrics-JSONL snapshot files) and the MetricsRegistry snapshot/delta
+// semantics it publishes. Suite
 // names start with `Exporter` so the TSan CI job picks the concurrency
 // tests up via its --gtest_filter.
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define ISUM_TEST_HAVE_SOCKETS 1
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
-
 #include "common/deadline.h"
-#include "obs/export.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "tools/tracecat/tracecat.h"
@@ -41,46 +31,16 @@ std::string ReadAll(const std::string& path) {
   return buffer.str();
 }
 
-double SampleValue(const std::vector<tracecat::PromSample>& samples,
-                   const char* name, const char* labels = "") {
-  for (const auto& s : samples) {
-    if (s.name == name && s.labels == labels) return s.value;
+double MetricValue(const std::vector<tracecat::MetricLine>& metrics,
+                   const char* type, const char* name) {
+  for (const auto& m : metrics) {
+    if (m.type == type && m.name == name) {
+      return m.type == "histogram" ? static_cast<double>(m.count) : m.value;
+    }
   }
-  ADD_FAILURE() << "sample not found: " << name << " {" << labels << "}";
+  ADD_FAILURE() << "metric not found: " << type << " " << name;
   return 0.0;
 }
-
-#ifdef ISUM_TEST_HAVE_SOCKETS
-/// One-shot HTTP GET against 127.0.0.1:`port`; returns the raw response.
-bool HttpGet(int port, const char* path, std::string* response) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return false;
-  }
-  const std::string request = std::string("GET ") + path +
-                              " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-                              "Connection: close\r\n\r\n";
-  if (::write(fd, request.data(), request.size()) !=
-      static_cast<ssize_t>(request.size())) {
-    ::close(fd);
-    return false;
-  }
-  response->clear();
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-    response->append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return !response->empty();
-}
-#endif
 
 TEST(ExporterSnapshot, WritesFileAndRoundTripsThroughTracecat) {
   MetricsRegistry registry;
@@ -88,7 +48,7 @@ TEST(ExporterSnapshot, WritesFileAndRoundTripsThroughTracecat) {
   registry.GetGauge("pool.size")->Set(4.5);
   registry.GetHistogram("whatif.optimize_nanos")->Observe(1000);
 
-  const std::string path = TempPath("exporter_snapshot.prom");
+  const std::string path = TempPath("exporter_snapshot.jsonl");
   MetricsExporterOptions options;
   options.snapshot_path = path;
   options.period_nanos = 3'600'000'000'000ull;  // only the startup tick
@@ -99,82 +59,28 @@ TEST(ExporterSnapshot, WritesFileAndRoundTripsThroughTracecat) {
   // first iteration (the shutdown tick alone still yields a complete file).
   EXPECT_GE(exporter.snapshots_written(), 1u);
 
-  auto samples = tracecat::ParsePrometheusText(ReadAll(path));
-  ASSERT_TRUE(samples.ok()) << samples.status().ToString();
-  EXPECT_EQ(SampleValue(samples.value(), "isum_whatif_optimizer_calls"),
-            123.0);
-  EXPECT_EQ(SampleValue(samples.value(), "isum_pool_size"), 4.5);
+  auto metrics = tracecat::ParseMetricsJsonl(ReadAll(path));
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   EXPECT_EQ(
-      SampleValue(samples.value(), "isum_whatif_optimize_nanos_count"), 1.0);
+      MetricValue(metrics.value(), "counter", "whatif.optimizer_calls"),
+      123.0);
+  EXPECT_EQ(MetricValue(metrics.value(), "gauge", "pool.size"), 4.5);
+  // Histograms report their observation count.
+  EXPECT_EQ(
+      MetricValue(metrics.value(), "histogram", "whatif.optimize_nanos"),
+      1.0);
   // The exporter publishes the ambient budget every tick (-1 = unlimited).
-  EXPECT_EQ(SampleValue(samples.value(), "isum_budget_remaining_seconds"),
-            -1.0);
+  EXPECT_EQ(
+      MetricValue(metrics.value(), "gauge", "budget.remaining_seconds"),
+      -1.0);
 }
-
-TEST(ExporterGolden, PrometheusTextShapeIsStable) {
-  // Golden for the exposition format itself (counters and gauges are exact;
-  // histogram quantiles go through the round-trip test above instead).
-  MetricsRegistry registry;
-  registry.GetCounter("compress.runs")->Add(3);
-  registry.GetGauge("budget.remaining_seconds")->Set(-1.0);
-  EXPECT_EQ(PrometheusText(registry.Snapshot()),
-            "# TYPE isum_compress_runs counter\n"
-            "isum_compress_runs 3\n"
-            "# TYPE isum_budget_remaining_seconds gauge\n"
-            "isum_budget_remaining_seconds -1\n");
-}
-
-#ifdef ISUM_TEST_HAVE_SOCKETS
-TEST(ExporterHttp, ServesMetricsAndHealthz) {
-  MetricsRegistry registry;
-  registry.GetCounter("advisor.tuning_runs")->Add(7);
-
-  MetricsExporterOptions options;
-  options.http_port = 0;  // ephemeral
-  MetricsExporter exporter(&registry, options);
-  ASSERT_TRUE(exporter.Start().ok());
-  ASSERT_GT(exporter.port(), 0);
-
-  std::string response;
-  ASSERT_TRUE(HttpGet(exporter.port(), "/metrics", &response));
-  EXPECT_EQ(response.compare(0, 15, "HTTP/1.1 200 OK"), 0) << response;
-  const size_t body_at = response.find("\r\n\r\n");
-  ASSERT_NE(body_at, std::string::npos);
-  auto samples = tracecat::ParsePrometheusText(response.substr(body_at + 4));
-  ASSERT_TRUE(samples.ok()) << samples.status().ToString();
-  EXPECT_EQ(SampleValue(samples.value(), "isum_advisor_tuning_runs"), 7.0);
-
-  ASSERT_TRUE(HttpGet(exporter.port(), "/healthz", &response));
-  EXPECT_NE(response.find("ok"), std::string::npos);
-
-  ASSERT_TRUE(HttpGet(exporter.port(), "/nope", &response));
-  EXPECT_EQ(response.compare(0, 12, "HTTP/1.1 404"), 0) << response;
-
-  EXPECT_GE(exporter.requests_served(), 3u);
-  exporter.Stop();
-}
-
-TEST(ExporterHttp, StartFailsCleanlyOnBusyPort) {
-  MetricsRegistry registry;
-  MetricsExporterOptions options;
-  options.http_port = 0;
-  MetricsExporter first(&registry, options);
-  ASSERT_TRUE(first.Start().ok());
-
-  MetricsExporterOptions busy;
-  busy.http_port = first.port();
-  MetricsExporter second(&registry, busy);
-  EXPECT_FALSE(second.Start().ok());
-  first.Stop();
-}
-#endif
 
 TEST(ExporterBudget, ExpiredAmbientBudgetStopsTheWorker) {
   // Once the ambient budget expires, the worker writes one final snapshot
   // (with the gauge at 0) and exits on its own; Stop() then only joins.
   InstallAmbientBudget(TimeBudget::After(0.0));
   MetricsRegistry registry;
-  const std::string path = TempPath("exporter_budget.prom");
+  const std::string path = TempPath("exporter_budget.jsonl");
   MetricsExporterOptions options;
   options.snapshot_path = path;
   options.period_nanos = 1'000'000;  // 1ms: would write thousands if alive
@@ -186,10 +92,10 @@ TEST(ExporterBudget, ExpiredAmbientBudgetStopsTheWorker) {
   exporter.Stop();
   InstallAmbientBudget(TimeBudget());  // restore unlimited for other tests
 
-  auto samples = tracecat::ParsePrometheusText(ReadAll(path));
-  ASSERT_TRUE(samples.ok()) << samples.status().ToString();
-  EXPECT_EQ(SampleValue(samples.value(), "isum_budget_remaining_seconds"),
-            0.0);
+  auto metrics = tracecat::ParseMetricsJsonl(ReadAll(path));
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_EQ(
+      MetricValue(metrics.value(), "gauge", "budget.remaining_seconds"), 0.0);
 }
 
 TEST(ExporterRegistry, SnapshotAndDeltaUnderConcurrentWriters) {

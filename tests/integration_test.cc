@@ -14,10 +14,15 @@
 namespace isum {
 namespace {
 
+// gtest lists a parameter without a printer as its raw bytes, and ctest
+// registers each test under that listing. The name is held inline and the
+// struct has no padding, so those bytes (and the test names) are the same on
+// every build; a `const char*` here would print a load address instead.
 struct WorkloadSpec {
-  const char* name;
+  char name[12];
   int instances_per_template;
 };
+static_assert(sizeof(WorkloadSpec) == 16, "no padding bytes in the listing");
 
 class IntegrationTest : public ::testing::TestWithParam<WorkloadSpec> {};
 

@@ -38,12 +38,14 @@ std::string TempPath(const char* name) {
   return testing::TempDir() + "/" + name;
 }
 
-std::vector<std::string> ReadLines(const std::string& path) {
+/// The journal file, one parsed JSON object per line.
+std::vector<JsonValue> ReadEvents(const std::string& path) {
   std::ifstream in(path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  return lines;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  auto events = ParseJsonLines(buffer.str());
+  EXPECT_TRUE(events.ok()) << events.status().ToString();
+  return events.ok() ? std::move(events).value() : std::vector<JsonValue>();
 }
 
 class JournalTest : public testing::Test {
@@ -69,25 +71,25 @@ TEST_F(JournalTest, LifecycleIsWellFormed) {
   j.Close();
   EXPECT_FALSE(j.enabled());
 
-  const std::vector<std::string> lines = ReadLines(path);
+  const std::vector<JsonValue> lines = ReadEvents(path);
   ASSERT_EQ(lines.size(), 6u);
   const char* expected_events[] = {"journal_begin", "compress_begin",
                                    "select",        "feature_reset",
                                    "compress_end",  "journal_end"};
   for (size_t i = 0; i < lines.size(); ++i) {
-    auto event = JsonExtractString(lines[i], "event");
-    ASSERT_TRUE(event.ok()) << lines[i];
+    auto event = lines[i].String("event");
+    ASSERT_TRUE(event.ok()) << "line " << i;
     EXPECT_EQ(event.value(), expected_events[i]);
-    auto seq = JsonExtractNumber(lines[i], "seq");
-    ASSERT_TRUE(seq.ok()) << lines[i];
+    auto seq = lines[i].Number("seq");
+    ASSERT_TRUE(seq.ok()) << "line " << i;
     EXPECT_EQ(seq.value(), static_cast<double>(i)) << "seq must be dense";
-    EXPECT_TRUE(JsonHasKey(lines[i], "t_us")) << lines[i];
+    EXPECT_TRUE(lines[i].Has("t_us")) << "line " << i;
   }
-  EXPECT_EQ(JsonExtractString(lines[0], "schema").value(), "isum-events-v1");
-  EXPECT_EQ(JsonExtractString(lines[0], "label").value(), "journal_test");
-  EXPECT_EQ(JsonExtractNumber(lines[2], "query").value(), 42.0);
-  EXPECT_EQ(JsonExtractNumber(lines[2], "gap").value(), 0.25);
-  EXPECT_EQ(JsonExtractString(lines[4], "stop_reason").value(), "complete");
+  EXPECT_EQ(lines[0].String("schema").value(), "isum-events-v1");
+  EXPECT_EQ(lines[0].String("label").value(), "journal_test");
+  EXPECT_EQ(lines[2].Number("query").value(), 42.0);
+  EXPECT_EQ(lines[2].Number("gap").value(), 0.25);
+  EXPECT_EQ(lines[4].String("stop_reason").value(), "complete");
 }
 
 TEST_F(JournalTest, FakeClockTimestampsAreDeterministic) {
@@ -101,10 +103,10 @@ TEST_F(JournalTest, FakeClockTimestampsAreDeterministic) {
 
   // One clock reading fixes the origin in Open(); each emitted line takes
   // exactly one more, so consecutive t_us differ by exactly 1000us.
-  const std::vector<std::string> lines = ReadLines(path);
+  const std::vector<JsonValue> lines = ReadEvents(path);
   ASSERT_EQ(lines.size(), 4u);
   for (size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_EQ(JsonExtractNumber(lines[i], "t_us").value(),
+    EXPECT_EQ(lines[i].Number("t_us").value(),
               1000.0 * static_cast<double>(i + 1));
   }
 }
@@ -145,9 +147,9 @@ TEST_F(JournalTest, BudgetTickIsRateLimited) {
   Journal::Global().Close();
 
   std::vector<double> remaining;
-  for (const std::string& line : ReadLines(path)) {
-    if (JsonExtractString(line, "event").value() == "budget_tick") {
-      remaining.push_back(JsonExtractNumber(line, "remaining_s").value());
+  for (const JsonValue& line : ReadEvents(path)) {
+    if (line.String("event").value() == "budget_tick") {
+      remaining.push_back(line.Number("remaining_s").value());
     }
   }
   EXPECT_EQ(remaining, (std::vector<double>{10.0, 9.7}));
@@ -164,9 +166,9 @@ TEST_F(JournalTest, BudgetStopDeduplicatesConsecutiveReasons) {
   Journal::Global().Close();
 
   std::vector<std::string> reasons;
-  for (const std::string& line : ReadLines(path)) {
-    if (JsonExtractString(line, "event").value() == "budget_stop") {
-      reasons.push_back(JsonExtractString(line, "reason").value());
+  for (const JsonValue& line : ReadEvents(path)) {
+    if (line.String("event").value() == "budget_stop") {
+      reasons.push_back(line.String("reason").value());
     }
   }
   EXPECT_EQ(reasons, (std::vector<std::string>{"deadline", "cancelled"}));
@@ -183,10 +185,10 @@ TEST_F(JournalTest, AbnormalStopReasonFlushesEagerly) {
   // No Close(), no Flush(): the abnormal stop_reason alone must have pushed
   // every buffered line to disk (a deadline-killed run leaves a complete
   // artifact even if the process dies before the journal is closed).
-  const std::vector<std::string> lines = ReadLines(path);
+  const std::vector<JsonValue> lines = ReadEvents(path);
   ASSERT_EQ(lines.size(), 4u);
-  EXPECT_EQ(JsonExtractString(lines.back(), "event").value(), "compress_end");
-  EXPECT_EQ(JsonExtractString(lines.back(), "stop_reason").value(),
+  EXPECT_EQ(lines.back().String("event").value(), "compress_end");
+  EXPECT_EQ(lines.back().String("stop_reason").value(),
             "deadline");
 }
 
@@ -208,9 +210,9 @@ TEST_F(JournalTest, InjectedDeadlineRegressionFlushesSelection) {
   EXPECT_EQ(selection.stop_reason, StopReason::kDeadline);
 
   bool found_abnormal_end = false;
-  for (const std::string& line : ReadLines(path)) {
-    if (JsonExtractString(line, "event").value() == "compress_end") {
-      EXPECT_EQ(JsonExtractString(line, "stop_reason").value(), "deadline");
+  for (const JsonValue& line : ReadEvents(path)) {
+    if (line.String("event").value() == "compress_end") {
+      EXPECT_EQ(line.String("stop_reason").value(), "deadline");
       found_abnormal_end = true;
     }
   }
@@ -237,10 +239,10 @@ TEST_F(JournalTest, ConcurrentEmittersKeepSeqDense) {
   for (std::thread& t : threads) t.join();
   Journal::Global().Close();
 
-  const std::vector<std::string> lines = ReadLines(path);
+  const std::vector<JsonValue> lines = ReadEvents(path);
   ASSERT_EQ(lines.size(), 2u + kThreads * kPerThread);
   for (size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_EQ(JsonExtractNumber(lines[i], "seq").value(),
+    EXPECT_EQ(lines[i].Number("seq").value(),
               static_cast<double>(i));
   }
 }

@@ -240,6 +240,25 @@ TEST_F(FaultSpecTest, ValidSpecConfiguresSitesAndSeed) {
   EXPECT_EQ(sites[1], "*");
 }
 
+TEST_F(FaultSpecTest, ReorderedKeysConfigure) {
+  // Key order is free, and a site may be named like a key: "after" here is
+  // a value, so the rule has no warm-up window and fires on the first call.
+  ASSERT_TRUE(FaultInjector::Global()
+                  .Configure("{\"p\":0.25,\"kind\":\"error\","
+                             "\"site\":\"whatif.cost\"};"
+                             "{\"kind\":\"error\",\"site\":\"after\","
+                             "\"p\":1.0};"
+                             "{\"seed\":42}")
+                  .ok());
+  EXPECT_EQ(FaultInjector::Global().seed(), 42u);
+  const std::vector<std::string> sites =
+      FaultInjector::Global().ConfiguredSites();
+  ASSERT_EQ(sites.size(), 2u);
+  EXPECT_EQ(sites[0], "whatif.cost");
+  EXPECT_EQ(sites[1], "after");
+  EXPECT_EQ(CheckFault("after").code(), StatusCode::kUnavailable);
+}
+
 TEST_F(FaultSpecTest, EmptySpecDisarms) {
   ASSERT_TRUE(
       FaultInjector::Global()

@@ -15,7 +15,9 @@ class StatsLoaderTest : public ::testing::Test {
     b.Table("orders", 1'000'000)
         .Key("id", catalog::ColumnType::kInt)
         .Col("odate", catalog::ColumnType::kDate)
-        .Col("status", catalog::ColumnType::kChar, 1);
+        .Col("status", catalog::ColumnType::kChar, 1)
+        .Col("max", catalog::ColumnType::kInt)
+        .Col("nulls", catalog::ColumnType::kInt);
   }
 
   catalog::Catalog cat_;
@@ -54,6 +56,28 @@ TEST_F(StatsLoaderTest, DefaultsApplyWhenKeysOmitted) {
       cat_, &stats_);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(*loaded, 1);
+}
+
+TEST_F(StatsLoaderTest, ColumnNamedLikeAKeyReadsTheKeysValue) {
+  // The column's name is a value; only the "max" key sets domain_max.
+  auto loaded = LoadColumnStats(
+      "{\"table\":\"orders\",\"column\":\"max\",\"distinct\":10,"
+      "\"min\":0,\"max\":9}",
+      cat_, &stats_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(stats_.GetStats(cat_.ResolveColumn("orders", "max")).max_value,
+            9.0);
+}
+
+TEST_F(StatsLoaderTest, NullsColumnWithoutNullsKeyKeepsTheDefault) {
+  auto loaded = LoadColumnStats(
+      "{\"table\":\"orders\",\"column\":\"nulls\",\"distinct\":10,"
+      "\"min\":0,\"max\":9}",
+      cat_, &stats_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(
+      stats_.GetStats(cat_.ResolveColumn("orders", "nulls")).null_fraction,
+      0.0);
 }
 
 TEST_F(StatsLoaderTest, ErrorsAreLoud) {

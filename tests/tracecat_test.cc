@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -147,8 +148,8 @@ TEST(TracecatReport, RendersRobustnessCountersWhenPresent) {
   EXPECT_NE(report.find("deadline exceeded: 5"), std::string::npos);
 }
 
-/// A hand-written isum-bench-v1 record matching bench_util.h's emitter
-/// layout exactly (one key per line, sections as line-disciplined arrays).
+/// A hand-written isum-bench-v1 record in bench_util.h's emitter layout
+/// (one key or section entry per line).
 std::string SampleBenchRecord(const std::string& label, double wall,
                               double greedy_us, double feat_us) {
   std::string out;
@@ -231,6 +232,38 @@ TEST(TracecatBench, RejectsSchemaInvalidInput) {
   EXPECT_FALSE(ParseBenchJson("{\n\"schema\": \"isum-bench-v1\",\n").ok());
   EXPECT_FALSE(ParseBenchJson("not a bench file\n").ok());
   EXPECT_FALSE(ParseBenchJson("[\n]\n").ok());
+}
+
+/// The same JSON with every line break removed.
+std::string OnOneLine(std::string json) {
+  json.erase(std::remove(json.begin(), json.end(), '\n'), json.end());
+  return json;
+}
+
+TEST(TracecatBench, SingleLineRecordParsesLikeTheEmitterLayout) {
+  const std::string emitted = SampleBenchRecord("pre", 4.5, 9000.0, 1200.0);
+  const auto a = ParseBenchJson(emitted);
+  const auto b = ParseBenchJson(OnOneLine(emitted));
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ASSERT_EQ(a.value().size(), 1u);
+  ASSERT_EQ(b.value().size(), 1u);
+  const BenchRecord& x = a.value()[0];
+  const BenchRecord& y = b.value()[0];
+  EXPECT_EQ(x.label, y.label);
+  EXPECT_EQ(x.bench, y.bench);
+  EXPECT_EQ(x.git_rev, y.git_rev);
+  EXPECT_EQ(x.wall_seconds, y.wall_seconds);
+  EXPECT_EQ(x.peak_rss_bytes, y.peak_rss_bytes);
+  ASSERT_EQ(x.phases.size(), y.phases.size());
+  for (size_t i = 0; i < x.phases.size(); ++i) {
+    EXPECT_EQ(x.phases[i].name, y.phases[i].name);
+    EXPECT_EQ(x.phases[i].count, y.phases[i].count);
+    EXPECT_EQ(x.phases[i].total_us, y.phases[i].total_us);
+    EXPECT_EQ(x.phases[i].max_us, y.phases[i].max_us);
+  }
+  EXPECT_EQ(x.counters, y.counters);
+  EXPECT_EQ(x.run_names, y.run_names);
 }
 
 TEST(TracecatBench, DeltaReportsPerPhaseAndWallChanges) {
@@ -412,7 +445,7 @@ TEST(TracecatJournal, CheckRejectsStructuralDamage) {
   EXPECT_FALSE(ParseJournal("not a journal\n").ok());
 }
 
-TEST(TracecatWatch, ParsesPrometheusTextAndRendersFrame) {
+TEST(TracecatWatch, ParsesMetricsSnapshotAndRendersFrame) {
   obs::MetricsRegistry registry;
   registry.GetCounter("compress.runs")->Add(2);
   registry.GetCounter("compress.input_queries")->Add(20000);
@@ -424,28 +457,16 @@ TEST(TracecatWatch, ParsesPrometheusTextAndRendersFrame) {
   obs::Histogram* lat = registry.GetHistogram("whatif.optimize_nanos");
   for (int i = 0; i < 10; ++i) lat->Observe(2'000'000);
 
-  const auto samples =
-      ParsePrometheusText(obs::PrometheusText(registry.Snapshot()));
-  ASSERT_TRUE(samples.ok()) << samples.status().ToString();
+  const auto metrics = ParseMetricsJsonl(obs::MetricsJsonl(registry.Snapshot()));
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
 
-  const std::string frame = WatchFrame(samples.value());
+  const std::string frame = WatchFrame(metrics.value());
   EXPECT_NE(frame.find("budget remaining: 42.5s"), std::string::npos);
   EXPECT_NE(frame.find("compression: 2 run(s), 20000 -> 100 queries"),
             std::string::npos);
   EXPECT_NE(frame.find("(75.0% hit rate)"), std::string::npos);
   EXPECT_NE(frame.find("optimize latency: p50"), std::string::npos);
   EXPECT_NE(frame.find("robustness: 3 retry(ies)"), std::string::npos);
-}
-
-TEST(TracecatWatch, RejectsMalformedExposition) {
-  EXPECT_FALSE(ParsePrometheusText("isum_thing\n").ok());
-  EXPECT_FALSE(ParsePrometheusText("isum_thing notanumber\n").ok());
-  EXPECT_FALSE(
-      ParsePrometheusText("isum_thing{quantile=\"0.5\" 1.0\n").ok());
-  // Comments and blank lines are fine; empty input parses to no samples.
-  const auto empty = ParsePrometheusText("# TYPE x counter\n\n");
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty.value().empty());
 }
 
 // ---- bench RSS gate ----
@@ -490,8 +511,8 @@ TEST(TracecatBenchRss, FailsPastToleranceFirstToLast) {
 
 // ---- sampling profiles ----
 
-/// A hand-written isum-profile-v1 record matching obs::ProfileJson's
-/// layout exactly (one key per line, sections as line-disciplined arrays).
+/// A hand-written isum-profile-v1 record in obs::ProfileJson's layout (one
+/// key or section entry per line).
 std::string SampleProfileRecord() {
   std::string out;
   out += "{\n";
@@ -594,6 +615,24 @@ TEST(TracecatProfile, RejectsSchemaInvalidInput) {
   EXPECT_FALSE(
       ParseProfileJson("{\n\"schema\": \"isum-profile-v1\",\n").ok());
   EXPECT_FALSE(ParseProfileJson("not a profile\n").ok());
+}
+
+TEST(TracecatProfile, SingleLineRecordParsesLikeTheEmitterLayout) {
+  const std::string emitted = SampleProfileRecord();
+  const auto a = ParseProfileJson(emitted);
+  const auto b = ParseProfileJson(OnOneLine(emitted));
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  const ProfileRecord& x = a.value();
+  const ProfileRecord& y = b.value();
+  EXPECT_EQ(x.sample_hz, y.sample_hz);
+  EXPECT_EQ(x.samples, y.samples);
+  EXPECT_EQ(x.attributed_samples, y.attributed_samples);
+  EXPECT_EQ(x.alloc_enabled, y.alloc_enabled);
+  EXPECT_EQ(x.alloc_live_bytes, y.alloc_live_bytes);
+  EXPECT_EQ(x.alloc_total_bytes, y.alloc_total_bytes);
+  // The report renders every remaining field, sections included.
+  EXPECT_EQ(ProfileReport(x, 100), ProfileReport(y, 100));
 }
 
 TEST(TracecatProfile, ReportRendersPhaseFrameAndAllocTables) {

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <initializer_list>
 #include <sstream>
 
+#include "common/jsonl.h"
 #include "common/string_util.h"
 
 namespace isum::lint {
@@ -1036,44 +1036,6 @@ std::string ApplyFixes(const std::string& content,
   }
   return out;
 }
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string ToJson(const std::vector<Violation>& violations) {
   std::ostringstream os;

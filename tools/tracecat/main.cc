@@ -9,8 +9,7 @@
 //   tracecat profile <profile.json> [--check] [--top=N]
 //                    [--min-attributed=P]
 //   tracecat profile --diff <old.json> <new.json> [--top=N]
-//   tracecat watch <snapshot.prom> [--interval=S] [--count=N]
-//   tracecat watch --url=127.0.0.1:<port> [--interval=S] [--count=N]
+//   tracecat watch <snapshot.jsonl> [--interval=S] [--count=N]
 //   tracecat ckpt inspect <file.ckpt...>
 //   tracecat ckpt verify <file.ckpt...>
 //
@@ -33,10 +32,8 @@
 // timelines. --check validates the schema strictly (dense seq, known
 // events, required fields, hash match) and prints only a verdict.
 //
-// The watch subcommand renders live run health from the metrics exporter
-// (--serve-metrics= / --metrics-snapshot=): one frame per interval from
-// either the Prometheus snapshot file or an HTTP GET against the
-// 127.0.0.1 listener.
+// The watch subcommand renders live run health from the metrics exporter's
+// --metrics-snapshot= file (metrics JSONL): one frame per interval.
 //
 // The ckpt subcommand operates on isum-ckpt-v1 checkpoint files
 // (--checkpoint= epochs, src/common/checkpoint.h). `inspect` prints the
@@ -54,14 +51,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define TRACECAT_HAVE_SOCKETS 1
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
 
 #include "tools/tracecat/tracecat.h"
 
@@ -270,79 +259,15 @@ int ProfileMain(int argc, char** argv) {
   return 0;
 }
 
-#ifdef TRACECAT_HAVE_SOCKETS
-/// Minimal HTTP GET against the local metrics exporter. Accepts
-/// "[http://]host:port[/path]" where host is a dotted quad or "localhost";
-/// the path defaults to /metrics. Returns false on any connect/read/status
-/// failure — watch reports it and (in polling mode) retries next interval.
-bool HttpGetMetrics(const std::string& url_arg, std::string* out) {
-  std::string rest = url_arg;
-  const std::string scheme = "http://";
-  if (rest.compare(0, scheme.size(), scheme) == 0) {
-    rest = rest.substr(scheme.size());
-  }
-  std::string http_path = "/metrics";
-  const size_t slash = rest.find('/');
-  if (slash != std::string::npos) {
-    http_path = rest.substr(slash);
-    rest = rest.substr(0, slash);
-  }
-  const size_t colon = rest.find(':');
-  if (colon == std::string::npos) return false;
-  std::string host = rest.substr(0, colon);
-  if (host == "localhost") host = "127.0.0.1";
-  const int port = std::atoi(rest.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) return false;
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return false;
-  }
-  const std::string request = "GET " + http_path + " HTTP/1.1\r\nHost: " +
-                              host + "\r\nConnection: close\r\n\r\n";
-  size_t written = 0;
-  while (written < request.size()) {
-    const ssize_t w =
-        ::write(fd, request.data() + written, request.size() - written);
-    if (w <= 0) {
-      ::close(fd);
-      return false;
-    }
-    written += static_cast<size_t>(w);
-  }
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  const size_t header_end = response.find("\r\n\r\n");
-  if (header_end == std::string::npos) return false;
-  if (response.compare(0, 12, "HTTP/1.1 200") != 0) return false;
-  *out = response.substr(header_end + 4);
-  return true;
-}
-#endif  // TRACECAT_HAVE_SOCKETS
-
 /// `tracecat watch ...`: render live run-health frames from the metrics
-/// exporter, polling either its snapshot file or its HTTP listener.
+/// exporter, polling its snapshot file.
 int WatchMain(int argc, char** argv) {
   std::string path;
-  std::string url;
   double interval_seconds = 1.0;
   int count = 1;
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--url=", 6) == 0) {
-      url = arg + 6;
-    } else if (std::strncmp(arg, "--interval=", 11) == 0) {
+    if (std::strncmp(arg, "--interval=", 11) == 0) {
       interval_seconds = std::strtod(arg + 11, nullptr);
     } else if (std::strncmp(arg, "--count=", 8) == 0) {
       count = std::atoi(arg + 8);
@@ -353,10 +278,10 @@ int WatchMain(int argc, char** argv) {
       return 2;
     }
   }
-  if (path.empty() == url.empty()) {  // exactly one source required
+  if (path.empty()) {
     std::fprintf(stderr,
-                 "usage: tracecat watch <snapshot.prom | --url=host:port> "
-                 "[--interval=S] [--count=N]\n");
+                 "usage: tracecat watch <snapshot.jsonl> [--interval=S] "
+                 "[--count=N]\n");
     return 2;
   }
   if (count < 1) count = 1;
@@ -369,34 +294,22 @@ int WatchMain(int argc, char** argv) {
           std::chrono::duration<double>(interval_seconds));
     }
     std::string content;
-    bool fetched = false;
-    if (!url.empty()) {
-#ifdef TRACECAT_HAVE_SOCKETS
-      fetched = HttpGetMetrics(url, &content);
-#else
-      std::fprintf(stderr, "--url= is unsupported on this platform\n");
-      return 2;
-#endif
-    } else {
-      fetched = ReadFile(path, &content);
-    }
-    const std::string source = url.empty() ? path : url;
-    if (!fetched) {
+    if (!ReadFile(path, &content)) {
       // Polling a run that has not started (or already finished) is
       // normal; report and keep polling unless this is the only frame.
-      std::fprintf(stderr, "frame %d/%d: cannot fetch %s\n", frame + 1, count,
-                   source.c_str());
+      std::fprintf(stderr, "frame %d/%d: cannot read %s\n", frame + 1, count,
+                   path.c_str());
       if (count == 1) return 1;
       continue;
     }
-    auto samples = isum::tracecat::ParsePrometheusText(content);
-    if (!samples.ok()) {
-      std::fprintf(stderr, "%s: %s\n", source.c_str(),
-                   samples.status().ToString().c_str());
+    auto metrics = isum::tracecat::ParseMetricsJsonl(content);
+    if (!metrics.ok()) {
+      std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                   metrics.status().ToString().c_str());
       return 1;
     }
     if (count > 1) std::printf("--- frame %d/%d ---\n", frame + 1, count);
-    std::fputs(isum::tracecat::WatchFrame(samples.value()).c_str(), stdout);
+    std::fputs(isum::tracecat::WatchFrame(metrics.value()).c_str(), stdout);
     std::fflush(stdout);
     ++rendered;
   }

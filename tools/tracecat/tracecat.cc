@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <sstream>
+#include <initializer_list>
+#include <limits>
+#include <string_view>
 
 #include "common/checkpoint.h"
 #include "common/deadline.h"
-#include "common/jsonl.h"
 #include "common/string_util.h"
 #include "obs/journal.h"
 
@@ -15,60 +16,90 @@ namespace isum::tracecat {
 
 namespace {
 
-/// Strips whitespace and a trailing comma from one raw trace line.
-std::string CleanLine(const std::string& raw) {
-  std::string line(Trim(raw));
-  if (!line.empty() && line.back() == ',') line.pop_back();
-  return line;
+/// Integer member `key` of `object`, saturated to Int's range (a plain cast
+/// of an out-of-range double is undefined behaviour).
+template <typename Int>
+StatusOr<Int> IntegerField(const JsonValue& object, std::string_view key) {
+  ISUM_ASSIGN_OR_RETURN(const double v, object.Number(key));
+  constexpr Int kMin = std::numeric_limits<Int>::min();
+  constexpr Int kMax = std::numeric_limits<Int>::max();
+  if (v <= static_cast<double>(kMin)) return kMin;
+  if (v >= static_cast<double>(kMax)) return kMax;
+  return static_cast<Int>(v);
 }
 
-/// args.name of a thread_name metadata event. The top-level "name" key is
-/// "thread_name" itself, so the flat extractor cannot reach it; the args
-/// object is the only nested value the exporter writes.
-StatusOr<std::string> MetadataThreadName(const std::string& line) {
-  const std::string needle = "\"args\":{\"name\":";
-  const size_t pos = line.find(needle);
-  if (pos == std::string::npos) {
-    return Status::ParseError("metadata event without args.name: " + line);
+/// Reads member `key` into `*out` when present; an absent key keeps the
+/// default, a present one must have the right type.
+Status ReadField(const JsonValue& object, std::string_view key,
+                 std::string* out) {
+  if (!object.Has(key)) return Status::OK();
+  ISUM_ASSIGN_OR_RETURN(*out, object.String(key));
+  return Status::OK();
+}
+
+Status ReadField(const JsonValue& object, std::string_view key, double* out) {
+  if (!object.Has(key)) return Status::OK();
+  ISUM_ASSIGN_OR_RETURN(*out, object.Number(key));
+  return Status::OK();
+}
+
+template <typename Int>
+Status ReadField(const JsonValue& object, std::string_view key, Int* out) {
+  if (!object.Has(key)) return Status::OK();
+  ISUM_ASSIGN_OR_RETURN(*out, IntegerField<Int>(object, key));
+  return Status::OK();
+}
+
+/// The array member `key`: empty when absent, an error when not an array.
+StatusOr<const std::vector<JsonValue>*> ArrayField(const JsonValue& object,
+                                                   std::string_view key) {
+  static const std::vector<JsonValue> kEmpty;
+  const JsonValue* value = object.Find(key);
+  if (value == nullptr) return &kEmpty;
+  if (!value->is_array()) {
+    return Status::ParseError("\"" + std::string(key) + "\" is not an array");
   }
-  return JsonExtractString(line.substr(pos + 8), "name");
+  return &value->items;
+}
+
+/// Rejects members outside `known` (records are versioned by their schema
+/// tag, so an unexpected key is a schema error, not an extension).
+Status CheckKnownKeys(const JsonValue& object,
+                      std::initializer_list<std::string_view> known,
+                      const char* what) {
+  for (const JsonMember& m : object.members) {
+    if (std::find(known.begin(), known.end(), m.key) == known.end()) {
+      return Status::ParseError(
+          StrFormat("unknown %s key: %s", what, m.key.c_str()));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
 StatusOr<std::vector<TraceEvent>> ParseChromeTrace(
     const std::string& content) {
+  ISUM_ASSIGN_OR_RETURN(const JsonValue trace, ParseJson(content));
+  if (!trace.is_array()) {
+    return Status::ParseError("trace is not a JSON array");
+  }
   std::vector<TraceEvent> events;
-  std::istringstream in(content);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    const std::string line = CleanLine(raw);
-    if (line.empty() || line == "[" || line == "]") continue;
-    if (line.front() != '{') {
-      return Status::ParseError("unexpected trace line: " + line);
-    }
+  for (const JsonValue& object : trace.items) {
     TraceEvent event;
-    auto phase = JsonExtractString(line, "ph");
-    if (!phase.ok()) return phase.status();
-    event.phase = phase.value();
-    auto tid = JsonExtractNumber(line, "tid");
-    if (!tid.ok()) return tid.status();
-    event.tid = static_cast<uint32_t>(tid.value());
+    ISUM_ASSIGN_OR_RETURN(event.phase, object.String("ph"));
+    ISUM_ASSIGN_OR_RETURN(event.tid, IntegerField<uint32_t>(object, "tid"));
     if (event.phase == "M") {
-      auto name = MetadataThreadName(line);
-      if (!name.ok()) return name.status();
-      event.thread_name = name.value();
+      const JsonValue* args = object.Find("args");
+      if (args == nullptr) {
+        return Status::ParseError("metadata event without args.name");
+      }
+      ISUM_ASSIGN_OR_RETURN(event.thread_name, args->String("name"));
       event.name = "thread_name";
     } else if (event.phase == "X") {
-      auto name = JsonExtractString(line, "name");
-      if (!name.ok()) return name.status();
-      event.name = name.value();
-      auto ts = JsonExtractNumber(line, "ts");
-      if (!ts.ok()) return ts.status();
-      event.ts_us = ts.value();
-      auto dur = JsonExtractNumber(line, "dur");
-      if (!dur.ok()) return dur.status();
-      event.dur_us = dur.value();
+      ISUM_ASSIGN_OR_RETURN(event.name, object.String("name"));
+      ISUM_ASSIGN_OR_RETURN(event.ts_us, object.Number("ts"));
+      ISUM_ASSIGN_OR_RETURN(event.dur_us, object.Number("dur"));
     } else {
       return Status::ParseError("unsupported event phase: " + event.phase);
     }
@@ -122,39 +153,21 @@ std::vector<TraceEvent> TopSlowest(const std::vector<TraceEvent>& events,
 
 StatusOr<std::vector<MetricLine>> ParseMetricsJsonl(
     const std::string& content) {
+  ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue> lines,
+                        ParseJsonLines(content));
   std::vector<MetricLine> metrics;
-  std::istringstream in(content);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    const std::string line = CleanLine(raw);
-    if (line.empty()) continue;
+  for (const JsonValue& line : lines) {
     MetricLine m;
-    auto type = JsonExtractString(line, "type");
-    if (!type.ok()) return type.status();
-    m.type = type.value();
-    auto name = JsonExtractString(line, "name");
-    if (!name.ok()) return name.status();
-    m.name = name.value();
+    ISUM_ASSIGN_OR_RETURN(m.type, line.String("type"));
+    ISUM_ASSIGN_OR_RETURN(m.name, line.String("name"));
     if (m.type == "histogram") {
-      auto count = JsonExtractNumber(line, "count");
-      if (!count.ok()) return count.status();
-      m.count = static_cast<uint64_t>(count.value());
-      auto sum = JsonExtractNumber(line, "sum");
-      if (!sum.ok()) return sum.status();
-      m.sum = static_cast<uint64_t>(sum.value());
-      auto p50 = JsonExtractNumber(line, "p50");
-      if (!p50.ok()) return p50.status();
-      m.p50 = p50.value();
-      auto p95 = JsonExtractNumber(line, "p95");
-      if (!p95.ok()) return p95.status();
-      m.p95 = p95.value();
-      auto p99 = JsonExtractNumber(line, "p99");
-      if (!p99.ok()) return p99.status();
-      m.p99 = p99.value();
+      ISUM_ASSIGN_OR_RETURN(m.count, IntegerField<uint64_t>(line, "count"));
+      ISUM_ASSIGN_OR_RETURN(m.sum, IntegerField<uint64_t>(line, "sum"));
+      ISUM_ASSIGN_OR_RETURN(m.p50, line.Number("p50"));
+      ISUM_ASSIGN_OR_RETURN(m.p95, line.Number("p95"));
+      ISUM_ASSIGN_OR_RETURN(m.p99, line.Number("p99"));
     } else {
-      auto value = JsonExtractNumber(line, "value");
-      if (!value.ok()) return value.status();
-      m.value = value.value();
+      ISUM_ASSIGN_OR_RETURN(m.value, line.Number("value"));
     }
     metrics.push_back(std::move(m));
   }
@@ -252,150 +265,79 @@ std::string Report(const std::vector<TraceEvent>& events,
 
 namespace {
 
-/// Does a cleaned bench line carry this scalar key? The emitter writes one
-/// key per line, so a prefix check is unambiguous.
-bool LineHasKey(const std::string& line, const char* key) {
-  const std::string prefix = std::string("\"") + key + "\":";
-  return line.compare(0, prefix.size(), prefix) == 0;
+/// One isum-bench-v1 record object. Section entries may carry extra keys
+/// (isum_bench adds self_us to phases and quality fields to runs).
+StatusOr<BenchRecord> ParseBenchRecord(const JsonValue& object) {
+  if (!object.is_object()) {
+    return Status::ParseError("bench record is not a JSON object");
+  }
+  if (!object.Has("schema")) {
+    return Status::ParseError("bench record without schema tag");
+  }
+  ISUM_ASSIGN_OR_RETURN(const std::string schema, object.String("schema"));
+  if (schema != "isum-bench-v1") {
+    return Status::ParseError("unsupported bench schema: " + schema);
+  }
+  if (!object.Has("wall_seconds") || !object.Has("peak_rss_bytes")) {
+    return Status::ParseError(
+        "bench record missing wall_seconds/peak_rss_bytes");
+  }
+  ISUM_RETURN_IF_ERROR(CheckKnownKeys(
+      object,
+      {"schema", "label", "bench", "git_rev", "wall_seconds",
+       "peak_rss_bytes", "phases", "counters", "runs"},
+      "bench"));
+
+  BenchRecord record;
+  for (const Status& status : {
+           ReadField(object, "label", &record.label),
+           ReadField(object, "bench", &record.bench),
+           ReadField(object, "git_rev", &record.git_rev),
+           ReadField(object, "wall_seconds", &record.wall_seconds),
+           ReadField(object, "peak_rss_bytes", &record.peak_rss_bytes),
+       }) {
+    if (!status.ok()) return status;
+  }
+
+  ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue>* phases,
+                        ArrayField(object, "phases"));
+  for (const JsonValue& entry : *phases) {
+    PhaseStat phase;
+    ISUM_ASSIGN_OR_RETURN(phase.name, entry.String("name"));
+    ISUM_ASSIGN_OR_RETURN(phase.count, IntegerField<uint64_t>(entry, "count"));
+    ISUM_ASSIGN_OR_RETURN(phase.total_us, entry.Number("total_us"));
+    ISUM_ASSIGN_OR_RETURN(phase.max_us, entry.Number("max_us"));
+    record.phases.push_back(std::move(phase));
+  }
+  ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue>* counters,
+                        ArrayField(object, "counters"));
+  for (const JsonValue& entry : *counters) {
+    ISUM_ASSIGN_OR_RETURN(std::string name, entry.String("name"));
+    ISUM_ASSIGN_OR_RETURN(const double value, entry.Number("value"));
+    record.counters.emplace_back(std::move(name), value);
+  }
+  ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue>* runs,
+                        ArrayField(object, "runs"));
+  for (const JsonValue& entry : *runs) {
+    ISUM_ASSIGN_OR_RETURN(std::string name, entry.String("name"));
+    record.run_names.push_back(std::move(name));
+  }
+  return record;
 }
 
 }  // namespace
 
 StatusOr<std::vector<BenchRecord>> ParseBenchJson(const std::string& content) {
-  // Line state machine matching bench_util.h's RenderBenchJson layout: a
-  // record is `{`, one scalar per line, then the phases/counters/runs
-  // sections, then `}`. A trajectory file wraps records in a JSON array.
-  enum class Section { kTopLevel, kScalars, kPhases, kCounters, kRuns };
-  Section section = Section::kTopLevel;
-
+  ISUM_ASSIGN_OR_RETURN(const JsonValue doc, ParseJson(content));
   std::vector<BenchRecord> records;
-  BenchRecord record;
-  bool saw_schema = false;
-  bool saw_wall = false;
-  bool saw_rss = false;
-
-  std::istringstream in(content);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    const std::string line = CleanLine(raw);
-    if (line.empty()) continue;
-    switch (section) {
-      case Section::kTopLevel:
-        if (line == "[" || line == "]") break;  // trajectory array brackets
-        if (line == "{") {
-          record = BenchRecord();
-          saw_schema = saw_wall = saw_rss = false;
-          section = Section::kScalars;
-          break;
-        }
-        return Status::ParseError("unexpected bench line: " + line);
-      case Section::kScalars: {
-        if (line == "}") {
-          if (!saw_schema) {
-            return Status::ParseError("bench record without schema tag");
-          }
-          if (!saw_wall || !saw_rss) {
-            return Status::ParseError(
-                "bench record missing wall_seconds/peak_rss_bytes");
-          }
-          records.push_back(std::move(record));
-          section = Section::kTopLevel;
-          break;
-        }
-        if (line == "\"phases\": [") {
-          section = Section::kPhases;
-          break;
-        }
-        if (line == "\"counters\": [") {
-          section = Section::kCounters;
-          break;
-        }
-        if (line == "\"runs\": [") {
-          section = Section::kRuns;
-          break;
-        }
-        if (LineHasKey(line, "schema")) {
-          auto schema = JsonExtractString(line, "schema");
-          if (!schema.ok()) return schema.status();
-          if (schema.value() != "isum-bench-v1") {
-            return Status::ParseError("unsupported bench schema: " +
-                                      schema.value());
-          }
-          saw_schema = true;
-        } else if (LineHasKey(line, "label")) {
-          auto v = JsonExtractString(line, "label");
-          if (!v.ok()) return v.status();
-          record.label = v.value();
-        } else if (LineHasKey(line, "bench")) {
-          auto v = JsonExtractString(line, "bench");
-          if (!v.ok()) return v.status();
-          record.bench = v.value();
-        } else if (LineHasKey(line, "git_rev")) {
-          auto v = JsonExtractString(line, "git_rev");
-          if (!v.ok()) return v.status();
-          record.git_rev = v.value();
-        } else if (LineHasKey(line, "wall_seconds")) {
-          auto v = JsonExtractNumber(line, "wall_seconds");
-          if (!v.ok()) return v.status();
-          record.wall_seconds = v.value();
-          saw_wall = true;
-        } else if (LineHasKey(line, "peak_rss_bytes")) {
-          auto v = JsonExtractNumber(line, "peak_rss_bytes");
-          if (!v.ok()) return v.status();
-          record.peak_rss_bytes = static_cast<uint64_t>(v.value());
-          saw_rss = true;
-        } else {
-          return Status::ParseError("unknown bench scalar line: " + line);
-        }
-        break;
-      }
-      case Section::kPhases: {
-        if (line == "]") {
-          section = Section::kScalars;
-          break;
-        }
-        PhaseStat phase;
-        auto name = JsonExtractString(line, "name");
-        if (!name.ok()) return name.status();
-        phase.name = name.value();
-        auto count = JsonExtractNumber(line, "count");
-        if (!count.ok()) return count.status();
-        phase.count = static_cast<uint64_t>(count.value());
-        auto total = JsonExtractNumber(line, "total_us");
-        if (!total.ok()) return total.status();
-        phase.total_us = total.value();
-        auto max = JsonExtractNumber(line, "max_us");
-        if (!max.ok()) return max.status();
-        phase.max_us = max.value();
-        record.phases.push_back(std::move(phase));
-        break;
-      }
-      case Section::kCounters: {
-        if (line == "]") {
-          section = Section::kScalars;
-          break;
-        }
-        auto name = JsonExtractString(line, "name");
-        if (!name.ok()) return name.status();
-        auto value = JsonExtractNumber(line, "value");
-        if (!value.ok()) return value.status();
-        record.counters.emplace_back(name.value(), value.value());
-        break;
-      }
-      case Section::kRuns: {
-        if (line == "]") {
-          section = Section::kScalars;
-          break;
-        }
-        auto name = JsonExtractString(line, "name");
-        if (!name.ok()) return name.status();
-        record.run_names.push_back(name.value());
-        break;
-      }
+  if (doc.is_array()) {
+    for (const JsonValue& item : doc.items) {
+      ISUM_ASSIGN_OR_RETURN(BenchRecord record, ParseBenchRecord(item));
+      records.push_back(std::move(record));
     }
-  }
-  if (section != Section::kTopLevel) {
-    return Status::ParseError("unterminated bench record");
+  } else {
+    ISUM_ASSIGN_OR_RETURN(BenchRecord record, ParseBenchRecord(doc));
+    records.push_back(std::move(record));
   }
   if (records.empty()) {
     return Status::ParseError("no bench records found");
@@ -489,221 +431,82 @@ Status CheckBenchRss(const std::vector<BenchRecord>& records,
 // ---- sampling profiles ----
 
 StatusOr<ProfileRecord> ParseProfileJson(const std::string& content) {
-  // Line state machine matching obs::ProfileJson's layout, the same
-  // discipline as ParseBenchJson: `{`, one scalar per line, then the
-  // phases/frames/alloc_phases sections, then `}`.
-  enum class Section { kTopLevel, kScalars, kPhases, kFrames, kAllocPhases };
-  Section section = Section::kTopLevel;
+  ISUM_ASSIGN_OR_RETURN(const JsonValue object, ParseJson(content));
+  if (!object.is_object()) {
+    return Status::ParseError("profile record is not a JSON object");
+  }
+  if (!object.Has("schema")) {
+    return Status::ParseError("profile record without schema tag");
+  }
+  ISUM_ASSIGN_OR_RETURN(const std::string schema, object.String("schema"));
+  if (schema != "isum-profile-v1") {
+    return Status::ParseError("unsupported profile schema: " + schema);
+  }
+  if (!object.Has("samples") || !object.Has("attributed_samples")) {
+    return Status::ParseError(
+        "profile record missing samples/attributed_samples");
+  }
+  ISUM_RETURN_IF_ERROR(CheckKnownKeys(
+      object,
+      {"schema", "label", "bench", "git_rev", "sample_hz", "wall_seconds",
+       "samples", "dropped", "attributed_samples", "attributed_percent",
+       "alloc_enabled", "alloc_total_bytes", "alloc_total_count",
+       "alloc_live_bytes", "alloc_peak_bytes", "phases", "frames",
+       "alloc_phases"},
+      "profile"));
 
   ProfileRecord record;
-  bool saw_record = false;
-  bool saw_schema = false;
-  bool saw_samples = false;
-  bool saw_attributed = false;
+  double alloc_enabled = 0.0;
+  for (const Status& status : {
+           ReadField(object, "label", &record.label),
+           ReadField(object, "bench", &record.bench),
+           ReadField(object, "git_rev", &record.git_rev),
+           ReadField(object, "sample_hz", &record.sample_hz),
+           ReadField(object, "wall_seconds", &record.wall_seconds),
+           ReadField(object, "samples", &record.samples),
+           ReadField(object, "dropped", &record.dropped),
+           ReadField(object, "attributed_samples",
+                     &record.attributed_samples),
+           ReadField(object, "attributed_percent",
+                     &record.attributed_percent),
+           ReadField(object, "alloc_enabled", &alloc_enabled),
+           ReadField(object, "alloc_total_bytes", &record.alloc_total_bytes),
+           ReadField(object, "alloc_total_count", &record.alloc_total_count),
+           ReadField(object, "alloc_live_bytes", &record.alloc_live_bytes),
+           ReadField(object, "alloc_peak_bytes", &record.alloc_peak_bytes),
+       }) {
+    if (!status.ok()) return status;
+  }
+  record.alloc_enabled = alloc_enabled != 0.0;
 
-  std::istringstream in(content);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    const std::string line = CleanLine(raw);
-    if (line.empty()) continue;
-    switch (section) {
-      case Section::kTopLevel:
-        if (line == "{") {
-          if (saw_record) {
-            return Status::ParseError(
-                "multiple profile records in one file");
-          }
-          section = Section::kScalars;
-          break;
-        }
-        return Status::ParseError("unexpected profile line: " + line);
-      case Section::kScalars: {
-        if (line == "}") {
-          if (!saw_schema) {
-            return Status::ParseError("profile record without schema tag");
-          }
-          if (!saw_samples || !saw_attributed) {
-            return Status::ParseError(
-                "profile record missing samples/attributed_samples");
-          }
-          saw_record = true;
-          section = Section::kTopLevel;
-          break;
-        }
-        if (line == "\"phases\": [") {
-          section = Section::kPhases;
-          break;
-        }
-        if (line == "\"frames\": [") {
-          section = Section::kFrames;
-          break;
-        }
-        if (line == "\"alloc_phases\": [") {
-          section = Section::kAllocPhases;
-          break;
-        }
-        auto scalar_string = [&](const char* key,
-                                 std::string* out) -> StatusOr<bool> {
-          if (!LineHasKey(line, key)) return false;
-          auto v = JsonExtractString(line, key);
-          if (!v.ok()) return v.status();
-          *out = v.value();
-          return true;
-        };
-        auto scalar_number = [&](const char* key,
-                                 double* out) -> StatusOr<bool> {
-          if (!LineHasKey(line, key)) return false;
-          auto v = JsonExtractNumber(line, key);
-          if (!v.ok()) return v.status();
-          *out = v.value();
-          return true;
-        };
-        if (LineHasKey(line, "schema")) {
-          auto schema = JsonExtractString(line, "schema");
-          if (!schema.ok()) return schema.status();
-          if (schema.value() != "isum-profile-v1") {
-            return Status::ParseError("unsupported profile schema: " +
-                                      schema.value());
-          }
-          saw_schema = true;
-          break;
-        }
-        double number = 0.0;
-        StatusOr<bool> handled = scalar_string("label", &record.label);
-        if (!handled.ok()) return handled.status();
-        if (handled.value()) break;
-        handled = scalar_string("bench", &record.bench);
-        if (!handled.ok()) return handled.status();
-        if (handled.value()) break;
-        handled = scalar_string("git_rev", &record.git_rev);
-        if (!handled.ok()) return handled.status();
-        if (handled.value()) break;
-        if (LineHasKey(line, "sample_hz")) {
-          handled = scalar_number("sample_hz", &number);
-          if (!handled.ok()) return handled.status();
-          record.sample_hz = static_cast<int>(number);
-          break;
-        }
-        handled = scalar_number("wall_seconds", &record.wall_seconds);
-        if (!handled.ok()) return handled.status();
-        if (handled.value()) break;
-        if (LineHasKey(line, "samples")) {
-          handled = scalar_number("samples", &number);
-          if (!handled.ok()) return handled.status();
-          record.samples = static_cast<uint64_t>(number);
-          saw_samples = true;
-          break;
-        }
-        if (LineHasKey(line, "dropped")) {
-          handled = scalar_number("dropped", &number);
-          if (!handled.ok()) return handled.status();
-          record.dropped = static_cast<uint64_t>(number);
-          break;
-        }
-        if (LineHasKey(line, "attributed_samples")) {
-          handled = scalar_number("attributed_samples", &number);
-          if (!handled.ok()) return handled.status();
-          record.attributed_samples = static_cast<uint64_t>(number);
-          saw_attributed = true;
-          break;
-        }
-        handled =
-            scalar_number("attributed_percent", &record.attributed_percent);
-        if (!handled.ok()) return handled.status();
-        if (handled.value()) break;
-        if (LineHasKey(line, "alloc_enabled")) {
-          handled = scalar_number("alloc_enabled", &number);
-          if (!handled.ok()) return handled.status();
-          record.alloc_enabled = number != 0.0;
-          break;
-        }
-        if (LineHasKey(line, "alloc_total_bytes")) {
-          handled = scalar_number("alloc_total_bytes", &number);
-          if (!handled.ok()) return handled.status();
-          record.alloc_total_bytes = static_cast<uint64_t>(number);
-          break;
-        }
-        if (LineHasKey(line, "alloc_total_count")) {
-          handled = scalar_number("alloc_total_count", &number);
-          if (!handled.ok()) return handled.status();
-          record.alloc_total_count = static_cast<uint64_t>(number);
-          break;
-        }
-        if (LineHasKey(line, "alloc_live_bytes")) {
-          handled = scalar_number("alloc_live_bytes", &number);
-          if (!handled.ok()) return handled.status();
-          record.alloc_live_bytes = static_cast<int64_t>(number);
-          break;
-        }
-        if (LineHasKey(line, "alloc_peak_bytes")) {
-          handled = scalar_number("alloc_peak_bytes", &number);
-          if (!handled.ok()) return handled.status();
-          record.alloc_peak_bytes = static_cast<uint64_t>(number);
-          break;
-        }
-        return Status::ParseError("unknown profile scalar line: " + line);
-      }
-      case Section::kPhases: {
-        if (line == "]") {
-          section = Section::kScalars;
-          break;
-        }
-        ProfilePhaseStat phase;
-        auto name = JsonExtractString(line, "name");
-        if (!name.ok()) return name.status();
-        phase.name = name.value();
-        auto samples = JsonExtractNumber(line, "samples");
-        if (!samples.ok()) return samples.status();
-        phase.samples = static_cast<uint64_t>(samples.value());
-        auto percent = JsonExtractNumber(line, "percent");
-        if (!percent.ok()) return percent.status();
-        phase.percent = percent.value();
-        record.phases.push_back(std::move(phase));
-        break;
-      }
-      case Section::kFrames: {
-        if (line == "]") {
-          section = Section::kScalars;
-          break;
-        }
-        ProfileFrameStat frame;
-        auto name = JsonExtractString(line, "name");
-        if (!name.ok()) return name.status();
-        frame.name = name.value();
-        auto self = JsonExtractNumber(line, "self");
-        if (!self.ok()) return self.status();
-        frame.self = static_cast<uint64_t>(self.value());
-        auto total = JsonExtractNumber(line, "total");
-        if (!total.ok()) return total.status();
-        frame.total = static_cast<uint64_t>(total.value());
-        record.frames.push_back(std::move(frame));
-        break;
-      }
-      case Section::kAllocPhases: {
-        if (line == "]") {
-          section = Section::kScalars;
-          break;
-        }
-        ProfileAllocStat alloc;
-        auto name = JsonExtractString(line, "name");
-        if (!name.ok()) return name.status();
-        alloc.name = name.value();
-        auto bytes = JsonExtractNumber(line, "bytes");
-        if (!bytes.ok()) return bytes.status();
-        alloc.bytes = static_cast<uint64_t>(bytes.value());
-        auto count = JsonExtractNumber(line, "count");
-        if (!count.ok()) return count.status();
-        alloc.count = static_cast<uint64_t>(count.value());
-        record.alloc_phases.push_back(std::move(alloc));
-        break;
-      }
-    }
+  ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue>* phases,
+                        ArrayField(object, "phases"));
+  for (const JsonValue& entry : *phases) {
+    ProfilePhaseStat phase;
+    ISUM_ASSIGN_OR_RETURN(phase.name, entry.String("name"));
+    ISUM_ASSIGN_OR_RETURN(phase.samples,
+                          IntegerField<uint64_t>(entry, "samples"));
+    ISUM_ASSIGN_OR_RETURN(phase.percent, entry.Number("percent"));
+    record.phases.push_back(std::move(phase));
   }
-  if (section != Section::kTopLevel) {
-    return Status::ParseError("unterminated profile record");
+  ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue>* frames,
+                        ArrayField(object, "frames"));
+  for (const JsonValue& entry : *frames) {
+    ProfileFrameStat frame;
+    ISUM_ASSIGN_OR_RETURN(frame.name, entry.String("name"));
+    ISUM_ASSIGN_OR_RETURN(frame.self, IntegerField<uint64_t>(entry, "self"));
+    ISUM_ASSIGN_OR_RETURN(frame.total,
+                          IntegerField<uint64_t>(entry, "total"));
+    record.frames.push_back(std::move(frame));
   }
-  if (!saw_record) {
-    return Status::ParseError("no profile record found");
+  ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue>* alloc_phases,
+                        ArrayField(object, "alloc_phases"));
+  for (const JsonValue& entry : *alloc_phases) {
+    ProfileAllocStat alloc;
+    ISUM_ASSIGN_OR_RETURN(alloc.name, entry.String("name"));
+    ISUM_ASSIGN_OR_RETURN(alloc.bytes, IntegerField<uint64_t>(entry, "bytes"));
+    ISUM_ASSIGN_OR_RETURN(alloc.count, IntegerField<uint64_t>(entry, "count"));
+    record.alloc_phases.push_back(std::move(alloc));
   }
   return record;
 }
@@ -905,38 +708,27 @@ std::string ProfileDiff(const ProfileRecord& from, const ProfileRecord& to,
 // ---- decision-provenance journal ----
 
 StatusOr<double> JournalEvent::Number(const std::string& key) const {
-  return JsonExtractNumber(line, key);
+  return object.Number(key);
 }
 
 StatusOr<std::string> JournalEvent::String(const std::string& key) const {
-  return JsonExtractString(line, key);
+  return object.String(key);
 }
 
 bool JournalEvent::Has(const std::string& key) const {
-  return JsonHasKey(line, key);
+  return object.Has(key);
 }
 
 StatusOr<std::vector<JournalEvent>> ParseJournal(const std::string& content) {
+  ISUM_ASSIGN_OR_RETURN(std::vector<JsonValue> lines, ParseJsonLines(content));
   std::vector<JournalEvent> events;
-  std::istringstream in(content);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    const std::string line = CleanLine(raw);
-    if (line.empty()) continue;
-    if (line.front() != '{') {
-      return Status::ParseError("unexpected journal line: " + line);
-    }
+  events.reserve(lines.size());
+  for (JsonValue& line : lines) {
     JournalEvent e;
-    auto event = JsonExtractString(line, "event");
-    if (!event.ok()) return event.status();
-    e.event = event.value();
-    auto seq = JsonExtractNumber(line, "seq");
-    if (!seq.ok()) return seq.status();
-    e.seq = static_cast<uint64_t>(seq.value());
-    auto t = JsonExtractNumber(line, "t_us");
-    if (!t.ok()) return t.status();
-    e.t_us = t.value();
-    e.line = line;
+    ISUM_ASSIGN_OR_RETURN(e.event, line.String("event"));
+    ISUM_ASSIGN_OR_RETURN(e.seq, IntegerField<uint64_t>(line, "seq"));
+    ISUM_ASSIGN_OR_RETURN(e.t_us, line.Number("t_us"));
+    e.object = std::move(line);
     events.push_back(std::move(e));
   }
   if (events.empty()) return Status::ParseError("empty journal");
@@ -1490,101 +1282,48 @@ StatusOr<std::string> ExplainJournal(const std::vector<JournalEvent>& events,
   return out;
 }
 
-// ---- live telemetry (Prometheus text) ----
+// ---- live telemetry (metrics snapshot) ----
 
-StatusOr<std::vector<PromSample>> ParsePrometheusText(
-    const std::string& content) {
-  std::vector<PromSample> samples;
-  std::istringstream in(content);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    const std::string line(Trim(raw));
-    if (line.empty() || line.front() == '#') continue;
-    // `name{labels} value` or `name value`.
-    const size_t space = line.find_last_of(' ');
-    if (space == std::string::npos || space == 0) {
-      return Status::ParseError("malformed exposition line: " + line);
-    }
-    PromSample sample;
-    std::string name = line.substr(0, space);
-    const size_t brace = name.find('{');
-    if (brace != std::string::npos) {
-      if (name.back() != '}') {
-        return Status::ParseError("unterminated label block: " + line);
-      }
-      sample.labels = name.substr(brace + 1, name.size() - brace - 2);
-      name = name.substr(0, brace);
-    }
-    sample.name = std::move(name);
-    char* end = nullptr;
-    sample.value = std::strtod(line.c_str() + space + 1, &end);
-    if (end == line.c_str() + space + 1) {
-      return Status::ParseError("non-numeric sample value: " + line);
-    }
-    samples.push_back(std::move(sample));
-  }
-  return samples;
-}
-
-namespace {
-
-const PromSample* FindSample(const std::vector<PromSample>& samples,
-                             const std::string& name,
-                             const std::string& labels = "") {
-  for (const PromSample& s : samples) {
-    if (s.name == name && s.labels == labels) return &s;
-  }
-  return nullptr;
-}
-
-double SampleOr(const std::vector<PromSample>& samples,
-                const std::string& name, double fallback) {
-  const PromSample* s = FindSample(samples, name);
-  return s != nullptr ? s->value : fallback;
-}
-
-}  // namespace
-
-std::string WatchFrame(const std::vector<PromSample>& samples) {
+std::string WatchFrame(const std::vector<MetricLine>& metrics) {
+  auto counter = [&](const char* name) {
+    const MetricLine* m = FindMetric(metrics, "counter", name);
+    return m != nullptr ? m->value : 0.0;
+  };
   std::string out;
 
-  const double remaining =
-      SampleOr(samples, "isum_budget_remaining_seconds", -1.0);
+  const MetricLine* budget =
+      FindMetric(metrics, "gauge", "budget.remaining_seconds");
+  const double remaining = budget != nullptr ? budget->value : -1.0;
   out += StrFormat("budget remaining: %s\n",
                    remaining < 0.0 ? "unlimited"
                                    : StrFormat("%.1fs", remaining).c_str());
 
-  out += StrFormat(
-      "compression: %.0f run(s), %.0f -> %.0f queries\n",
-      SampleOr(samples, "isum_compress_runs", 0.0),
-      SampleOr(samples, "isum_compress_input_queries", 0.0),
-      SampleOr(samples, "isum_compress_selected_queries", 0.0));
+  out += StrFormat("compression: %.0f run(s), %.0f -> %.0f queries\n",
+                   counter("compress.runs"), counter("compress.input_queries"),
+                   counter("compress.selected_queries"));
   out += StrFormat(
       "tuning: %.0f run(s), %.0f enumeration round(s), %.0f config(s) "
       "explored\n",
-      SampleOr(samples, "isum_advisor_tuning_runs", 0.0),
-      SampleOr(samples, "isum_advisor_enumeration_rounds", 0.0),
-      SampleOr(samples, "isum_advisor_configurations_explored", 0.0));
+      counter("advisor.tuning_runs"), counter("advisor.enumeration_rounds"),
+      counter("advisor.configurations_explored"));
 
-  const double calls = SampleOr(samples, "isum_whatif_optimizer_calls", 0.0);
-  const double hits = SampleOr(samples, "isum_whatif_cache_hits", 0.0);
+  const double calls = counter("whatif.optimizer_calls");
+  const double hits = counter("whatif.cache_hits");
   const double total = calls + hits;
   out += StrFormat("what-if: %.0f optimizer call(s), %.0f cache hit(s) "
                    "(%.1f%% hit rate)\n",
                    calls, hits, total > 0.0 ? 100.0 * hits / total : 0.0);
-  const PromSample* p50 =
-      FindSample(samples, "isum_whatif_optimize_nanos", "quantile=\"0.5\"");
-  const PromSample* p99 =
-      FindSample(samples, "isum_whatif_optimize_nanos", "quantile=\"0.99\"");
-  if (p50 != nullptr && p99 != nullptr) {
+  const MetricLine* lat =
+      FindMetric(metrics, "histogram", "whatif.optimize_nanos");
+  if (lat != nullptr) {
     out += StrFormat("optimize latency: p50 %s  p99 %s\n",
-                     HumanUs(p50->value / 1e3).c_str(),
-                     HumanUs(p99->value / 1e3).c_str());
+                     HumanUs(lat->p50 / 1e3).c_str(),
+                     HumanUs(lat->p99 / 1e3).c_str());
   }
 
-  const double retries = SampleOr(samples, "isum_retry_attempts", 0.0);
-  const double faults = SampleOr(samples, "isum_fault_injected", 0.0);
-  const double deadline = SampleOr(samples, "isum_deadline_exceeded", 0.0);
+  const double retries = counter("retry.attempts");
+  const double faults = counter("fault.injected");
+  const double deadline = counter("deadline.exceeded");
   if (retries > 0.0 || faults > 0.0 || deadline > 0.0) {
     out += StrFormat(
         "robustness: %.0f retry(ies), %.0f fault(s) injected, %.0f deadline "
@@ -1594,27 +1333,27 @@ std::string WatchFrame(const std::vector<PromSample>& samples) {
 
   // Per-site injected fault latency (the fault.latency.<site> histograms
   // src/common/fault.cc records for latency-kind rules).
-  for (const PromSample& s : samples) {
-    const std::string prefix = "isum_fault_latency_";
-    if (s.name.compare(0, prefix.size(), prefix) != 0) continue;
-    if (s.labels != "quantile=\"0.5\"") continue;
-    const PromSample* p99 = FindSample(samples, s.name, "quantile=\"0.99\"");
+  for (const MetricLine& m : metrics) {
+    const std::string prefix = "fault.latency.";
+    if (m.type != "histogram" ||
+        m.name.compare(0, prefix.size(), prefix) != 0) {
+      continue;
+    }
     out += StrFormat("fault latency %s: p50 %s  p99 %s\n",
-                     s.name.substr(prefix.size()).c_str(),
-                     HumanUs(s.value / 1e3).c_str(),
-                     HumanUs((p99 != nullptr ? p99->value : s.value) / 1e3)
-                         .c_str());
+                     m.name.substr(prefix.size()).c_str(),
+                     HumanUs(m.p50 / 1e3).c_str(),
+                     HumanUs(m.p99 / 1e3).c_str());
   }
 
-  const double ckpt_writes = SampleOr(samples, "isum_ckpt_writes", 0.0);
-  const double ckpt_restores = SampleOr(samples, "isum_ckpt_restores", 0.0);
+  const double ckpt_writes = counter("ckpt.writes");
+  const double ckpt_restores = counter("ckpt.restores");
   if (ckpt_writes > 0.0 || ckpt_restores > 0.0) {
     out += StrFormat(
         "checkpoints: %.0f write(s) (%.0f failed, %.0f bytes), %.0f "
         "restore(s) (%.0f rejected)\n",
-        ckpt_writes, SampleOr(samples, "isum_ckpt_write_failures", 0.0),
-        SampleOr(samples, "isum_ckpt_bytes_written", 0.0), ckpt_restores,
-        SampleOr(samples, "isum_ckpt_rejected", 0.0));
+        ckpt_writes, counter("ckpt.write_failures"),
+        counter("ckpt.bytes_written"), ckpt_restores,
+        counter("ckpt.rejected"));
   }
   return out;
 }

@@ -5,14 +5,15 @@
 #include <string>
 #include <vector>
 
+#include "common/jsonl.h"
 #include "common/status.h"
 
 namespace isum::tracecat {
 
 /// tracecat: pretty-printer for the traces and metric snapshots the bench
-/// drivers emit (--trace= / --metrics=, src/obs/export.h). The parser
-/// handles exactly the line-per-event shape those exporters write — it is a
-/// diagnosis tool for this repo's files, not a general JSON reader.
+/// drivers emit (--trace= / --metrics=, src/obs/export.h). Every reader
+/// walks a value parsed by common/jsonl.h, so only the schema matters, not
+/// the line layout the emitters happen to use.
 
 /// One parsed Chrome-trace event (complete spans and thread_name metadata).
 struct TraceEvent {
@@ -76,10 +77,11 @@ struct BenchRecord {
   std::vector<std::string> run_names;
 };
 
-/// Parses isum-bench-v1 content: either a single record as the emitter
-/// writes it, or a trajectory file (a JSON array concatenating such records,
-/// e.g. BENCH_scalability.json). Errors on anything schema-invalid: wrong or
-/// missing schema tag, missing required scalars, unterminated records.
+/// Parses isum-bench-v1 content: either a single record object, or a
+/// trajectory file (a JSON array of such records, e.g.
+/// BENCH_scalability.json). Errors on anything schema-invalid: wrong or
+/// missing schema tag, missing required scalars, unknown top-level keys,
+/// malformed JSON, an empty array.
 StatusOr<std::vector<BenchRecord>> ParseBenchJson(const std::string& content);
 
 /// One line per phase (union of both records, `from`'s order first):
@@ -142,8 +144,8 @@ struct ProfileRecord {
 };
 
 /// Parses one isum-profile-v1 record. Errors on anything schema-invalid:
-/// wrong or missing schema tag, missing required scalars, unknown scalar
-/// lines, unterminated records.
+/// wrong or missing schema tag, missing required scalars, unknown top-level
+/// keys, malformed JSON.
 StatusOr<ProfileRecord> ParseProfileJson(const std::string& content);
 
 /// Renders the profile report: header (samples, rate, attribution), the
@@ -166,14 +168,13 @@ std::string ProfileDiff(const ProfileRecord& from, const ProfileRecord& to,
 /// ---- decision-provenance journal (isum-events-v1, src/obs/journal.h) ----
 
 /// One parsed journal line. The envelope fields every event carries are
-/// lifted out; event-specific fields stay in `line` and are extracted on
-/// demand via Number()/String() (the journal writes flat one-line objects,
-/// so the JSONL helpers reach every field).
+/// lifted out; event-specific fields stay in `object` and are read on
+/// demand via Number()/String()/Has().
 struct JournalEvent {
   std::string event;  ///< e.g. "select", "compress_end"
   uint64_t seq = 0;
   double t_us = 0.0;
-  std::string line;  ///< the cleaned full line
+  JsonValue object;  ///< the whole parsed line
 
   StatusOr<double> Number(const std::string& key) const;
   StatusOr<std::string> String(const std::string& key) const;
@@ -200,25 +201,14 @@ StatusOr<size_t> CheckJournal(const std::vector<JournalEvent>& events);
 StatusOr<std::string> ExplainJournal(const std::vector<JournalEvent>& events,
                                      size_t top_k);
 
-/// ---- live telemetry (Prometheus text, src/obs/exporter.h) ----
+/// ---- live telemetry (metrics snapshot, src/obs/exporter.h) ----
 
-/// One sample of a Prometheus text exposition: `name{labels} value`.
-struct PromSample {
-  std::string name;    ///< metric name without labels, e.g. "isum_whatif_cache_hits"
-  std::string labels;  ///< raw label block without braces ("" when absent)
-  double value = 0.0;
-};
-
-/// Parses the Prometheus/OpenMetrics text obs::PrometheusText writes
-/// (`# TYPE` comments are skipped; any other `#` comment too).
-StatusOr<std::vector<PromSample>> ParsePrometheusText(
-    const std::string& content);
-
-/// Renders one `tracecat watch` frame from a snapshot: compression/tuning
-/// progress counters, what-if hit rate, retry/fault health (including the
-/// per-site fault.latency.* histograms), checkpoint activity, and the
-/// exporter's budget.remaining_seconds gauge.
-std::string WatchFrame(const std::vector<PromSample>& samples);
+/// Renders one `tracecat watch` frame from a metrics snapshot (the
+/// exporter's --metrics-snapshot= file, parsed by ParseMetricsJsonl):
+/// compression/tuning progress counters, what-if hit rate, retry/fault
+/// health (including the per-site fault.latency.* histograms), checkpoint
+/// activity, and the exporter's budget.remaining_seconds gauge.
+std::string WatchFrame(const std::vector<MetricLine>& metrics);
 
 /// ---- checkpoint files (isum-ckpt-v1, src/common/checkpoint.h) ----
 
