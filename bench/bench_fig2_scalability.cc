@@ -2,15 +2,16 @@
 //   2a: total tuning time and time spent on optimizer calls vs. #queries.
 //   2b: configurations explored vs. #queries.
 //
-// Repro extension (the perf-baseline workload of docs/BENCHMARKING.md):
-//   2c: ISUM end-to-end compression time vs. #queries. This is the hot
-//       path the speed campaign optimizes; each row is recorded into the
-//       --bench-json= file (select/compress wall time, selection hash and
-//       benefit sum for quality comparison across revisions).
+// Repro extension:
+//   2c: ISUM end-to-end compression time vs. #queries, one Isum::Compress
+//       per size. With --journal= each size's compress_end event carries
+//       the selection hash and benefit sum, so runs of two revisions can be
+//       compared for quality (`tracecat explain`). Whole-pipeline perf
+//       records come from benchmark/isum_bench, not from this driver.
 //
 // Flags (besides the shared ObsScope set):
-//   --compress-only   skip the slow 2a/2b tuning sweep (baseline recording
-//                     and the bench-smoke CI job only need 2c)
+//   --compress-only   skip the slow 2a/2b tuning sweep (the journal, profile
+//                     and chaos CI jobs only need 2c)
 //   --scale s         scales the 2c workload sizes (default sweep tops out
 //                     at ~100k queries; CI smoke uses --scale 0.01)
 
@@ -38,11 +39,10 @@ int main(int argc, char** argv) {
   const double scale = eval::ScaleArg(argc, argv);
   const bool compress_only = HasFlag(argc, argv, "--compress-only");
 
-  // --- 2c: compression scalability (always runs; this is the recorded
-  // perf-baseline workload). TPC-DS-like templates, instance counts chosen
-  // to hit each target workload size. ---
-  eval::Table compress_table({"n_queries", "select_time_s", "compress_time_s",
-                              "selected", "benefit_sum"});
+  // --- 2c: compression scalability (always runs). TPC-DS-like templates,
+  // instance counts chosen to hit each target workload size. ---
+  eval::Table compress_table({"n_queries", "compress_time_s", "selected",
+                              "benefit_sum", "selection_hash"});
   const size_t kCompressedSize = 50;
   for (int target : {1000, 5000, 20000, 100000}) {
     const int n = static_cast<int>(target * scale);
@@ -50,48 +50,28 @@ int main(int argc, char** argv) {
     workload::GeneratorOptions gen;
     gen.instances_per_template = std::max(1, n / 91);
     workload::GeneratedWorkload env = workload::MakeTpcds(gen);
-    const size_t n_queries = env.workload->size();
 
     core::Isum isum(env.workload.get());
-    bench::Timer select_timer;
-    const core::SelectionResult selection = isum.Select(kCompressedSize);
-    const double select_seconds = select_timer.Seconds();
-
     bench::Timer compress_timer;
     const workload::CompressedWorkload compressed =
         isum.Compress(kCompressedSize);
     const double compress_seconds = compress_timer.Seconds();
 
+    // Quality columns: equal selections <=> equal hashes, and the hash is
+    // the one the journal's compress_end event carries.
     double benefit_sum = 0.0;
-    for (double b : selection.selection_benefits) benefit_sum += b;
-
+    std::vector<size_t> selected;
+    for (const auto& entry : compressed.entries) {
+      benefit_sum += entry.selection_benefit;
+      selected.push_back(entry.query_index);
+    }
     compress_table.AddRow(
-        StrFormat("%zu", n_queries),
-        {select_seconds, compress_seconds,
-         static_cast<double>(compressed.entries.size()), benefit_sum});
-
-    bench::BenchRun run;
-    run.name = StrFormat("compress/tpcds/n=%zu", n_queries);
-    run.numbers = {
-        {"n_queries", static_cast<double>(n_queries)},
-        {"k", static_cast<double>(kCompressedSize)},
-        {"select_seconds", select_seconds},
-        {"compress_seconds", compress_seconds},
-        {"selected", static_cast<double>(compressed.entries.size())},
-        {"benefit_sum", benefit_sum},
-    };
-    // FNV-1a over the selected indices (obs::SelectionOrderHash — the same
-    // definition journal compress_end events carry): equal selections <=>
-    // equal hashes, so trajectory entries can assert "compression quality
-    // unchanged" across revisions without storing the full selection, and
-    // `tracecat explain` can match a journal against this record.
-    run.strings = {
-        {"selection_hash",
+        {StrFormat("%zu", env.workload->size()),
+         StrFormat("%.2f", compress_seconds),
+         StrFormat("%zu", selected.size()), StrFormat("%.2f", benefit_sum),
          StrFormat("%016llx",
                    static_cast<unsigned long long>(obs::SelectionOrderHash(
-                       selection.selected.data(), selection.selected.size())))},
-    };
-    bench::BenchJson::Global().AddRun(std::move(run));
+                       selected.data(), selected.size())))});
   }
   compress_table.Print(
       "Figure 2c (repro extension): ISUM compression time vs. workload size "
@@ -122,7 +102,9 @@ int main(int argc, char** argv) {
     options.max_indexes = 20;
     advisor::DtaStyleAdvisor advisor(env.cost_model.get());
     const advisor::TuningResult result = advisor.Tune(queries, options);
-    table.AddRow(StrFormat("%d", n),
+    // The generator caps n at its 91 templates, so label the row with the
+    // workload it actually built.
+    table.AddRow(StrFormat("%zu", env.workload->size()),
                  {result.elapsed_seconds, result.optimizer_seconds,
                   static_cast<double>(result.optimizer_calls),
                   static_cast<double>(result.configurations_explored)});

@@ -28,74 +28,17 @@
 #include "obs/exporter.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
-#include "obs/process_stats.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "workload/workload_factory.h"
 
-// Short git revision baked in by bench/CMakeLists.txt so recorded baselines
+// Short git revision baked in by bench/CMakeLists.txt so --profile= records
 // can be attributed to the code that produced them.
 #ifndef ISUM_GIT_REV
 #define ISUM_GIT_REV "unknown"
 #endif
 
 namespace isum::bench {
-
-/// One named measurement a bench driver records into the --bench-json=
-/// file: arbitrary numeric fields plus optional string fields (hashes,
-/// workload names). See docs/BENCHMARKING.md for the schema.
-struct BenchRun {
-  std::string name;
-  std::vector<std::pair<std::string, double>> numbers;
-  std::vector<std::pair<std::string, std::string>> strings;
-};
-
-/// Process-wide collector for the machine-readable perf baseline
-/// (--bench-json=). Drivers call AddRun() after each measured unit of work;
-/// ObsScope's destructor renders one self-contained JSON record with the
-/// run list, per-phase tracer totals, metric counters, wall time, peak RSS,
-/// and the git revision. Appending records of successive revisions into one
-/// file yields a perf trajectory (BENCH_*.json) that tools/tracecat can
-/// diff; the full workflow is in docs/BENCHMARKING.md.
-class BenchJson {
- public:
-  static BenchJson& Global() {
-    static BenchJson* instance = new BenchJson();
-    return *instance;
-  }
-
-  /// Records one measured unit of work, stamping it with the current RSS
-  /// (obs/process_stats.h) as `rss_after_bytes` and the RSS at the
-  /// previous boundary as `rss_before_bytes`. Run records are the bench's
-  /// phase boundaries, so memory growth becomes attributable per phase
-  /// instead of one process-global peak (docs/BENCHMARKING.md, "memory
-  /// workflow").
-  void AddRun(BenchRun run) {
-    const uint64_t rss = obs::ProcessCurrentRssBytes();
-    run.numbers.emplace_back("rss_before_bytes",
-                             static_cast<double>(last_rss_bytes_));
-    run.numbers.emplace_back("rss_after_bytes", static_cast<double>(rss));
-    last_rss_bytes_ = rss;
-    runs_.push_back(std::move(run));
-  }
-  const std::vector<BenchRun>& runs() const { return runs_; }
-
-  /// Resets the `rss_before_bytes` baseline without recording a run;
-  /// ObsScope calls it at startup so the first run's delta starts at the
-  /// driver's entry footprint, not zero.
-  void MarkRssBoundary() { last_rss_bytes_ = obs::ProcessCurrentRssBytes(); }
-
- private:
-  BenchJson() = default;
-  std::vector<BenchRun> runs_;
-  uint64_t last_rss_bytes_ = 0;
-};
-
-/// Peak resident set size of this process in bytes (0 where unsupported).
-/// The implementation — with its Linux-KiB/macOS-bytes ru_maxrss quirk —
-/// lives in src/obs/process_stats.h, shared with the MetricsExporter's
-/// process.* gauges.
-inline uint64_t PeakRssBytes() { return obs::ProcessPeakRssBytes(); }
 
 /// The parsed observability flags of one bench invocation. Split out of
 /// ObsScope so the argv handling is directly testable
@@ -106,10 +49,7 @@ struct ObsFlags {
   std::string bench_name = "bench";  ///< BaseName(argv[0])
   std::string trace_path;
   std::string metrics_path;
-  std::string bench_json_path;
-  std::string bench_label = "run";
   std::string journal_path;
-  std::string metrics_snapshot_path;
   std::string faults_spec;
   std::string profile_path;
   std::string checkpoint_path;
@@ -132,14 +72,8 @@ struct ObsFlags {
         flags.trace_every = std::strtoull(arg + 14, nullptr, 10);
       } else if (std::strncmp(arg, "--metrics=", 10) == 0) {
         flags.metrics_path = arg + 10;
-      } else if (std::strncmp(arg, "--bench-json=", 13) == 0) {
-        flags.bench_json_path = arg + 13;
-      } else if (std::strncmp(arg, "--bench-label=", 14) == 0) {
-        flags.bench_label = arg + 14;
       } else if (std::strncmp(arg, "--journal=", 10) == 0) {
         flags.journal_path = arg + 10;
-      } else if (std::strncmp(arg, "--metrics-snapshot=", 19) == 0) {
-        flags.metrics_snapshot_path = arg + 19;
       } else if (std::strncmp(arg, "--profile=", 10) == 0) {
         flags.profile_path = arg + 10;
       } else if (std::strncmp(arg, "--profile-hz=", 13) == 0) {
@@ -185,7 +119,12 @@ struct ObsFlags {
 ///                      trace JSON (open in Perfetto / chrome://tracing)
 ///   --trace-every=<N>  sample: record every Nth top-level span tree per
 ///                      thread (with --trace; 1 = all, the default)
-///   --metrics=<path>   write a registry snapshot as JSONL at exit
+///   --metrics=<path>   run the MetricsExporter (obs/exporter.h) on <path>:
+///                      a metrics-JSONL snapshot of the registry, rewritten
+///                      atomically once per second while the run executes
+///                      and once more at exit. Read with `tracecat watch
+///                      <path>` live, or `tracecat <trace> --metrics=<path>`
+///                      afterwards
 ///   --faults=<spec>    arm deterministic fault injection for the run
 ///                      (spec grammar in common/fault.h; overrides the
 ///                      ISUM_FAULTS environment variable)
@@ -205,20 +144,10 @@ struct ObsFlags {
 ///                      makes the driver exit 3 so CI can tell a truncated
 ///                      sweep from a complete one (main returns
 ///                      obs.ExitCode())
-///   --bench-json=<path> write a machine-readable perf record (wall time,
-///                      per-phase span totals, counters, peak RSS, git rev,
-///                      and every BenchJson::AddRun measurement); enables
-///                      the tracer for the run even without --trace=
-///   --bench-label=<s>  label stored in the bench JSON record (defaults to
-///                      "run"); trajectories use e.g. "pre-campaign"
 ///   --journal=<path>   open the decision-provenance journal for the run
 ///                      (isum-events-v1 JSONL, src/obs/journal.h); closed
 ///                      with `journal_end` at exit. `tracecat explain`
 ///                      reconstructs the run from it
-///   --metrics-snapshot=<path> rewrite a metrics-JSONL snapshot file once
-///                      per second (and finally at exit) while the run
-///                      executes, for CI artifacts and live run health via
-///                      `tracecat watch <path>`
 ///   --profile=<path>   run the sampling CPU profiler (obs/profiler.h) for
 ///                      the whole run; written as an isum-profile-v1 record
 ///                      plus a flamegraph.pl-ready <path>.collapsed file.
@@ -231,12 +160,13 @@ struct ObsFlags {
 ///                      build, otherwise ignored with a warning)
 ///
 /// Files are written from the destructor, after the driver's work joined.
+/// Perf records are not written here: benchmark/isum_bench produces them
+/// (benchmark/README.md).
 class ObsScope {
  public:
   ObsScope(int& argc, char** argv) {
     obs::Tracer::Global().SetCurrentThreadName("main");
     flags_ = ObsFlags::Parse(argc, argv);
-    BenchJson::Global().MarkRssBoundary();
     if (!flags_.faults_spec.empty()) {
       const Status status =
           FaultInjector::Global().Configure(flags_.faults_spec);
@@ -266,23 +196,21 @@ class ObsScope {
     }
     obs::Tracer::Global().SetSampleEvery(flags_.trace_every);
     // The profiler attributes samples through the tracer's span stack, so
-    // --profile= enables tracing like --bench-json= does.
-    if (!flags_.trace_path.empty() || !flags_.bench_json_path.empty() ||
-        !flags_.profile_path.empty()) {
+    // --profile= enables tracing too.
+    if (!flags_.trace_path.empty() || !flags_.profile_path.empty()) {
       obs::Tracer::Global().Enable();
     }
     if (!flags_.journal_path.empty()) {
-      const std::string label =
-          flags_.bench_label != "run" ? flags_.bench_label : flags_.bench_name;
-      if (!obs::Journal::Global().Open(flags_.journal_path, label)) {
+      if (!obs::Journal::Global().Open(flags_.journal_path,
+                                       flags_.bench_name)) {
         std::fprintf(stderr, "cannot open --journal=%s\n",
                      flags_.journal_path.c_str());
         std::exit(2);
       }
     }
-    if (!flags_.metrics_snapshot_path.empty()) {
+    if (!flags_.metrics_path.empty()) {
       obs::MetricsExporterOptions exporter_options;
-      exporter_options.snapshot_path = flags_.metrics_snapshot_path;
+      exporter_options.snapshot_path = flags_.metrics_path;
       exporter_ = std::make_unique<obs::MetricsExporter>(
           &obs::MetricsRegistry::Global(), std::move(exporter_options));
       const Status status = exporter_->Start();
@@ -319,13 +247,20 @@ class ObsScope {
                                       start_)
             .count();
     // Stop the profiler before anything else: Stop() publishes the
-    // allocation gauges into the registry, so the exporter's final snapshot
-    // and the --metrics= dump below both see them.
+    // allocation gauges into the registry, so the exporter's final
+    // --metrics= snapshot sees them.
     obs::ProfileDump profile;
     if (profiling_) profile = obs::Profiler::Global().Stop();
     // Shut down the exporter next (joins its worker and writes the final
     // snapshot), then close the journal so `journal_end` is the last event.
-    exporter_.reset();
+    if (exporter_ != nullptr) {
+      exporter_->Stop();
+      std::fprintf(stderr, "wrote %llu metrics snapshot(s) to %s\n",
+                   static_cast<unsigned long long>(
+                       exporter_->snapshots_written()),
+                   flags_.metrics_path.c_str());
+      exporter_.reset();
+    }
     if (!flags_.journal_path.empty()) {
       const uint64_t events = obs::Journal::Global().events_written();
       obs::Journal::Global().Close();
@@ -334,8 +269,7 @@ class ObsScope {
                    flags_.journal_path.c_str());
     }
     obs::TraceDump dump;
-    if (!flags_.trace_path.empty() || !flags_.bench_json_path.empty() ||
-        !flags_.profile_path.empty()) {
+    if (!flags_.trace_path.empty() || !flags_.profile_path.empty()) {
       obs::Tracer::Global().Disable();
       dump = obs::Tracer::Global().Drain();
     }
@@ -343,24 +277,9 @@ class ObsScope {
       Report(obs::WriteFile(flags_.trace_path, obs::ChromeTraceJson(dump)),
              flags_.trace_path, dump.spans.size(), "spans");
     }
-    if (!flags_.metrics_path.empty()) {
-      const obs::MetricsSnapshot snapshot =
-          obs::MetricsRegistry::Global().Snapshot();
-      Report(obs::WriteFile(flags_.metrics_path, obs::MetricsJsonl(snapshot)),
-             flags_.metrics_path,
-             snapshot.counters.size() + snapshot.gauges.size() +
-                 snapshot.histograms.size(),
-             "metrics");
-    }
-    if (!flags_.bench_json_path.empty()) {
-      const std::string record = RenderBenchJson(dump, wall_seconds);
-      Report(obs::WriteFile(flags_.bench_json_path, record),
-             flags_.bench_json_path, BenchJson::Global().runs().size(),
-             "bench runs");
-    }
     if (profiling_) {
       obs::ProfileMeta meta;
-      meta.label = flags_.bench_label;
+      meta.label = flags_.bench_name;
       meta.bench = flags_.bench_name;
       meta.git_rev = ISUM_GIT_REV;
       meta.wall_seconds = wall_seconds;
@@ -400,90 +319,6 @@ class ObsScope {
       std::fprintf(stderr, "obs export failed: %s\n",
                    status.ToString().c_str());
     }
-  }
-
-  /// Renders one self-contained bench record: a JSON object written one
-  /// scalar or section entry per line so diffs stay readable.
-  /// Schema: docs/BENCHMARKING.md.
-  std::string RenderBenchJson(const obs::TraceDump& dump,
-                              double wall_seconds) const {
-    // Per-phase totals, aggregated by span name, descending total.
-    struct Phase {
-      const char* name;
-      uint64_t count = 0;
-      uint64_t total_nanos = 0;
-      uint64_t max_nanos = 0;
-    };
-    std::vector<Phase> phases;
-    for (const obs::SpanRecord& span : dump.spans) {
-      Phase* p = nullptr;
-      for (Phase& existing : phases) {
-        if (std::strcmp(existing.name, span.name) == 0) {
-          p = &existing;
-          break;
-        }
-      }
-      if (p == nullptr) {
-        phases.push_back(Phase{span.name});
-        p = &phases.back();
-      }
-      ++p->count;
-      p->total_nanos += span.dur_nanos;
-      p->max_nanos = std::max(p->max_nanos, span.dur_nanos);
-    }
-    std::sort(phases.begin(), phases.end(), [](const Phase& a, const Phase& b) {
-      if (a.total_nanos != b.total_nanos) return a.total_nanos > b.total_nanos;
-      return std::strcmp(a.name, b.name) < 0;
-    });
-
-    const obs::MetricsSnapshot snapshot =
-        obs::MetricsRegistry::Global().Snapshot();
-
-    std::string out;
-    out += "{\n";
-    out += "\"schema\": \"isum-bench-v1\",\n";
-    out += StrFormat("\"label\": \"%s\",\n", flags_.bench_label.c_str());
-    out += StrFormat("\"bench\": \"%s\",\n", flags_.bench_name.c_str());
-    out += StrFormat("\"git_rev\": \"%s\",\n", ISUM_GIT_REV);
-    out += StrFormat("\"wall_seconds\": %.6f,\n", wall_seconds);
-    out += StrFormat("\"peak_rss_bytes\": %llu,\n",
-                     static_cast<unsigned long long>(PeakRssBytes()));
-    out += "\"phases\": [\n";
-    for (size_t i = 0; i < phases.size(); ++i) {
-      out += StrFormat(
-          "{\"name\": \"%s\", \"count\": %llu, \"total_us\": %.3f, "
-          "\"max_us\": %.3f}%s\n",
-          phases[i].name, static_cast<unsigned long long>(phases[i].count),
-          static_cast<double>(phases[i].total_nanos) / 1e3,
-          static_cast<double>(phases[i].max_nanos) / 1e3,
-          i + 1 < phases.size() ? "," : "");
-    }
-    out += "],\n";
-    out += "\"counters\": [\n";
-    for (size_t i = 0; i < snapshot.counters.size(); ++i) {
-      out += StrFormat(
-          "{\"name\": \"%s\", \"value\": %llu}%s\n",
-          snapshot.counters[i].first.c_str(),
-          static_cast<unsigned long long>(snapshot.counters[i].second),
-          i + 1 < snapshot.counters.size() ? "," : "");
-    }
-    out += "],\n";
-    out += "\"runs\": [\n";
-    const std::vector<BenchRun>& runs = BenchJson::Global().runs();
-    for (size_t i = 0; i < runs.size(); ++i) {
-      std::string line = StrFormat("{\"name\": \"%s\"", runs[i].name.c_str());
-      for (const auto& [key, value] : runs[i].numbers) {
-        line += StrFormat(", \"%s\": %.9g", key.c_str(), value);
-      }
-      for (const auto& [key, value] : runs[i].strings) {
-        line += StrFormat(", \"%s\": \"%s\"", key.c_str(), value.c_str());
-      }
-      line += StrFormat("}%s\n", i + 1 < runs.size() ? "," : "");
-      out += line;
-    }
-    out += "]\n";
-    out += "}\n";
-    return out;
   }
 
   ObsFlags flags_;

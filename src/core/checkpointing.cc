@@ -18,9 +18,8 @@ uint64_t DoubleBits(double v) {
 }  // namespace
 
 uint64_t SelectionFingerprint(const CompressionState& state,
-                              uint64_t algorithm, uint64_t update,
-                              std::string_view entry) {
-  uint64_t h = HashBytes(entry);
+                              uint64_t algorithm, uint64_t update) {
+  uint64_t h = HashBytes("compress");
   h = HashCombine(h, algorithm);
   h = HashCombine(h, update);
   h = HashCombine(h, state.size());

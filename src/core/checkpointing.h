@@ -2,7 +2,6 @@
 #define ISUM_CORE_CHECKPOINTING_H_
 
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "common/checkpoint.h"
@@ -39,13 +38,12 @@ struct SelectionSnapshot {
 /// Identity of a selection work unit: hashes the state's *original*
 /// signals (per-query features and utilities — which already encode the
 /// workload, featurization scheme, and utility mode), the algorithm and
-/// update strategy, and the caller's entry tag ("select" vs "compress" so
-/// a Select-only bench never cross-restores into Compress). k and
-/// num_threads are deliberately excluded: greedy prefixes are k-stable and
-/// selection is bit-identical across thread counts.
+/// update strategy. The hash is seeded with the constant "compress", which
+/// keeps fingerprints of existing checkpoints valid. k and num_threads are
+/// deliberately excluded: greedy prefixes are k-stable and selection is
+/// bit-identical across thread counts.
 uint64_t SelectionFingerprint(const CompressionState& state,
-                              uint64_t algorithm, uint64_t update,
-                              std::string_view entry);
+                              uint64_t algorithm, uint64_t update);
 
 /// Serializes `snapshot` into `writer` (sections above).
 void EncodeSelectionSnapshot(const SelectionSnapshot& snapshot,

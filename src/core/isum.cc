@@ -40,7 +40,7 @@ struct CompressMetrics {
 
 SelectionResult RunSelection(CompressionState& state, size_t k,
                              const IsumOptions& options,
-                             const TimeBudget& budget, const char* entry) {
+                             const TimeBudget& budget) {
   ISUM_TRACE_SPAN_VAR(span, "compress/greedy-pick");
   span.Arg("k", static_cast<uint64_t>(k))
       .Arg("algorithm", AlgorithmName(options.algorithm))
@@ -62,7 +62,7 @@ SelectionResult RunSelection(CompressionState& state, size_t k,
   if (ckpt_config.enabled()) {
     const uint64_t fingerprint = SelectionFingerprint(
         state, static_cast<uint64_t>(options.algorithm),
-        static_cast<uint64_t>(options.update), entry);
+        static_cast<uint64_t>(options.update));
     auto store = std::make_unique<CheckpointStore>(
         ckpt_config.path + ".compress", fingerprint);
     StatusOr<SelectionSnapshot> snapshot =
@@ -130,17 +130,6 @@ SelectionResult RunSelection(CompressionState& state, size_t k,
 
 }  // namespace
 
-SelectionResult Isum::Select(size_t k) const {
-  const TimeBudget budget = EffectiveBudget(options_.budget);
-  CompressionState state = [this] {
-    // Featurization (and utility estimation) happens inside the
-    // CompressionState constructor; give it its own phase span.
-    ISUM_TRACE_SPAN("compress/feature-extraction");
-    return MakeState();
-  }();
-  return RunSelection(state, k, options_, budget, /*entry=*/"select");
-}
-
 workload::CompressedWorkload Isum::Compress(size_t k) const {
   ISUM_TRACE_SPAN("compress/total");
   const CompressMetrics& metrics = CompressMetrics::Get();
@@ -152,11 +141,12 @@ workload::CompressedWorkload Isum::Compress(size_t k) const {
   // featurization pass the old Select+Weigh split paid is gone.
   const TimeBudget budget = EffectiveBudget(options_.budget);
   CompressionState state = [this] {
+    // Featurization (and utility estimation) happens inside the
+    // CompressionState constructor; give it its own phase span.
     ISUM_TRACE_SPAN("compress/feature-extraction");
     return MakeState();
   }();
-  const SelectionResult selection =
-      RunSelection(state, k, options_, budget, /*entry=*/"compress");
+  const SelectionResult selection = RunSelection(state, k, options_, budget);
   std::vector<double> weights;
   {
     ISUM_TRACE_SPAN("compress/weighing");

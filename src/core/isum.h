@@ -71,11 +71,8 @@ class Isum {
   /// best-so-far prefix with stop_reason set (always a valid compression).
   workload::CompressedWorkload Compress(size_t k) const;
 
-  /// Runs only the selection stage (exposed for ablation benches).
-  SelectionResult Select(size_t k) const;
-
   /// Builds a fresh compression state for this workload/options (exposed for
-  /// correlation benches, Figures 5–8).
+  /// correlation benches, Figures 5–8, and for running one stage alone).
   CompressionState MakeState() const {
     return CompressionState(*workload_, options_.featurization,
                             options_.utility_mode);

@@ -83,26 +83,6 @@ std::string ChromeTraceJson(const TraceDump& dump) {
   return out;
 }
 
-std::string SpansJsonl(const TraceDump& dump) {
-  std::string out;
-  for (const SpanRecord& span : dump.spans) {
-    // Args render as a nested object only when present, so span lines
-    // without args keep their historical shape.
-    const std::string args = SpanArgsJson(span);
-    const std::string args_field =
-        args.empty() ? std::string()
-                     : StrFormat(",\"args\":{%s}", args.substr(1).c_str());
-    out += StrFormat(
-        "{\"type\":\"span\",\"name\":\"%s\",\"tid\":%u,\"thread\":\"%s\","
-        "\"depth\":%u,\"start_us\":%s,\"dur_us\":%s%s}\n",
-        JsonEscape(span.name).c_str(), span.tid,
-        JsonEscape(ThreadName(dump, span.tid)).c_str(), span.depth,
-        Micros(span.start_nanos).c_str(), Micros(span.dur_nanos).c_str(),
-        args_field.c_str());
-  }
-  return out;
-}
-
 std::string MetricsJsonl(const MetricsSnapshot& snapshot) {
   std::string out;
   for (const auto& [name, value] : snapshot.counters) {

@@ -17,11 +17,11 @@ namespace isum::obs {
 ///    ("ph":"X") per span, preceded by thread_name metadata events, in a
 ///    JSON array written one event per line for grep.
 ///
-///  - JSONL: one JSON object per line for spans ({"type":"span",...}) and
-///    metrics ({"type":"counter"|"gauge"|"histogram",...}). The metrics
-///    form is also the MetricsExporter's snapshot file (obs/exporter.h).
+///  - Metrics JSONL: one JSON object per line
+///    ({"type":"counter"|"gauge"|"histogram",...}). It is the
+///    MetricsExporter's snapshot file (obs/exporter.h).
 ///
-/// tools/tracecat reads all of them back through common/jsonl.h.
+/// tools/tracecat reads both back through common/jsonl.h.
 ///
 /// Timestamps/durations are microseconds with nanosecond precision
 /// (Chrome's native unit).
@@ -29,14 +29,11 @@ namespace isum::obs {
 /// Renders `dump` as Chrome trace JSON.
 std::string ChromeTraceJson(const TraceDump& dump);
 
-/// Renders `dump` as span JSONL.
-std::string SpansJsonl(const TraceDump& dump);
-
 /// Renders `snapshot` as metrics JSONL.
 std::string MetricsJsonl(const MetricsSnapshot& snapshot);
 
 /// Run metadata stamped into an isum-profile-v1 record, mirroring the
-/// isum-bench-v1 header fields so the two artifacts of one run correlate.
+/// isum-bench-v1 header fields so a profile and a bench record correlate.
 struct ProfileMeta {
   std::string label;
   std::string bench;

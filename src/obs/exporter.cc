@@ -1,5 +1,6 @@
 #include "obs/exporter.h"
 
+#include "common/checkpoint.h"
 #include "common/deadline.h"
 #include "obs/export.h"
 #include "obs/process_stats.h"
@@ -40,8 +41,9 @@ void MetricsExporter::Stop() {
 
 void MetricsExporter::WriteSnapshotFile() {
   if (options_.snapshot_path.empty()) return;
-  const Status status =
-      WriteFile(options_.snapshot_path, MetricsJsonl(registry_->Snapshot()));
+  // tmp + rename: a `tracecat watch` poll never sees a half-written file.
+  const Status status = WriteFileAtomic(options_.snapshot_path,
+                                        MetricsJsonl(registry_->Snapshot()));
   if (status.ok()) {
     snapshots_written_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -16,6 +16,9 @@ namespace isum::obs {
 /// Live telemetry export: a background thread that rewrites a snapshot
 /// file of the MetricsRegistry once per period, in the metrics JSONL format
 /// (obs/export.h MetricsJsonl), for CI artifacts and `tracecat watch <file>`.
+/// Each rewrite is atomic (WriteFileAtomic: `<path>.tmp` + rename), so a
+/// reader sees either the previous snapshot or the new one, never a torn
+/// file.
 ///
 /// Lifecycle: construct, Start(), Stop() (the destructor stops too). The
 /// worker owns all I/O; no library hot path ever blocks on the exporter —

@@ -5,7 +5,7 @@
 
 namespace isum::obs {
 
-/// Process-level resource readings shared by bench/bench_util.h (bench
+/// Process-level resource readings shared by benchmark/isum_bench (bench
 /// records), the MetricsExporter (process.* gauges in its snapshot file),
 /// and the profiler docs' memory workflow. Hoisted here so the
 /// ru_maxrss unit quirk — KiB on Linux, bytes on macOS — lives in exactly

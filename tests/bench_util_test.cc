@@ -1,15 +1,18 @@
-// Tests for bench/bench_util.h's ObsFlags::Parse: the uniform
-// observability-flag handling every bench driver goes through. Parse must
-// consume exactly the flags it owns and compact argc/argv around them so
-// downstream parsers (google-benchmark's included) see the rest untouched
-// and in order.
+// Tests for bench/bench_util.h: ObsFlags::Parse, the uniform
+// observability-flag handling every bench driver goes through, and the
+// files ObsScope writes. Parse must consume exactly the flags it owns and
+// compact argc/argv around them so downstream parsers (google-benchmark's
+// included) see the rest untouched and in order.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/checkpoint.h"
+#include "tools/tracecat/tracecat.h"
 
 namespace isum::bench {
 namespace {
@@ -41,8 +44,8 @@ TEST(BenchObsFlags, DefaultsWithNoFlags) {
   ArgvFixture args({"/path/to/bench_fig2", "positional"});
   const ObsFlags flags = ObsFlags::Parse(args.argc(), args.argv());
   EXPECT_EQ(flags.bench_name, "bench_fig2");  // basename of argv[0]
-  EXPECT_EQ(flags.bench_label, "run");
   EXPECT_TRUE(flags.trace_path.empty());
+  EXPECT_TRUE(flags.metrics_path.empty());
   EXPECT_TRUE(flags.profile_path.empty());
   EXPECT_EQ(flags.trace_every, 1u);
   EXPECT_EQ(flags.time_budget_seconds, 0.0);
@@ -54,10 +57,10 @@ TEST(BenchObsFlags, DefaultsWithNoFlags) {
 
 TEST(BenchObsFlags, ConsumesRecognizedFlagsAndKeepsTheRest) {
   ArgvFixture args({"bench", "--scale", "--trace=/tmp/t.json", "0.5",
-                    "--bench-json=/tmp/b.json", "--unknown=1", "tail"});
+                    "--metrics=/tmp/m.jsonl", "--unknown=1", "tail"});
   const ObsFlags flags = ObsFlags::Parse(args.argc(), args.argv());
   EXPECT_EQ(flags.trace_path, "/tmp/t.json");
-  EXPECT_EQ(flags.bench_json_path, "/tmp/b.json");
+  EXPECT_EQ(flags.metrics_path, "/tmp/m.jsonl");
   // Unrecognized arguments survive in their original relative order.
   EXPECT_EQ(args.Remaining(), (std::vector<std::string>{
                                   "bench", "--scale", "0.5", "--unknown=1",
@@ -66,9 +69,7 @@ TEST(BenchObsFlags, ConsumesRecognizedFlagsAndKeepsTheRest) {
 
 TEST(BenchObsFlags, ParsesEveryFlag) {
   ArgvFixture args({"bench", "--trace=t.json", "--trace-every=4",
-                    "--metrics=m.jsonl", "--bench-json=b.json",
-                    "--bench-label=campaign", "--journal=j.jsonl",
-                    "--metrics-snapshot=s.jsonl",
+                    "--metrics=m.jsonl", "--journal=j.jsonl",
                     "--faults=whatif:every=7", "--time-budget=2.5",
                     "--profile=p.json", "--profile-hz=250",
                     "--profile-alloc=1"});
@@ -76,10 +77,7 @@ TEST(BenchObsFlags, ParsesEveryFlag) {
   EXPECT_EQ(flags.trace_path, "t.json");
   EXPECT_EQ(flags.trace_every, 4u);
   EXPECT_EQ(flags.metrics_path, "m.jsonl");
-  EXPECT_EQ(flags.bench_json_path, "b.json");
-  EXPECT_EQ(flags.bench_label, "campaign");
   EXPECT_EQ(flags.journal_path, "j.jsonl");
-  EXPECT_EQ(flags.metrics_snapshot_path, "s.jsonl");
   EXPECT_EQ(flags.faults_spec, "whatif:every=7");
   EXPECT_DOUBLE_EQ(flags.time_budget_seconds, 2.5);
   EXPECT_EQ(flags.profile_path, "p.json");
@@ -105,6 +103,51 @@ TEST(BenchObsFlags, FlagPrefixesDoNotSwallowLookalikes) {
   EXPECT_EQ(flags.trace_every, 9u);
   EXPECT_EQ(args.Remaining(),
             (std::vector<std::string>{"bench", "--tracer=x"}));
+}
+
+TEST(BenchObsFlags, RetiredFlagsAreNotConsumed) {
+  // The perf record moved to benchmark/isum_bench and the snapshot file to
+  // --metrics=; the old flags reach the driver's own parser untouched.
+  ArgvFixture args({"bench", "--bench-json=x", "--bench-label=y",
+                    "--metrics-snapshot=x"});
+  const ObsFlags flags = ObsFlags::Parse(args.argc(), args.argv());
+  EXPECT_TRUE(flags.metrics_path.empty());
+  EXPECT_EQ(args.Remaining(),
+            (std::vector<std::string>{"bench", "--bench-json=x",
+                                      "--bench-label=y",
+                                      "--metrics-snapshot=x"}));
+}
+
+TEST(BenchObsScope, MetricsFlagWritesSnapshotAtExit) {
+  const std::string path = testing::TempDir() + "/obs_scope_metrics.jsonl";
+  std::remove(path.c_str());
+  ArgvFixture args({"bench", "--metrics=" + path});
+  obs::Counter* counter =
+      obs::MetricsRegistry::Global().GetCounter("bench_util_test.obs_scope");
+  {
+    ObsScope scope(args.argc(), args.argv());
+    EXPECT_EQ(args.Remaining(), std::vector<std::string>{"bench"});
+    counter->Add(7);
+  }
+  StatusOr<std::string> content = ReadFileToString(path);
+  ASSERT_TRUE(content.ok()) << content.status().ToString();
+  auto metrics = tracecat::ParseMetricsJsonl(*content);
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  bool saw_counter = false;
+  bool saw_peak_rss = false;
+  for (const tracecat::MetricLine& m : *metrics) {
+    if (m.type == "counter" && m.name == "bench_util_test.obs_scope") {
+      EXPECT_EQ(m.value, static_cast<double>(counter->Value()));
+      EXPECT_GE(m.value, 7.0);
+      saw_counter = true;
+    }
+    if (m.type == "gauge" && m.name == "process.peak_rss_bytes") {
+      EXPECT_GT(m.value, 0.0);
+      saw_peak_rss = true;
+    }
+  }
+  EXPECT_TRUE(saw_counter);
+  EXPECT_TRUE(saw_peak_rss);
 }
 
 TEST(BenchObsFlags, BaseNameHandlesPlainAndNestedPaths) {

@@ -303,8 +303,9 @@ TEST_F(CoreTest, SummaryInfluenceWithinTheorem3Bounds) {
 
 TEST_F(CoreTest, WeightsNormalizedAcrossStrategies) {
   Isum isum(&W());
-  SelectionResult selection = isum.Select(6);
-  const CompressionState state = isum.MakeState();
+  CompressionState state = isum.MakeState();
+  const SelectionResult selection =
+      SummaryGreedySelect(state, 6, isum.options().update);
   for (WeighingStrategy strategy :
        {WeighingStrategy::kNone, WeighingStrategy::kSelectionBenefit,
         WeighingStrategy::kRecalibrated,
@@ -323,9 +324,11 @@ TEST_F(CoreTest, WeightsNormalizedAcrossStrategies) {
 
 TEST_F(CoreTest, NoneWeighingIsUniform) {
   Isum isum(&W());
-  SelectionResult selection = isum.Select(4);
-  const std::vector<double> weights = WeighSelectedQueries(
-      W(), isum.MakeState(), selection, WeighingStrategy::kNone);
+  CompressionState state = isum.MakeState();
+  const SelectionResult selection =
+      SummaryGreedySelect(state, 4, isum.options().update);
+  const std::vector<double> weights =
+      WeighSelectedQueries(W(), state, selection, WeighingStrategy::kNone);
   for (double w : weights) EXPECT_DOUBLE_EQ(w, 0.25);
 }
 
@@ -333,8 +336,9 @@ TEST_F(CoreTest, TemplateWeighingBoostsRepresentativeInstances) {
   // With 2 instances per template, a selected instance inherits utility from
   // its sibling; weights differ from plain recalibration for some query.
   Isum isum(&W());
-  SelectionResult selection = isum.Select(6);
-  const CompressionState state = isum.MakeState();
+  CompressionState state = isum.MakeState();
+  const SelectionResult selection =
+      SummaryGreedySelect(state, 6, isum.options().update);
   const auto recal = WeighSelectedQueries(W(), state, selection,
                                           WeighingStrategy::kRecalibrated);
   const auto tmpl = WeighSelectedQueries(

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -73,6 +75,42 @@ TEST(ExporterSnapshot, WritesFileAndRoundTripsThroughTracecat) {
   EXPECT_EQ(
       MetricValue(metrics.value(), "gauge", "budget.remaining_seconds"),
       -1.0);
+}
+
+TEST(ExporterSnapshot, RewritesAreAtomicForConcurrentReaders) {
+  // A `tracecat watch` poll races the worker's rewrites; with tmp + rename
+  // every read sees a whole snapshot, never a truncated or half-written one.
+  MetricsRegistry registry;
+  for (int i = 0; i < 200; ++i) {
+    registry.GetCounter("atomic.counter." + std::to_string(i))->Add(i);
+  }
+  const std::string path = TempPath("exporter_atomic.jsonl");
+  std::remove(path.c_str());
+  MetricsExporterOptions options;
+  options.snapshot_path = path;
+  options.period_nanos = 1'000'000;  // 1ms: rewrite as often as possible
+  MetricsExporter exporter(&registry, options);
+  ASSERT_TRUE(exporter.Start().ok());
+
+  int reads = 0;
+  int parse_errors = 0;
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < until) {
+    // Once the first snapshot is published the file must always be whole.
+    if (exporter.snapshots_written() == 0) continue;
+    auto metrics = tracecat::ParseMetricsJsonl(ReadAll(path));
+    ++reads;
+    if (!metrics.ok() || metrics->size() < 200) ++parse_errors;
+  }
+  exporter.Stop();
+  EXPECT_GT(reads, 0);
+  EXPECT_EQ(parse_errors, 0) << "of " << reads << " reads";
+  EXPECT_GT(exporter.snapshots_written(), 1u);
+
+  // The rename consumed every temporary file.
+  std::ifstream tmp(path + ".tmp");
+  EXPECT_FALSE(tmp.is_open());
 }
 
 TEST(ExporterBudget, ExpiredAmbientBudgetStopsTheWorker) {

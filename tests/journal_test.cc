@@ -206,8 +206,8 @@ TEST_F(JournalTest, InjectedDeadlineRegressionFlushesSelection) {
   core::IsumOptions options;
   options.budget = TimeBudget::After(0.0);  // expires immediately
   core::Isum isum(env.workload.get(), options);
-  const core::SelectionResult selection = isum.Select(5);
-  EXPECT_EQ(selection.stop_reason, StopReason::kDeadline);
+  const workload::CompressedWorkload compressed = isum.Compress(5);
+  EXPECT_EQ(compressed.stop_reason, StopReason::kDeadline);
 
   bool found_abnormal_end = false;
   for (const JsonValue& line : ReadEvents(path)) {

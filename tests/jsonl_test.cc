@@ -177,7 +177,7 @@ void FuzzEveryByte(const std::string& sample, Parse parse) {
 }
 
 bool AcceptsBench(const std::string& text) {
-  const auto records = tracecat::ParseBenchJson(text);
+  const auto records = tracecat::ParseBenchRecords(text);
   if (!records.ok()) return false;
   (void)tracecat::BenchDelta(records->front(), records->back());
   return true;

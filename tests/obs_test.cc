@@ -440,16 +440,6 @@ TEST(ObsExport, ChromeTraceJsonGoldenShape) {
   EXPECT_EQ(ChromeTraceJson(dump), want);
 }
 
-TEST(ObsExport, SpansJsonlOneObjectPerLine) {
-  TraceDump dump;
-  dump.thread_names = {"main"};
-  dump.spans.push_back(SpanRecord{"advisor/enumerate", 0, 0, 1000, 2000});
-  EXPECT_EQ(SpansJsonl(dump),
-            "{\"type\":\"span\",\"name\":\"advisor/enumerate\",\"tid\":0,"
-            "\"thread\":\"main\",\"depth\":0,\"start_us\":1.000,"
-            "\"dur_us\":2.000}\n");
-}
-
 TEST(ObsExport, SpanArgsRenderInBothExporters) {
   TraceDump dump;
   dump.thread_names = {"main"};
@@ -472,14 +462,6 @@ TEST(ObsExport, SpanArgsRenderInBothExporters) {
             "\"args\":{\"depth\":0,\"k\":50,"
             "\"algorithm\":\"summary-features\",\"ratio\":0.5}}\n"
             "]\n");
-
-  // JSONL: args appear as a nested object only when the span has any, so
-  // arg-free span lines keep their historical shape (golden above).
-  EXPECT_EQ(SpansJsonl(dump),
-            "{\"type\":\"span\",\"name\":\"compress/greedy-pick\",\"tid\":0,"
-            "\"thread\":\"main\",\"depth\":0,\"start_us\":1.500,"
-            "\"dur_us\":2500.500,\"args\":{\"k\":50,"
-            "\"algorithm\":\"summary-features\",\"ratio\":0.5}}\n");
 }
 
 TEST(ObsExport, MetricsJsonlCoversAllInstrumentKinds) {

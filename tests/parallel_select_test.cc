@@ -82,9 +82,19 @@ TEST_F(ParallelSelectTest, IsumNumThreadsOptionMatchesSerial) {
   IsumOptions threaded_options = serial_options;
   threaded_options.num_threads = 8;
 
-  const SelectionResult serial = Isum(&W(), serial_options).Select(10);
-  const SelectionResult threaded = Isum(&W(), threaded_options).Select(10);
-  ExpectBitIdentical(serial, threaded);
+  const workload::CompressedWorkload serial =
+      Isum(&W(), serial_options).Compress(10);
+  const workload::CompressedWorkload threaded =
+      Isum(&W(), threaded_options).Compress(10);
+  ASSERT_EQ(serial.entries.size(), threaded.entries.size());
+  for (size_t i = 0; i < serial.entries.size(); ++i) {
+    EXPECT_EQ(serial.entries[i].query_index, threaded.entries[i].query_index);
+    // Raw bytes of index, weight and benefit: bit-identical.
+    EXPECT_EQ(std::memcmp(&serial.entries[i], &threaded.entries[i],
+                          sizeof(serial.entries[i])),
+              0);
+  }
+  EXPECT_EQ(serial.stop_reason, threaded.stop_reason);
 }
 
 TEST_F(ParallelSelectTest, ExpiredBudgetReturnsPrefixWithStopReason) {

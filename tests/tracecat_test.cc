@@ -148,7 +148,7 @@ TEST(TracecatReport, RendersRobustnessCountersWhenPresent) {
   EXPECT_NE(report.find("deadline exceeded: 5"), std::string::npos);
 }
 
-/// A hand-written isum-bench-v1 record in bench_util.h's emitter layout
+/// A hand-written isum-bench-v1 record in the emitters' layout
 /// (one key or section entry per line).
 std::string SampleBenchRecord(const std::string& label, double wall,
                               double greedy_us, double feat_us) {
@@ -187,7 +187,7 @@ std::string SampleBenchRecord(const std::string& label, double wall,
 
 TEST(TracecatBench, ParsesSingleRecord) {
   const auto parsed =
-      ParseBenchJson(SampleBenchRecord("pre", 4.5, 9000.0, 1200.0));
+      ParseBenchRecords(SampleBenchRecord("pre", 4.5, 9000.0, 1200.0));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed.value().size(), 1u);
   const BenchRecord& r = parsed.value()[0];
@@ -211,7 +211,7 @@ TEST(TracecatBench, ParsesTrajectoryArray) {
   const std::string trajectory =
       "[\n" + SampleBenchRecord("pre", 4.5, 9000.0, 1200.0) + ",\n" +
       SampleBenchRecord("post", 0.9, 800.0, 1200.0) + "]\n";
-  const auto parsed = ParseBenchJson(trajectory);
+  const auto parsed = ParseBenchRecords(trajectory);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed.value().size(), 2u);
   EXPECT_EQ(parsed.value()[0].label, "pre");
@@ -222,16 +222,16 @@ TEST(TracecatBench, RejectsSchemaInvalidInput) {
   // Wrong schema tag.
   std::string wrong_tag = SampleBenchRecord("x", 1.0, 1.0, 1.0);
   wrong_tag.replace(wrong_tag.find("isum-bench-v1"), 13, "isum-bench-v9");
-  EXPECT_FALSE(ParseBenchJson(wrong_tag).ok());
+  EXPECT_FALSE(ParseBenchRecords(wrong_tag).ok());
   // Missing schema line entirely.
   std::string no_tag = SampleBenchRecord("x", 1.0, 1.0, 1.0);
   const size_t tag_line = no_tag.find("\"schema\"");
   no_tag.erase(tag_line, no_tag.find('\n', tag_line) - tag_line + 1);
-  EXPECT_FALSE(ParseBenchJson(no_tag).ok());
+  EXPECT_FALSE(ParseBenchRecords(no_tag).ok());
   // Unterminated record and non-record garbage.
-  EXPECT_FALSE(ParseBenchJson("{\n\"schema\": \"isum-bench-v1\",\n").ok());
-  EXPECT_FALSE(ParseBenchJson("not a bench file\n").ok());
-  EXPECT_FALSE(ParseBenchJson("[\n]\n").ok());
+  EXPECT_FALSE(ParseBenchRecords("{\n\"schema\": \"isum-bench-v1\",\n").ok());
+  EXPECT_FALSE(ParseBenchRecords("not a bench file\n").ok());
+  EXPECT_FALSE(ParseBenchRecords("[\n]\n").ok());
 }
 
 /// The same JSON with every line break removed.
@@ -242,8 +242,8 @@ std::string OnOneLine(std::string json) {
 
 TEST(TracecatBench, SingleLineRecordParsesLikeTheEmitterLayout) {
   const std::string emitted = SampleBenchRecord("pre", 4.5, 9000.0, 1200.0);
-  const auto a = ParseBenchJson(emitted);
-  const auto b = ParseBenchJson(OnOneLine(emitted));
+  const auto a = ParseBenchRecords(emitted);
+  const auto b = ParseBenchRecords(OnOneLine(emitted));
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   ASSERT_EQ(a.value().size(), 1u);
@@ -267,8 +267,10 @@ TEST(TracecatBench, SingleLineRecordParsesLikeTheEmitterLayout) {
 }
 
 TEST(TracecatBench, DeltaReportsPerPhaseAndWallChanges) {
-  const auto from = ParseBenchJson(SampleBenchRecord("pre", 4.0, 9000.0, 1200.0));
-  const auto to = ParseBenchJson(SampleBenchRecord("post", 1.0, 900.0, 1200.0));
+  const auto from =
+      ParseBenchRecords(SampleBenchRecord("pre", 4.0, 9000.0, 1200.0));
+  const auto to =
+      ParseBenchRecords(SampleBenchRecord("post", 1.0, 900.0, 1200.0));
   ASSERT_TRUE(from.ok() && to.ok());
   const std::string delta = BenchDelta(from.value()[0], to.value()[0]);
   EXPECT_NE(delta.find("pre (abc1234) -> post (abc1234)"), std::string::npos);
@@ -279,8 +281,8 @@ TEST(TracecatBench, DeltaReportsPerPhaseAndWallChanges) {
 }
 
 TEST(TracecatBench, DeltaMarksPhasesMissingOnOneSide) {
-  auto from = ParseBenchJson(SampleBenchRecord("pre", 4.0, 9000.0, 1200.0));
-  auto to = ParseBenchJson(SampleBenchRecord("post", 1.0, 900.0, 1200.0));
+  auto from = ParseBenchRecords(SampleBenchRecord("pre", 4.0, 9000.0, 1200.0));
+  auto to = ParseBenchRecords(SampleBenchRecord("post", 1.0, 900.0, 1200.0));
   ASSERT_TRUE(from.ok() && to.ok());
   BenchRecord a = from.value()[0];
   BenchRecord b = to.value()[0];

@@ -13,7 +13,8 @@
 //   tracecat ckpt inspect <file.ckpt...>
 //   tracecat ckpt verify <file.ckpt...>
 //
-// The bench subcommand parses isum-bench-v1 files (--bench-json= output).
+// The bench subcommand parses isum-bench-v1 files (benchmark/isum_bench
+// --record= output, or the frozen BENCH_scalability.json trajectory).
 // With two files (or one trajectory file holding several records) it prints
 // the per-phase delta between the first and last record. --check validates
 // the schema and gates peak RSS growth between the first and last record
@@ -33,7 +34,7 @@
 // events, required fields, hash match) and prints only a verdict.
 //
 // The watch subcommand renders live run health from the metrics exporter's
-// --metrics-snapshot= file (metrics JSONL): one frame per interval.
+// --metrics= file (metrics JSONL): one frame per interval.
 //
 // The ckpt subcommand operates on isum-ckpt-v1 checkpoint files
 // (--checkpoint= epochs, src/common/checkpoint.h). `inspect` prints the
@@ -98,7 +99,7 @@ int BenchMain(int argc, char** argv) {
       std::fprintf(stderr, "cannot read %s\n", path.c_str());
       return 1;
     }
-    auto parsed = isum::tracecat::ParseBenchJson(content);
+    auto parsed = isum::tracecat::ParseBenchRecords(content);
     if (!parsed.ok()) {
       std::fprintf(stderr, "%s: %s\n", path.c_str(),
                    parsed.status().ToString().c_str());

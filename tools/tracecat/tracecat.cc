@@ -327,7 +327,8 @@ StatusOr<BenchRecord> ParseBenchRecord(const JsonValue& object) {
 
 }  // namespace
 
-StatusOr<std::vector<BenchRecord>> ParseBenchJson(const std::string& content) {
+StatusOr<std::vector<BenchRecord>> ParseBenchRecords(
+    const std::string& content) {
   ISUM_ASSIGN_OR_RETURN(const JsonValue doc, ParseJson(content));
   std::vector<BenchRecord> records;
   if (doc.is_array()) {

@@ -64,8 +64,9 @@ StatusOr<std::vector<MetricLine>> ParseMetricsJsonl(
 std::string Report(const std::vector<TraceEvent>& events,
                    const std::vector<MetricLine>& metrics, size_t top_k);
 
-/// One parsed --bench-json= record (the isum-bench-v1 layout written by
-/// bench/bench_util.h; schema documented in docs/BENCHMARKING.md).
+/// One parsed isum-bench-v1 record (written by benchmark/isum_bench
+/// --record=, and the frozen BENCH_scalability.json trajectory; schema
+/// documented in docs/BENCHMARKING.md).
 struct BenchRecord {
   std::string label;
   std::string bench;
@@ -82,7 +83,8 @@ struct BenchRecord {
 /// BENCH_scalability.json). Errors on anything schema-invalid: wrong or
 /// missing schema tag, missing required scalars, unknown top-level keys,
 /// malformed JSON, an empty array.
-StatusOr<std::vector<BenchRecord>> ParseBenchJson(const std::string& content);
+StatusOr<std::vector<BenchRecord>> ParseBenchRecords(
+    const std::string& content);
 
 /// One line per phase (union of both records, `from`'s order first):
 /// total time in `from` vs `to` with the relative change, then a wall-clock
@@ -204,7 +206,7 @@ StatusOr<std::string> ExplainJournal(const std::vector<JournalEvent>& events,
 /// ---- live telemetry (metrics snapshot, src/obs/exporter.h) ----
 
 /// Renders one `tracecat watch` frame from a metrics snapshot (the
-/// exporter's --metrics-snapshot= file, parsed by ParseMetricsJsonl):
+/// exporter's --metrics= file, parsed by ParseMetricsJsonl):
 /// compression/tuning progress counters, what-if hit rate, retry/fault
 /// health (including the per-site fault.latency.* histograms), checkpoint
 /// activity, and the exporter's budget.remaining_seconds gauge.
