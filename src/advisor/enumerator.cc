@@ -58,7 +58,7 @@ CandidateEvaluation EvaluateCandidate(
 ///            initial_cost bits, total_cost bits
 ///   winners  pool indices of the added indexes, in round order
 ///   costs    per-query current cost under the checkpointed configuration
-///   cache    memoized what-if answers (query id, config hash, cost)
+///   cache    memoized what-if answers (AppendWhatIfCache below)
 ///
 /// Restore replays the winner sequence instead of serializing the
 /// Configuration object: pool indices plus the bit-exact per-query costs
@@ -70,7 +70,6 @@ CandidateEvaluation EvaluateCandidate(
 constexpr uint32_t kEnumMetaSection = 1;
 constexpr uint32_t kEnumWinnersSection = 2;
 constexpr uint32_t kEnumCostsSection = 3;
-constexpr uint32_t kEnumCacheSection = 4;
 
 uint64_t DoubleBits(double value) {
   uint64_t bits = 0;
@@ -136,12 +135,7 @@ void EncodeEnumSnapshot(const EnumSnapshot& snapshot,
   writer->AppendF64Vector(snapshot.costs);
   writer->EndSection();
   writer->BeginSection(kEnumCacheSection);
-  writer->AppendU64(snapshot.cache.size());
-  for (const engine::WhatIfOptimizer::CacheEntry& entry : snapshot.cache) {
-    writer->AppendU64(entry.query_id);
-    writer->AppendU64(entry.config_hash);
-    writer->AppendF64(entry.cost);
-  }
+  AppendWhatIfCache(snapshot.cache, writer);
   writer->EndSection();
 }
 
@@ -176,23 +170,51 @@ StatusOr<EnumSnapshot> LoadEnumSnapshot(CheckpointStore& store,
   ISUM_ASSIGN_OR_RETURN(snapshot.costs, costs->ReadF64Vector());
   StatusOr<CheckpointCursor> cache = reader->Section(kEnumCacheSection);
   if (!cache.ok()) return cache.status();
-  uint64_t cache_count = 0;
-  ISUM_ASSIGN_OR_RETURN(cache_count, cache->ReadU64());
-  if (cache_count > cache->remaining() / 24) {
-    return Status::ParseError("checkpoint cache overruns section");
-  }
-  snapshot.cache.reserve(cache_count);
-  for (uint64_t i = 0; i < cache_count; ++i) {
-    engine::WhatIfOptimizer::CacheEntry entry;
-    ISUM_ASSIGN_OR_RETURN(entry.query_id, cache->ReadU64());
-    ISUM_ASSIGN_OR_RETURN(entry.config_hash, cache->ReadU64());
-    ISUM_ASSIGN_OR_RETURN(entry.cost, cache->ReadF64());
-    snapshot.cache.push_back(entry);
-  }
+  ISUM_ASSIGN_OR_RETURN(snapshot.cache, ReadWhatIfCache(*cache));
   return snapshot;
 }
 
 }  // namespace
+
+void AppendWhatIfCache(
+    const std::vector<engine::WhatIfOptimizer::CacheEntry>& entries,
+    CheckpointWriter* writer) {
+  writer->AppendU64(entries.size());
+  for (const engine::WhatIfOptimizer::CacheEntry& entry : entries) {
+    writer->AppendU32(entry.query_id);
+    writer->AppendU32(static_cast<uint32_t>(entry.pool_ids.size()));
+    for (const uint32_t p : entry.pool_ids) writer->AppendU32(p);
+    writer->AppendF64(entry.cost);
+  }
+}
+
+StatusOr<std::vector<engine::WhatIfOptimizer::CacheEntry>> ReadWhatIfCache(
+    CheckpointCursor& cursor) {
+  uint64_t count = 0;
+  ISUM_ASSIGN_OR_RETURN(count, cursor.ReadU64());
+  // Every entry takes at least 16 bytes (query id, id count, cost).
+  if (count > cursor.remaining() / 16) {
+    return Status::ParseError("checkpoint cache overruns section");
+  }
+  std::vector<engine::WhatIfOptimizer::CacheEntry> entries(count);
+  for (engine::WhatIfOptimizer::CacheEntry& entry : entries) {
+    ISUM_ASSIGN_OR_RETURN(entry.query_id, cursor.ReadU32());
+    uint32_t ids = 0;
+    ISUM_ASSIGN_OR_RETURN(ids, cursor.ReadU32());
+    if (ids > cursor.remaining() / 4) {
+      return Status::ParseError("checkpoint cache id list overruns section");
+    }
+    entry.pool_ids.resize(ids);
+    for (uint32_t& p : entry.pool_ids) {
+      ISUM_ASSIGN_OR_RETURN(p, cursor.ReadU32());
+    }
+    ISUM_ASSIGN_OR_RETURN(entry.cost, cursor.ReadF64());
+  }
+  if (!cursor.AtEnd()) {
+    return Status::ParseError("checkpoint cache has trailing bytes");
+  }
+  return entries;
+}
 
 EnumerationResult GreedyEnumerate(
     engine::WhatIfOptimizer& what_if,
@@ -290,7 +312,7 @@ EnumerationResult GreedyEnumerate(
         std::vector<const sql::BoundQuery*> query_ptrs;
         query_ptrs.reserve(queries.size());
         for (const WeightedQuery& wq : queries) query_ptrs.push_back(wq.query);
-        what_if.ImportCache(snapshot->cache, query_ptrs);
+        what_if.ImportCache(snapshot->cache, query_ptrs, pool);
         for (const uint64_t w : snapshot->winners) {
           const size_t i = static_cast<size_t>(w);
           used[i] = true;
@@ -312,11 +334,11 @@ EnumerationResult GreedyEnumerate(
     }
   }
   // Query-pointer → stable-id map for cache export on checkpoint writes.
-  std::unordered_map<const void*, uint64_t> query_ids;
+  std::unordered_map<const void*, uint32_t> query_ids;
   if (ckpt_store != nullptr) {
     query_ids.reserve(queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
-      query_ids.emplace(queries[i].query, static_cast<uint64_t>(i));
+      query_ids.emplace(queries[i].query, static_cast<uint32_t>(i));
     }
   }
   // Best-effort epoch write: a failed write is counted
@@ -332,7 +354,7 @@ EnumerationResult GreedyEnumerate(
     snapshot.total_cost_bits = DoubleBits(total_cost);
     snapshot.winners.assign(winner_ids.begin(), winner_ids.end());
     snapshot.costs = current_cost;
-    snapshot.cache = what_if.ExportCache(query_ids);
+    snapshot.cache = what_if.ExportCache(query_ids, pool);
     CheckpointWriter writer;
     EncodeEnumSnapshot(snapshot, &writer);
     const uint64_t epoch = ckpt_store->next_epoch();

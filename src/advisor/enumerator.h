@@ -1,6 +1,7 @@
 #ifndef ISUM_ADVISOR_ENUMERATOR_H_
 #define ISUM_ADVISOR_ENUMERATOR_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "advisor/advisor.h"
@@ -51,6 +52,25 @@ EnumerationResult GreedyEnumerate(
     uint64_t storage_budget_bytes, const catalog::Catalog& catalog,
     const TimeBudget& budget = {}, int num_threads = 1,
     const CheckpointConfig& ckpt = {});
+
+/// Section id of the what-if memo in `.enum` checkpoints. Section 4 held the
+/// earlier hash-keyed layout; an epoch carrying only that section is not
+/// found and the run starts fresh.
+inline constexpr uint32_t kEnumCacheSection = 5;
+
+/// Payload of the cache section: the entry count (u64), then per entry the
+/// query id, the number of pool ids and the pool ids (each a u32), and the
+/// cost bits (u64).
+void AppendWhatIfCache(
+    const std::vector<engine::WhatIfOptimizer::CacheEntry>& entries,
+    CheckpointWriter* writer);
+
+/// Decodes a cache section written by AppendWhatIfCache. A count or id list
+/// that overruns the section, or bytes left after the last entry, is a
+/// kParseError. Ids are not range-checked here; ImportCache skips entries
+/// naming a query or pool index it does not have.
+StatusOr<std::vector<engine::WhatIfOptimizer::CacheEntry>> ReadWhatIfCache(
+    CheckpointCursor& cursor);
 
 }  // namespace isum::advisor
 

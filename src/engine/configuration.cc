@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/hash.h"
-
 namespace isum::engine {
 
 Configuration::Configuration(std::vector<Index> indexes) {
@@ -40,16 +38,6 @@ uint64_t Configuration::TotalSizeBytes(const catalog::Catalog& catalog) const {
   uint64_t total = 0;
   for (const Index& index : indexes_) total += index.SizeBytes(catalog);
   return total;
-}
-
-uint64_t Configuration::StableHash() const {
-  // XOR of per-index hashes: order independent.
-  uint64_t h = 0x15B3C0FFEEull;
-  std::hash<Index> hasher;
-  for (const Index& index : indexes_) {
-    h ^= static_cast<uint64_t>(hasher(index)) * 0x9E3779B97F4A7C15ull;
-  }
-  return h;
 }
 
 std::string Configuration::DebugString(const catalog::Catalog& catalog) const {

@@ -10,8 +10,8 @@
 namespace isum::engine {
 
 /// An index configuration: a set of hypothetical indexes the optimizer costs
-/// against. Deduplicates on insert and keeps a stable hash for what-if
-/// result caching.
+/// against. Deduplicates on insert and keeps insertion order, which
+/// IndexesOnTable preserves (the what-if memo key relies on it).
 class Configuration {
  public:
   Configuration() = default;
@@ -34,9 +34,6 @@ class Configuration {
 
   /// Total estimated storage of all indexes.
   uint64_t TotalSizeBytes(const catalog::Catalog& catalog) const;
-
-  /// Order-independent stable hash of the index set.
-  uint64_t StableHash() const;
 
   /// Multi-line listing for reports.
   std::string DebugString(const catalog::Catalog& catalog) const;

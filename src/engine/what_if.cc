@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/fault.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "obs/journal.h"
 #include "obs/trace.h"
@@ -44,7 +45,49 @@ uint64_t BackoffNanos(const RetryPolicy& policy, int attempt) {
   return static_cast<uint64_t>(nominal * (0.5 + 0.5 * rng.NextDouble()));
 }
 
+/// Shard of a 64-bit hash: the top bits after a Fibonacci multiply, so
+/// aligned query addresses (low bits zero) still spread across shards.
+size_t ShardIndex(uint64_t hash, size_t shards) {
+  return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ull) >> 32) % shards;
+}
+
 }  // namespace
+
+size_t WhatIfOptimizer::KeyHash::operator()(const Key& k) const noexcept {
+  uint64_t h = std::hash<const void*>()(k.query);
+  for (const uint32_t id : k.index_ids) h = HashCombine(h, id);
+  return static_cast<size_t>(h);
+}
+
+WhatIfOptimizer::Shard& WhatIfOptimizer::ShardFor(const Key& key) {
+  return shards_[ShardIndex(KeyHash()(key), kShards)];
+}
+
+WhatIfOptimizer::InternShard& WhatIfOptimizer::InternShardFor(
+    const Index& index) {
+  return intern_shards_[ShardIndex(std::hash<Index>()(index), kShards)];
+}
+
+uint32_t WhatIfOptimizer::Intern(const Index& index) {
+  InternShard& shard = InternShardFor(index);
+  MutexLock lock(shard.mutex);
+  const auto [it, inserted] = shard.ids.try_emplace(index, 0);
+  if (inserted) {
+    it->second = next_index_id_.fetch_add(1);
+  }
+  return it->second;
+}
+
+WhatIfOptimizer::Key WhatIfOptimizer::MakeKey(const sql::BoundQuery& query,
+                                              const Configuration& config) {
+  Key key{&query, {}};
+  for (const Index& index : config.indexes()) {
+    if (query.ReferencesTable(index.table())) {
+      key.index_ids.push_back(Intern(index));
+    }
+  }
+  return key;
+}
 
 double WhatIfOptimizer::Cost(const sql::BoundQuery& query,
                              const Configuration& config) {
@@ -57,8 +100,8 @@ StatusOr<double> WhatIfOptimizer::TryCost(const sql::BoundQuery& query,
                                           const Configuration& config,
                                           const TimeBudget& budget) {
   const WhatIfMetrics& metrics = WhatIfMetrics::Get();
-  const Key key{&query, config.StableHash()};
-  Shard& shard = shards_[KeyHash()(key) % kShards];
+  Key key = MakeKey(query, config);
+  Shard& shard = ShardFor(key);
   {
     MutexLock lock(shard.mutex);
     auto it = shard.cache.find(key);
@@ -108,20 +151,40 @@ StatusOr<double> WhatIfOptimizer::TryCost(const sql::BoundQuery& query,
   metrics.optimize_nanos->Observe(nanos);
   {
     MutexLock lock(shard.mutex);
-    shard.cache.emplace(key, cost);
+    shard.cache.emplace(std::move(key), cost);
   }
   return cost;
 }
 
 std::vector<WhatIfOptimizer::CacheEntry> WhatIfOptimizer::ExportCache(
-    const std::unordered_map<const void*, uint64_t>& query_ids) {
+    const std::unordered_map<const void*, uint32_t>& query_ids,
+    const std::vector<Index>& pool) {
+  // Interned id -> pool position, built once (one lookup per pool index).
+  constexpr uint32_t kNotInPool = UINT32_MAX;
+  std::vector<uint32_t> to_pool(next_index_id_.load(), kNotInPool);
+  for (size_t p = 0; p < pool.size(); ++p) {
+    InternShard& shard = InternShardFor(pool[p]);
+    MutexLock lock(shard.mutex);
+    const auto it = shard.ids.find(pool[p]);
+    if (it != shard.ids.end() && it->second < to_pool.size()) {
+      to_pool[it->second] = static_cast<uint32_t>(p);
+    }
+  }
   std::vector<CacheEntry> out;
   for (Shard& shard : shards_) {
     MutexLock lock(shard.mutex);
     for (const auto& [key, cost] : shard.cache) {
       const auto it = query_ids.find(key.query);
       if (it == query_ids.end()) continue;
-      out.push_back(CacheEntry{it->second, key.config_hash, cost});
+      CacheEntry entry{it->second, {}, cost};
+      entry.pool_ids.reserve(key.index_ids.size());
+      for (const uint32_t id : key.index_ids) {
+        const uint32_t p = id < to_pool.size() ? to_pool[id] : kNotInPool;
+        if (p == kNotInPool) break;
+        entry.pool_ids.push_back(p);
+      }
+      if (entry.pool_ids.size() != key.index_ids.size()) continue;
+      out.push_back(std::move(entry));
     }
   }
   return out;
@@ -129,13 +192,23 @@ std::vector<WhatIfOptimizer::CacheEntry> WhatIfOptimizer::ExportCache(
 
 void WhatIfOptimizer::ImportCache(
     const std::vector<CacheEntry>& entries,
-    const std::vector<const sql::BoundQuery*>& queries) {
+    const std::vector<const sql::BoundQuery*>& queries,
+    const std::vector<Index>& pool) {
+  std::vector<uint32_t> from_pool;
+  from_pool.reserve(pool.size());
+  for (const Index& index : pool) from_pool.push_back(Intern(index));
   for (const CacheEntry& entry : entries) {
     if (entry.query_id >= queries.size()) continue;
-    const Key key{queries[entry.query_id], entry.config_hash};
-    Shard& shard = shards_[KeyHash()(key) % kShards];
+    Key key{queries[entry.query_id], {}};
+    key.index_ids.reserve(entry.pool_ids.size());
+    for (const uint32_t p : entry.pool_ids) {
+      if (p >= from_pool.size()) break;
+      key.index_ids.push_back(from_pool[p]);
+    }
+    if (key.index_ids.size() != entry.pool_ids.size()) continue;
+    Shard& shard = ShardFor(key);
     MutexLock lock(shard.mutex);
-    shard.cache.emplace(key, entry.cost);
+    shard.cache.emplace(std::move(key), entry.cost);
   }
 }
 

@@ -2,6 +2,7 @@
 #define ISUM_ENGINE_WHAT_IF_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -31,18 +32,33 @@ struct RetryPolicy {
 };
 
 /// The "what-if" API [15]: costs a query under a hypothetical index
-/// configuration without building indexes. Results are memoized per
-/// (query, configuration) pair and optimizer invocations are counted, so the
-/// advisor's call profile (Figure 2 of the paper) can be measured.
+/// configuration without building indexes. Results are memoized and
+/// optimizer invocations are counted, so the advisor's call profile
+/// (Figure 2 of the paper) can be measured.
 ///
-/// Cache keys use query object identity: a BoundQuery must stay at a stable
-/// address while a WhatIfOptimizer refers to it (Workload guarantees this).
+/// Memo key: the query plus the ids of the configuration's indexes whose
+/// table the query references, in configuration order, compared in full
+/// (no hash stands in for the key). The key is exact: Optimizer reads a
+/// configuration only through IndexesOnTable(t) for tables t of the query,
+/// so two configurations with the same key hand the optimizer the same
+/// per-table index lists, in the same order, and so the same tie-breaking
+/// in BestAccessPath. The same projected set in another insertion order is
+/// a distinct key (a miss, never a wrong answer). Indexes on tables the
+/// query does not touch leave the key unchanged, which is what lets one
+/// enumeration round reuse the previous rounds' answers.
+///
+/// Index ids come from an interning table owned by this instance: dense,
+/// assigned on first sight, stable for the instance's lifetime (ClearCache
+/// keeps them). Cache keys use query object identity: a BoundQuery must stay
+/// at a stable address while a WhatIfOptimizer refers to it (Workload
+/// guarantees this).
 ///
 /// Thread-safe: Cost() may be called concurrently (the advisor evaluates
-/// candidate configurations in parallel). The cache is sharded 16 ways so
-/// cache-hit-heavy parallel phases don't serialize on one mutex; the
-/// optimizer invocation itself runs outside any lock, so concurrent misses
-/// on the same key may both optimize (the second insert is a no-op).
+/// candidate configurations in parallel). The memo and the interning table
+/// are each sharded 16 ways so cache-hit-heavy parallel phases don't
+/// serialize on one mutex; the optimizer invocation itself runs outside any
+/// lock, so concurrent misses on the same key may both optimize (the second
+/// insert is a no-op).
 class WhatIfOptimizer {
  public:
   explicit WhatIfOptimizer(const CostModel* cost_model)
@@ -104,6 +120,9 @@ class WhatIfOptimizer {
     retry_attempts_.Reset();
     optimizer_nanos_.Reset();
   }
+  /// Drops every memoized answer. Interned index ids are kept: a racing
+  /// Cost() may still hold ids it built its key from, and reassigning them
+  /// could alias two different indexes.
   void ClearCache() {
     for (Shard& shard : shards_) {
       MutexLock lock(shard.mutex);
@@ -116,42 +135,45 @@ class WhatIfOptimizer {
   /// set it before handing the optimizer to workers.
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
 
-  /// One memoized what-if answer in checkpoint form: the query is named by
-  /// a caller-stable id (its position in the enumeration's query vector)
-  /// instead of the in-process pointer the live cache keys on.
+  /// One memoized what-if answer in checkpoint form. The query is named by
+  /// a caller-stable id (its position in the enumeration's query vector) and
+  /// each projected index by its position in the candidate pool, instead of
+  /// the in-process pointer and interned ids the live memo keys on.
   struct CacheEntry {
-    uint64_t query_id = 0;
-    uint64_t config_hash = 0;
+    uint32_t query_id = 0;
+    /// Pool positions of the key's indexes, in configuration order.
+    std::vector<uint32_t> pool_ids;
     double cost = 0.0;
   };
 
-  /// Snapshots the memo cache for checkpointing. `query_ids` maps a
-  /// BoundQuery address to its stable id; entries for queries outside the
-  /// map (e.g. from another tuning phase) are skipped. Entry order is
-  /// unspecified. Safe to call concurrently with Cost().
+  /// Snapshots the memo for checkpointing. `query_ids` maps a BoundQuery
+  /// address to its stable id; entries for queries outside the map, or with
+  /// an index outside `pool` (e.g. from another tuning phase), are skipped.
+  /// Entry order is unspecified. Safe to call concurrently with Cost().
   std::vector<CacheEntry> ExportCache(
-      const std::unordered_map<const void*, uint64_t>& query_ids);
+      const std::unordered_map<const void*, uint32_t>& query_ids,
+      const std::vector<Index>& pool);
 
-  /// Seeds the memo cache from a checkpoint: `entries[i].query_id` indexes
-  /// into `queries`, which must hold the same logical queries (in the same
-  /// order) the exporting run used. Out-of-range ids are ignored. Restored
-  /// costs are served as ordinary cache hits, so a resumed enumeration
-  /// repeats no optimizer work for configurations the killed run already
-  /// costed.
+  /// Seeds the memo from a checkpoint: `entries[i].query_id` indexes into
+  /// `queries` and `entries[i].pool_ids` into `pool`, which must hold the
+  /// same logical queries and candidates (in the same order) the exporting
+  /// run used. Entries with an out-of-range id are ignored. Restored costs
+  /// are served as ordinary cache hits, so a resumed enumeration repeats no
+  /// optimizer work for configurations the killed run already costed.
   void ImportCache(const std::vector<CacheEntry>& entries,
-                   const std::vector<const sql::BoundQuery*>& queries);
+                   const std::vector<const sql::BoundQuery*>& queries,
+                   const std::vector<Index>& pool);
 
  private:
+  /// Memo key (class comment): query identity plus the interned ids of the
+  /// projected indexes, in configuration order.
   struct Key {
     const void* query;
-    uint64_t config_hash;
+    std::vector<uint32_t> index_ids;
     friend bool operator==(const Key&, const Key&) = default;
   };
   struct KeyHash {
-    size_t operator()(const Key& k) const noexcept {
-      return std::hash<const void*>()(k.query) ^
-             static_cast<size_t>(k.config_hash * 0x9E3779B97F4A7C15ull);
-    }
+    size_t operator()(const Key& k) const noexcept;
   };
 
   static constexpr size_t kShards = 16;
@@ -159,10 +181,22 @@ class WhatIfOptimizer {
     Mutex mutex;
     std::unordered_map<Key, double, KeyHash> cache ISUM_GUARDED_BY(mutex);
   };
+  struct InternShard {
+    Mutex mutex;
+    std::unordered_map<Index, uint32_t> ids ISUM_GUARDED_BY(mutex);
+  };
+
+  Key MakeKey(const sql::BoundQuery& query, const Configuration& config);
+  Shard& ShardFor(const Key& key);
+  InternShard& InternShardFor(const Index& index);
+  /// Id of `index`, assigning the next free id on first sight.
+  uint32_t Intern(const Index& index);
 
   Optimizer optimizer_;
   RetryPolicy retry_policy_;
   std::array<Shard, kShards> shards_;
+  std::array<InternShard, kShards> intern_shards_;
+  std::atomic<uint32_t> next_index_id_{0};
   obs::Counter optimizer_calls_;
   obs::Counter cache_hits_;
   obs::Counter retry_attempts_;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "advisor/advisor.h"
+#include "advisor/enumerator.h"
 #include "common/checkpoint.h"
 #include "common/deadline.h"
 #include "common/fault.h"
@@ -334,37 +335,158 @@ TEST_F(FaultAfterTest, NegativeAfterIsRejected) {
 
 // --- What-if cache export/import ---
 
-TEST(WhatIfCacheCheckpointTest, ExportImportServesIdenticalCosts) {
-  workload::GeneratorOptions gen;
-  gen.instances_per_template = 1;
-  std::optional<workload::GeneratedWorkload> env = workload::MakeTpch(gen);
-  const size_t n = std::min<size_t>(env->workload->size(), 6);
-  ASSERT_GT(n, 0u);
+/// Little-endian integers, the checkpoint container's encoding.
+void PutLE(std::string* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+}
 
-  engine::WhatIfOptimizer source(env->cost_model.get());
-  std::vector<const sql::BoundQuery*> queries;
-  std::unordered_map<const void*, uint64_t> query_ids;
+/// Cache-section payload with one entry whose id list claims `claimed_ids`
+/// ids but carries `ids`, followed by the cost bits when `with_cost`.
+std::string OneEntryCachePayload(uint32_t claimed_ids,
+                                 const std::vector<uint32_t>& ids,
+                                 bool with_cost) {
+  std::string payload;
+  PutLE(&payload, 1, 8);  // entry count
+  PutLE(&payload, 0, 4);  // query id
+  PutLE(&payload, claimed_ids, 4);
+  for (const uint32_t id : ids) PutLE(&payload, id, 4);
+  if (with_cost) PutLE(&payload, Bits(1.5), 8);
+  return payload;
+}
+
+class WhatIfCacheCheckpointTest : public ::testing::Test {
+ protected:
+  WhatIfCacheCheckpointTest() {
+    workload::GeneratorOptions gen;
+    gen.instances_per_template = 1;
+    env_ = workload::MakeTpch(gen);
+    const size_t n = std::min<size_t>(env_->workload->size(), 6);
+    for (size_t i = 0; i < n; ++i) {
+      const sql::BoundQuery* q = &env_->workload->query(i).bound;
+      queries_.push_back(q);
+      query_ids_.emplace(q, static_cast<uint32_t>(i));
+    }
+    // A pool of single-column indexes on the first query's first table.
+    const catalog::TableId table = queries_[0]->tables[0].table;
+    for (const catalog::ColumnId c : queries_[0]->ReferencedColumns()) {
+      if (c.table == table && pool_.size() < 3) {
+        pool_.emplace_back(table, std::vector<catalog::ColumnId>{c});
+      }
+    }
+  }
+
+  /// Configurations every query is costed under: empty, then pool prefixes.
+  std::vector<engine::Configuration> Configs() const {
+    engine::Configuration config;
+    std::vector<engine::Configuration> configs = {config};
+    for (const engine::Index& index : pool_) {
+      config.Add(index);
+      configs.push_back(config);
+    }
+    return configs;
+  }
+
+  std::optional<workload::GeneratedWorkload> env_;
+  std::vector<const sql::BoundQuery*> queries_;
+  std::unordered_map<const void*, uint32_t> query_ids_;
+  std::vector<engine::Index> pool_;
+};
+
+TEST_F(WhatIfCacheCheckpointTest, ExportImportServesIdenticalCosts) {
+  ASSERT_GT(queries_.size(), 0u);
+  ASSERT_GT(pool_.size(), 0u);
+  engine::WhatIfOptimizer source(env_->cost_model.get());
   std::vector<double> costs;
-  for (size_t i = 0; i < n; ++i) {
-    const sql::BoundQuery* q = &env->workload->query(i).bound;
-    queries.push_back(q);
-    query_ids.emplace(q, static_cast<uint64_t>(i));
-    costs.push_back(source.Cost(*q, engine::Configuration()));
+  for (const sql::BoundQuery* q : queries_) {
+    for (const engine::Configuration& c : Configs()) {
+      costs.push_back(source.Cost(*q, c));
+    }
   }
   std::vector<engine::WhatIfOptimizer::CacheEntry> entries =
-      source.ExportCache(query_ids);
-  EXPECT_EQ(entries.size(), n);
-  // Out-of-range ids in a (hand-damaged) checkpoint are skipped, not UB.
-  entries.push_back({/*query_id=*/999, /*config_hash=*/7, /*cost=*/1.0});
+      source.ExportCache(query_ids_, pool_);
+  EXPECT_EQ(entries.size(), source.optimizer_calls());
+  // Out-of-range query ids in a (hand-damaged) checkpoint are skipped.
+  entries.push_back({/*query_id=*/999, /*pool_ids=*/{}, /*cost=*/1.0});
 
-  engine::WhatIfOptimizer seeded(env->cost_model.get());
-  seeded.ImportCache(entries, queries);
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(Bits(seeded.Cost(*queries[i], engine::Configuration())),
-              Bits(costs[i]));
+  // Round-trip through the section codec before importing.
+  CheckpointWriter writer;
+  writer.BeginSection(advisor::kEnumCacheSection);
+  advisor::AppendWhatIfCache(entries, &writer);
+  writer.EndSection();
+  StatusOr<CheckpointReader> reader =
+      CheckpointReader::Parse(writer.Serialize());
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  StatusOr<CheckpointCursor> cursor =
+      reader->Section(advisor::kEnumCacheSection);
+  ASSERT_TRUE(cursor.ok());
+  StatusOr<std::vector<engine::WhatIfOptimizer::CacheEntry>> decoded =
+      advisor::ReadWhatIfCache(*cursor);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->size(), entries.size());
+
+  engine::WhatIfOptimizer seeded(env_->cost_model.get());
+  seeded.ImportCache(*decoded, queries_, pool_);
+  size_t i = 0;
+  for (const sql::BoundQuery* q : queries_) {
+    for (const engine::Configuration& c : Configs()) {
+      EXPECT_EQ(Bits(seeded.Cost(*q, c)), Bits(costs[i++]));
+    }
   }
   // Every answer came from the imported cache: zero optimizer work.
   EXPECT_EQ(seeded.optimizer_calls(), 0u);
+}
+
+TEST_F(WhatIfCacheCheckpointTest, PoolIdOutOfRangeIsSkipped) {
+  ASSERT_GT(pool_.size(), 0u);
+  engine::Configuration config;
+  config.Add(pool_[0]);
+  const uint32_t beyond = static_cast<uint32_t>(pool_.size());
+  const std::vector<engine::WhatIfOptimizer::CacheEntry> entries = {
+      {/*query_id=*/0, /*pool_ids=*/{beyond}, /*cost=*/1.0},
+      {/*query_id=*/0, /*pool_ids=*/{0, UINT32_MAX}, /*cost=*/2.0},
+  };
+  engine::WhatIfOptimizer seeded(env_->cost_model.get());
+  seeded.ImportCache(entries, queries_, pool_);
+  const double cost = seeded.Cost(*queries_[0], config);
+  EXPECT_EQ(seeded.optimizer_calls(), 1u);
+  EXPECT_EQ(Bits(cost), Bits(engine::Optimizer(env_->cost_model.get())
+                                 .Cost(*queries_[0], config)));
+}
+
+TEST_F(WhatIfCacheCheckpointTest, TruncatedOrOverlongIdListIsAParseError) {
+  // Well-formed baseline first, so the failures below are the lengths'.
+  const std::string good = OneEntryCachePayload(2, {0, 1}, true);
+  {
+    CheckpointCursor cursor(good);
+    StatusOr<std::vector<engine::WhatIfOptimizer::CacheEntry>> entries =
+        advisor::ReadWhatIfCache(cursor);
+    ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+    ASSERT_EQ(entries->size(), 1u);
+    EXPECT_EQ((*entries)[0].pool_ids, (std::vector<uint32_t>{0, 1}));
+    EXPECT_EQ((*entries)[0].cost, 1.5);
+  }
+  // Every truncation of a valid payload fails cleanly.
+  for (size_t len = 0; len < good.size(); ++len) {
+    CheckpointCursor cursor(std::string_view(good).substr(0, len));
+    const auto entries = advisor::ReadWhatIfCache(cursor);
+    ASSERT_FALSE(entries.ok()) << "length " << len;
+    EXPECT_EQ(entries.status().code(), StatusCode::kParseError);
+  }
+  const std::string cases[] = {
+      OneEntryCachePayload(3, {0, 1}, true),           // one id too many
+      OneEntryCachePayload(UINT32_MAX, {0}, true),     // huge count
+      OneEntryCachePayload(UINT32_MAX, {}, true),      // huge, no ids
+      OneEntryCachePayload(1, {0, 1}, true),           // one id too few
+      good + std::string(8, '\0'),                   // trailing bytes
+  };
+  for (const std::string& payload : cases) {
+    CheckpointCursor cursor(payload);
+    const auto entries = advisor::ReadWhatIfCache(cursor);
+    ASSERT_FALSE(entries.ok());
+    EXPECT_EQ(entries.status().code(), StatusCode::kParseError);
+  }
 }
 
 // --- Chaos sweep: kill at every round boundary, resume, compare ---
@@ -530,8 +652,8 @@ TEST_F(CheckpointResumeTest, EnumerationResumesBitIdentical) {
 
     const advisor::TuningResult resumed = advisor.Tune(queries, options);
     EXPECT_EQ(resumed.stop_reason, StopReason::kComplete) << "round " << round;
-    EXPECT_EQ(resumed.configuration.StableHash(),
-              full.configuration.StableHash())
+    EXPECT_EQ(resumed.configuration.indexes(),
+              full.configuration.indexes())
         << "round " << round;
     EXPECT_EQ(Bits(resumed.initial_cost), Bits(full.initial_cost));
     EXPECT_EQ(Bits(resumed.final_cost), Bits(full.final_cost))
@@ -539,6 +661,81 @@ TEST_F(CheckpointResumeTest, EnumerationResumesBitIdentical) {
     EXPECT_EQ(resumed.configurations_explored, full.configurations_explored)
         << "round " << round;
   }
+}
+
+TEST_F(CheckpointResumeTest, PreChangeEnumEpochStartsFresh) {
+  // An epoch whose what-if cache is in the retired hash-keyed layout
+  // (section 4: query id, configuration hash, cost) must not be misparsed
+  // as the current one: the run starts fresh and reaches the same result.
+  std::vector<advisor::WeightedQuery> queries;
+  for (size_t i = 0; i < env_->workload->size(); ++i) {
+    queries.push_back({&env_->workload->query(i).bound, 1.0});
+  }
+  advisor::TuningOptions options;
+  options.max_indexes = 5;
+  advisor::DtaStyleAdvisor advisor(env_->cost_model.get());
+  const advisor::TuningResult full = advisor.Tune(queries, options);
+  ASSERT_GE(full.configuration.size(), 3u);
+
+  options.checkpoint.path = FreshCkptBase("enum_old_layout");
+  options.checkpoint.every_rounds = 1;
+  KillAtRound("advisor.enumerate", 2);
+  (void)advisor.Tune(queries, options);
+  FaultInjector::Global().Reset();
+
+  // Rewrite every .enum epoch with the old cache section in place of the
+  // current one, keeping sections 1-3 as written.
+  const std::filesystem::path dir =
+      std::filesystem::path(options.checkpoint.path).parent_path();
+  size_t rewritten = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string file = entry.path().filename().string();
+    if (file.rfind("enum_old_layout.enum.", 0) != 0) continue;
+    StatusOr<std::string> report =
+        tracecat::InspectCheckpoint(entry.path().string());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_NE(report->find("enumeration snapshot"), std::string::npos);
+    EXPECT_NE(report->find("cached what-if answer(s)"), std::string::npos);
+    StatusOr<CheckpointReader> reader = CheckpointReader::Parse(
+        ReadFileToString(entry.path().string()).value());
+    ASSERT_TRUE(reader.ok());
+    CheckpointWriter writer;
+    StatusOr<CheckpointCursor> meta = reader->Section(1);
+    ASSERT_TRUE(meta.ok());
+    writer.BeginSection(1);
+    for (int i = 0; i < 6; ++i) writer.AppendU64(meta->ReadU64().value());
+    writer.EndSection();
+    writer.BeginSection(2);
+    writer.AppendU64Vector(reader->Section(2)->ReadU64Vector().value());
+    writer.EndSection();
+    writer.BeginSection(3);
+    writer.AppendF64Vector(reader->Section(3)->ReadF64Vector().value());
+    writer.EndSection();
+    writer.BeginSection(4);
+    writer.AppendU64(1);
+    writer.AppendU64(0);       // query id
+    writer.AppendU64(0x1234);  // configuration hash
+    writer.AppendF64(-1.0);    // a cost no run could produce
+    writer.EndSection();
+    ASSERT_TRUE(
+        WriteFileAtomic(entry.path().string(), writer.Serialize()).ok());
+    // tracecat no longer reads the retired layout as an enumeration
+    // snapshot; it lists the sections as a raw container.
+    report = tracecat::InspectCheckpoint(entry.path().string());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->find("enumeration snapshot"), std::string::npos);
+    ++rewritten;
+  }
+  ASSERT_GT(rewritten, 0u);
+
+  const advisor::TuningResult resumed = advisor.Tune(queries, options);
+  EXPECT_EQ(resumed.stop_reason, StopReason::kComplete);
+  EXPECT_EQ(resumed.configuration.indexes(), full.configuration.indexes());
+  EXPECT_EQ(Bits(resumed.initial_cost), Bits(full.initial_cost));
+  EXPECT_EQ(Bits(resumed.final_cost), Bits(full.final_cost));
+  // Nothing was restored: the run repeated all of the full run's work.
+  EXPECT_EQ(resumed.optimizer_calls, full.optimizer_calls);
+  EXPECT_EQ(resumed.configurations_explored, full.configurations_explored);
 }
 
 // --- tracecat ckpt ---

@@ -119,17 +119,20 @@ TEST_F(EngineTest, ConfigurationDeduplicates) {
   EXPECT_TRUE(config.empty());
 }
 
-TEST_F(EngineTest, ConfigurationHashOrderIndependent) {
-  Index i1(0, {Col("big", "v")});
-  Index i2(0, {Col("big", "w")});
-  Configuration a;
-  a.Add(i1);
-  a.Add(i2);
-  Configuration b;
-  b.Add(i2);
-  b.Add(i1);
-  EXPECT_EQ(a.StableHash(), b.StableHash());
-  EXPECT_NE(a.StableHash(), Configuration().StableHash());
+TEST_F(EngineTest, ConfigurationKeepsInsertionOrder) {
+  const catalog::TableId big = cat_.FindTable("big")->id();
+  Index i1(big, {Col("big", "v")});
+  Index i2(cat_.FindTable("small")->id(), {Col("small", "attr")});
+  Index i3(big, {Col("big", "w")});
+  Configuration config;
+  config.Add(i1);
+  config.Add(i2);
+  config.Add(i3);
+  EXPECT_EQ(config.indexes(), (std::vector<Index>{i1, i2, i3}));
+  const std::vector<const Index*> on_big = config.IndexesOnTable(big);
+  ASSERT_EQ(on_big.size(), 2u);
+  EXPECT_EQ(*on_big[0], i1);
+  EXPECT_EQ(*on_big[1], i3);
 }
 
 TEST_F(EngineTest, IndexesOnTableFilters) {
@@ -365,6 +368,57 @@ TEST_F(EngineTest, WhatIfCachesPerQueryAndConfig) {
   what_if.ClearCache();
   what_if.Cost(q, empty);
   EXPECT_EQ(what_if.optimizer_calls(), 1u);
+}
+
+// The memo key is the query plus its own tables' indexes, in configuration
+// order (what_if.h).
+
+TEST_F(EngineTest, WhatIfIndexOnUnreferencedTableIsAHit) {
+  sql::BoundQuery q = Bind("SELECT v FROM big WHERE v < 100");
+  WhatIfOptimizer what_if(&cost_model_);
+  Configuration config;
+  config.Add(Index(cat_.FindTable("big")->id(), {Col("big", "v")}));
+  const double before = what_if.Cost(q, config);
+  ASSERT_EQ(what_if.optimizer_calls(), 1u);
+
+  config.Add(Index(cat_.FindTable("small")->id(), {Col("small", "attr")}));
+  EXPECT_EQ(what_if.Cost(q, config), before);
+  EXPECT_EQ(what_if.optimizer_calls(), 1u);
+  EXPECT_EQ(what_if.cache_hits(), 1u);
+}
+
+TEST_F(EngineTest, WhatIfIndexOnReferencedTableIsAMiss) {
+  sql::BoundQuery q = Bind(
+      "SELECT b.v FROM big b, small s WHERE b.fk = s.sid AND s.attr = 3");
+  WhatIfOptimizer what_if(&cost_model_);
+  Configuration config;
+  config.Add(Index(cat_.FindTable("big")->id(), {Col("big", "v")}));
+  what_if.Cost(q, config);
+  config.Add(Index(cat_.FindTable("small")->id(), {Col("small", "attr")}));
+  what_if.Cost(q, config);
+  EXPECT_EQ(what_if.optimizer_calls(), 2u);
+  EXPECT_EQ(what_if.cache_hits(), 0u);
+}
+
+TEST_F(EngineTest, WhatIfProjectedOrderIsPartOfTheKey) {
+  sql::BoundQuery q = Bind("SELECT v, w FROM big WHERE v < 100 AND w < 5");
+  const Index by_v(cat_.FindTable("big")->id(), {Col("big", "v")});
+  const Index by_w(cat_.FindTable("big")->id(), {Col("big", "w")});
+  Configuration vw;
+  vw.Add(by_v);
+  vw.Add(by_w);
+  Configuration wv;
+  wv.Add(by_w);
+  wv.Add(by_v);
+  WhatIfOptimizer what_if(&cost_model_);
+  const Optimizer optimizer(&cost_model_);
+  EXPECT_EQ(what_if.Cost(q, vw), optimizer.Cost(q, vw));
+  EXPECT_EQ(what_if.Cost(q, wv), optimizer.Cost(q, wv));
+  // Same set, other insertion order: a distinct key, so a second call.
+  EXPECT_EQ(what_if.optimizer_calls(), 2u);
+  EXPECT_EQ(what_if.cache_hits(), 0u);
+  what_if.Cost(q, wv);
+  EXPECT_EQ(what_if.cache_hits(), 1u);
 }
 
 TEST_F(EngineTest, WhatIfMatchesOptimizer) {

@@ -1385,8 +1385,9 @@ StatusOr<std::string> InspectCheckpoint(const std::string& path) {
   }
   // Both snapshot layouts keep their scalars in section 1; the enumeration
   // layout is distinguished by its 48-byte meta plus the what-if cache
-  // section (4). Anything else prints as a raw container.
-  if (reader->SectionSize(1) == 48 && reader->HasSection(4)) {
+  // section (5; section 4 held the retired hash-keyed cache layout).
+  // Anything else prints as a raw container.
+  if (reader->SectionSize(1) == 48 && reader->HasSection(5)) {
     auto meta = reader->Section(1);
     if (!meta.ok()) return meta.status();
     ISUM_ASSIGN_OR_RETURN(const uint64_t fingerprint, meta->ReadU64());
@@ -1401,7 +1402,7 @@ StatusOr<std::string> InspectCheckpoint(const std::string& path) {
     if (!costs.ok()) return costs.status();
     ISUM_ASSIGN_OR_RETURN(const std::vector<double> cost_vec,
                           costs->ReadF64Vector());
-    auto cache = reader->Section(4);
+    auto cache = reader->Section(5);
     if (!cache.ok()) return cache.status();
     ISUM_ASSIGN_OR_RETURN(const uint64_t cache_count, cache->ReadU64());
     out += StrFormat(
