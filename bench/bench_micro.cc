@@ -214,8 +214,8 @@ void BM_AdvisorTuneCompressed(benchmark::State& state) {
 }
 BENCHMARK(BM_AdvisorTuneCompressed);
 
-// On multi-core machines /4 approaches linear speedup (the what-if cache is
-// sharded 16 ways); on a single-core host it only measures pool overhead.
+// On multi-core machines /4 approaches linear speedup (candidate evaluations
+// share no state); on a single-core host it only measures pool overhead.
 void BM_AdvisorTuneParallel(benchmark::State& state) {
   const auto& env = TpchEnv();
   std::vector<advisor::WeightedQuery> queries;

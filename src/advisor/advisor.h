@@ -58,7 +58,9 @@ struct TuningOptions {
 struct TuningResult {
   engine::Configuration configuration;
   uint64_t optimizer_calls = 0;
-  /// What-if calls answered from the memo cache (no optimizer invocation).
+  /// What-if requests answered without an optimizer invocation: costs
+  /// greedy enumeration carried over from the previous round. Together with
+  /// optimizer_calls, the total number of what-if requests.
   uint64_t cache_hits = 0;
   uint64_t configurations_explored = 0;
   /// Seconds spent in real optimizer invocations (Figure 2a series).

@@ -1,10 +1,7 @@
 #include "advisor/enumerator.h"
 
-#include <algorithm>
 #include <cstring>
-#include <limits>
 #include <memory>
-#include <unordered_map>
 
 #include "common/fault.h"
 #include "common/hash.h"
@@ -21,32 +18,54 @@ namespace {
 /// `status` is non-OK the evaluation is incomplete and must not be applied.
 struct CandidateEvaluation {
   double improvement = 0.0;
-  std::vector<double> new_costs;
   Status status;
 };
 
+/// Costs `candidate` added to `base_config` for the queries in `on_table`
+/// (those referencing the candidate's table, in query order) into `costs`,
+/// aligned with `on_table`, and sums the weighted improvement over
+/// `current_cost` in that order.
+///
+/// Delta costing: when `costs` still holds the candidate's answers from the
+/// previous round, only the queries flagged in `recost` (those referencing
+/// the previous winner's table) are re-costed; the others are carried over.
+/// That is exact because the optimizer reads a configuration only through
+/// the indexes on the query's own tables (engine/optimizer.h), so for a
+/// query that does not reference the winner's table the trial
+/// configurations of the two rounds look the same, in the same order.
+/// Carried-over answers are counted as what-if cache hits. On failure
+/// `costs` is cleared, so a candidate is never resumed from a partial
+/// vector.
 CandidateEvaluation EvaluateCandidate(
     engine::WhatIfOptimizer& what_if,
     const std::vector<WeightedQuery>& queries,
+    const std::vector<size_t>& on_table,
     const engine::Configuration& base_config, const engine::Index& candidate,
-    const std::vector<double>& current_cost, const TimeBudget& budget) {
+    const std::vector<double>& current_cost, const std::vector<bool>& recost,
+    std::vector<double>& costs, const TimeBudget& budget) {
   engine::Configuration trial = base_config;
   trial.Add(candidate);
+  const bool carry = costs.size() == on_table.size();
+  if (!carry) costs.assign(on_table.size(), 0.0);
   CandidateEvaluation out;
-  out.new_costs.reserve(queries.size());
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    if (!queries[qi].query->ReferencesTable(candidate.table())) {
-      out.new_costs.push_back(current_cost[qi]);
-      continue;
+  uint64_t carried = 0;
+  for (size_t j = 0; j < on_table.size(); ++j) {
+    const size_t qi = on_table[j];
+    if (carry && !recost[qi]) {
+      ++carried;
+    } else {
+      const StatusOr<double> c =
+          what_if.TryCost(*queries[qi].query, trial, budget);
+      if (!c.ok()) {
+        costs.clear();
+        out.status = c.status();
+        break;
+      }
+      costs[j] = *c;
     }
-    const StatusOr<double> c = what_if.TryCost(*queries[qi].query, trial, budget);
-    if (!c.ok()) {
-      out.status = c.status();
-      return out;
-    }
-    out.new_costs.push_back(*c);
-    out.improvement += queries[qi].weight * (current_cost[qi] - *c);
+    out.improvement += queries[qi].weight * (current_cost[qi] - costs[j]);
   }
+  what_if.CountCarriedOver(carried);
   return out;
 }
 
@@ -58,15 +77,16 @@ CandidateEvaluation EvaluateCandidate(
 ///            initial_cost bits, total_cost bits
 ///   winners  pool indices of the added indexes, in round order
 ///   costs    per-query current cost under the checkpointed configuration
-///   cache    memoized what-if answers (AppendWhatIfCache below)
 ///
 /// Restore replays the winner sequence instead of serializing the
 /// Configuration object: pool indices plus the bit-exact per-query costs
 /// fully determine the derived state, and the replay is O(rounds). The
 /// stored initial cost must match the resumed run's freshly computed one
 /// bit-for-bit before anything is applied — that proves the cost model,
-/// stats and workload are the ones the checkpoint came from, so seeding the
-/// what-if cache from it cannot poison the resumed run.
+/// stats and workload are the ones the checkpoint came from. Candidates'
+/// carried-over costs are not stored: the first round after a resume
+/// re-costs every candidate in full. Sections 4 and 5 of older epochs held
+/// a what-if memo; they are ignored.
 constexpr uint32_t kEnumMetaSection = 1;
 constexpr uint32_t kEnumWinnersSection = 2;
 constexpr uint32_t kEnumCostsSection = 3;
@@ -115,7 +135,6 @@ struct EnumSnapshot {
   uint64_t total_cost_bits = 0;
   std::vector<uint64_t> winners;
   std::vector<double> costs;
-  std::vector<engine::WhatIfOptimizer::CacheEntry> cache;
 };
 
 void EncodeEnumSnapshot(const EnumSnapshot& snapshot,
@@ -133,9 +152,6 @@ void EncodeEnumSnapshot(const EnumSnapshot& snapshot,
   writer->EndSection();
   writer->BeginSection(kEnumCostsSection);
   writer->AppendF64Vector(snapshot.costs);
-  writer->EndSection();
-  writer->BeginSection(kEnumCacheSection);
-  AppendWhatIfCache(snapshot.cache, writer);
   writer->EndSection();
 }
 
@@ -168,53 +184,10 @@ StatusOr<EnumSnapshot> LoadEnumSnapshot(CheckpointStore& store,
   StatusOr<CheckpointCursor> costs = reader->Section(kEnumCostsSection);
   if (!costs.ok()) return costs.status();
   ISUM_ASSIGN_OR_RETURN(snapshot.costs, costs->ReadF64Vector());
-  StatusOr<CheckpointCursor> cache = reader->Section(kEnumCacheSection);
-  if (!cache.ok()) return cache.status();
-  ISUM_ASSIGN_OR_RETURN(snapshot.cache, ReadWhatIfCache(*cache));
   return snapshot;
 }
 
 }  // namespace
-
-void AppendWhatIfCache(
-    const std::vector<engine::WhatIfOptimizer::CacheEntry>& entries,
-    CheckpointWriter* writer) {
-  writer->AppendU64(entries.size());
-  for (const engine::WhatIfOptimizer::CacheEntry& entry : entries) {
-    writer->AppendU32(entry.query_id);
-    writer->AppendU32(static_cast<uint32_t>(entry.pool_ids.size()));
-    for (const uint32_t p : entry.pool_ids) writer->AppendU32(p);
-    writer->AppendF64(entry.cost);
-  }
-}
-
-StatusOr<std::vector<engine::WhatIfOptimizer::CacheEntry>> ReadWhatIfCache(
-    CheckpointCursor& cursor) {
-  uint64_t count = 0;
-  ISUM_ASSIGN_OR_RETURN(count, cursor.ReadU64());
-  // Every entry takes at least 16 bytes (query id, id count, cost).
-  if (count > cursor.remaining() / 16) {
-    return Status::ParseError("checkpoint cache overruns section");
-  }
-  std::vector<engine::WhatIfOptimizer::CacheEntry> entries(count);
-  for (engine::WhatIfOptimizer::CacheEntry& entry : entries) {
-    ISUM_ASSIGN_OR_RETURN(entry.query_id, cursor.ReadU32());
-    uint32_t ids = 0;
-    ISUM_ASSIGN_OR_RETURN(ids, cursor.ReadU32());
-    if (ids > cursor.remaining() / 4) {
-      return Status::ParseError("checkpoint cache id list overruns section");
-    }
-    entry.pool_ids.resize(ids);
-    for (uint32_t& p : entry.pool_ids) {
-      ISUM_ASSIGN_OR_RETURN(p, cursor.ReadU32());
-    }
-    ISUM_ASSIGN_OR_RETURN(entry.cost, cursor.ReadF64());
-  }
-  if (!cursor.AtEnd()) {
-    return Status::ParseError("checkpoint cache has trailing bytes");
-  }
-  return entries;
-}
 
 EnumerationResult GreedyEnumerate(
     engine::WhatIfOptimizer& what_if,
@@ -276,6 +249,25 @@ EnumerationResult GreedyEnumerate(
   uint64_t used_storage = 0;
   uint64_t round_index = 0;
 
+  // Delta-costing state (EvaluateCandidate). Queries referencing each
+  // table, in query order, built once. Each candidate's per-query costs
+  // from its last complete evaluation, aligned with its table's list; empty
+  // means none, so its next evaluation costs every query. A vector is only
+  // ever one round old: a candidate that is not evaluated in a round either
+  // never becomes eligible again (used, or over the storage budget) or the
+  // round was cut short and enumeration stops before the next one. `recost`
+  // flags the queries on the last winner's table, the only ones whose costs
+  // a new round can change.
+  std::vector<std::vector<size_t>> queries_on_table(catalog.num_tables());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    for (const sql::BoundTableRef& ref : queries[qi].query->tables) {
+      std::vector<size_t>& on_table = queries_on_table[ref.table];
+      if (on_table.empty() || on_table.back() != qi) on_table.push_back(qi);
+    }
+  }
+  std::vector<std::vector<double>> candidate_costs(pool.size());
+  std::vector<bool> recost(queries.size(), false);
+
   // Checkpoint/resume (header comment and docs/ROBUSTNESS.md): the restore
   // runs only after the fresh initial costing above, so the stored initial
   // cost can be validated bit-for-bit before the checkpoint seeds anything.
@@ -306,13 +298,6 @@ EnumerationResult GreedyEnumerate(
         replayed[w] = true;
       }
       if (winners_valid) {
-        // Seed the memo cache first so continued rounds reuse the killed
-        // run's optimizer work (pre-validated above: a stale or foreign
-        // checkpoint never reaches this point).
-        std::vector<const sql::BoundQuery*> query_ptrs;
-        query_ptrs.reserve(queries.size());
-        for (const WeightedQuery& wq : queries) query_ptrs.push_back(wq.query);
-        what_if.ImportCache(snapshot->cache, query_ptrs, pool);
         for (const uint64_t w : snapshot->winners) {
           const size_t i = static_cast<size_t>(w);
           used[i] = true;
@@ -333,14 +318,6 @@ EnumerationResult GreedyEnumerate(
       }
     }
   }
-  // Query-pointer → stable-id map for cache export on checkpoint writes.
-  std::unordered_map<const void*, uint32_t> query_ids;
-  if (ckpt_store != nullptr) {
-    query_ids.reserve(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      query_ids.emplace(queries[i].query, static_cast<uint32_t>(i));
-    }
-  }
   // Best-effort epoch write: a failed write is counted
   // (ckpt.write_failures) but never fails the run — losing resumability
   // must not lose the result.
@@ -354,7 +331,6 @@ EnumerationResult GreedyEnumerate(
     snapshot.total_cost_bits = DoubleBits(total_cost);
     snapshot.winners.assign(winner_ids.begin(), winner_ids.end());
     snapshot.costs = current_cost;
-    snapshot.cache = what_if.ExportCache(query_ids, pool);
     CheckpointWriter writer;
     EncodeEnumSnapshot(snapshot, &writer);
     const uint64_t epoch = ckpt_store->next_epoch();
@@ -403,9 +379,11 @@ EnumerationResult GreedyEnumerate(
 
     std::vector<CandidateEvaluation> evaluations(eligible.size());
     auto evaluate = [&](size_t e) {
-      evaluations[e] =
-          EvaluateCandidate(what_if, queries, result.configuration,
-                            pool[eligible[e]], current_cost, round_budget);
+      const engine::Index& candidate = pool[eligible[e]];
+      evaluations[e] = EvaluateCandidate(
+          what_if, queries, queries_on_table[candidate.table()],
+          result.configuration, candidate, current_cost, recost,
+          candidate_costs[eligible[e]], round_budget);
       const Status& st = evaluations[e].status;
       if (!st.ok() && st.code() != StatusCode::kUnavailable &&
           round_cancel.cancellable()) {
@@ -470,7 +448,13 @@ EnumerationResult GreedyEnumerate(
     used[best_i] = true;
     used_storage += pool[best_i].SizeBytes(catalog);
     result.configuration.Add(pool[best_i]);
-    current_cost = std::move(evaluations[best_e].new_costs);
+    const std::vector<size_t>& won = queries_on_table[pool[best_i].table()];
+    recost.assign(queries.size(), false);
+    for (size_t j = 0; j < won.size(); ++j) {
+      current_cost[won[j]] = candidate_costs[best_i][j];
+      recost[won[j]] = true;
+    }
+    candidate_costs[best_i] = {};
     total_cost -= best_improvement;
     if (ckpt_store != nullptr) {
       winner_ids.push_back(best_i);

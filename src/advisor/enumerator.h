@@ -25,8 +25,11 @@ struct EnumerationResult {
 /// Greedily grows a configuration from `pool`: each round adds the candidate
 /// with the maximum weighted-workload cost improvement that still fits the
 /// storage budget, stopping at `max_indexes` or when no candidate improves.
-/// Re-costs only queries referencing the candidate's table (plus the
-/// memoization in `what_if`), which is what makes enumeration tractable.
+/// Costs only the queries referencing the candidate's table, and after the
+/// first round re-costs only those that also reference the last winner's
+/// table, carrying the candidate's other costs over from the previous round
+/// (exact: a query's cost depends only on the indexes on its own tables).
+/// That is what makes enumeration tractable.
 /// `budget` makes enumeration anytime: it is observed at round boundaries
 /// and inside every what-if call, and on expiry the configuration built so
 /// far is returned with stop_reason set. Candidates whose costing fails
@@ -40,11 +43,11 @@ struct EnumerationResult {
 /// `ckpt` enables crash-safe checkpoint/resume (docs/ROBUSTNESS.md): after
 /// initial costing, the newest valid epoch under `<path>.enum` whose
 /// fingerprint (queries, weights, pool, constraints) and bit-exact initial
-/// cost match is restored — the winner sequence is replayed, per-query
-/// current costs and the what-if memo cache are reinstated — and
-/// enumeration continues from the checkpointed round; epochs are written
-/// every `ckpt.every_rounds` rounds and at termination. A resumed run adds
-/// the same indexes at the same costs as an uninterrupted one.
+/// cost match is restored — the winner sequence is replayed and per-query
+/// current costs are reinstated — and enumeration continues from the
+/// checkpointed round, whose candidates are re-costed in full; epochs are
+/// written every `ckpt.every_rounds` rounds and at termination. A resumed
+/// run adds the same indexes at the same costs as an uninterrupted one.
 EnumerationResult GreedyEnumerate(
     engine::WhatIfOptimizer& what_if,
     const std::vector<WeightedQuery>& queries,
@@ -52,25 +55,6 @@ EnumerationResult GreedyEnumerate(
     uint64_t storage_budget_bytes, const catalog::Catalog& catalog,
     const TimeBudget& budget = {}, int num_threads = 1,
     const CheckpointConfig& ckpt = {});
-
-/// Section id of the what-if memo in `.enum` checkpoints. Section 4 held the
-/// earlier hash-keyed layout; an epoch carrying only that section is not
-/// found and the run starts fresh.
-inline constexpr uint32_t kEnumCacheSection = 5;
-
-/// Payload of the cache section: the entry count (u64), then per entry the
-/// query id, the number of pool ids and the pool ids (each a u32), and the
-/// cost bits (u64).
-void AppendWhatIfCache(
-    const std::vector<engine::WhatIfOptimizer::CacheEntry>& entries,
-    CheckpointWriter* writer);
-
-/// Decodes a cache section written by AppendWhatIfCache. A count or id list
-/// that overruns the section, or bytes left after the last entry, is a
-/// kParseError. Ids are not range-checked here; ImportCache skips entries
-/// naming a query or pool index it does not have.
-StatusOr<std::vector<engine::WhatIfOptimizer::CacheEntry>> ReadWhatIfCache(
-    CheckpointCursor& cursor);
 
 }  // namespace isum::advisor
 

@@ -146,11 +146,6 @@ void CheckpointWriter::EndSection() {
   in_section_ = false;
 }
 
-void CheckpointWriter::AppendU32(uint32_t value) {
-  ISUM_CHECK_MSG(in_section_, "append outside a section");
-  PutU32(&sections_.back().payload, value);
-}
-
 void CheckpointWriter::AppendU64(uint64_t value) {
   ISUM_CHECK_MSG(in_section_, "append outside a section");
   PutU64(&sections_.back().payload, value);
@@ -210,13 +205,6 @@ Status CheckpointCursor::Need(size_t bytes) const {
     return ParseError("section payload underrun");
   }
   return Status::OK();
-}
-
-StatusOr<uint32_t> CheckpointCursor::ReadU32() {
-  ISUM_RETURN_IF_ERROR(Need(4));
-  const uint32_t v = GetU32(payload_.data() + pos_);
-  pos_ += 4;
-  return v;
 }
 
 StatusOr<uint64_t> CheckpointCursor::ReadU64() {

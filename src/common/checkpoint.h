@@ -52,7 +52,6 @@ class CheckpointWriter {
   void BeginSection(uint32_t id);
   void EndSection();
 
-  void AppendU32(uint32_t value);
   void AppendU64(uint64_t value);
   /// Raw IEEE-754 bits: restores bit-identically, including -0.0 and NaNs.
   void AppendF64(double value);
@@ -85,7 +84,6 @@ class CheckpointCursor {
  public:
   explicit CheckpointCursor(std::string_view payload) : payload_(payload) {}
 
-  StatusOr<uint32_t> ReadU32();
   StatusOr<uint64_t> ReadU64();
   StatusOr<double> ReadF64();
   StatusOr<std::string> ReadString();

@@ -129,9 +129,7 @@ Status FaultInjector::Configure(const std::string& spec) {
 
   const bool armed = !config->faults.empty();
   injected_.store(0, std::memory_order_relaxed);
-  config_.store(armed ? std::shared_ptr<const Config>(std::move(config))
-                      : nullptr,
-                std::memory_order_release);
+  Install(armed ? std::shared_ptr<const Config>(std::move(config)) : nullptr);
   armed_.store(armed, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -145,13 +143,23 @@ Status FaultInjector::ConfigureFromEnvironment() {
 
 void FaultInjector::Reset() {
   armed_.store(false, std::memory_order_relaxed);
-  config_.store(nullptr, std::memory_order_release);
+  Install(nullptr);
   injected_.store(0, std::memory_order_relaxed);
 }
 
+std::shared_ptr<const FaultInjector::Config> FaultInjector::Snapshot() const {
+  MutexLock lock(config_mu_);
+  return config_;
+}
+
+void FaultInjector::Install(std::shared_ptr<const Config> config) {
+  // The old configuration is released after the lock, by `config`.
+  MutexLock lock(config_mu_);
+  config_.swap(config);
+}
+
 Status FaultInjector::Inject(const char* site) {
-  const std::shared_ptr<const Config> config =
-      config_.load(std::memory_order_acquire);
+  const std::shared_ptr<const Config> config = Snapshot();
   if (config == nullptr) return Status::OK();
   const std::string_view site_view(site);
   for (const auto& fault : config->faults) {
@@ -175,14 +183,12 @@ Status FaultInjector::Inject(const char* site) {
 }
 
 uint64_t FaultInjector::seed() const {
-  const std::shared_ptr<const Config> config =
-      config_.load(std::memory_order_acquire);
+  const std::shared_ptr<const Config> config = Snapshot();
   return config == nullptr ? 0 : config->seed;
 }
 
 std::vector<std::string> FaultInjector::ConfiguredSites() const {
-  const std::shared_ptr<const Config> config =
-      config_.load(std::memory_order_acquire);
+  const std::shared_ptr<const Config> config = Snapshot();
   std::vector<std::string> sites;
   if (config == nullptr) return sites;
   for (const auto& fault : config->faults) sites.push_back(fault->site);

@@ -7,7 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 
 namespace isum {
 
@@ -50,15 +52,13 @@ namespace isum {
 /// the metrics registry as "fault.injected".
 ///
 /// Thread-safety: Inject() may run concurrently from any thread. Configure()
-/// swaps the configuration atomically (shared_ptr), so it is safe — though
-/// pointless — to reconfigure while sites are firing. The injector is
-/// deliberately lock-free (every member below is an atomic or reached
-/// through the atomic `config_` snapshot), so there is no mutex for
-/// ISUM_GUARDED_BY to name: the armed_ gate and per-rule invocation
-/// counters are relaxed atomics, and a loaded Config is immutable except
-/// for those counters. Keep it that way — ISUM_FAULT_POINT sits on the
-/// what-if hot path, inside code the `isum-lock-scope` lint rule forbids
-/// from running under a lock.
+/// swaps the configuration's shared_ptr under `config_mu_`, so it is safe —
+/// though pointless — to reconfigure while sites are firing. Inject() holds
+/// that mutex only to copy the pointer; it decides and sleeps on its own
+/// snapshot, which is immutable except for the per-rule invocation
+/// counters (relaxed atomics). Inject() runs only when armed, so a disarmed
+/// ISUM_FAULT_POINT on the what-if hot path still reads one relaxed atomic
+/// and takes no lock.
 class FaultInjector {
  public:
   enum class Kind { kError, kLatency };
@@ -117,10 +117,14 @@ class FaultInjector {
 
   FaultInjector() = default;
 
+  /// The installed configuration (null when disarmed).
+  std::shared_ptr<const Config> Snapshot() const;
+  void Install(std::shared_ptr<const Config> config);
+
   inline static std::atomic<bool> armed_{false};
   std::atomic<uint64_t> injected_{0};
-  // C++20 atomic shared_ptr: Inject() loads without locking Configure().
-  std::atomic<std::shared_ptr<const Config>> config_{nullptr};
+  mutable Mutex config_mu_;
+  std::shared_ptr<const Config> config_ ISUM_GUARDED_BY(config_mu_);
 };
 
 /// The per-site check. Reads one relaxed atomic when no faults are

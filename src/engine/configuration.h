@@ -11,7 +11,9 @@ namespace isum::engine {
 
 /// An index configuration: a set of hypothetical indexes the optimizer costs
 /// against. Deduplicates on insert and keeps insertion order, which
-/// IndexesOnTable preserves (the what-if memo key relies on it).
+/// IndexesOnTable preserves (the optimizer's tie-breaking depends on it, so
+/// delta-costed enumeration keeps the trial order fixed: base, then
+/// candidate).
 class Configuration {
  public:
   Configuration() = default;

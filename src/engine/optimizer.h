@@ -52,7 +52,10 @@ class Optimizer {
   explicit Optimizer(const CostModel* cost_model) : cost_model_(cost_model) {}
 
   /// Returns the cheapest plan found for `query` under `config`.
-  /// AccessPath::index pointers refer into `config`.
+  /// AccessPath::index pointers refer into `config`. Reads `config` only
+  /// through IndexesOnTable(t) for the tables t the query references, so
+  /// indexes on other tables never change the plan; greedy enumeration's
+  /// delta costing (advisor/enumerator.cc) relies on this.
   PlanSummary Optimize(const sql::BoundQuery& query,
                        const Configuration& config) const;
 

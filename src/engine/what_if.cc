@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "common/fault.h"
-#include "common/hash.h"
 #include "common/rng.h"
 #include "obs/journal.h"
 #include "obs/trace.h"
@@ -45,49 +44,7 @@ uint64_t BackoffNanos(const RetryPolicy& policy, int attempt) {
   return static_cast<uint64_t>(nominal * (0.5 + 0.5 * rng.NextDouble()));
 }
 
-/// Shard of a 64-bit hash: the top bits after a Fibonacci multiply, so
-/// aligned query addresses (low bits zero) still spread across shards.
-size_t ShardIndex(uint64_t hash, size_t shards) {
-  return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ull) >> 32) % shards;
-}
-
 }  // namespace
-
-size_t WhatIfOptimizer::KeyHash::operator()(const Key& k) const noexcept {
-  uint64_t h = std::hash<const void*>()(k.query);
-  for (const uint32_t id : k.index_ids) h = HashCombine(h, id);
-  return static_cast<size_t>(h);
-}
-
-WhatIfOptimizer::Shard& WhatIfOptimizer::ShardFor(const Key& key) {
-  return shards_[ShardIndex(KeyHash()(key), kShards)];
-}
-
-WhatIfOptimizer::InternShard& WhatIfOptimizer::InternShardFor(
-    const Index& index) {
-  return intern_shards_[ShardIndex(std::hash<Index>()(index), kShards)];
-}
-
-uint32_t WhatIfOptimizer::Intern(const Index& index) {
-  InternShard& shard = InternShardFor(index);
-  MutexLock lock(shard.mutex);
-  const auto [it, inserted] = shard.ids.try_emplace(index, 0);
-  if (inserted) {
-    it->second = next_index_id_.fetch_add(1);
-  }
-  return it->second;
-}
-
-WhatIfOptimizer::Key WhatIfOptimizer::MakeKey(const sql::BoundQuery& query,
-                                              const Configuration& config) {
-  Key key{&query, {}};
-  for (const Index& index : config.indexes()) {
-    if (query.ReferencesTable(index.table())) {
-      key.index_ids.push_back(Intern(index));
-    }
-  }
-  return key;
-}
 
 double WhatIfOptimizer::Cost(const sql::BoundQuery& query,
                              const Configuration& config) {
@@ -100,21 +57,10 @@ StatusOr<double> WhatIfOptimizer::TryCost(const sql::BoundQuery& query,
                                           const Configuration& config,
                                           const TimeBudget& budget) {
   const WhatIfMetrics& metrics = WhatIfMetrics::Get();
-  Key key = MakeKey(query, config);
-  Shard& shard = ShardFor(key);
-  {
-    MutexLock lock(shard.mutex);
-    auto it = shard.cache.find(key);
-    if (it != shard.cache.end()) {
-      cache_hits_.Add(1);
-      metrics.hits->Add(1);
-      return it->second;
-    }
-  }
   ISUM_RETURN_IF_ERROR(budget.CheckCancelled());
 
-  // A real optimizer invocation: bounded retry around transient failures
-  // from the "whatif.cost" fault site.
+  // Bounded retry around transient failures from the "whatif.cost" fault
+  // site.
   const int max_attempts = std::max(1, retry_policy_.max_attempts);
   for (int attempt = 1;; ++attempt) {
     const Status fault = ISUM_FAULT_POINT("whatif.cost");
@@ -149,67 +95,13 @@ StatusOr<double> WhatIfOptimizer::TryCost(const sql::BoundQuery& query,
   optimizer_nanos_.Add(nanos);
   metrics.calls->Add(1);
   metrics.optimize_nanos->Observe(nanos);
-  {
-    MutexLock lock(shard.mutex);
-    shard.cache.emplace(std::move(key), cost);
-  }
   return cost;
 }
 
-std::vector<WhatIfOptimizer::CacheEntry> WhatIfOptimizer::ExportCache(
-    const std::unordered_map<const void*, uint32_t>& query_ids,
-    const std::vector<Index>& pool) {
-  // Interned id -> pool position, built once (one lookup per pool index).
-  constexpr uint32_t kNotInPool = UINT32_MAX;
-  std::vector<uint32_t> to_pool(next_index_id_.load(), kNotInPool);
-  for (size_t p = 0; p < pool.size(); ++p) {
-    InternShard& shard = InternShardFor(pool[p]);
-    MutexLock lock(shard.mutex);
-    const auto it = shard.ids.find(pool[p]);
-    if (it != shard.ids.end() && it->second < to_pool.size()) {
-      to_pool[it->second] = static_cast<uint32_t>(p);
-    }
-  }
-  std::vector<CacheEntry> out;
-  for (Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    for (const auto& [key, cost] : shard.cache) {
-      const auto it = query_ids.find(key.query);
-      if (it == query_ids.end()) continue;
-      CacheEntry entry{it->second, {}, cost};
-      entry.pool_ids.reserve(key.index_ids.size());
-      for (const uint32_t id : key.index_ids) {
-        const uint32_t p = id < to_pool.size() ? to_pool[id] : kNotInPool;
-        if (p == kNotInPool) break;
-        entry.pool_ids.push_back(p);
-      }
-      if (entry.pool_ids.size() != key.index_ids.size()) continue;
-      out.push_back(std::move(entry));
-    }
-  }
-  return out;
-}
-
-void WhatIfOptimizer::ImportCache(
-    const std::vector<CacheEntry>& entries,
-    const std::vector<const sql::BoundQuery*>& queries,
-    const std::vector<Index>& pool) {
-  std::vector<uint32_t> from_pool;
-  from_pool.reserve(pool.size());
-  for (const Index& index : pool) from_pool.push_back(Intern(index));
-  for (const CacheEntry& entry : entries) {
-    if (entry.query_id >= queries.size()) continue;
-    Key key{queries[entry.query_id], {}};
-    key.index_ids.reserve(entry.pool_ids.size());
-    for (const uint32_t p : entry.pool_ids) {
-      if (p >= from_pool.size()) break;
-      key.index_ids.push_back(from_pool[p]);
-    }
-    if (key.index_ids.size() != entry.pool_ids.size()) continue;
-    Shard& shard = ShardFor(key);
-    MutexLock lock(shard.mutex);
-    shard.cache.emplace(std::move(key), entry.cost);
-  }
+void WhatIfOptimizer::CountCarriedOver(uint64_t requests) {
+  if (requests == 0) return;
+  cache_hits_.Add(requests);
+  WhatIfMetrics::Get().hits->Add(requests);
 }
 
 }  // namespace isum::engine

@@ -1,16 +1,10 @@
 #ifndef ISUM_ENGINE_WHAT_IF_H_
 #define ISUM_ENGINE_WHAT_IF_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
 #include "common/deadline.h"
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "engine/optimizer.h"
 #include "obs/metrics.h"
 
@@ -32,70 +26,63 @@ struct RetryPolicy {
 };
 
 /// The "what-if" API [15]: costs a query under a hypothetical index
-/// configuration without building indexes. Results are memoized and
-/// optimizer invocations are counted, so the advisor's call profile
-/// (Figure 2 of the paper) can be measured.
+/// configuration without building indexes. A thin wrapper around Optimizer
+/// that adds what a real what-if backend needs around each invocation:
+/// budget checks, the "whatif.cost" fault site with bounded retry, and
+/// counters, so the advisor's call profile (Figure 2 of the paper) can be
+/// measured.
 ///
-/// Memo key: the query plus the ids of the configuration's indexes whose
-/// table the query references, in configuration order, compared in full
-/// (no hash stands in for the key). The key is exact: Optimizer reads a
-/// configuration only through IndexesOnTable(t) for tables t of the query,
-/// so two configurations with the same key hand the optimizer the same
-/// per-table index lists, in the same order, and so the same tie-breaking
-/// in BestAccessPath. The same projected set in another insertion order is
-/// a distinct key (a miss, never a wrong answer). Indexes on tables the
-/// query does not touch leave the key unchanged, which is what lets one
-/// enumeration round reuse the previous rounds' answers.
-///
-/// Index ids come from an interning table owned by this instance: dense,
-/// assigned on first sight, stable for the instance's lifetime (ClearCache
-/// keeps them). Cache keys use query object identity: a BoundQuery must stay
-/// at a stable address while a WhatIfOptimizer refers to it (Workload
-/// guarantees this).
+/// Nothing is cached here. Repeated questions are avoided by the caller
+/// instead: greedy enumeration carries a candidate's per-query costs from
+/// one round to the next and re-costs only the queries whose tables the last
+/// winner touched (advisor/enumerator.h). It reports those carried-over
+/// answers through CountCarriedOver, so optimizer_calls() + cache_hits() is
+/// the total number of what-if requests.
 ///
 /// Thread-safe: Cost() may be called concurrently (the advisor evaluates
-/// candidate configurations in parallel). The memo and the interning table
-/// are each sharded 16 ways so cache-hit-heavy parallel phases don't
-/// serialize on one mutex; the optimizer invocation itself runs outside any
-/// lock, so concurrent misses on the same key may both optimize (the second
-/// insert is a no-op).
+/// candidate configurations in parallel); the counters are atomics and the
+/// optimizer is stateless.
 class WhatIfOptimizer {
  public:
   explicit WhatIfOptimizer(const CostModel* cost_model)
       : optimizer_(cost_model) {}
 
-  /// Estimated cost of `query` under `config` (memoized). Infallible thin
-  /// wrapper over TryCost: with no faults configured and no budget it
-  /// cannot fail; under fault injection a persistent failure is a fatal
-  /// contract violation (ISUM_CHECK_OK) — fault-aware callers (the
-  /// advisors) use TryCost instead.
+  /// Estimated cost of `query` under `config`. Infallible thin wrapper over
+  /// TryCost: with no faults configured and no budget it cannot fail; under
+  /// fault injection a persistent failure is a fatal contract violation
+  /// (ISUM_CHECK_OK) — fault-aware callers (the advisors) use TryCost
+  /// instead.
   double Cost(const sql::BoundQuery& query, const Configuration& config);
 
-  /// Fallible what-if call: estimated cost of `query` under `config`
-  /// (memoized), observing `budget` and retrying transient failures per
-  /// retry_policy(). Error returns:
+  /// Fallible what-if call: estimated cost of `query` under `config`,
+  /// observing `budget` and retrying transient failures per retry_policy().
+  /// Error returns:
   ///   kDeadlineExceeded / kCancelled — `budget` ran out (checked before
   ///     the call and between retries; a backoff never sleeps past the
   ///     deadline);
   ///   kUnavailable — the fault site "whatif.cost" kept failing after
   ///     max_attempts tries.
-  /// Cache hits bypass fault injection and retries entirely: a memoized
-  /// answer needs no optimizer invocation.
   StatusOr<double> TryCost(const sql::BoundQuery& query,
                            const Configuration& config,
                            const TimeBudget& budget = {});
 
-  /// Full plan (not memoized; use for explain output).
+  /// Full plan (use for explain output).
   PlanSummary Plan(const sql::BoundQuery& query,
                    const Configuration& config) const {
     return optimizer_.Optimize(query, config);
   }
 
-  /// Number of real optimizer invocations (cache misses). Thin view over
-  /// this instance's obs::Counter; the process-wide registry mirrors the
-  /// same events under "whatif.optimizer_calls" (docs/OBSERVABILITY.md).
+  /// Records `requests` what-if requests the caller answered without an
+  /// optimizer call, by reusing a cost it already holds for an identical
+  /// question (class comment). Counted as cache_hits().
+  void CountCarriedOver(uint64_t requests);
+
+  /// Number of real optimizer invocations. Thin view over this instance's
+  /// obs::Counter; the process-wide registry mirrors the same events under
+  /// "whatif.optimizer_calls" (docs/OBSERVABILITY.md).
   uint64_t optimizer_calls() const { return optimizer_calls_.Value(); }
-  /// Number of calls answered from the cache.
+  /// Number of requests answered without an optimizer call
+  /// (CountCarriedOver). Mirrored process-wide as "whatif.cache_hits".
   uint64_t cache_hits() const { return cache_hits_.Value(); }
   /// Number of retries after transient what-if failures (0 unless fault
   /// injection or a flaky backend is active). Mirrored process-wide as
@@ -120,83 +107,15 @@ class WhatIfOptimizer {
     retry_attempts_.Reset();
     optimizer_nanos_.Reset();
   }
-  /// Drops every memoized answer. Interned index ids are kept: a racing
-  /// Cost() may still hold ids it built its key from, and reassigning them
-  /// could alias two different indexes.
-  void ClearCache() {
-    for (Shard& shard : shards_) {
-      MutexLock lock(shard.mutex);
-      shard.cache.clear();
-    }
-  }
 
   const RetryPolicy& retry_policy() const { return retry_policy_; }
   /// Replaces the retry policy. Not thread-safe against in-flight calls;
   /// set it before handing the optimizer to workers.
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
 
-  /// One memoized what-if answer in checkpoint form. The query is named by
-  /// a caller-stable id (its position in the enumeration's query vector) and
-  /// each projected index by its position in the candidate pool, instead of
-  /// the in-process pointer and interned ids the live memo keys on.
-  struct CacheEntry {
-    uint32_t query_id = 0;
-    /// Pool positions of the key's indexes, in configuration order.
-    std::vector<uint32_t> pool_ids;
-    double cost = 0.0;
-  };
-
-  /// Snapshots the memo for checkpointing. `query_ids` maps a BoundQuery
-  /// address to its stable id; entries for queries outside the map, or with
-  /// an index outside `pool` (e.g. from another tuning phase), are skipped.
-  /// Entry order is unspecified. Safe to call concurrently with Cost().
-  std::vector<CacheEntry> ExportCache(
-      const std::unordered_map<const void*, uint32_t>& query_ids,
-      const std::vector<Index>& pool);
-
-  /// Seeds the memo from a checkpoint: `entries[i].query_id` indexes into
-  /// `queries` and `entries[i].pool_ids` into `pool`, which must hold the
-  /// same logical queries and candidates (in the same order) the exporting
-  /// run used. Entries with an out-of-range id are ignored. Restored costs
-  /// are served as ordinary cache hits, so a resumed enumeration repeats no
-  /// optimizer work for configurations the killed run already costed.
-  void ImportCache(const std::vector<CacheEntry>& entries,
-                   const std::vector<const sql::BoundQuery*>& queries,
-                   const std::vector<Index>& pool);
-
  private:
-  /// Memo key (class comment): query identity plus the interned ids of the
-  /// projected indexes, in configuration order.
-  struct Key {
-    const void* query;
-    std::vector<uint32_t> index_ids;
-    friend bool operator==(const Key&, const Key&) = default;
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const noexcept;
-  };
-
-  static constexpr size_t kShards = 16;
-  struct Shard {
-    Mutex mutex;
-    std::unordered_map<Key, double, KeyHash> cache ISUM_GUARDED_BY(mutex);
-  };
-  struct InternShard {
-    Mutex mutex;
-    std::unordered_map<Index, uint32_t> ids ISUM_GUARDED_BY(mutex);
-  };
-
-  Key MakeKey(const sql::BoundQuery& query, const Configuration& config);
-  Shard& ShardFor(const Key& key);
-  InternShard& InternShardFor(const Index& index);
-  /// Id of `index`, assigning the next free id on first sight.
-  uint32_t Intern(const Index& index);
-
   Optimizer optimizer_;
   RetryPolicy retry_policy_;
-  std::array<Shard, kShards> shards_;
-  std::array<InternShard, kShards> intern_shards_;
-  std::atomic<uint32_t> next_index_id_{0};
   obs::Counter optimizer_calls_;
   obs::Counter cache_hits_;
   obs::Counter retry_attempts_;

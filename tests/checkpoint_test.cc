@@ -1,7 +1,6 @@
 // Tests for crash-safe checkpoint/resume (docs/ROBUSTNESS.md): the
 // isum-ckpt-v1 container format, epoch rotation and fallback, the
-// selection and enumeration snapshots, what-if cache export/import, the
-// `after` fault-spec field, and the chaos sweep proper — kill the run at
+// selection and enumeration snapshots, the `after` fault-spec field, and the chaos sweep proper — kill the run at
 // every round boundary and assert the resumed output is bit-identical to
 // an uninterrupted one.
 
@@ -13,17 +12,15 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "advisor/advisor.h"
-#include "advisor/enumerator.h"
 #include "common/checkpoint.h"
 #include "common/deadline.h"
 #include "common/fault.h"
 #include "core/checkpointing.h"
 #include "core/isum.h"
-#include "engine/what_if.h"
+#include "obs/metrics.h"
 #include "tools/tracecat/tracecat.h"
 #include "workload/workload_factory.h"
 
@@ -333,162 +330,6 @@ TEST_F(FaultAfterTest, NegativeAfterIsRejected) {
   EXPECT_FALSE(FaultInjector::Armed());
 }
 
-// --- What-if cache export/import ---
-
-/// Little-endian integers, the checkpoint container's encoding.
-void PutLE(std::string* out, uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-/// Cache-section payload with one entry whose id list claims `claimed_ids`
-/// ids but carries `ids`, followed by the cost bits when `with_cost`.
-std::string OneEntryCachePayload(uint32_t claimed_ids,
-                                 const std::vector<uint32_t>& ids,
-                                 bool with_cost) {
-  std::string payload;
-  PutLE(&payload, 1, 8);  // entry count
-  PutLE(&payload, 0, 4);  // query id
-  PutLE(&payload, claimed_ids, 4);
-  for (const uint32_t id : ids) PutLE(&payload, id, 4);
-  if (with_cost) PutLE(&payload, Bits(1.5), 8);
-  return payload;
-}
-
-class WhatIfCacheCheckpointTest : public ::testing::Test {
- protected:
-  WhatIfCacheCheckpointTest() {
-    workload::GeneratorOptions gen;
-    gen.instances_per_template = 1;
-    env_ = workload::MakeTpch(gen);
-    const size_t n = std::min<size_t>(env_->workload->size(), 6);
-    for (size_t i = 0; i < n; ++i) {
-      const sql::BoundQuery* q = &env_->workload->query(i).bound;
-      queries_.push_back(q);
-      query_ids_.emplace(q, static_cast<uint32_t>(i));
-    }
-    // A pool of single-column indexes on the first query's first table.
-    const catalog::TableId table = queries_[0]->tables[0].table;
-    for (const catalog::ColumnId c : queries_[0]->ReferencedColumns()) {
-      if (c.table == table && pool_.size() < 3) {
-        pool_.emplace_back(table, std::vector<catalog::ColumnId>{c});
-      }
-    }
-  }
-
-  /// Configurations every query is costed under: empty, then pool prefixes.
-  std::vector<engine::Configuration> Configs() const {
-    engine::Configuration config;
-    std::vector<engine::Configuration> configs = {config};
-    for (const engine::Index& index : pool_) {
-      config.Add(index);
-      configs.push_back(config);
-    }
-    return configs;
-  }
-
-  std::optional<workload::GeneratedWorkload> env_;
-  std::vector<const sql::BoundQuery*> queries_;
-  std::unordered_map<const void*, uint32_t> query_ids_;
-  std::vector<engine::Index> pool_;
-};
-
-TEST_F(WhatIfCacheCheckpointTest, ExportImportServesIdenticalCosts) {
-  ASSERT_GT(queries_.size(), 0u);
-  ASSERT_GT(pool_.size(), 0u);
-  engine::WhatIfOptimizer source(env_->cost_model.get());
-  std::vector<double> costs;
-  for (const sql::BoundQuery* q : queries_) {
-    for (const engine::Configuration& c : Configs()) {
-      costs.push_back(source.Cost(*q, c));
-    }
-  }
-  std::vector<engine::WhatIfOptimizer::CacheEntry> entries =
-      source.ExportCache(query_ids_, pool_);
-  EXPECT_EQ(entries.size(), source.optimizer_calls());
-  // Out-of-range query ids in a (hand-damaged) checkpoint are skipped.
-  entries.push_back({/*query_id=*/999, /*pool_ids=*/{}, /*cost=*/1.0});
-
-  // Round-trip through the section codec before importing.
-  CheckpointWriter writer;
-  writer.BeginSection(advisor::kEnumCacheSection);
-  advisor::AppendWhatIfCache(entries, &writer);
-  writer.EndSection();
-  StatusOr<CheckpointReader> reader =
-      CheckpointReader::Parse(writer.Serialize());
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  StatusOr<CheckpointCursor> cursor =
-      reader->Section(advisor::kEnumCacheSection);
-  ASSERT_TRUE(cursor.ok());
-  StatusOr<std::vector<engine::WhatIfOptimizer::CacheEntry>> decoded =
-      advisor::ReadWhatIfCache(*cursor);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded->size(), entries.size());
-
-  engine::WhatIfOptimizer seeded(env_->cost_model.get());
-  seeded.ImportCache(*decoded, queries_, pool_);
-  size_t i = 0;
-  for (const sql::BoundQuery* q : queries_) {
-    for (const engine::Configuration& c : Configs()) {
-      EXPECT_EQ(Bits(seeded.Cost(*q, c)), Bits(costs[i++]));
-    }
-  }
-  // Every answer came from the imported cache: zero optimizer work.
-  EXPECT_EQ(seeded.optimizer_calls(), 0u);
-}
-
-TEST_F(WhatIfCacheCheckpointTest, PoolIdOutOfRangeIsSkipped) {
-  ASSERT_GT(pool_.size(), 0u);
-  engine::Configuration config;
-  config.Add(pool_[0]);
-  const uint32_t beyond = static_cast<uint32_t>(pool_.size());
-  const std::vector<engine::WhatIfOptimizer::CacheEntry> entries = {
-      {/*query_id=*/0, /*pool_ids=*/{beyond}, /*cost=*/1.0},
-      {/*query_id=*/0, /*pool_ids=*/{0, UINT32_MAX}, /*cost=*/2.0},
-  };
-  engine::WhatIfOptimizer seeded(env_->cost_model.get());
-  seeded.ImportCache(entries, queries_, pool_);
-  const double cost = seeded.Cost(*queries_[0], config);
-  EXPECT_EQ(seeded.optimizer_calls(), 1u);
-  EXPECT_EQ(Bits(cost), Bits(engine::Optimizer(env_->cost_model.get())
-                                 .Cost(*queries_[0], config)));
-}
-
-TEST_F(WhatIfCacheCheckpointTest, TruncatedOrOverlongIdListIsAParseError) {
-  // Well-formed baseline first, so the failures below are the lengths'.
-  const std::string good = OneEntryCachePayload(2, {0, 1}, true);
-  {
-    CheckpointCursor cursor(good);
-    StatusOr<std::vector<engine::WhatIfOptimizer::CacheEntry>> entries =
-        advisor::ReadWhatIfCache(cursor);
-    ASSERT_TRUE(entries.ok()) << entries.status().ToString();
-    ASSERT_EQ(entries->size(), 1u);
-    EXPECT_EQ((*entries)[0].pool_ids, (std::vector<uint32_t>{0, 1}));
-    EXPECT_EQ((*entries)[0].cost, 1.5);
-  }
-  // Every truncation of a valid payload fails cleanly.
-  for (size_t len = 0; len < good.size(); ++len) {
-    CheckpointCursor cursor(std::string_view(good).substr(0, len));
-    const auto entries = advisor::ReadWhatIfCache(cursor);
-    ASSERT_FALSE(entries.ok()) << "length " << len;
-    EXPECT_EQ(entries.status().code(), StatusCode::kParseError);
-  }
-  const std::string cases[] = {
-      OneEntryCachePayload(3, {0, 1}, true),           // one id too many
-      OneEntryCachePayload(UINT32_MAX, {0}, true),     // huge count
-      OneEntryCachePayload(UINT32_MAX, {}, true),      // huge, no ids
-      OneEntryCachePayload(1, {0, 1}, true),           // one id too few
-      good + std::string(8, '\0'),                   // trailing bytes
-  };
-  for (const std::string& payload : cases) {
-    CheckpointCursor cursor(payload);
-    const auto entries = advisor::ReadWhatIfCache(cursor);
-    ASSERT_FALSE(entries.ok());
-    EXPECT_EQ(entries.status().code(), StatusCode::kParseError);
-  }
-}
-
 // --- Chaos sweep: kill at every round boundary, resume, compare ---
 
 class CheckpointResumeTest : public ::testing::Test {
@@ -663,79 +504,78 @@ TEST_F(CheckpointResumeTest, EnumerationResumesBitIdentical) {
   }
 }
 
-TEST_F(CheckpointResumeTest, PreChangeEnumEpochStartsFresh) {
-  // An epoch whose what-if cache is in the retired hash-keyed layout
-  // (section 4: query id, configuration hash, cost) must not be misparsed
-  // as the current one: the run starts fresh and reaches the same result.
+TEST_F(CheckpointResumeTest, OlderEnumEpochResumesFromSectionsOneToThree) {
+  // Older writers stored a what-if memo beside the snapshot: section 4
+  // (query id, configuration hash, cost) and later section 5 (query id,
+  // pool ids, cost). A resume reads only sections 1-3, so such an epoch
+  // restores and the run finishes bit-identically, whatever the extra
+  // section holds.
   std::vector<advisor::WeightedQuery> queries;
   for (size_t i = 0; i < env_->workload->size(); ++i) {
     queries.push_back({&env_->workload->query(i).bound, 1.0});
   }
-  advisor::TuningOptions options;
-  options.max_indexes = 5;
+  advisor::TuningOptions base;
+  base.max_indexes = 5;
   advisor::DtaStyleAdvisor advisor(env_->cost_model.get());
-  const advisor::TuningResult full = advisor.Tune(queries, options);
+  const advisor::TuningResult full = advisor.Tune(queries, base);
   ASSERT_GE(full.configuration.size(), 3u);
+  obs::Counter* const restores =
+      obs::MetricsRegistry::Global().GetCounter("ckpt.restores");
 
-  options.checkpoint.path = FreshCkptBase("enum_old_layout");
-  options.checkpoint.every_rounds = 1;
-  KillAtRound("advisor.enumerate", 2);
-  (void)advisor.Tune(queries, options);
-  FaultInjector::Global().Reset();
+  for (const uint32_t section : {4u, 5u}) {
+    const std::string name = "enum_old_section" + std::to_string(section);
+    advisor::TuningOptions options = base;
+    options.checkpoint.path = FreshCkptBase(name);
+    options.checkpoint.every_rounds = 1;
+    KillAtRound("advisor.enumerate", 2);
+    (void)advisor.Tune(queries, options);
+    FaultInjector::Global().Reset();
 
-  // Rewrite every .enum epoch with the old cache section in place of the
-  // current one, keeping sections 1-3 as written.
-  const std::filesystem::path dir =
-      std::filesystem::path(options.checkpoint.path).parent_path();
-  size_t rewritten = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string file = entry.path().filename().string();
-    if (file.rfind("enum_old_layout.enum.", 0) != 0) continue;
-    StatusOr<std::string> report =
-        tracecat::InspectCheckpoint(entry.path().string());
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_NE(report->find("enumeration snapshot"), std::string::npos);
-    EXPECT_NE(report->find("cached what-if answer(s)"), std::string::npos);
-    StatusOr<CheckpointReader> reader = CheckpointReader::Parse(
-        ReadFileToString(entry.path().string()).value());
-    ASSERT_TRUE(reader.ok());
-    CheckpointWriter writer;
-    StatusOr<CheckpointCursor> meta = reader->Section(1);
-    ASSERT_TRUE(meta.ok());
-    writer.BeginSection(1);
-    for (int i = 0; i < 6; ++i) writer.AppendU64(meta->ReadU64().value());
-    writer.EndSection();
-    writer.BeginSection(2);
-    writer.AppendU64Vector(reader->Section(2)->ReadU64Vector().value());
-    writer.EndSection();
-    writer.BeginSection(3);
-    writer.AppendF64Vector(reader->Section(3)->ReadF64Vector().value());
-    writer.EndSection();
-    writer.BeginSection(4);
-    writer.AppendU64(1);
-    writer.AppendU64(0);       // query id
-    writer.AppendU64(0x1234);  // configuration hash
-    writer.AppendF64(-1.0);    // a cost no run could produce
-    writer.EndSection();
-    ASSERT_TRUE(
-        WriteFileAtomic(entry.path().string(), writer.Serialize()).ok());
-    // tracecat no longer reads the retired layout as an enumeration
-    // snapshot; it lists the sections as a raw container.
-    report = tracecat::InspectCheckpoint(entry.path().string());
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(report->find("enumeration snapshot"), std::string::npos);
-    ++rewritten;
+    const std::filesystem::path dir =
+        std::filesystem::path(options.checkpoint.path).parent_path();
+    size_t rewritten = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      const std::string file = entry.path().filename().string();
+      if (file.rfind(name + ".enum.", 0) != 0) continue;
+      StatusOr<CheckpointReader> reader = CheckpointReader::Parse(
+          ReadFileToString(entry.path().string()).value());
+      ASSERT_TRUE(reader.ok());
+      CheckpointWriter writer;
+      for (const uint32_t id : {1u, 2u, 3u}) {
+        StatusOr<CheckpointCursor> cursor = reader->Section(id);
+        ASSERT_TRUE(cursor.ok()) << "section " << id;
+        writer.BeginSection(id);
+        while (!cursor->AtEnd()) writer.AppendU64(cursor->ReadU64().value());
+        writer.EndSection();
+      }
+      // One memo entry claiming a cost no run could produce; a resume that
+      // read it would diverge.
+      writer.BeginSection(section);
+      writer.AppendU64(1);
+      writer.AppendU64(0);
+      writer.AppendF64(-1.0);
+      writer.EndSection();
+      ASSERT_TRUE(
+          WriteFileAtomic(entry.path().string(), writer.Serialize()).ok());
+      StatusOr<std::string> report =
+          tracecat::InspectCheckpoint(entry.path().string());
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_NE(report->find("enumeration snapshot"), std::string::npos);
+      ++rewritten;
+    }
+    ASSERT_GT(rewritten, 0u);
+
+    const uint64_t restores_before = restores->Value();
+    const advisor::TuningResult resumed = advisor.Tune(queries, options);
+    EXPECT_EQ(restores->Value(), restores_before + 1) << "section " << section;
+    EXPECT_EQ(resumed.stop_reason, StopReason::kComplete);
+    EXPECT_EQ(resumed.configuration.indexes(), full.configuration.indexes())
+        << "section " << section;
+    EXPECT_EQ(Bits(resumed.initial_cost), Bits(full.initial_cost));
+    EXPECT_EQ(Bits(resumed.final_cost), Bits(full.final_cost))
+        << "section " << section;
+    EXPECT_EQ(resumed.configurations_explored, full.configurations_explored);
   }
-  ASSERT_GT(rewritten, 0u);
-
-  const advisor::TuningResult resumed = advisor.Tune(queries, options);
-  EXPECT_EQ(resumed.stop_reason, StopReason::kComplete);
-  EXPECT_EQ(resumed.configuration.indexes(), full.configuration.indexes());
-  EXPECT_EQ(Bits(resumed.initial_cost), Bits(full.initial_cost));
-  EXPECT_EQ(Bits(resumed.final_cost), Bits(full.final_cost));
-  // Nothing was restored: the run repeated all of the full run's work.
-  EXPECT_EQ(resumed.optimizer_calls, full.optimizer_calls);
-  EXPECT_EQ(resumed.configurations_explored, full.configurations_explored);
 }
 
 // --- tracecat ckpt ---
@@ -765,6 +605,35 @@ TEST_F(CheckpointResumeTest, TracecatInspectsWrittenEpochs) {
   EXPECT_NE(report->find("isum-ckpt-v1"), std::string::npos);
   EXPECT_NE(report->find("selection snapshot"), std::string::npos);
   EXPECT_NE(report->find("round(s)"), std::string::npos);
+
+  // An enumeration epoch: meta, winners and costs only.
+  std::vector<advisor::WeightedQuery> queries;
+  for (size_t i = 0; i < env_->workload->size(); ++i) {
+    queries.push_back({&env_->workload->query(i).bound, 1.0});
+  }
+  advisor::TuningOptions tuning;
+  tuning.max_indexes = 3;
+  tuning.checkpoint = options.checkpoint;
+  ASSERT_EQ(advisor::DtaStyleAdvisor(env_->cost_model.get())
+                .Tune(queries, tuning)
+                .stop_reason,
+            StopReason::kComplete);
+  std::string enum_path;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string file = entry.path().filename().string();
+    if (file.rfind("inspect.enum.", 0) == 0) {
+      enum_path = entry.path().string();
+      break;
+    }
+  }
+  ASSERT_FALSE(enum_path.empty());
+  report = tracecat::InspectCheckpoint(enum_path);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report->find("enumeration snapshot"), std::string::npos);
+  EXPECT_NE(report->find("config(s) explored"), std::string::npos);
+  EXPECT_EQ(report->find("section 4"), std::string::npos);
+  EXPECT_EQ(report->find("section 5"), std::string::npos);
+  EXPECT_EQ(report->find("cached"), std::string::npos);
 
   // Verification is the same decode: a damaged file errors instead.
   std::string bytes = ReadFileToString(epoch_path).value();

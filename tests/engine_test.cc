@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "catalog/schema_builder.h"
 #include "common/string_util.h"
 #include "engine/what_if.h"
@@ -346,79 +348,54 @@ TEST_F(EngineTest, ExplainMentionsChosenStructures) {
   EXPECT_NE(text.find("aggregate"), std::string::npos);
 }
 
-// --- What-if. ---
+// The optimizer reads a configuration only through the indexes on the
+// query's own tables, in configuration order; greedy enumeration's delta
+// costing (advisor/enumerator.cc) carries costs over on exactly that basis.
 
-TEST_F(EngineTest, WhatIfCachesPerQueryAndConfig) {
+TEST_F(EngineTest, OptimizerIgnoresIndexesOnUnreferencedTables) {
   sql::BoundQuery q = Bind("SELECT v FROM big WHERE v < 100");
-  WhatIfOptimizer what_if(&cost_model_);
-  Configuration empty;
-  const double c1 = what_if.Cost(q, empty);
-  const double c2 = what_if.Cost(q, empty);
-  EXPECT_EQ(c1, c2);
-  EXPECT_EQ(what_if.optimizer_calls(), 1u);
-  EXPECT_EQ(what_if.cache_hits(), 1u);
-
+  const Optimizer optimizer(&cost_model_);
   Configuration config;
   config.Add(Index(cat_.FindTable("big")->id(), {Col("big", "v")}));
-  what_if.Cost(q, config);
-  EXPECT_EQ(what_if.optimizer_calls(), 2u);
-
-  what_if.ResetCounters();
-  EXPECT_EQ(what_if.optimizer_calls(), 0u);
-  what_if.ClearCache();
-  what_if.Cost(q, empty);
-  EXPECT_EQ(what_if.optimizer_calls(), 1u);
-}
-
-// The memo key is the query plus its own tables' indexes, in configuration
-// order (what_if.h).
-
-TEST_F(EngineTest, WhatIfIndexOnUnreferencedTableIsAHit) {
-  sql::BoundQuery q = Bind("SELECT v FROM big WHERE v < 100");
-  WhatIfOptimizer what_if(&cost_model_);
-  Configuration config;
-  config.Add(Index(cat_.FindTable("big")->id(), {Col("big", "v")}));
-  const double before = what_if.Cost(q, config);
-  ASSERT_EQ(what_if.optimizer_calls(), 1u);
-
+  const double before = optimizer.Cost(q, config);
   config.Add(Index(cat_.FindTable("small")->id(), {Col("small", "attr")}));
-  EXPECT_EQ(what_if.Cost(q, config), before);
-  EXPECT_EQ(what_if.optimizer_calls(), 1u);
-  EXPECT_EQ(what_if.cache_hits(), 1u);
+  const double after = optimizer.Cost(q, config);
+  EXPECT_EQ(std::memcmp(&before, &after, sizeof(double)), 0);
 }
 
-TEST_F(EngineTest, WhatIfIndexOnReferencedTableIsAMiss) {
+TEST_F(EngineTest, OptimizerSeesIndexesOnReferencedTables) {
   sql::BoundQuery q = Bind(
       "SELECT b.v FROM big b, small s WHERE b.fk = s.sid AND s.attr = 3");
-  WhatIfOptimizer what_if(&cost_model_);
+  const Optimizer optimizer(&cost_model_);
   Configuration config;
-  config.Add(Index(cat_.FindTable("big")->id(), {Col("big", "v")}));
-  what_if.Cost(q, config);
-  config.Add(Index(cat_.FindTable("small")->id(), {Col("small", "attr")}));
-  what_if.Cost(q, config);
-  EXPECT_EQ(what_if.optimizer_calls(), 2u);
-  EXPECT_EQ(what_if.cache_hits(), 0u);
+  config.Add(Index(cat_.FindTable("big")->id(), {Col("big", "fk")}));
+  const double before = optimizer.Cost(q, config);
+  config.Add(Index(cat_.FindTable("small")->id(), {Col("small", "attr")},
+                   {Col("small", "sid")}));
+  EXPECT_LT(optimizer.Cost(q, config), before);
 }
 
-TEST_F(EngineTest, WhatIfProjectedOrderIsPartOfTheKey) {
-  sql::BoundQuery q = Bind("SELECT v, w FROM big WHERE v < 100 AND w < 5");
-  const Index by_v(cat_.FindTable("big")->id(), {Col("big", "v")});
-  const Index by_w(cat_.FindTable("big")->id(), {Col("big", "w")});
-  Configuration vw;
-  vw.Add(by_v);
-  vw.Add(by_w);
-  Configuration wv;
-  wv.Add(by_w);
-  wv.Add(by_v);
-  WhatIfOptimizer what_if(&cost_model_);
+TEST_F(EngineTest, OptimizerTieBreakFollowsConfigurationOrder) {
+  // Two same-sized indexes led by the filtered key cost the same (neither
+  // covers v), so BestAccessPath keeps whichever it sees first: the plan
+  // depends on configuration order.
+  sql::BoundQuery q = Bind("SELECT v FROM big WHERE id = 5");
+  const Index by_id_fk(cat_.FindTable("big")->id(),
+                       {Col("big", "id"), Col("big", "fk")});
+  const Index by_id_cat(cat_.FindTable("big")->id(),
+                        {Col("big", "id"), Col("big", "cat")});
+  // AccessPath::index points into the configuration: keep both alive.
+  const Configuration fk_first({by_id_fk, by_id_cat});
+  const Configuration cat_first({by_id_cat, by_id_fk});
   const Optimizer optimizer(&cost_model_);
-  EXPECT_EQ(what_if.Cost(q, vw), optimizer.Cost(q, vw));
-  EXPECT_EQ(what_if.Cost(q, wv), optimizer.Cost(q, wv));
-  // Same set, other insertion order: a distinct key, so a second call.
-  EXPECT_EQ(what_if.optimizer_calls(), 2u);
-  EXPECT_EQ(what_if.cache_hits(), 0u);
-  what_if.Cost(q, wv);
-  EXPECT_EQ(what_if.cache_hits(), 1u);
+  const PlanSummary first = optimizer.Optimize(q, fk_first);
+  const PlanSummary second = optimizer.Optimize(q, cat_first);
+  ASSERT_EQ(first.tables.size(), 1u);
+  ASSERT_EQ(second.tables.size(), 1u);
+  ASSERT_NE(first.tables[0].access.index, nullptr);
+  ASSERT_NE(second.tables[0].access.index, nullptr);
+  EXPECT_EQ(*first.tables[0].access.index, by_id_fk);
+  EXPECT_EQ(*second.tables[0].access.index, by_id_cat);
 }
 
 TEST_F(EngineTest, WhatIfMatchesOptimizer) {

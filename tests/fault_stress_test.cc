@@ -92,8 +92,9 @@ TEST_F(FaultStressTest, ConcurrentTryCostUnderMixedFaults) {
 }
 
 TEST_F(FaultStressTest, ConcurrentConfigureWhileInjecting) {
-  // Reconfiguring mid-flight must never crash or deadlock (atomic
-  // shared_ptr swap); decisions just come from whichever config is live.
+  // Reconfiguring mid-flight must never crash, deadlock or race (the
+  // config pointer is swapped under a mutex); decisions just come from
+  // whichever config is live.
   std::atomic<bool> stop{false};
   std::thread configurer([&] {
     int flip = 0;

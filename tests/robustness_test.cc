@@ -10,6 +10,7 @@
 
 #include "advisor/advisor.h"
 #include "advisor/dexter_advisor.h"
+#include "advisor/enumerator.h"
 #include "common/check.h"
 #include "common/deadline.h"
 #include "common/fault.h"
@@ -17,6 +18,8 @@
 #include "engine/what_if.h"
 #include "eval/pipeline.h"
 #include "obs/metrics.h"
+#include "sql/binder.h"
+#include "sql/parser.h"
 #include "workload/workload_factory.h"
 
 namespace isum {
@@ -425,18 +428,48 @@ TEST_F(WhatIfRetryTest, TransientFaultSucceedsAfterRetries) {
 }
 
 TEST_F(WhatIfRetryTest, CacheHitsBypassFaultInjection) {
-  engine::WhatIfOptimizer what_if(env_->cost_model.get());
-  const double clean =
-      what_if.Cost(env_->workload->query(0).bound, engine::Configuration());
+  // Greedy enumeration carries a candidate's cost for a query the last
+  // winner's table does not touch over from the previous round. That cache
+  // hit needs no optimizer call, so no fault can fire on it.
+  const catalog::Catalog& cat = *env_->catalog;
+  sql::Binder binder(env_->catalog.get(), env_->stats.get());
+  auto bind = [&](const std::string& text) {
+    StatusOr<sql::SelectStatement> stmt = sql::ParseSelect(text);
+    EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+    StatusOr<sql::BoundQuery> bound = binder.Bind(*stmt, text);
+    EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+    return std::move(bound).value();
+  };
+  const sql::BoundQuery on_orders =
+      bind("SELECT o_totalprice FROM orders WHERE o_orderkey = 99");
+  const sql::BoundQuery on_part =
+      bind("SELECT p_name FROM part WHERE p_partkey = 17");
+  const std::vector<advisor::WeightedQuery> queries = {{&on_orders, 1.0},
+                                                       {&on_part, 1.0}};
+  const catalog::ColumnId orderkey = cat.ResolveColumn("orders", "o_orderkey");
+  const catalog::ColumnId partkey = cat.ResolveColumn("part", "p_partkey");
+  const std::vector<engine::Index> pool = {
+      engine::Index(orderkey.table, {orderkey}),
+      engine::Index(partkey.table, {partkey})};
+
+  // Initial costing and round 0 make four optimizer calls; every later call
+  // fails. Round 1's only candidate needs none.
   ASSERT_TRUE(FaultInjector::Global()
                   .Configure("{\"site\":\"whatif.cost\",\"kind\":\"error\","
-                             "\"p\":1.0}")
+                             "\"p\":1.0,\"after\":4}")
                   .ok());
-  // The memoized answer needs no optimizer call, so no fault can fire.
-  const StatusOr<double> cached =
-      what_if.TryCost(env_->workload->query(0).bound, engine::Configuration());
-  ASSERT_TRUE(cached.ok());
-  EXPECT_EQ(*cached, clean);
+  engine::WhatIfOptimizer what_if(env_->cost_model.get());
+  engine::RetryPolicy no_retry;
+  no_retry.max_attempts = 1;
+  what_if.set_retry_policy(no_retry);
+  const advisor::EnumerationResult result = advisor::GreedyEnumerate(
+      what_if, queries, pool, /*max_indexes=*/2, /*storage_budget_bytes=*/0,
+      cat);
+  EXPECT_EQ(result.stop_reason, StopReason::kComplete);
+  EXPECT_EQ(result.configuration.size(), 2u);
+  EXPECT_EQ(what_if.optimizer_calls(), 4u);
+  EXPECT_EQ(what_if.cache_hits(), 1u);
+  EXPECT_EQ(FaultInjector::Global().injected(), 0u);
 }
 
 TEST_F(WhatIfRetryTest, ExpiredBudgetFailsFastWithoutOptimizerWork) {

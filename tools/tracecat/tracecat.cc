@@ -1384,10 +1384,12 @@ StatusOr<std::string> InspectCheckpoint(const std::string& path) {
                      reader->SectionSize(id));
   }
   // Both snapshot layouts keep their scalars in section 1; the enumeration
-  // layout is distinguished by its 48-byte meta plus the what-if cache
-  // section (5; section 4 held the retired hash-keyed cache layout).
-  // Anything else prints as a raw container.
-  if (reader->SectionSize(1) == 48 && reader->HasSection(5)) {
+  // layout is distinguished by its 48-byte meta plus the winners (2) and
+  // costs (3) sections. Sections an older writer added beside them (4 and 5
+  // held a what-if memo) are only listed. Anything else prints as a raw
+  // container.
+  if (reader->SectionSize(1) == 48 && reader->HasSection(2) &&
+      reader->HasSection(3)) {
     auto meta = reader->Section(1);
     if (!meta.ok()) return meta.status();
     ISUM_ASSIGN_OR_RETURN(const uint64_t fingerprint, meta->ReadU64());
@@ -1402,16 +1404,11 @@ StatusOr<std::string> InspectCheckpoint(const std::string& path) {
     if (!costs.ok()) return costs.status();
     ISUM_ASSIGN_OR_RETURN(const std::vector<double> cost_vec,
                           costs->ReadF64Vector());
-    auto cache = reader->Section(5);
-    if (!cache.ok()) return cache.status();
-    ISUM_ASSIGN_OR_RETURN(const uint64_t cache_count, cache->ReadU64());
     out += StrFormat(
         "enumeration snapshot: fingerprint %016llx, %zu round(s), "
-        "%zu quer(ies), %llu cached what-if answer(s), %llu config(s) "
-        "explored, stop %s%s\n",
+        "%zu quer(ies), %llu config(s) explored, stop %s%s\n",
         static_cast<unsigned long long>(fingerprint), winner_ids.size(),
-        cost_vec.size(), static_cast<unsigned long long>(cache_count),
-        static_cast<unsigned long long>(explored),
+        cost_vec.size(), static_cast<unsigned long long>(explored),
         StopReasonNote(reason).c_str(), done != 0 ? ", done" : "");
   } else if (reader->SectionSize(1) == 32) {
     auto meta = reader->Section(1);
