@@ -60,17 +60,28 @@ TuningResult DtaStyleAdvisor::Tune(const std::vector<WeightedQuery>& queries,
   // independent, so this parallelizes; the pool merge below stays in query
   // order so results are identical for any thread count. A query whose base
   // costing fails (budget expiry or a persistent injected fault) contributes
-  // no candidates; a single candidate whose costing fails is skipped. ---
+  // no candidates; a single candidate whose costing fails is skipped. When
+  // the budget cuts selection short, the pool misses candidates, so the run
+  // is tagged with the budget's stop reason even if enumeration completes.
   std::vector<std::vector<engine::Index>> kept_per_query(queries.size());
   std::atomic<uint64_t> explored{0};
+  std::atomic<bool> selection_truncated{false};
   auto select_for = [&](size_t q) {
     if (selection_budget.Expired()) {
+      selection_truncated.store(true, std::memory_order_relaxed);
       return;  // anytime: later queries contribute no candidates
     }
     const WeightedQuery& wq = queries[q];
+    const engine::PreparedQuery prepared =
+        engine::Optimizer::Prepare(*wq.query);
     const StatusOr<double> base_or =
-        what_if.TryCost(*wq.query, engine::Configuration(), selection_budget);
-    if (!base_or.ok()) return;
+        what_if.TryCost(prepared, engine::Configuration(), selection_budget);
+    if (!base_or.ok()) {
+      if (base_or.status().code() != StatusCode::kUnavailable) {
+        selection_truncated.store(true, std::memory_order_relaxed);
+      }
+      return;
+    }
     const double base = *base_or;
     std::vector<engine::Index> candidates =
         GenerateCandidates(*wq.query, cost_model_->stats(),
@@ -81,9 +92,10 @@ TuningResult DtaStyleAdvisor::Tune(const std::vector<WeightedQuery>& queries,
       single.Add(candidates[i]);
       explored.fetch_add(1, std::memory_order_relaxed);
       const StatusOr<double> cost =
-          what_if.TryCost(*wq.query, single, selection_budget);
+          what_if.TryCost(prepared, single, selection_budget);
       if (!cost.ok()) {
         if (cost.status().code() == StatusCode::kUnavailable) continue;
+        selection_truncated.store(true, std::memory_order_relaxed);
         break;  // budget expired: keep what this query has so far
       }
       const double improvement = base - *cost;
@@ -137,6 +149,14 @@ TuningResult DtaStyleAdvisor::Tune(const std::vector<WeightedQuery>& queries,
   result.initial_cost = enumerated.initial_cost;
   result.final_cost = enumerated.final_cost;
   result.stop_reason = enumerated.stop_reason;
+  if (result.stop_reason == StopReason::kComplete &&
+      selection_truncated.load()) {
+    // Only the budget truncates selection, and an expired or cancelled
+    // budget stays so.
+    result.stop_reason =
+        TimeBudget::ReasonFor(selection_budget.CheckCancelled());
+    NoteStopReason(result.stop_reason);
+  }
   result.optimizer_calls = what_if.optimizer_calls();
   result.cache_hits = what_if.cache_hits();
   result.optimizer_seconds = what_if.optimizer_seconds();

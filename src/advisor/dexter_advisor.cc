@@ -35,8 +35,10 @@ TuningResult DexterStyleAdvisor::Tune(const std::vector<WeightedQuery>& queries,
       result.stop_reason = TimeBudget::ReasonFor(query_check);
       break;
     }
+    const engine::PreparedQuery prepared =
+        engine::Optimizer::Prepare(*wq.query);
     const StatusOr<double> base_or =
-        what_if.TryCost(*wq.query, engine::Configuration(), budget);
+        what_if.TryCost(prepared, engine::Configuration(), budget);
     if (!base_or.ok()) {
       if (base_or.status().code() == StatusCode::kUnavailable) {
         continue;  // persistent fault on this query: tune the others
@@ -67,7 +69,7 @@ TuningResult DexterStyleAdvisor::Tune(const std::vector<WeightedQuery>& queries,
         engine::Configuration trial = local;
         trial.Add(c);
         ++result.configurations_explored;
-        const StatusOr<double> cost = what_if.TryCost(*wq.query, trial, budget);
+        const StatusOr<double> cost = what_if.TryCost(prepared, trial, budget);
         if (!cost.ok()) {
           if (cost.status().code() == StatusCode::kUnavailable) {
             continue;  // candidate uncostable: treat as non-improving

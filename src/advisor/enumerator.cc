@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <memory>
+#include <optional>
 
 #include "common/fault.h"
 #include "common/hash.h"
@@ -24,7 +25,7 @@ struct CandidateEvaluation {
 /// Costs `candidate` added to `base_config` for the queries in `on_table`
 /// (those referencing the candidate's table, in query order) into `costs`,
 /// aligned with `on_table`, and sums the weighted improvement over
-/// `current_cost` in that order.
+/// `current_cost` in that order. `prepared` is aligned with `queries`.
 ///
 /// Delta costing: when `costs` still holds the candidate's answers from the
 /// previous round, only the queries flagged in `recost` (those referencing
@@ -33,18 +34,19 @@ struct CandidateEvaluation {
 /// the indexes on the query's own tables (engine/optimizer.h), so for a
 /// query that does not reference the winner's table the trial
 /// configurations of the two rounds look the same, in the same order.
-/// Carried-over answers are counted as what-if cache hits. On failure
+/// Carried-over answers are counted as what-if cache hits. The trial
+/// configuration is built only once some query needs re-costing. On failure
 /// `costs` is cleared, so a candidate is never resumed from a partial
 /// vector.
 CandidateEvaluation EvaluateCandidate(
     engine::WhatIfOptimizer& what_if,
     const std::vector<WeightedQuery>& queries,
+    const std::vector<engine::PreparedQuery>& prepared,
     const std::vector<size_t>& on_table,
     const engine::Configuration& base_config, const engine::Index& candidate,
     const std::vector<double>& current_cost, const std::vector<bool>& recost,
     std::vector<double>& costs, const TimeBudget& budget) {
-  engine::Configuration trial = base_config;
-  trial.Add(candidate);
+  std::optional<engine::Configuration> trial;
   const bool carry = costs.size() == on_table.size();
   if (!carry) costs.assign(on_table.size(), 0.0);
   CandidateEvaluation out;
@@ -54,8 +56,11 @@ CandidateEvaluation EvaluateCandidate(
     if (carry && !recost[qi]) {
       ++carried;
     } else {
-      const StatusOr<double> c =
-          what_if.TryCost(*queries[qi].query, trial, budget);
+      if (!trial.has_value()) {
+        trial.emplace(base_config);
+        trial->Add(candidate);
+      }
+      const StatusOr<double> c = what_if.TryCost(prepared[qi], *trial, budget);
       if (!c.ok()) {
         costs.clear();
         out.status = c.status();
@@ -213,6 +218,14 @@ EnumerationResult GreedyEnumerate(
       obs::MetricsRegistry::Global().GetCounter("whatif.cache_hits");
   EnumerationResult result;
 
+  // Every query is costed under many configurations, so each is prepared
+  // once; worker threads share the prepared queries read-only.
+  std::vector<engine::PreparedQuery> prepared;
+  prepared.reserve(queries.size());
+  for (const WeightedQuery& wq : queries) {
+    prepared.push_back(engine::Optimizer::Prepare(*wq.query));
+  }
+
   // Per-query current cost under the growing (initially empty) configuration.
   // Initial costing is exempt from the deadline (bounded work, and without
   // it a truncated result would report meaningless zero costs); it still
@@ -222,7 +235,7 @@ EnumerationResult GreedyEnumerate(
   double total_cost = 0.0;
   for (size_t i = 0; i < queries.size(); ++i) {
     const StatusOr<double> c =
-        what_if.TryCost(*queries[i].query, result.configuration, initial_budget);
+        what_if.TryCost(prepared[i], result.configuration, initial_budget);
     if (!c.ok()) {
       result.stop_reason = TimeBudget::ReasonFor(c.status());
       result.initial_cost = total_cost;
@@ -381,7 +394,7 @@ EnumerationResult GreedyEnumerate(
     auto evaluate = [&](size_t e) {
       const engine::Index& candidate = pool[eligible[e]];
       evaluations[e] = EvaluateCandidate(
-          what_if, queries, queries_on_table[candidate.table()],
+          what_if, queries, prepared, queries_on_table[candidate.table()],
           result.configuration, candidate, current_cost, recost,
           candidate_costs[eligible[e]], round_budget);
       const Status& st = evaluations[e].status;

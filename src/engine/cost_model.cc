@@ -60,7 +60,7 @@ AccessPath CostModel::BestAccessPath(
     catalog::TableId table, const std::vector<sql::FilterPredicate>& filters,
     const std::vector<catalog::ColumnId>& required_columns,
     const std::vector<catalog::ColumnId>& desired_order,
-    const Configuration& config) const {
+    const std::vector<const Index*>& indexes) const {
   const catalog::Table& t = catalog_->table(table);
   const double rows = static_cast<double>(t.row_count());
 
@@ -80,12 +80,13 @@ AccessPath CostModel::BestAccessPath(
   best.provides_order = false;
   best.seek_selectivity = 1.0;
 
-  for (const Index* index : config.IndexesOnTable(table)) {
+  std::vector<bool> filter_used;
+  for (const Index* index : indexes) {
     // --- Determine the seek prefix this index supports. ---
     double seek_sel = 1.0;
     size_t matched = 0;
     bool range_used = false;
-    std::vector<bool> filter_used(filters.size(), false);
+    filter_used.assign(filters.size(), false);
     for (catalog::ColumnId key : index->key_columns()) {
       if (range_used) break;
       bool advanced = false;

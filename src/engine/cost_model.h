@@ -29,7 +29,7 @@ struct CostParams {
 /// How a single table is accessed under a configuration.
 struct AccessPath {
   /// Chosen index; nullptr means full table scan. Points into the
-  /// Configuration passed to BestAccessPath; valid while it lives.
+  /// Configuration the index list came from; valid while it lives.
   const Index* index = nullptr;
   double cost = 0.0;
   /// Rows produced after applying all of the query's filters on this table.
@@ -65,12 +65,23 @@ class CostModel {
   /// are the table's columns the query needs (drives covering checks);
   /// `desired_order` is the column sequence whose order would let the caller
   /// skip a sort (empty if none). Considers: full scan, covering index-only
-  /// scan, and an index seek per index in `config`.
+  /// scan, and an index seek per index in `indexes`, which must all be on
+  /// `table`.
   AccessPath BestAccessPath(
       catalog::TableId table, const std::vector<sql::FilterPredicate>& filters,
       const std::vector<catalog::ColumnId>& required_columns,
       const std::vector<catalog::ColumnId>& desired_order,
-      const Configuration& config) const;
+      const std::vector<const Index*>& indexes) const;
+
+  /// The same over `config`'s indexes on `table`.
+  AccessPath BestAccessPath(
+      catalog::TableId table, const std::vector<sql::FilterPredicate>& filters,
+      const std::vector<catalog::ColumnId>& required_columns,
+      const std::vector<catalog::ColumnId>& desired_order,
+      const Configuration& config) const {
+    return BestAccessPath(table, filters, required_columns, desired_order,
+                          config.IndexesOnTable(table));
+  }
 
   /// Cost of sorting `rows` rows (top-N if `limit` set).
   double SortCost(double rows, std::optional<int64_t> limit) const;

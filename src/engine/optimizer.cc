@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
 #include "common/string_util.h"
 
@@ -12,15 +11,6 @@ namespace isum::engine {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Per-table slice of the query used while planning.
-struct TableContext {
-  catalog::TableId table = catalog::kInvalidTableId;
-  sql::JoinSemantics semantics = sql::JoinSemantics::kInner;
-  std::vector<sql::FilterPredicate> filters;
-  std::vector<catalog::ColumnId> required_columns;
-  AccessPath access;
-};
 
 /// Default match probability for anti joins (no-match fraction).
 constexpr double kAntiJoinSelectivity = 0.33;
@@ -53,59 +43,88 @@ const char* JoinMethodToString(JoinMethod method) {
   return "?";
 }
 
-PlanSummary Optimizer::Optimize(const sql::BoundQuery& query,
+PreparedQuery Optimizer::Prepare(const sql::BoundQuery& query) {
+  PreparedQuery prepared;
+  prepared.query_ = &query;
+  std::vector<PreparedQuery::Table>& tables = prepared.tables_;
+  // Slot of `table`, or tables.size() when the query does not reference it.
+  auto slot_of = [&tables](catalog::TableId table) {
+    size_t i = 0;
+    while (i < tables.size() && tables[i].table != table) ++i;
+    return i;
+  };
+
+  for (const auto& ref : query.tables) {
+    if (slot_of(ref.table) < tables.size()) continue;  // self-join: fold
+    PreparedQuery::Table t;
+    t.table = ref.table;
+    t.semantics = ref.semantics;
+    tables.push_back(std::move(t));
+  }
+  for (const auto& f : query.filters) {
+    const size_t i = slot_of(f.column.table);
+    if (i < tables.size()) tables[i].filters.push_back(f);
+  }
+  for (catalog::ColumnId c : query.ReferencedColumns()) {
+    const size_t i = slot_of(c.table);
+    if (i < tables.size()) tables[i].required_columns.push_back(c);
+  }
+  // A join edge connects a table once the table on its other side is
+  // placed. A predicate within one slot (a folded self-join) or to an
+  // unreferenced table therefore never connects anything and is dropped.
+  for (const auto& jp : query.joins) {
+    const size_t left = slot_of(jp.left.table);
+    const size_t right = slot_of(jp.right.table);
+    if (left == right || left == tables.size() || right == tables.size()) {
+      continue;
+    }
+    tables[left].joins.push_back({right, jp.left, jp.selectivity});
+    tables[right].joins.push_back({left, jp.right, jp.selectivity});
+  }
+
+  // Desired physical order (sort avoidance), single-table only.
+  if (tables.size() == 1) {
+    if (!query.order_by_columns.empty()) {
+      for (const auto& [col, desc] : query.order_by_columns) {
+        prepared.desired_order_.push_back(col);
+      }
+    } else if (!query.group_by_columns.empty()) {
+      prepared.desired_order_ = query.group_by_columns;
+    }
+  }
+  return prepared;
+}
+
+PlanSummary Optimizer::Optimize(const PreparedQuery& prepared,
                                 const Configuration& config) const {
   const CostModel& cm = *cost_model_;
   const catalog::Catalog& cat = cm.catalog();
   const stats::StatsManager& stats = cm.stats();
+  const std::vector<PreparedQuery::Table>& tables = prepared.tables_;
 
   PlanSummary plan;
-  if (query.tables.empty()) return plan;
+  if (tables.empty()) return plan;
+  const sql::BoundQuery& query = *prepared.query_;
+  const bool single_table = tables.size() == 1;
 
-  // --- Partition query state by table. ---
-  std::vector<TableContext> ctx;
-  std::unordered_map<catalog::TableId, size_t> ctx_index;
-  for (const auto& ref : query.tables) {
-    if (ctx_index.contains(ref.table)) continue;  // self-join: fold
-    ctx_index[ref.table] = ctx.size();
-    TableContext tc;
-    tc.table = ref.table;
-    tc.semantics = ref.semantics;
-    ctx.push_back(std::move(tc));
+  // --- Per table: the configuration's indexes on it, fetched once for both
+  // the access path and index nested loops, and its best access path. ---
+  struct Slot {
+    std::vector<const Index*> indexes;
+    AccessPath access;
+    bool placed = false;
+  };
+  std::vector<Slot> slots(tables.size());
+  for (size_t i = 0; i < tables.size(); ++i) {
+    const PreparedQuery::Table& t = tables[i];
+    slots[i].indexes = config.IndexesOnTable(t.table);
+    slots[i].access =
+        cm.BestAccessPath(t.table, t.filters, t.required_columns,
+                          prepared.desired_order_, slots[i].indexes);
   }
-  for (const auto& f : query.filters) {
-    auto it = ctx_index.find(f.column.table);
-    if (it != ctx_index.end()) ctx[it->second].filters.push_back(f);
-  }
-  for (catalog::ColumnId c : query.ReferencedColumns()) {
-    auto it = ctx_index.find(c.table);
-    if (it != ctx_index.end()) ctx[it->second].required_columns.push_back(c);
-  }
-
-  const bool single_table = ctx.size() == 1;
-
-  // Desired physical order (sort avoidance), single-table only.
-  std::vector<catalog::ColumnId> desired_order;
-  if (single_table) {
-    if (!query.order_by_columns.empty()) {
-      for (const auto& [col, desc] : query.order_by_columns) {
-        desired_order.push_back(col);
-      }
-    } else if (!query.group_by_columns.empty()) {
-      desired_order = query.group_by_columns;
-    }
-  }
-
-  // --- Access path per table. ---
-  for (TableContext& tc : ctx) {
-    tc.access = cm.BestAccessPath(tc.table, tc.filters, tc.required_columns,
-                                  single_table ? desired_order
-                                               : std::vector<catalog::ColumnId>{},
-                                  config);
-  }
+  plan.tables.reserve(tables.size());
 
   // --- Join order (greedy left-deep). ---
-  std::vector<bool> placed(ctx.size(), false);
   double cur_rows = 0.0;
 
   // Driver: cheapest access per produced row. Semi/anti tables cannot
@@ -114,10 +133,10 @@ PlanSummary Optimizer::Optimize(const sql::BoundQuery& query,
   size_t driver = 0;
   double best_score = kInf;
   bool driver_inner = false;
-  for (size_t i = 0; i < ctx.size(); ++i) {
-    const bool inner = ctx[i].semantics == sql::JoinSemantics::kInner;
+  for (size_t i = 0; i < tables.size(); ++i) {
+    const bool inner = tables[i].semantics == sql::JoinSemantics::kInner;
     if (driver_inner && !inner) continue;
-    const double score = ctx[i].access.cost + ctx[i].access.out_rows * 0.01;
+    const double score = slots[i].access.cost + slots[i].access.out_rows * 0.01;
     if ((inner && !driver_inner) || score < best_score) {
       best_score = score;
       driver = i;
@@ -126,56 +145,49 @@ PlanSummary Optimizer::Optimize(const sql::BoundQuery& query,
   }
   {
     PlannedTable pt;
-    pt.table = ctx[driver].table;
-    pt.access = ctx[driver].access;
+    pt.table = tables[driver].table;
+    pt.access = slots[driver].access;
     pt.join_method = JoinMethod::kNone;
-    pt.step_cost = ctx[driver].access.cost;
-    cur_rows = ctx[driver].access.out_rows;
+    pt.step_cost = slots[driver].access.cost;
+    cur_rows = slots[driver].access.out_rows;
     pt.cumulative_rows = cur_rows;
     plan.total_cost += pt.step_cost;
     plan.tables.push_back(pt);
-    placed[driver] = true;
+    slots[driver].placed = true;
   }
 
-  for (size_t step = 1; step < ctx.size(); ++step) {
+  for (size_t step = 1; step < tables.size(); ++step) {
     // Candidate tables joinable with the placed set. Connected candidates
     // always beat cross joins; cross joins only happen when the join graph
     // is disconnected.
-    size_t best_i = ctx.size();
+    size_t best_i = tables.size();
     JoinMethod best_method = JoinMethod::kCrossJoin;
     const Index* best_inl = nullptr;
     double best_cost = kInf;
     double best_rows = 0.0;
     bool best_connected = false;
 
-    for (size_t i = 0; i < ctx.size(); ++i) {
-      if (placed[i]) continue;
-      // Combined selectivity of join predicates linking i to the placed set,
-      // and the i-side join columns (for INL).
+    for (size_t i = 0; i < tables.size(); ++i) {
+      if (slots[i].placed) continue;
+      const PreparedQuery::Table& t = tables[i];
+      const AccessPath& access = slots[i].access;
+      // Combined selectivity of join predicates linking i to the placed set.
       double join_sel = 1.0;
       bool connected = false;
-      std::vector<catalog::ColumnId> inner_join_cols;
-      for (const auto& jp : query.joins) {
-        const bool left_in_i = jp.left.table == ctx[i].table;
-        const bool right_in_i = jp.right.table == ctx[i].table;
-        if (!left_in_i && !right_in_i) continue;
-        const catalog::ColumnId other = left_in_i ? jp.right : jp.left;
-        auto oit = ctx_index.find(other.table);
-        if (oit == ctx_index.end() || !placed[oit->second]) continue;
+      for (const PreparedQuery::JoinEdge& edge : t.joins) {
+        if (!slots[edge.other].placed) continue;
         connected = true;
-        join_sel *= jp.selectivity;
-        inner_join_cols.push_back(left_in_i ? jp.left : jp.right);
+        join_sel *= edge.selectivity;
       }
       if (best_connected && !connected) continue;
 
-      const TableContext& tc = ctx[i];
       double result_rows =
-          std::max(1.0, connected ? cur_rows * tc.access.out_rows * join_sel
-                                  : cur_rows * tc.access.out_rows);
+          std::max(1.0, connected ? cur_rows * access.out_rows * join_sel
+                                  : cur_rows * access.out_rows);
       // Semi/anti joins (flattened subqueries) cap instead of multiply.
-      if (tc.semantics == sql::JoinSemantics::kSemi) {
+      if (t.semantics == sql::JoinSemantics::kSemi) {
         result_rows = std::min(result_rows, cur_rows);
-      } else if (tc.semantics == sql::JoinSemantics::kAnti) {
+      } else if (t.semantics == sql::JoinSemantics::kAnti) {
         result_rows = std::max(1.0, cur_rows * kAntiJoinSelectivity);
       }
       // Producing join output rows costs CPU; charging it here both prices
@@ -189,9 +201,9 @@ PlanSummary Optimizer::Optimize(const sql::BoundQuery& query,
       if (connected) {
         // Hash join.
         const double hash_cost =
-            output_cpu + tc.access.cost +
-            cm.HashJoinCost(std::min(cur_rows, tc.access.out_rows),
-                            std::max(cur_rows, tc.access.out_rows));
+            output_cpu + access.cost +
+            cm.HashJoinCost(std::min(cur_rows, access.out_rows),
+                            std::max(cur_rows, access.out_rows));
         if (displaces || hash_cost < best_cost) {
           best_cost = hash_cost;
           best_i = i;
@@ -200,24 +212,25 @@ PlanSummary Optimizer::Optimize(const sql::BoundQuery& query,
           best_rows = result_rows;
           best_connected = true;
         }
-        // Index nested loop: leading index key must be an inner join column.
-        for (const Index* index : config.IndexesOnTable(tc.table)) {
+        // Index nested loop: the leading index key must be i's column of a
+        // join predicate linking it to the placed set.
+        for (const Index* index : slots[i].indexes) {
           if (index->key_columns().empty()) continue;
           const catalog::ColumnId lead = index->key_columns()[0];
           bool usable = false;
-          for (catalog::ColumnId jc : inner_join_cols) {
-            if (jc == lead) {
+          for (const PreparedQuery::JoinEdge& edge : t.joins) {
+            if (slots[edge.other].placed && edge.column == lead) {
               usable = true;
               break;
             }
           }
           if (!usable) continue;
           const double inner_rows =
-              static_cast<double>(cat.table(tc.table).row_count());
+              static_cast<double>(cat.table(t.table).row_count());
           const double per_probe =
               std::max(1e-3, inner_rows / std::max(1.0, stats.DistinctCount(lead)));
           bool covering = true;
-          for (catalog::ColumnId c : tc.required_columns) {
+          for (catalog::ColumnId c : t.required_columns) {
             if (!index->ContainsColumn(c)) {
               covering = false;
               break;
@@ -236,7 +249,7 @@ PlanSummary Optimizer::Optimize(const sql::BoundQuery& query,
           }
         }
       } else {
-        const double cross_cost = output_cpu + tc.access.cost;
+        const double cross_cost = output_cpu + access.cost;
         if (cross_cost < best_cost) {
           best_cost = cross_cost;
           best_i = i;
@@ -248,8 +261,8 @@ PlanSummary Optimizer::Optimize(const sql::BoundQuery& query,
     }
 
     PlannedTable pt;
-    pt.table = ctx[best_i].table;
-    pt.access = ctx[best_i].access;
+    pt.table = tables[best_i].table;
+    pt.access = slots[best_i].access;
     pt.join_method = best_method;
     pt.inl_index = best_inl;
     pt.step_cost = best_cost;
@@ -257,7 +270,7 @@ PlanSummary Optimizer::Optimize(const sql::BoundQuery& query,
     pt.cumulative_rows = cur_rows;
     plan.total_cost += best_cost;
     plan.tables.push_back(pt);
-    placed[best_i] = true;
+    slots[best_i].placed = true;
   }
 
   // --- Residual multi-table predicates. ---

@@ -40,6 +40,44 @@ struct PlanSummary {
   std::string Explain(const catalog::Catalog& catalog) const;
 };
 
+/// The configuration-independent part of planning one query: its distinct
+/// tables (a self-join folds into one slot) with the filters and columns
+/// the query needs from each, each table's join edges, and the desired sort
+/// order. Built once by Optimizer::Prepare and reused for every
+/// configuration the query is costed under, the way INUM (PAPERS.md)
+/// separates a plan's configuration-independent part from index access.
+///
+/// Borrows the BoundQuery it was prepared from, which must outlive it.
+/// Immutable after construction, so threads may share one.
+class PreparedQuery {
+ private:
+  friend class Optimizer;
+
+  /// An equi-join predicate seen from one table: the slot of the table on
+  /// the other side, this table's join column, the predicate's selectivity.
+  struct JoinEdge {
+    size_t other = 0;
+    catalog::ColumnId column;
+    double selectivity = 1.0;
+  };
+
+  struct Table {
+    catalog::TableId table = catalog::kInvalidTableId;
+    sql::JoinSemantics semantics = sql::JoinSemantics::kInner;
+    std::vector<sql::FilterPredicate> filters;
+    std::vector<catalog::ColumnId> required_columns;
+    /// In query.joins order, so join selectivity products multiply in the
+    /// same order as the predicates were bound.
+    std::vector<JoinEdge> joins;
+  };
+
+  const sql::BoundQuery* query_ = nullptr;
+  std::vector<Table> tables_;  ///< in FROM-list order
+  /// Order whose availability lets a single-table plan skip its sort or
+  /// stream its aggregate; empty for multi-table queries.
+  std::vector<catalog::ColumnId> desired_order_;
+};
+
 /// A cost-based single-block optimizer: chooses per-table access paths under
 /// a (hypothetical) index configuration, a greedy left-deep join order with
 /// hash-join vs. index-nested-loop selection, aggregation strategy and sort
@@ -51,15 +89,31 @@ class Optimizer {
  public:
   explicit Optimizer(const CostModel* cost_model) : cost_model_(cost_model) {}
 
-  /// Returns the cheapest plan found for `query` under `config`.
-  /// AccessPath::index pointers refer into `config`. Reads `config` only
-  /// through IndexesOnTable(t) for the tables t the query references, so
-  /// indexes on other tables never change the plan; greedy enumeration's
-  /// delta costing (advisor/enumerator.cc) relies on this.
-  PlanSummary Optimize(const sql::BoundQuery& query,
+  /// The configuration-independent part of planning `query`. Borrows
+  /// `query`: it must outlive the result.
+  static PreparedQuery Prepare(const sql::BoundQuery& query);
+
+  /// Returns the cheapest plan found for the prepared query under `config`;
+  /// a pure function of the two. AccessPath::index and inl_index pointers
+  /// refer into `config`. Reads `config` only through IndexesOnTable(t),
+  /// once per call, for the tables t the query references, so indexes on
+  /// other tables never change the plan; greedy enumeration's delta costing
+  /// (advisor/enumerator.cc) relies on this.
+  PlanSummary Optimize(const PreparedQuery& prepared,
                        const Configuration& config) const;
 
+  /// Optimize(Prepare(query), config), for a query costed once. A caller
+  /// that costs one query under many configurations prepares it once.
+  PlanSummary Optimize(const sql::BoundQuery& query,
+                       const Configuration& config) const {
+    return Optimize(Prepare(query), config);
+  }
+
   /// Convenience: the plan's total cost.
+  double Cost(const PreparedQuery& prepared,
+              const Configuration& config) const {
+    return Optimize(prepared, config).total_cost;
+  }
   double Cost(const sql::BoundQuery& query, const Configuration& config) const {
     return Optimize(query, config).total_cost;
   }

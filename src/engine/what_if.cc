@@ -53,7 +53,7 @@ double WhatIfOptimizer::Cost(const sql::BoundQuery& query,
   return *cost;
 }
 
-StatusOr<double> WhatIfOptimizer::TryCost(const sql::BoundQuery& query,
+StatusOr<double> WhatIfOptimizer::TryCost(const PreparedQuery& prepared,
                                           const Configuration& config,
                                           const TimeBudget& budget) {
   const WhatIfMetrics& metrics = WhatIfMetrics::Get();
@@ -87,7 +87,7 @@ StatusOr<double> WhatIfOptimizer::TryCost(const sql::BoundQuery& query,
   {
     ISUM_TRACE_SPAN("whatif/optimize");
     const uint64_t start = MonotonicNanos();
-    cost = optimizer_.Cost(query, config);
+    cost = optimizer_.Cost(prepared, config);
     const uint64_t end = MonotonicNanos();
     nanos = end >= start ? end - start : 0;
   }

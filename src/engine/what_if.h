@@ -40,8 +40,8 @@ struct RetryPolicy {
 /// the total number of what-if requests.
 ///
 /// Thread-safe: Cost() may be called concurrently (the advisor evaluates
-/// candidate configurations in parallel); the counters are atomics and the
-/// optimizer is stateless.
+/// candidate configurations in parallel), also on one shared PreparedQuery;
+/// the counters are atomics and the optimizer is stateless.
 class WhatIfOptimizer {
  public:
   explicit WhatIfOptimizer(const CostModel* cost_model)
@@ -54,17 +54,29 @@ class WhatIfOptimizer {
   /// instead.
   double Cost(const sql::BoundQuery& query, const Configuration& config);
 
-  /// Fallible what-if call: estimated cost of `query` under `config`,
-  /// observing `budget` and retrying transient failures per retry_policy().
+  /// Fallible what-if call: estimated cost of the prepared query under
+  /// `config` (Optimizer::Optimize), observing `budget` and retrying
+  /// transient failures per retry_policy(). The cost depends on `config`
+  /// only through the indexes on the query's own tables. Optimizer time
+  /// (optimizer_seconds) covers only this configuration-dependent planning.
   /// Error returns:
   ///   kDeadlineExceeded / kCancelled — `budget` ran out (checked before
   ///     the call and between retries; a backoff never sleeps past the
   ///     deadline);
   ///   kUnavailable — the fault site "whatif.cost" kept failing after
   ///     max_attempts tries.
-  StatusOr<double> TryCost(const sql::BoundQuery& query,
+  StatusOr<double> TryCost(const PreparedQuery& prepared,
                            const Configuration& config,
                            const TimeBudget& budget = {});
+
+  /// TryCost(Optimizer::Prepare(query), config, budget). A loop that costs
+  /// one query under many configurations prepares it once and calls the
+  /// overload above instead.
+  StatusOr<double> TryCost(const sql::BoundQuery& query,
+                           const Configuration& config,
+                           const TimeBudget& budget = {}) {
+    return TryCost(Optimizer::Prepare(query), config, budget);
+  }
 
   /// Full plan (use for explain output).
   PlanSummary Plan(const sql::BoundQuery& query,

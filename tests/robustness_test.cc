@@ -572,6 +572,26 @@ TEST_F(PipelineBudgetTest, TuneWithSmallBudgetReturnsPromptlyTagged) {
   EXPECT_LE(result.final_cost, result.initial_cost + 1e-9);
 }
 
+TEST_F(PipelineBudgetTest, TuneWithTruncatedSelectionIsTagged) {
+  // Fake clock: 0 for the first 40 reads, then 60 for good. The run's
+  // deadline is 100, so candidate selection (deadline 50: half the budget)
+  // is cut short within its first queries, while enumeration over the
+  // resulting small pool never sees its own deadline and runs to the end.
+  // The pool missed candidates, so the run is still a deadline stop.
+  static std::atomic<int> reads{0};
+  reads.store(0);
+  SetMonotonicClockForTest(+[]() -> uint64_t {
+    return reads.fetch_add(1, std::memory_order_relaxed) < 40 ? 0u : 60u;
+  });
+  advisor::TuningOptions options;
+  options.max_indexes = 20;
+  options.budget = TimeBudget(Deadline::AtNanos(100));
+  advisor::DtaStyleAdvisor advisor(env_->cost_model.get());
+  const advisor::TuningResult result = advisor.Tune(queries_, options);
+  EXPECT_EQ(result.stop_reason, StopReason::kDeadline);
+  EXPECT_LE(result.final_cost, result.initial_cost + 1e-9);
+}
+
 TEST_F(PipelineBudgetTest, TuneUnlimitedBudgetIsComplete) {
   advisor::TuningOptions options;
   options.max_indexes = 4;
