@@ -46,6 +46,46 @@ void BM_Featurize(benchmark::State& state) {
 }
 BENCHMARK(BM_Featurize);
 
+const workload::GeneratedWorkload& TpcdsEnv() {
+  static workload::GeneratedWorkload* env = [] {
+    workload::GeneratorOptions gen;
+    gen.instances_per_template = 50;
+    return new workload::GeneratedWorkload(workload::MakeTpcds(gen));
+  }();
+  return *env;
+}
+
+// Featurizing a TPC-DS workload (50 instances per template) query by query,
+// against FeaturizeWorkload's one Featurize per feature class.
+void BM_FeaturizeEach(benchmark::State& state) {
+  const workload::Workload& w = *TpcdsEnv().workload;
+  for (auto _ : state) {
+    core::FeatureSpace space;
+    const core::Featurizer featurizer(w.env().catalog, w.env().stats, &space);
+    std::vector<core::SparseVector> rows;
+    rows.reserve(w.size());
+    for (size_t i = 0; i < w.size(); ++i) {
+      rows.push_back(featurizer.Featurize(w.query(i).bound));
+    }
+    benchmark::DoNotOptimize(rows);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(w.size()));
+}
+BENCHMARK(BM_FeaturizeEach)->Unit(benchmark::kMillisecond);
+
+void BM_FeaturizeWorkload(benchmark::State& state) {
+  const workload::Workload& w = *TpcdsEnv().workload;
+  for (auto _ : state) {
+    core::FeatureSpace space;
+    auto features = core::FeaturizeWorkload(w, {}, &space);
+    benchmark::DoNotOptimize(features);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(w.size()));
+}
+BENCHMARK(BM_FeaturizeWorkload)->Unit(benchmark::kMillisecond);
+
 void BM_WeightedJaccard(benchmark::State& state) {
   const auto& env = TpchEnv();
   core::CompressionState cs(*env.workload, {}, core::UtilityMode::kCostOnly);

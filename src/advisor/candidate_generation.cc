@@ -42,13 +42,8 @@ IndexableColumns ExtractIndexableColumns(const sql::BoundQuery& query) {
   return out;
 }
 
-std::vector<engine::Index> GenerateCandidates(
-    const sql::BoundQuery& query, const stats::StatsManager& stats,
-    const CandidateGenOptions& options, const TimeBudget& budget) {
-  // --- Build per-table views. ---
-  std::unordered_map<catalog::TableId, TableColumns> per_table;
-
-  // Sargable filters sorted by ascending selectivity (most selective first).
+std::vector<const sql::FilterPredicate*> SargableFiltersBySelectivity(
+    const sql::BoundQuery& query) {
   std::vector<const sql::FilterPredicate*> sargable;
   for (const auto& f : query.filters) {
     if (f.sargable) sargable.push_back(&f);
@@ -57,7 +52,17 @@ std::vector<engine::Index> GenerateCandidates(
             [](const sql::FilterPredicate* a, const sql::FilterPredicate* b) {
               return a->selectivity < b->selectivity;
             });
-  for (const auto* f : sargable) {
+  return sargable;
+}
+
+std::vector<engine::Index> GenerateCandidates(
+    const sql::BoundQuery& query, const stats::StatsManager& stats,
+    const CandidateGenOptions& options, const TimeBudget& budget) {
+  // --- Build per-table views. ---
+  std::unordered_map<catalog::TableId, TableColumns> per_table;
+
+  // Sargable filters, most selective first.
+  for (const auto* f : SargableFiltersBySelectivity(query)) {
     PushUnique(&per_table[f->column.table].selections, f->column);
   }
   for (const auto& j : query.joins) {

@@ -34,6 +34,13 @@ std::vector<engine::Index> GenerateCandidates(
     const sql::BoundQuery& query, const stats::StatsManager& stats,
     const CandidateGenOptions& options = {}, const TimeBudget& budget = {});
 
+/// The query's sargable filters, most selective first (ascending
+/// selectivity; equal selectivities keep std::sort's order). This is the
+/// selection order GenerateCandidates reads, and the featurizer keys its
+/// feature classes on it (core::FeaturizeWorkload), so both read one order.
+std::vector<const sql::FilterPredicate*> SargableFiltersBySelectivity(
+    const sql::BoundQuery& query);
+
 /// Indexable columns of `query` grouped by role (Definition 5 of the paper):
 /// filter, join, group-by and order-by columns, per referenced table.
 struct IndexableColumns {

@@ -1,6 +1,7 @@
 #include "baselines/kmedoid.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/deadline.h"
@@ -17,19 +18,17 @@ workload::CompressedWorkload KMedoidCompressor::Compress(
   k = std::min(k, n);
 
   // ISUM rule-based features as the similarity substrate. Featurized once
-  // into an immutable CSR snapshot: every distance scan below is a
-  // medoid-major one-vs-many gather instead of per-pair sorted merges.
+  // per feature class into an immutable CSR snapshot: every distance scan
+  // below is a medoid-major one-vs-many gather over the class rows instead
+  // of per-pair sorted merges, and a query reads its class's row.
   core::FeatureSpace space;
-  core::Featurizer featurizer(workload.env().catalog, workload.env().stats,
-                              &space);
-  std::vector<core::SparseVector> features(n);
-  for (size_t i = 0; i < n; ++i) {
-    features[i] = featurizer.Featurize(workload.query(i).bound);
-  }
+  const core::WorkloadFeatures features =
+      core::FeaturizeWorkload(workload, {}, &space);
+  const std::vector<uint32_t>& class_of = features.class_of;
   const core::FeatureMatrix matrix =
-      core::FeatureMatrix::FromVectors(features, space.size());
+      core::FeatureMatrix::FromVectors(features.rows, space.size());
   core::DenseScratch scratch;
-  std::vector<double> sim(n, 0.0);
+  std::vector<double> class_sim(matrix.rows(), 0.0);
 
   // Scans medoids in ascending slot order with a strict comparison, so the
   // lowest medoid slot wins distance ties exactly like the per-pair loop
@@ -38,10 +37,10 @@ workload::CompressedWorkload KMedoidCompressor::Compress(
                               std::vector<size_t>* assignment) {
     std::vector<double> best(n, 2.0);
     for (size_t m = 0; m < medoids.size(); ++m) {
-      matrix.ScatterRow(medoids[m], &scratch);
-      matrix.WeightedJaccardBatch(scratch, 0, n, sim.data());
+      matrix.ScatterRow(class_of[medoids[m]], &scratch);
+      matrix.WeightedJaccardBatch(scratch, 0, matrix.rows(), class_sim.data());
       for (size_t i = 0; i < n; ++i) {
-        const double d = 1.0 - sim[i];
+        const double d = 1.0 - class_sim[class_of[i]];
         if (d < best[i]) {
           best[i] = d;
           (*assignment)[i] = m;
@@ -79,11 +78,12 @@ workload::CompressedWorkload KMedoidCompressor::Compress(
       double best_sum = -1.0;
       size_t best_medoid = medoids[m];
       for (size_t cand : members) {
-        matrix.ScatterRow(cand, &scratch);
+        matrix.ScatterRow(class_of[cand], &scratch);
         double sum = 0.0;
         for (size_t other : members) {
           double s = 0.0;
-          matrix.WeightedJaccardBatch(scratch, other, other + 1, &s);
+          const size_t row = class_of[other];
+          matrix.WeightedJaccardBatch(scratch, row, row + 1, &s);
           sum += 1.0 - s;
         }
         if (best_sum < 0.0 || sum < best_sum) {

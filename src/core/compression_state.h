@@ -1,6 +1,7 @@
 #ifndef ISUM_CORE_COMPRESSION_STATE_H_
 #define ISUM_CORE_COMPRESSION_STATE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/features.h"
@@ -26,6 +27,12 @@ enum class UpdateStrategy {
 /// Mutable per-query signals shared by the all-pairs and summary-features
 /// greedy algorithms: current and original features/utilities, selection
 /// flags, and the update/reset machinery of Algorithm 2.
+///
+/// Features are stored once per feature class (FeaturizeWorkload). The
+/// unselected members of a class start equal and receive identical updates,
+/// so they share one current row and every per-class result is
+/// bit-identical to the per-query one. A selected query's features freeze
+/// at selection time, so SelectAndUpdate first gives it its own row.
 class CompressionState {
  public:
   /// Featurizes every query in `workload` and computes utilities.
@@ -33,10 +40,17 @@ class CompressionState {
                    const FeaturizationOptions& feat_options,
                    UtilityMode utility_mode);
 
-  size_t size() const { return features_.size(); }
-  const SparseVector& features(size_t i) const { return features_[i]; }
+  size_t size() const { return row_of_.size(); }
+  /// Stays valid across SelectAndUpdate: detaching never reallocates.
+  const SparseVector& features(size_t i) const { return rows_[row_of_[i]]; }
   const SparseVector& original_features(size_t i) const {
-    return original_features_[i];
+    return original_rows_[class_of_[i]];
+  }
+  /// Feature classes: queries with equal featurization inputs.
+  size_t num_classes() const { return original_rows_.size(); }
+  size_t feature_class(size_t i) const { return class_of_[i]; }
+  const SparseVector& original_class_features(size_t c) const {
+    return original_rows_[c];
   }
   double utility(size_t i) const { return utilities_[i]; }
   double original_utility(size_t i) const { return original_utilities_[i]; }
@@ -46,7 +60,7 @@ class CompressionState {
 
   /// Similarity of two queries' *current* features.
   double Similarity(size_t i, size_t j) const {
-    return WeightedJaccard(features_[i], features_[j]);
+    return WeightedJaccard(features(i), features(j));
   }
 
   /// Marks `s` selected and applies `strategy` to every unselected query,
@@ -74,13 +88,21 @@ class CompressionState {
 
  private:
   FeatureSpace space_;
-  std::vector<SparseVector> features_;
-  std::vector<SparseVector> original_features_;
+  std::vector<SparseVector> original_rows_;  // one per class
+  // Rows [0, num_classes()) are the classes' current rows, shared by their
+  // unselected members; each selected query's own row is appended after.
+  // Capacity for every query's detach is reserved up front, so appending
+  // never moves a row a caller still references.
+  std::vector<SparseVector> rows_;
+  std::vector<uint32_t> class_of_;
+  std::vector<uint32_t> row_of_;
   std::vector<double> utilities_;
   std::vector<double> original_utilities_;
   std::vector<bool> selected_;
   // One-vs-many probe buffer for SelectAndUpdate, reused across rounds.
   DenseScratch update_scratch_;
+  // Per-class similarity to the selected query, reused across rounds.
+  std::vector<double> class_sim_;
 };
 
 }  // namespace isum::core

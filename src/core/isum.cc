@@ -25,6 +25,7 @@ const char* AlgorithmName(SelectionAlgorithm algorithm) {
 struct CompressMetrics {
   obs::Counter* runs;
   obs::Counter* input_queries;
+  obs::Counter* feature_classes;
   obs::Counter* selected_queries;
 
   static const CompressMetrics& Get() {
@@ -32,6 +33,7 @@ struct CompressMetrics {
       obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
       return CompressMetrics{registry.GetCounter("compress.runs"),
                              registry.GetCounter("compress.input_queries"),
+                             registry.GetCounter("compress.feature_classes"),
                              registry.GetCounter("compress.selected_queries")};
     }();
     return m;
@@ -146,6 +148,7 @@ workload::CompressedWorkload Isum::Compress(size_t k) const {
     ISUM_TRACE_SPAN("compress/feature-extraction");
     return MakeState();
   }();
+  metrics.feature_classes->Add(state.num_classes());
   const SelectionResult selection = RunSelection(state, k, options_, budget);
   std::vector<double> weights;
   {

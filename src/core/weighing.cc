@@ -19,15 +19,31 @@ std::vector<double> Normalized(std::vector<double> weights) {
   return weights;
 }
 
-/// Shared body of the two public overloads: takes ownership of the original
-/// (pre-update) per-query signals; `num_features` bounds the feature ids.
-std::vector<double> WeighWithSignals(const workload::Workload& workload,
-                                     const SelectionResult& selection,
-                                     std::vector<SparseVector> features,
-                                     std::vector<double> utilities,
-                                     size_t num_features,
-                                     WeighingStrategy strategy) {
+/// Algorithms 4 and 5 over the state's original (pre-update) signals,
+/// copied because the recalibration mutates them. Features are copied per
+/// class: rows [0, num_classes()) are shared by each class's Wu members,
+/// which start equal and receive identical updates, and each selected query
+/// reads its own copy at `row_of[s]`. Utilities are per query.
+std::vector<double> Recalibrate(const workload::Workload& workload,
+                                const CompressionState& state,
+                                const SelectionResult& selection,
+                                WeighingStrategy strategy) {
   const size_t k = selection.selected.size();
+  std::vector<SparseVector> rows;
+  rows.reserve(state.num_classes() + k);
+  for (size_t c = 0; c < state.num_classes(); ++c) {
+    rows.push_back(state.original_class_features(c));
+  }
+  std::vector<size_t> row_of(workload.size());
+  std::vector<double> utilities(workload.size());
+  for (size_t i = 0; i < workload.size(); ++i) {
+    row_of[i] = state.feature_class(i);
+    utilities[i] = state.original_utility(i);
+  }
+  for (size_t s : selection.selected) {
+    row_of[s] = rows.size();
+    rows.push_back(state.original_features(s));
+  }
 
   // Wu: the pool the summary is built from. Starts as W minus the selected
   // queries; the template step below removes whole matching templates.
@@ -63,16 +79,18 @@ std::vector<double> WeighWithSignals(const workload::Workload& workload,
   // O(k·n) sorted merges into linear gathers.
   std::vector<size_t> remaining = selection.selected;
   std::unordered_map<size_t, double> raw_weight;
+  const size_t num_features = state.feature_space().size();
   std::vector<double> summary(num_features, 0.0);
   DenseScratch chosen_scratch;
   chosen_scratch.Reserve(num_features);
+  std::vector<double> class_sim;
   while (!remaining.empty()) {
     // Summary over current Wu signals.
     std::fill(summary.begin(), summary.end(), 0.0);
     for (size_t i = 0; i < workload.size(); ++i) {
       if (!in_wu[i]) continue;
       const double u = utilities[i];
-      for (const SparseVector::Entry& e : features[i].entries()) {
+      for (const SparseVector::Entry& e : rows[row_of[i]].entries()) {
         summary[e.feature] += e.weight * u;
       }
     }
@@ -84,7 +102,7 @@ std::vector<double> WeighWithSignals(const workload::Workload& workload,
     for (size_t r = 0; r < remaining.size(); ++r) {
       const size_t qi = remaining[r];
       double min_sum = 0.0, query_sum = 0.0;
-      for (const SparseVector::Entry& e : features[qi].entries()) {
+      for (const SparseVector::Entry& e : rows[row_of[qi]].entries()) {
         query_sum += e.weight;
         min_sum += std::min(e.weight, summary[e.feature]);
       }
@@ -100,13 +118,19 @@ std::vector<double> WeighWithSignals(const workload::Workload& workload,
     raw_weight[chosen] = std::max(0.0, max_benefit);
     remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(arg));
 
-    // UpdateWorkload(Wu, chosen): feature-zero + utility discount.
-    chosen_scratch.Scatter(features[chosen]);
+    // UpdateWorkload(Wu, chosen): feature-zero + utility discount, with the
+    // similarity and the zeroing once per class (-1 marks "not yet").
+    const SparseVector& chosen_row = rows[row_of[chosen]];
+    chosen_scratch.Scatter(chosen_row);
+    class_sim.assign(state.num_classes(), -1.0);
     for (size_t i = 0; i < workload.size(); ++i) {
       if (!in_wu[i]) continue;
-      const double sim = WeightedJaccardVsDense(chosen_scratch, features[i]);
-      utilities[i] -= utilities[i] * sim;
-      features[i].ZeroWhere(features[chosen]);
+      const size_t c = row_of[i];
+      if (class_sim[c] < 0.0) {
+        class_sim[c] = WeightedJaccardVsDense(chosen_scratch, rows[c]);
+        rows[c].ZeroWhere(chosen_row);
+      }
+      utilities[i] -= utilities[i] * class_sim[c];
     }
   }
 
@@ -130,17 +154,8 @@ std::vector<double> WeighSelectedQueries(const workload::Workload& workload,
     return Normalized(selection.selection_benefits);
   }
 
-  // Original signals already live in the state; copy them (the recalibration
-  // mutates both) instead of re-featurizing the whole workload.
-  std::vector<SparseVector> features(workload.size());
-  std::vector<double> utilities(workload.size());
-  for (size_t i = 0; i < workload.size(); ++i) {
-    features[i] = state.original_features(i);
-    utilities[i] = state.original_utility(i);
-  }
-  return WeighWithSignals(workload, selection, std::move(features),
-                          std::move(utilities), state.feature_space().size(),
-                          strategy);
+  // The original signals already live in the state: no re-featurization.
+  return Recalibrate(workload, state, selection, strategy);
 }
 
 }  // namespace isum::core

@@ -1,10 +1,12 @@
 #include "core/weighting.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <unordered_map>
 
 #include "advisor/candidate_generation.h"
+#include "common/hash.h"
 
 namespace isum::core {
 
@@ -83,7 +85,91 @@ RawWeights StatsBasedWeights(const sql::BoundQuery& query,
   return out;
 }
 
+/// Everything Featurize reads from one query, flattened into `*out` in a
+/// fixed order with a length before each list so lists cannot run into each
+/// other. Catalog row counts and column densities are per table/column, so
+/// equal keys featurize to equal vectors.
+void FeatureClassKey(const sql::BoundQuery& query,
+                     const FeaturizationOptions& options,
+                     std::vector<uint64_t>* out) {
+  const auto column = [](catalog::ColumnId c) {
+    return uint64_t{static_cast<uint32_t>(c.table)} << 32 |
+           static_cast<uint32_t>(c.column);
+  };
+  std::vector<uint64_t>& key = *out;
+  key.clear();
+  key.push_back(options.use_table_weight ? 1 : 0);
+  key.push_back(query.tables.size());
+  for (const auto& ref : query.tables) {
+    key.push_back(static_cast<uint32_t>(ref.table));
+  }
+  const std::vector<const sql::FilterPredicate*> sargable =
+      advisor::SargableFiltersBySelectivity(query);
+  key.push_back(sargable.size());
+  for (const auto* f : sargable) key.push_back(column(f->column));
+  key.push_back(query.filters.size());
+  for (const auto& f : query.filters) key.push_back(column(f.column));
+  key.push_back(query.complex_predicates.size());
+  for (const auto& cp : query.complex_predicates) {
+    key.push_back(cp.columns.size());
+    for (catalog::ColumnId c : cp.columns) key.push_back(column(c));
+  }
+  key.push_back(query.joins.size());
+  for (const auto& j : query.joins) {
+    key.push_back(column(j.left));
+    key.push_back(column(j.right));
+  }
+  key.push_back(query.group_by_columns.size());
+  for (catalog::ColumnId g : query.group_by_columns) key.push_back(column(g));
+  key.push_back(query.order_by_columns.size());
+  for (const auto& [c, desc] : query.order_by_columns) {
+    key.push_back(column(c));
+  }
+  if (options.scheme == WeightingScheme::kStatsBased) {
+    for (const auto& f : query.filters) {
+      key.push_back(std::bit_cast<uint64_t>(f.selectivity));
+    }
+    for (const auto& cp : query.complex_predicates) {
+      key.push_back(std::bit_cast<uint64_t>(cp.selectivity));
+    }
+    for (const auto& j : query.joins) {
+      key.push_back(std::bit_cast<uint64_t>(j.selectivity));
+    }
+  }
+}
+
+struct FeatureClassKeyHash {
+  size_t operator()(const std::vector<uint64_t>& key) const {
+    uint64_t h = key.size();
+    for (const uint64_t v : key) h = HashCombine(h, v);
+    return static_cast<size_t>(h);
+  }
+};
+
 }  // namespace
+
+WorkloadFeatures FeaturizeWorkload(const workload::Workload& workload,
+                                   const FeaturizationOptions& options,
+                                   FeatureSpace* space) {
+  const Featurizer featurizer(workload.env().catalog, workload.env().stats,
+                              space);
+  std::unordered_map<std::vector<uint64_t>, uint32_t, FeatureClassKeyHash>
+      classes;
+  std::vector<uint64_t> key;  // reused: a hit allocates nothing
+  WorkloadFeatures out;
+  out.class_of.reserve(workload.size());
+  for (size_t i = 0; i < workload.size(); ++i) {
+    const sql::BoundQuery& query = workload.query(i).bound;
+    FeatureClassKey(query, options, &key);
+    auto it = classes.find(key);
+    if (it == classes.end()) {
+      it = classes.emplace(key, static_cast<uint32_t>(out.rows.size())).first;
+      out.rows.push_back(featurizer.Featurize(query, options));
+    }
+    out.class_of.push_back(it->second);
+  }
+  return out;
+}
 
 SparseVector Featurizer::Featurize(const sql::BoundQuery& query,
                                    const FeaturizationOptions& options) const {

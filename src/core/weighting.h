@@ -1,9 +1,13 @@
 #ifndef ISUM_CORE_WEIGHTING_H_
 #define ISUM_CORE_WEIGHTING_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "core/features.h"
 #include "sql/bound_query.h"
 #include "stats/stats_manager.h"
+#include "workload/workload.h"
 
 namespace isum::core {
 
@@ -42,6 +46,26 @@ class Featurizer {
   const stats::StatsManager* stats_;
   FeatureSpace* space_;
 };
+
+/// A workload's features, one row per feature class: queries whose
+/// featurization inputs are exactly equal (FeaturizeWorkload) share a row.
+struct WorkloadFeatures {
+  /// One row per class, in order of each class's first query.
+  std::vector<SparseVector> rows;
+  /// The class (row index) of each query.
+  std::vector<uint32_t> class_of;
+};
+
+/// Featurizes `workload`, running Featurize once per feature class. The
+/// class key is the exact ordered tuple of what Featurize reads — table ids,
+/// sargable filter columns in the candidate generator's selectivity order,
+/// every filter, complex-predicate, join, group-by and order-by column,
+/// the stats-based scheme's selectivity bits and `use_table_weight` —
+/// compared in full, so every query's row is bit-identical to its own
+/// Featurize result and `space` assigns ids in the same order.
+WorkloadFeatures FeaturizeWorkload(const workload::Workload& workload,
+                                   const FeaturizationOptions& options,
+                                   FeatureSpace* space);
 
 }  // namespace isum::core
 

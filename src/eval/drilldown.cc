@@ -16,12 +16,11 @@ DrilldownReport BuildDrilldown(const workload::Workload& workload,
 
   // Features for similarity-based representation assignment.
   core::FeatureSpace space;
-  core::Featurizer featurizer(workload.env().catalog, workload.env().stats,
-                              &space);
-  std::vector<core::SparseVector> features(workload.size());
-  for (size_t i = 0; i < workload.size(); ++i) {
-    features[i] = featurizer.Featurize(workload.query(i).bound);
-  }
+  const core::WorkloadFeatures features =
+      core::FeaturizeWorkload(workload, {}, &space);
+  const auto features_of = [&features](size_t i) -> const core::SparseVector& {
+    return features.rows[features.class_of[i]];
+  };
 
   engine::Optimizer optimizer(workload.env().cost_model);
 
@@ -61,7 +60,7 @@ DrilldownReport BuildDrilldown(const workload::Workload& workload,
     size_t rep = 0;
     for (size_t e = 0; e < report.entries.size(); ++e) {
       const double sim = core::WeightedJaccard(
-          features[i], features[report.entries[e].query_index]);
+          features_of(i), features_of(report.entries[e].query_index));
       if (sim > best) {
         best = sim;
         rep = e;
