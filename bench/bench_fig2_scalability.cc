@@ -4,10 +4,11 @@
 //
 // Repro extension:
 //   2c: ISUM end-to-end compression time vs. #queries, one Isum::Compress
-//       per size. With --journal= each size's compress_end event carries
-//       the selection hash and benefit sum, so runs of two revisions can be
-//       compared for quality (`tracecat explain`). Whole-pipeline perf
-//       records come from benchmark/isum_bench, not from this driver.
+//       per size. With --trace= each size's compress_end decision event
+//       carries the selection hash and benefit sum, so runs of two
+//       revisions can be compared for quality (`tracecat explain`).
+//       Whole-pipeline perf records come from benchmark/isum_bench, not
+//       from this driver.
 //
 // Flags (besides the shared ObsScope set):
 //   --compress-only   skip the slow 2a/2b tuning sweep (the journal, profile
@@ -19,6 +20,7 @@
 #include <cstring>
 
 #include "bench_util.h"
+#include "obs/journal.h"
 
 using namespace isum;
 
@@ -58,7 +60,7 @@ int main(int argc, char** argv) {
     const double compress_seconds = compress_timer.Seconds();
 
     // Quality columns: equal selections <=> equal hashes, and the hash is
-    // the one the journal's compress_end event carries.
+    // the one the compress_end decision event carries.
     double benefit_sum = 0.0;
     std::vector<size_t> selected;
     for (const auto& entry : compressed.entries) {

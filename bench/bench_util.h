@@ -26,7 +26,6 @@
 #include "eval/reporting.h"
 #include "obs/export.h"
 #include "obs/exporter.h"
-#include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -49,12 +48,10 @@ struct ObsFlags {
   std::string bench_name = "bench";  ///< BaseName(argv[0])
   std::string trace_path;
   std::string metrics_path;
-  std::string journal_path;
   std::string faults_spec;
   std::string profile_path;
   std::string checkpoint_path;
   uint64_t checkpoint_every = 16;
-  uint64_t trace_every = 1;
   double time_budget_seconds = 0.0;
   int profile_hz = 100;
   bool profile_alloc = false;
@@ -68,12 +65,8 @@ struct ObsFlags {
       const char* arg = argv[i];
       if (std::strncmp(arg, "--trace=", 8) == 0) {
         flags.trace_path = arg + 8;
-      } else if (std::strncmp(arg, "--trace-every=", 14) == 0) {
-        flags.trace_every = std::strtoull(arg + 14, nullptr, 10);
       } else if (std::strncmp(arg, "--metrics=", 10) == 0) {
         flags.metrics_path = arg + 10;
-      } else if (std::strncmp(arg, "--journal=", 10) == 0) {
-        flags.journal_path = arg + 10;
       } else if (std::strncmp(arg, "--profile=", 10) == 0) {
         flags.profile_path = arg + 10;
       } else if (std::strncmp(arg, "--profile-hz=", 13) == 0) {
@@ -115,10 +108,11 @@ struct ObsFlags {
 ///
 /// Recognized flags (consumed from argv so downstream parsers — including
 /// google-benchmark's — never see them):
-///   --trace=<path>     record spans for the whole run; written as Chrome
-///                      trace JSON (open in Perfetto / chrome://tracing)
-///   --trace-every=<N>  sample: record every Nth top-level span tree per
-///                      thread (with --trace; 1 = all, the default)
+///   --trace=<path>     record the whole run as Chrome trace JSON (open in
+///                      Perfetto / chrome://tracing): the decision events
+///                      of obs/journal.h are written as they happen, the
+///                      spans at exit. `tracecat <path>` renders the spans,
+///                      `tracecat explain <path>` the decisions
 ///   --metrics=<path>   run the MetricsExporter (obs/exporter.h) on <path>:
 ///                      a metrics-JSONL snapshot of the registry, rewritten
 ///                      atomically once per second while the run executes
@@ -144,14 +138,11 @@ struct ObsFlags {
 ///                      makes the driver exit 3 so CI can tell a truncated
 ///                      sweep from a complete one (main returns
 ///                      obs.ExitCode())
-///   --journal=<path>   open the decision-provenance journal for the run
-///                      (isum-events-v1 JSONL, src/obs/journal.h); closed
-///                      with `journal_end` at exit. `tracecat explain`
-///                      reconstructs the run from it
 ///   --profile=<path>   run the sampling CPU profiler (obs/profiler.h) for
 ///                      the whole run; written as an isum-profile-v1 record
 ///                      plus a flamegraph.pl-ready <path>.collapsed file.
-///                      Enables the tracer so samples attribute to phases.
+///                      Enables the tracer (in memory only, without
+///                      --trace=) so samples attribute to phases.
 ///                      Read with `tracecat profile <path>`
 ///   --profile-hz=<n>   SIGPROF sampling frequency in Hz of CPU time
 ///                      (with --profile; default 100)
@@ -159,7 +150,8 @@ struct ObsFlags {
 ///                      (with --profile; needs a -DISUM_OBS_PROFILING=ON
 ///                      build, otherwise ignored with a warning)
 ///
-/// Files are written from the destructor, after the driver's work joined.
+/// Files other than the --trace= decision events are written from the
+/// destructor, after the driver's work joined.
 /// Perf records are not written here: benchmark/isum_bench produces them
 /// (benchmark/README.md).
 class ObsScope {
@@ -194,19 +186,15 @@ class ObsScope {
           flags_.checkpoint_every == 0 ? 1 : flags_.checkpoint_every;
       InstallAmbientCheckpoint(ckpt);
     }
-    obs::Tracer::Global().SetSampleEvery(flags_.trace_every);
-    // The profiler attributes samples through the tracer's span stack, so
-    // --profile= enables tracing too.
-    if (!flags_.trace_path.empty() || !flags_.profile_path.empty()) {
-      obs::Tracer::Global().Enable();
-    }
-    if (!flags_.journal_path.empty()) {
-      if (!obs::Journal::Global().Open(flags_.journal_path,
-                                       flags_.bench_name)) {
-        std::fprintf(stderr, "cannot open --journal=%s\n",
-                     flags_.journal_path.c_str());
+    if (!flags_.trace_path.empty()) {
+      if (!obs::Tracer::Global().Open(flags_.trace_path, flags_.bench_name)) {
+        std::fprintf(stderr, "cannot open --trace=%s\n",
+                     flags_.trace_path.c_str());
         std::exit(2);
       }
+    } else if (!flags_.profile_path.empty()) {
+      // The profiler attributes samples through the tracer's span stack.
+      obs::Tracer::Global().Enable();
     }
     if (!flags_.metrics_path.empty()) {
       obs::MetricsExporterOptions exporter_options;
@@ -252,7 +240,7 @@ class ObsScope {
     obs::ProfileDump profile;
     if (profiling_) profile = obs::Profiler::Global().Stop();
     // Shut down the exporter next (joins its worker and writes the final
-    // snapshot), then close the journal so `journal_end` is the last event.
+    // snapshot), then close the trace file.
     if (exporter_ != nullptr) {
       exporter_->Stop();
       std::fprintf(stderr, "wrote %llu metrics snapshot(s) to %s\n",
@@ -261,21 +249,20 @@ class ObsScope {
                    flags_.metrics_path.c_str());
       exporter_.reset();
     }
-    if (!flags_.journal_path.empty()) {
-      const uint64_t events = obs::Journal::Global().events_written();
-      obs::Journal::Global().Close();
-      std::fprintf(stderr, "wrote %llu journal events to %s\n",
-                   static_cast<unsigned long long>(events + 1),
-                   flags_.journal_path.c_str());
-    }
-    obs::TraceDump dump;
-    if (!flags_.trace_path.empty() || !flags_.profile_path.empty()) {
-      obs::Tracer::Global().Disable();
-      dump = obs::Tracer::Global().Drain();
-    }
     if (!flags_.trace_path.empty()) {
-      Report(obs::WriteFile(flags_.trace_path, obs::ChromeTraceJson(dump)),
-             flags_.trace_path, dump.spans.size(), "spans");
+      const obs::TraceFileStats stats = obs::Tracer::Global().Close();
+      if (stats.ok) {
+        std::fprintf(stderr,
+                     "wrote %llu spans and %llu decision events to %s\n",
+                     static_cast<unsigned long long>(stats.spans),
+                     static_cast<unsigned long long>(stats.instants),
+                     flags_.trace_path.c_str());
+      } else {
+        std::fprintf(stderr, "obs export failed: write error on %s\n",
+                     flags_.trace_path.c_str());
+      }
+    } else if (!flags_.profile_path.empty()) {
+      obs::Tracer::Global().Disable();
     }
     if (profiling_) {
       obs::ProfileMeta meta;

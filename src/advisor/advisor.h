@@ -60,7 +60,11 @@ struct TuningResult {
   uint64_t optimizer_calls = 0;
   /// What-if requests answered without an optimizer invocation: costs
   /// greedy enumeration carried over from the previous round. Together with
-  /// optimizer_calls, the total number of what-if requests.
+  /// optimizer_calls, the total number of what-if requests. The name
+  /// predates the removal of the what-if cache; it stays because
+  /// benchmark/isum_bench.cc reads it, and renaming it (with
+  /// "whatif.cache_hits" and the benchmark's engine.whatif_hits) waits for
+  /// a change that may edit benchmark/ (docs/OBSERVABILITY.md).
   uint64_t cache_hits = 0;
   uint64_t configurations_explored = 0;
   /// Seconds spent in real optimizer invocations (Figure 2a series).

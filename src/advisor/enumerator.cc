@@ -210,7 +210,7 @@ EnumerationResult GreedyEnumerate(
   static obs::Counter* const explored_counter =
       obs::MetricsRegistry::Global().GetCounter(
           "advisor.configurations_explored");
-  // Process-wide what-if counters, sampled per round so journal enum_round
+  // Process-wide what-if counters, sampled per round so the enum_round
   // events can attribute this round's cache hits and optimizer calls.
   static obs::Counter* const whatif_calls_counter =
       obs::MetricsRegistry::Global().GetCounter("whatif.optimizer_calls");
@@ -241,11 +241,9 @@ EnumerationResult GreedyEnumerate(
       result.initial_cost = total_cost;
       result.final_cost = total_cost;
       NoteStopReason(result.stop_reason);
-      if (obs::Journal::Global().enabled()) {
-        obs::Journal::Global().EnumEnd(
-            result.configuration.size(), result.initial_cost,
-            result.final_cost, StopReasonToString(result.stop_reason));
-      }
+      obs::journal::EnumEnd(result.configuration.size(), result.initial_cost,
+                            result.final_cost,
+                            StopReasonToString(result.stop_reason));
       return result;
     }
     current_cost[i] = *c;
@@ -324,7 +322,7 @@ EnumerationResult GreedyEnumerate(
         total_cost = DoubleFromBits(snapshot->total_cost_bits);
         restored_done = snapshot->done != 0;
         ckpt_written_rounds = winner_ids.size();
-        obs::Journal::Global().CkptRestore(
+        obs::journal::CkptRestore(
             "enum", ckpt_store->loaded_epoch(), winner_ids.size(),
             obs::SelectionOrderHash(winner_ids.data(), winner_ids.size()),
             restored_done ? 1 : 0);
@@ -349,8 +347,8 @@ EnumerationResult GreedyEnumerate(
     const uint64_t epoch = ckpt_store->next_epoch();
     if (!ckpt_store->WriteEpoch(writer).ok()) return;
     ckpt_written_rounds = winner_ids.size();
-    obs::Journal::Global().CkptWrite("enum", epoch, winner_ids.size(),
-                                     ckpt_store->last_write_bytes());
+    obs::journal::CkptWrite("enum", epoch, winner_ids.size(),
+                            ckpt_store->last_write_bytes());
   };
 
   while (!restored_done &&
@@ -451,8 +449,8 @@ EnumerationResult GreedyEnumerate(
     if (best_e == eligible.size()) break;
 
     const size_t best_i = eligible[best_e];
-    if (obs::Journal::Global().enabled()) {
-      obs::Journal::Global().EnumRound(
+    if (obs::journal::Enabled()) {
+      obs::journal::EnumRound(
           round_index, eligible.size(), best_i, best_improvement,
           whatif_hits_counter->Value() - round_hits_before,
           whatif_calls_counter->Value() - round_calls_before);
@@ -482,11 +480,9 @@ EnumerationResult GreedyEnumerate(
     write_checkpoint(result.stop_reason == StopReason::kComplete);
   }
   NoteStopReason(result.stop_reason);
-  if (obs::Journal::Global().enabled()) {
-    obs::Journal::Global().EnumEnd(result.configuration.size(),
-                                   result.initial_cost, result.final_cost,
-                                   StopReasonToString(result.stop_reason));
-  }
+  obs::journal::EnumEnd(result.configuration.size(), result.initial_cost,
+                        result.final_cost,
+                        StopReasonToString(result.stop_reason));
   return result;
 }
 

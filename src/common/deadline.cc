@@ -131,20 +131,18 @@ void CancellationToken::Cancel() const {
 
 Status TimeBudget::CheckCancelled() const {
   if (token_.cancelled()) {
-    obs::Journal::Global().BudgetStop(
-        StopReasonToString(StopReason::kCancelled));
+    obs::journal::BudgetStop(StopReasonToString(StopReason::kCancelled));
     return Status::Cancelled("cancellation token fired");
   }
   if (deadline_.expired()) {
     DeadlineExceededCounter()->Add(1);
-    obs::Journal::Global().BudgetStop(
-        StopReasonToString(StopReason::kDeadline));
+    obs::journal::BudgetStop(StopReasonToString(StopReason::kDeadline));
     return Status::DeadlineExceeded("time budget expired");
   }
   // Consumption timeline: BudgetTick rate-limits itself (one event per
   // ~250ms), so every cooperative poll can report without flooding.
-  if (!deadline_.unlimited() && obs::Journal::Global().enabled()) {
-    obs::Journal::Global().BudgetTick(
+  if (!deadline_.unlimited() && obs::journal::Enabled()) {
+    obs::journal::BudgetTick(
         static_cast<double>(deadline_.remaining_nanos()) * 1e-9);
   }
   return Status::OK();

@@ -9,37 +9,6 @@
 
 namespace isum {
 
-std::string JsonEscape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size() + 8);
-  for (char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 StatusOr<std::string> JsonUnescape(const std::string& escaped) {
   std::string out;
   out.reserve(escaped.size());

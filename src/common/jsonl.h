@@ -1,6 +1,7 @@
 #ifndef ISUM_COMMON_JSONL_H_
 #define ISUM_COMMON_JSONL_H_
 
+#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,7 +12,8 @@ namespace isum {
 
 /// The one JSON reader behind every file the repo reads back: the
 /// Query-Store and statistics loaders, the fault spec, and tracecat's
-/// trace, metrics, bench, profile and journal readers. A small
+/// trace (spans and decision events), metrics, bench and profile readers.
+/// A small
 /// recursive-descent parser for RFC 8259 with three deliberate limits:
 /// string escapes are ASCII-only (as JsonUnescape), duplicate object keys
 /// are rejected, and nesting deeper than kMaxJsonDepth fails with a Status
@@ -58,8 +60,40 @@ StatusOr<JsonValue> ParseJson(std::string_view text);
 /// 1-based line number.
 StatusOr<std::vector<JsonValue>> ParseJsonLines(std::string_view text);
 
-/// Escapes a raw string for embedding in a JSON string literal.
-std::string JsonEscape(const std::string& raw);
+/// Escapes a raw string for embedding in a JSON string literal. Inline, so
+/// isum_obs_core (which isum_common links) can use it without a cycle.
+inline std::string JsonEscape(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size() + 8);
+  for (const char c : raw) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char escaped[8];
+          std::snprintf(escaped, sizeof(escaped), "\\u%04x", c);
+          out += escaped;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
 
 /// Reverses JsonEscape (ASCII \u escapes only).
 StatusOr<std::string> JsonUnescape(const std::string& escaped);

@@ -141,8 +141,8 @@ SelectionResult AllPairsGreedySelect(CompressionState& state, size_t k,
         runner_up = b.benefit;
       }
     }
-    if (obs::Journal::Global().enabled()) {
-      obs::Journal::Global().SelectRound(
+    if (obs::journal::Enabled()) {
+      obs::journal::SelectRound(
           result.selected.size(), best, max_benefit,
           runner_up < 0.0 ? -1.0 : max_benefit - runner_up, best_shard,
           eligible.size());

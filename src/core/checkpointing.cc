@@ -120,8 +120,8 @@ void SelectionCheckpointer::Write(const SelectionResult& result, bool done) {
   const uint64_t epoch = store_->next_epoch();
   if (!store_->WriteEpoch(writer).ok()) return;
   written_rounds_ = result.selected.size();
-  obs::Journal::Global().CkptWrite(phase_, epoch, result.selected.size(),
-                                   store_->last_write_bytes());
+  obs::journal::CkptWrite(phase_, epoch, result.selected.size(),
+                          store_->last_write_bytes());
 }
 
 }  // namespace isum::core

@@ -70,10 +70,10 @@ bool CompressionState::AllUnselectedZeroed() const {
 }
 
 void CompressionState::ResetUnselectedFeatures() {
-  if (obs::Journal::Global().enabled()) {
+  if (obs::journal::Enabled()) {
     size_t selected_so_far = 0;
     for (const bool s : selected_) selected_so_far += s ? 1 : 0;
-    obs::Journal::Global().FeatureReset(selected_so_far);
+    obs::journal::FeatureReset(selected_so_far);
   }
   // Unselected queries read only class rows; selected ones have their own.
   for (size_t c = 0; c < num_classes(); ++c) rows_[c] = original_rows_[c];

@@ -47,11 +47,8 @@ SelectionResult RunSelection(CompressionState& state, size_t k,
   span.Arg("k", static_cast<uint64_t>(k))
       .Arg("algorithm", AlgorithmName(options.algorithm))
       .Arg("threads", options.num_threads);
-  obs::Journal& journal = obs::Journal::Global();
-  if (journal.enabled()) {
-    journal.CompressBegin(state.size(), k, AlgorithmName(options.algorithm),
-                          static_cast<uint64_t>(options.num_threads));
-  }
+  obs::journal::CompressBegin(state.size(), k, AlgorithmName(options.algorithm),
+                              static_cast<uint64_t>(options.num_threads));
 
   // Checkpoint/resume (core/checkpointing.h): restore the newest valid
   // epoch whose fingerprint matches this work unit, replay its prefix into
@@ -87,7 +84,7 @@ SelectionResult RunSelection(CompressionState& state, size_t k,
         }
         seed.selected = std::move(snapshot->selected);
         seed.selection_benefits = std::move(snapshot->benefits);
-        journal.CkptRestore(
+        obs::journal::CkptRestore(
             "compress", store->loaded_epoch(), seed.selected.size(),
             obs::SelectionOrderHash(seed.selected.data(),
                                     seed.selected.size()),
@@ -119,13 +116,14 @@ SelectionResult RunSelection(CompressionState& state, size_t k,
   }
   if (ckpt != nullptr) ckpt->OnDone(result);
   NoteStopReason(result.stop_reason);
-  if (journal.enabled()) {
+  if (obs::journal::Enabled()) {
     double benefit_sum = 0.0;
     for (const double b : result.selection_benefits) benefit_sum += b;
-    journal.CompressEnd(result.selected.size(),
-                        obs::SelectionOrderHash(result.selected.data(),
-                                                result.selected.size()),
-                        benefit_sum, StopReasonToString(result.stop_reason));
+    obs::journal::CompressEnd(
+        result.selected.size(),
+        obs::SelectionOrderHash(result.selected.data(),
+                                result.selected.size()),
+        benefit_sum, StopReasonToString(result.stop_reason));
   }
   return result;
 }

@@ -134,9 +134,9 @@ SelectionResult SummaryGreedySelect(CompressionState& state, size_t k,
         runner_up = benefit;
       }
     }
-    if (obs::Journal::Global().enabled()) {
+    if (obs::journal::Enabled()) {
       // Serial argmax: no shards, so the shard field is always 0.
-      obs::Journal::Global().SelectRound(
+      obs::journal::SelectRound(
           result.selected.size(), best, max_benefit,
           runner_up < 0.0 ? -1.0 : max_benefit - runner_up, /*shard=*/0,
           eligible.size());

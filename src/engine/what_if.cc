@@ -67,8 +67,7 @@ StatusOr<double> WhatIfOptimizer::TryCost(const PreparedQuery& prepared,
     if (fault.ok()) break;
     if (fault.code() != StatusCode::kUnavailable || attempt >= max_attempts) {
       // Surfaced to the caller: persistent failure or retries exhausted.
-      obs::Journal::Global().Fault("whatif.cost",
-                                   StatusCodeToString(fault.code()));
+      obs::journal::Fault("whatif.cost", StatusCodeToString(fault.code()));
       return fault;
     }
     retry_attempts_.Add(1);
@@ -76,8 +75,8 @@ StatusOr<double> WhatIfOptimizer::TryCost(const PreparedQuery& prepared,
     uint64_t backoff = BackoffNanos(retry_policy_, attempt);
     // Never sleep past the deadline; re-check the budget after waking.
     backoff = std::min(backoff, budget.deadline().remaining_nanos());
-    obs::Journal::Global().Retry("whatif.cost",
-                                 static_cast<uint64_t>(attempt), backoff);
+    obs::journal::Retry("whatif.cost", static_cast<uint64_t>(attempt),
+                        backoff);
     if (backoff > 0) SleepForNanos(backoff);
     ISUM_RETURN_IF_ERROR(budget.CheckCancelled());
   }

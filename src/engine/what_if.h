@@ -94,7 +94,11 @@ class WhatIfOptimizer {
   /// "whatif.optimizer_calls" (docs/OBSERVABILITY.md).
   uint64_t optimizer_calls() const { return optimizer_calls_.Value(); }
   /// Number of requests answered without an optimizer call
-  /// (CountCarriedOver). Mirrored process-wide as "whatif.cache_hits".
+  /// (CountCarriedOver). Mirrored process-wide as "whatif.cache_hits". The
+  /// "cache" names outlive the cache: BENCHMARK.json names the benchmark's
+  /// engine.whatif_hits metric and benchmark/isum_bench.cc reads
+  /// TuningResult::cache_hits, so all three are renamed together by a
+  /// change that may edit benchmark/ (docs/OBSERVABILITY.md).
   uint64_t cache_hits() const { return cache_hits_.Value(); }
   /// Number of retries after transient what-if failures (0 unless fault
   /// injection or a flaky backend is active). Mirrored process-wide as

@@ -53,8 +53,7 @@ EvaluationResult RunPipeline(const workload::Workload& workload,
                            : result.tuning.stop_reason;
   result.metrics = obs::MetricsSnapshot::Delta(
       before, obs::MetricsRegistry::Global().Snapshot());
-  obs::Journal& journal = obs::Journal::Global();
-  if (journal.enabled()) {
+  if (obs::journal::Enabled()) {
     // Post-eval attribution: for every selected query, the benefit greedy
     // selection estimated vs. the cost reduction the recommended
     // configuration realized on it (base cost minus cost under the final
@@ -65,14 +64,14 @@ EvaluationResult RunPipeline(const workload::Workload& workload,
       const double realized =
           q.base_cost -
           optimizer.Cost(q.bound, result.tuning.configuration);
-      journal.Attribution(e.query_index, e.weight, e.selection_benefit,
-                          realized);
+      obs::journal::Attribution(e.query_index, e.weight, e.selection_benefit,
+                                realized);
     }
     // PipelineEnd flushes eagerly when stop_reason is abnormal, so a
-    // deadline-killed run still leaves a complete journal on disk.
-    journal.PipelineEnd(result.algorithm.c_str(), result.k,
-                        result.improvement_percent,
-                        StopReasonToString(result.stop_reason));
+    // deadline-killed run still leaves its decisions on disk.
+    obs::journal::PipelineEnd(result.algorithm.c_str(), result.k,
+                              result.improvement_percent,
+                              StopReasonToString(result.stop_reason));
   }
   return result;
 }

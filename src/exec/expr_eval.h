@@ -35,8 +35,8 @@ class ExpressionEvaluator {
 
   /// Truth value of a boolean expression; nullopt if not evaluable.
   /// Emits one "exec/expr-eval" span per top-level call (recursion into
-  /// sub-expressions does not nest spans); pair with --trace-every=N
-  /// sampling in hot loops.
+  /// sub-expressions does not nest spans), so a traced hot loop records
+  /// one span per row.
   std::optional<bool> Boolean(const sql::Expression& expr,
                               const ValueFn& value_of) const;
 

@@ -10,79 +10,6 @@
 
 namespace isum::obs {
 
-namespace {
-
-/// Nanoseconds -> microseconds string with nanosecond precision.
-std::string Micros(uint64_t nanos) {
-  return StrFormat("%llu.%03llu",
-                   static_cast<unsigned long long>(nanos / 1000),
-                   static_cast<unsigned long long>(nanos % 1000));
-}
-
-std::string ThreadName(const TraceDump& dump, uint32_t tid) {
-  if (tid < dump.thread_names.size() && !dump.thread_names[tid].empty()) {
-    return dump.thread_names[tid];
-  }
-  return StrFormat("thread-%u", tid);
-}
-
-/// The span's typed args as JSON object fields (",\"k\":50,...") appended
-/// after the "depth" field both exporters lead with.
-std::string SpanArgsJson(const SpanRecord& span) {
-  std::string out;
-  const uint32_t n =
-      std::min<uint32_t>(span.num_args, SpanRecord::kMaxArgs);
-  for (uint32_t i = 0; i < n; ++i) {
-    const SpanArg& arg = span.args[i];
-    if (arg.key == nullptr) continue;
-    switch (arg.kind) {
-      case SpanArg::Kind::kInt:
-        out += StrFormat(",\"%s\":%lld", JsonEscape(arg.key).c_str(),
-                         static_cast<long long>(arg.int_value));
-        break;
-      case SpanArg::Kind::kDouble:
-        out += StrFormat(",\"%s\":%.9g", JsonEscape(arg.key).c_str(),
-                         arg.double_value);
-        break;
-      case SpanArg::Kind::kString:
-        out += StrFormat(
-            ",\"%s\":\"%s\"", JsonEscape(arg.key).c_str(),
-            JsonEscape(arg.string_value != nullptr ? arg.string_value : "")
-                .c_str());
-        break;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string ChromeTraceJson(const TraceDump& dump) {
-  std::string out = "[\n";
-  bool first = true;
-  auto append = [&](const std::string& event) {
-    if (!first) out += ",\n";
-    first = false;
-    out += event;
-  };
-  for (uint32_t tid = 0; tid < dump.thread_names.size(); ++tid) {
-    append(StrFormat(
-        "{\"ph\":\"M\",\"pid\":1,\"tid\":%u,\"name\":\"thread_name\","
-        "\"args\":{\"name\":\"%s\"}}",
-        tid, JsonEscape(ThreadName(dump, tid)).c_str()));
-  }
-  for (const SpanRecord& span : dump.spans) {
-    append(StrFormat(
-        "{\"ph\":\"X\",\"pid\":1,\"tid\":%u,\"name\":\"%s\","
-        "\"cat\":\"isum\",\"ts\":%s,\"dur\":%s,\"args\":{\"depth\":%u%s}}",
-        span.tid, JsonEscape(span.name).c_str(),
-        Micros(span.start_nanos).c_str(), Micros(span.dur_nanos).c_str(),
-        span.depth, SpanArgsJson(span).c_str()));
-  }
-  out += "\n]\n";
-  return out;
-}
-
 std::string MetricsJsonl(const MetricsSnapshot& snapshot) {
   std::string out;
   for (const auto& [name, value] : snapshot.counters) {

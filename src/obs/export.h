@@ -10,24 +10,13 @@
 
 namespace isum::obs {
 
-/// Serialization of traces and metric snapshots. Two formats:
+/// Serialization of metric snapshots and profiles. Chrome trace JSON lives
+/// with the tracer (obs/trace.h: ChromeTraceJson and the --trace= file).
 ///
-///  - Chrome trace JSON (`trace.json`): loads directly in Perfetto
-///    (https://ui.perfetto.dev) or chrome://tracing. One complete event
-///    ("ph":"X") per span, preceded by thread_name metadata events, in a
-///    JSON array written one event per line for grep.
-///
-///  - Metrics JSONL: one JSON object per line
-///    ({"type":"counter"|"gauge"|"histogram",...}). It is the
-///    MetricsExporter's snapshot file (obs/exporter.h).
-///
-/// tools/tracecat reads both back through common/jsonl.h.
-///
-/// Timestamps/durations are microseconds with nanosecond precision
-/// (Chrome's native unit).
-
-/// Renders `dump` as Chrome trace JSON.
-std::string ChromeTraceJson(const TraceDump& dump);
+/// Metrics JSONL: one JSON object per line
+/// ({"type":"counter"|"gauge"|"histogram",...}). It is the
+/// MetricsExporter's snapshot file (obs/exporter.h). tools/tracecat reads
+/// it back through common/jsonl.h.
 
 /// Renders `snapshot` as metrics JSONL.
 std::string MetricsJsonl(const MetricsSnapshot& snapshot);

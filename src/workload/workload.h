@@ -87,7 +87,7 @@ struct CompressedWorkload {
     double weight = 1.0;
     /// The marginal benefit greedy selection estimated when it picked this
     /// query (0 when the producer predates selection benefits). Carried so
-    /// post-eval attribution (journal `attribution` events) can compare the
+    /// post-eval attribution (`attribution` decision events) can compare the
     /// estimate against the realized cost reduction.
     double selection_benefit = 0.0;
   };

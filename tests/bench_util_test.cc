@@ -12,7 +12,9 @@
 
 #include "bench/bench_util.h"
 #include "common/checkpoint.h"
+#include "core/isum.h"
 #include "tools/tracecat/tracecat.h"
+#include "workload/workload_factory.h"
 
 namespace isum::bench {
 namespace {
@@ -47,7 +49,6 @@ TEST(BenchObsFlags, DefaultsWithNoFlags) {
   EXPECT_TRUE(flags.trace_path.empty());
   EXPECT_TRUE(flags.metrics_path.empty());
   EXPECT_TRUE(flags.profile_path.empty());
-  EXPECT_EQ(flags.trace_every, 1u);
   EXPECT_EQ(flags.time_budget_seconds, 0.0);
   EXPECT_EQ(flags.profile_hz, 100);
   EXPECT_FALSE(flags.profile_alloc);
@@ -68,16 +69,13 @@ TEST(BenchObsFlags, ConsumesRecognizedFlagsAndKeepsTheRest) {
 }
 
 TEST(BenchObsFlags, ParsesEveryFlag) {
-  ArgvFixture args({"bench", "--trace=t.json", "--trace-every=4",
-                    "--metrics=m.jsonl", "--journal=j.jsonl",
+  ArgvFixture args({"bench", "--trace=t.json", "--metrics=m.jsonl",
                     "--faults=whatif:every=7", "--time-budget=2.5",
                     "--profile=p.json", "--profile-hz=250",
                     "--profile-alloc=1"});
   const ObsFlags flags = ObsFlags::Parse(args.argc(), args.argv());
   EXPECT_EQ(flags.trace_path, "t.json");
-  EXPECT_EQ(flags.trace_every, 4u);
   EXPECT_EQ(flags.metrics_path, "m.jsonl");
-  EXPECT_EQ(flags.journal_path, "j.jsonl");
   EXPECT_EQ(flags.faults_spec, "whatif:every=7");
   EXPECT_DOUBLE_EQ(flags.time_budget_seconds, 2.5);
   EXPECT_EQ(flags.profile_path, "p.json");
@@ -95,27 +93,31 @@ TEST(BenchObsFlags, ProfileAllocZeroDisables) {
 }
 
 TEST(BenchObsFlags, FlagPrefixesDoNotSwallowLookalikes) {
-  // "--trace-every=" shares the "--trace" prefix; both must parse, and a
-  // flag-shaped unknown like "--tracer=" must pass through.
-  ArgvFixture args({"bench", "--trace-every=9", "--tracer=x"});
+  // A flag-shaped unknown like "--tracer=" shares the "--trace" prefix and
+  // must pass through.
+  ArgvFixture args({"bench", "--tracer=x"});
   const ObsFlags flags = ObsFlags::Parse(args.argc(), args.argv());
   EXPECT_TRUE(flags.trace_path.empty());
-  EXPECT_EQ(flags.trace_every, 9u);
   EXPECT_EQ(args.Remaining(),
             (std::vector<std::string>{"bench", "--tracer=x"}));
 }
 
 TEST(BenchObsFlags, RetiredFlagsAreNotConsumed) {
-  // The perf record moved to benchmark/isum_bench and the snapshot file to
-  // --metrics=; the old flags reach the driver's own parser untouched.
+  // The perf record moved to benchmark/isum_bench, the snapshot file to
+  // --metrics= and the decision journal into the --trace= file; trace
+  // sampling is gone. The old flags reach the driver's own parser
+  // untouched.
   ArgvFixture args({"bench", "--bench-json=x", "--bench-label=y",
-                    "--metrics-snapshot=x"});
+                    "--metrics-snapshot=x", "--journal=j.jsonl",
+                    "--trace-every=4"});
   const ObsFlags flags = ObsFlags::Parse(args.argc(), args.argv());
   EXPECT_TRUE(flags.metrics_path.empty());
+  EXPECT_TRUE(flags.trace_path.empty());
   EXPECT_EQ(args.Remaining(),
-            (std::vector<std::string>{"bench", "--bench-json=x",
-                                      "--bench-label=y",
-                                      "--metrics-snapshot=x"}));
+            (std::vector<std::string>{
+                "bench", "--bench-json=x", "--bench-label=y",
+                "--metrics-snapshot=x", "--journal=j.jsonl",
+                "--trace-every=4"}));
 }
 
 TEST(BenchObsScope, MetricsFlagWritesSnapshotAtExit) {
@@ -148,6 +150,32 @@ TEST(BenchObsScope, MetricsFlagWritesSnapshotAtExit) {
   }
   EXPECT_TRUE(saw_counter);
   EXPECT_TRUE(saw_peak_rss);
+}
+
+TEST(BenchObsScope, TraceFlagWritesSpansAndDecisionsToOneFile) {
+  const std::string path = testing::TempDir() + "/obs_scope_trace.json";
+  std::remove(path.c_str());
+  ArgvFixture args({"bench", "--trace=" + path});
+  {
+    ObsScope scope(args.argc(), args.argv());
+    workload::GeneratorOptions gen;
+    gen.instances_per_template = 1;
+    workload::GeneratedWorkload env = workload::MakeTpch(gen);
+    core::Isum isum(env.workload.get());
+    EXPECT_EQ(isum.Compress(3).entries.size(), 3u);
+  }
+  StatusOr<std::string> content = ReadFileToString(path);
+  ASSERT_TRUE(content.ok()) << content.status().ToString();
+  auto spans = tracecat::ParseChromeTrace(*content);
+  ASSERT_TRUE(spans.ok()) << spans.status().ToString();
+  EXPECT_FALSE(tracecat::AggregatePhases(*spans).empty());
+  auto journal = tracecat::ParseJournal(*content);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  EXPECT_EQ(journal->label, "bench");
+  const auto checked = tracecat::CheckJournal(*journal);
+  ASSERT_TRUE(checked.ok()) << checked.status().ToString();
+  // compress_begin, three selects, compress_end.
+  EXPECT_EQ(checked.value(), 5u);
 }
 
 TEST(BenchObsFlags, BaseNameHandlesPlainAndNestedPaths) {

@@ -255,7 +255,7 @@ std::vector<double> RefWeighSelectedQueries(const workload::Workload& workload,
 
 // ---- Reference: the greedy selections' serial argmax ----
 
-/// SummaryGreedySelect without budget, faults, journal or checkpoints.
+/// SummaryGreedySelect without budget, faults, decision events or checkpoints.
 SelectionResult RefSummarySelect(RefState& state, size_t k,
                                  UpdateStrategy strategy) {
   SelectionResult result;

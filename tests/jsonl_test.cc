@@ -290,36 +290,54 @@ TEST(JsonFuzz, MetricsJsonl) {
 }
 
 TEST(JsonFuzz, Journal) {
+  // A trace file with decision events as obs::Tracer writes it. Prefixes
+  // stand for killed runs (no "]", a torn last line), which explain must
+  // still render.
   const size_t order[] = {7, 3};
   char hash[32];
   std::snprintf(hash, sizeof(hash), "%016llx",
                 static_cast<unsigned long long>(
                     obs::SelectionOrderHash(order, 2)));
-  const std::string journal =
-      "{\"event\":\"journal_begin\",\"seq\":0,\"t_us\":0.000,"
-      "\"schema\":\"isum-events-v1\",\"label\":\"fuzz\"}\n"
-      "{\"event\":\"compress_begin\",\"seq\":1,\"t_us\":1.000,\"n\":10,"
-      "\"k\":2,\"algorithm\":\"summary-features\",\"threads\":1}\n"
-      "{\"event\":\"select\",\"seq\":2,\"t_us\":2.000,\"round\":0,"
-      "\"query\":7,\"benefit\":0.5,\"gap\":0.1,\"shard\":0,\"eligible\":10}\n"
-      "{\"event\":\"select\",\"seq\":3,\"t_us\":3.000,\"round\":1,"
-      "\"query\":3,\"benefit\":0.25,\"gap\":-1,\"shard\":0,\"eligible\":9}\n"
-      "{\"event\":\"compress_end\",\"seq\":4,\"t_us\":4.000,\"selected\":2,"
+  const std::string trace =
+      std::string("[\n{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":"
+                  "\"process_name\",\"args\":{\"name\":\"fuzz\","
+                  "\"schema\":\"") +
+      obs::kDecisionSchema +
+      "\"}},\n"
+      "{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"name\":\"compress_begin\","
+      "\"cat\":\"decision\",\"ts\":1.000,\"args\":{\"seq\":0,\"n\":10,"
+      "\"k\":2,\"algorithm\":\"summary-features\",\"threads\":1}},\n"
+      "{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"name\":\"select\","
+      "\"cat\":\"decision\",\"ts\":2.000,\"args\":{\"seq\":1,\"round\":0,"
+      "\"query\":7,\"benefit\":0.5,\"gap\":0.1,\"shard\":0,\"eligible\":10}},\n"
+      "{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"name\":\"select\","
+      "\"cat\":\"decision\",\"ts\":3.000,\"args\":{\"seq\":2,\"round\":1,"
+      "\"query\":3,\"benefit\":0.25,\"gap\":-1,\"shard\":0,\"eligible\":9}},\n"
+      "{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"name\":\"compress_end\","
+      "\"cat\":\"decision\",\"ts\":4.000,\"args\":{\"seq\":3,\"selected\":2,"
       "\"selection_hash\":\"" +
       std::string(hash) +
-      "\",\"benefit_sum\":0.75,\"stop_reason\":\"complete\"}\n"
-      "{\"event\":\"attribution\",\"seq\":5,\"t_us\":5.000,\"query\":7,"
-      "\"weight\":2.5,\"estimated\":0.5,\"realized\":40}\n"
-      "{\"event\":\"journal_end\",\"seq\":6,\"t_us\":6.000}\n";
-  FuzzEveryByte(journal, [](const std::string& text) {
-    const auto events = tracecat::ParseJournal(text);
-    if (!events.ok()) return false;
-    // Explain renders every journal the strict check accepts.
-    const bool valid = tracecat::CheckJournal(events.value()).ok();
-    const auto report = tracecat::ExplainJournal(events.value(), 5);
+      "\",\"benefit_sum\":0.75,\"stop_reason\":\"complete\"}},\n"
+      "{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"name\":\"attribution\","
+      "\"cat\":\"decision\",\"ts\":5.000,\"args\":{\"seq\":4,\"query\":7,"
+      "\"weight\":2.5,\"estimated\":0.5,\"realized\":40}},\n"
+      "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\","
+      "\"args\":{\"name\":\"main\"}},\n"
+      "{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"name\":\"compress/total\","
+      "\"cat\":\"isum\",\"ts\":1.000,\"dur\":4.000,\"args\":{\"depth\":0}}\n"
+      "]\n";
+  FuzzEveryByte(trace, [](const std::string& text) {
+    const auto journal = tracecat::ParseJournal(text);
+    if (!journal.ok()) return false;
+    // Explain renders every file the strict check accepts.
+    const bool valid = tracecat::CheckJournal(journal.value()).ok();
+    const auto report = tracecat::ExplainJournal(journal.value(), 5);
     if (valid) {
       EXPECT_TRUE(report.ok()) << report.status().ToString();
     }
+    // The span report reads the same file.
+    const auto spans = tracecat::ParseChromeTrace(text);
+    if (spans.ok()) (void)tracecat::Report(spans.value(), {}, 5);
     return true;
   });
 }

@@ -213,7 +213,6 @@ class ObsTracerTest : public ::testing::Test {
     Tracer::Global().Disable();
     Tracer::Global().Drain();
     Tracer::Global().SetClockForTest(nullptr);
-    Tracer::Global().SetSampleEvery(1);
   }
 };
 
@@ -308,70 +307,6 @@ TEST_F(ObsTracerTest, ConcurrentSpansFromWorkerThreads) {
   for (size_t i = 1; i < dump.spans.size(); ++i) {
     EXPECT_LE(dump.spans[i - 1].start_nanos, dump.spans[i].start_nanos);
   }
-}
-
-TEST_F(ObsTracerTest, SampleEveryKeepsEveryNthRootTree) {
-  Tracer& tracer = Tracer::Global();
-  tracer.SetSampleEvery(3);
-  tracer.Enable();
-  for (int i = 0; i < 9; ++i) {
-    ISUM_TRACE_SPAN("root");
-    {
-      ISUM_TRACE_SPAN("nested");
-    }
-  }
-  tracer.Disable();
-  const TraceDump dump = tracer.Drain();
-  // Roots 0, 3, 6 are kept, each with its nested child; trees 1-2, 4-5,
-  // 7-8 are skipped whole (a sampled-out root drops its subtree too).
-  ASSERT_EQ(dump.spans.size(), 6u);
-  size_t roots = 0, nested = 0;
-  for (const SpanRecord& span : dump.spans) {
-    if (span.depth == 0) {
-      ++roots;
-      EXPECT_STREQ(span.name, "root");
-    } else {
-      ++nested;
-      EXPECT_STREQ(span.name, "nested");
-      EXPECT_EQ(span.depth, 1u);
-    }
-  }
-  EXPECT_EQ(roots, 3u);
-  EXPECT_EQ(nested, 3u);
-}
-
-TEST_F(ObsTracerTest, SampleEveryZeroAndOneRecordEverything) {
-  Tracer& tracer = Tracer::Global();
-  tracer.SetSampleEvery(0);  // normalized to 1
-  EXPECT_EQ(tracer.sample_every(), 1u);
-  tracer.Enable();
-  for (int i = 0; i < 5; ++i) {
-    ISUM_TRACE_SPAN("root");
-  }
-  tracer.Disable();
-  EXPECT_EQ(tracer.Drain().spans.size(), 5u);
-}
-
-TEST_F(ObsTracerTest, SamplingStateResetsPerSession) {
-  Tracer& tracer = Tracer::Global();
-  tracer.SetSampleEvery(2);
-  tracer.Enable();
-  {
-    ISUM_TRACE_SPAN("a");  // root #0: kept
-  }
-  {
-    ISUM_TRACE_SPAN("b");  // root #1: skipped
-  }
-  // A fresh session restarts the per-thread root counter, so the first
-  // root after Enable() is always recorded.
-  tracer.Enable();
-  {
-    ISUM_TRACE_SPAN("c");  // root #0 again: kept
-  }
-  tracer.Disable();
-  const TraceDump dump = tracer.Drain();
-  ASSERT_EQ(dump.spans.size(), 1u);
-  EXPECT_STREQ(dump.spans[0].name, "c");
 }
 
 TEST_F(ObsTracerTest, SpanArgsAreRecordedTypedAndBounded) {

@@ -293,81 +293,116 @@ TEST(TracecatBench, DeltaMarksPhasesMissingOnOneSide) {
   EXPECT_NE(delta.find("compress/new"), std::string::npos);
 }
 
-/// A hand-written isum-events-v1 journal with one clean compression block
+/// One decision event line as obs::Tracer::Instant writes it, with
+/// `fields` (comma-led) after the seq.
+std::string InstantLine(const char* name, int seq, const std::string& fields) {
+  char head[160];
+  std::snprintf(head, sizeof(head),
+                "{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"name\":\"%s\","
+                "\"cat\":\"decision\",\"ts\":%d.000,\"args\":{\"seq\":%d",
+                name, seq + 1, seq);
+  return head + fields + "}}";
+}
+
+/// The lines of a hand-written trace file with one clean compression block
 /// whose selection hash is genuinely correct (computed via the shared
-/// obs::SelectionOrderHash definition).
-std::string SampleJournal() {
+/// obs::SelectionOrderHash definition), then a span: the process_name
+/// header, 12 decision events and one span, without the closing "]".
+std::vector<std::string> SampleTraceLines() {
   const size_t order[] = {7, 3};
   char hash[32];
   std::snprintf(hash, sizeof(hash), "%016llx",
                 static_cast<unsigned long long>(
                     obs::SelectionOrderHash(order, 2)));
-  std::string out;
-  out +=
-      "{\"event\":\"journal_begin\",\"seq\":0,\"t_us\":0.000,"
-      "\"schema\":\"isum-events-v1\",\"label\":\"unit\"}\n";
-  out +=
-      "{\"event\":\"compress_begin\",\"seq\":1,\"t_us\":1.000,\"n\":10,"
-      "\"k\":2,\"algorithm\":\"summary-features\",\"threads\":1}\n";
-  out +=
-      "{\"event\":\"select\",\"seq\":2,\"t_us\":2.000,\"round\":0,"
-      "\"query\":7,\"benefit\":0.5,\"gap\":0.1,\"shard\":0,\"eligible\":10}\n";
-  out +=
-      "{\"event\":\"select\",\"seq\":3,\"t_us\":3.000,\"round\":1,"
-      "\"query\":3,\"benefit\":0.25,\"gap\":0.005,\"shard\":0,"
-      "\"eligible\":9}\n";
-  out += std::string("{\"event\":\"compress_end\",\"seq\":4,\"t_us\":4.000,") +
-         "\"selected\":2,\"selection_hash\":\"" + hash +
-         "\",\"benefit_sum\":0.75,\"stop_reason\":\"complete\"}\n";
-  out +=
-      "{\"event\":\"enum_round\",\"seq\":5,\"t_us\":5.000,\"round\":0,"
-      "\"candidates\":6,\"best_index\":2,\"improvement\":12.5,"
-      "\"cache_hits\":4,\"optimizer_calls\":8}\n";
-  out +=
-      "{\"event\":\"enum_end\",\"seq\":6,\"t_us\":6.000,\"indexes\":1,"
-      "\"initial_cost\":100,\"final_cost\":87.5,"
-      "\"stop_reason\":\"complete\"}\n";
-  out +=
-      "{\"event\":\"retry\",\"seq\":7,\"t_us\":7.000,\"site\":"
-      "\"whatif.cost\",\"attempt\":1,\"backoff_us\":250.000}\n";
-  out +=
-      "{\"event\":\"fault\",\"seq\":8,\"t_us\":8.000,\"site\":"
-      "\"whatif.cost\",\"code\":\"unavailable\"}\n";
-  out +=
-      "{\"event\":\"attribution\",\"seq\":9,\"t_us\":9.000,\"query\":7,"
-      "\"weight\":2.5,\"estimated\":0.5,\"realized\":40}\n";
-  out +=
-      "{\"event\":\"attribution\",\"seq\":10,\"t_us\":10.000,\"query\":3,"
-      "\"weight\":1.5,\"estimated\":0.25,\"realized\":60}\n";
-  out +=
-      "{\"event\":\"pipeline_end\",\"seq\":11,\"t_us\":11.000,"
-      "\"algorithm\":\"isum\",\"k\":2,\"improvement_percent\":12.5,"
-      "\"stop_reason\":\"complete\"}\n";
-  out += "{\"event\":\"journal_end\",\"seq\":12,\"t_us\":12.000}\n";
+  return {
+      "[",
+      std::string("{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
+                  "\"args\":{\"name\":\"unit\",\"schema\":\"") +
+          obs::kDecisionSchema + "\"}}",
+      InstantLine("compress_begin", 0,
+                  ",\"n\":10,\"k\":2,\"algorithm\":\"summary-features\","
+                  "\"threads\":1"),
+      InstantLine("select", 1,
+                  ",\"round\":0,\"query\":7,\"benefit\":0.5,\"gap\":0.1,"
+                  "\"shard\":0,\"eligible\":10"),
+      InstantLine("select", 2,
+                  ",\"round\":1,\"query\":3,\"benefit\":0.25,\"gap\":0.005,"
+                  "\"shard\":0,\"eligible\":9"),
+      InstantLine("compress_end", 3,
+                  std::string(",\"selected\":2,\"selection_hash\":\"") + hash +
+                      "\",\"benefit_sum\":0.75,\"stop_reason\":\"complete\""),
+      InstantLine("enum_round", 4,
+                  ",\"round\":0,\"candidates\":6,\"best_index\":2,"
+                  "\"improvement\":12.5,\"cache_hits\":4,"
+                  "\"optimizer_calls\":8"),
+      InstantLine("enum_end", 5,
+                  ",\"indexes\":1,\"initial_cost\":100,\"final_cost\":87.5,"
+                  "\"stop_reason\":\"complete\""),
+      InstantLine("retry", 6,
+                  ",\"site\":\"whatif.cost\",\"attempt\":1,"
+                  "\"backoff_us\":250"),
+      InstantLine("fault", 7,
+                  ",\"site\":\"whatif.cost\",\"code\":\"unavailable\""),
+      InstantLine("attribution", 8,
+                  ",\"query\":7,\"weight\":2.5,\"estimated\":0.5,"
+                  "\"realized\":40"),
+      InstantLine("attribution", 9,
+                  ",\"query\":3,\"weight\":1.5,\"estimated\":0.25,"
+                  "\"realized\":60"),
+      InstantLine("pipeline_end", 10,
+                  ",\"algorithm\":\"isum\",\"k\":2,"
+                  "\"improvement_percent\":12.5,\"stop_reason\":\"complete\""),
+      InstantLine("ckpt_write", 11,
+                  ",\"phase\":\"enum\",\"epoch\":1,\"rounds\":1,"
+                  "\"bytes\":64"),
+      "{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"name\":\"compress/total\","
+      "\"cat\":\"isum\",\"ts\":1.000,\"dur\":9.000,\"args\":{\"depth\":0}}",
+  };
+}
+
+/// `lines` joined the way the tracer writes them; `closed` appends the "]".
+std::string JoinTrace(const std::vector<std::string>& lines, bool closed) {
+  std::string out = lines.front();
+  for (size_t i = 1; i < lines.size(); ++i) {
+    out += i == 1 ? "\n" : ",\n";
+    out += lines[i];
+  }
+  if (closed) out += "\n]\n";
   return out;
 }
 
-TEST(TracecatJournal, ParsesAndChecksWellFormedJournal) {
-  const auto events = ParseJournal(SampleJournal());
-  ASSERT_TRUE(events.ok()) << events.status().ToString();
-  ASSERT_EQ(events.value().size(), 13u);
-  EXPECT_EQ(events.value()[2].event, "select");
-  EXPECT_EQ(events.value()[2].seq, 2u);
-  EXPECT_DOUBLE_EQ(events.value()[2].Number("benefit").value(), 0.5);
-  EXPECT_EQ(events.value()[0].String("label").value(), "unit");
+std::string SampleJournal() { return JoinTrace(SampleTraceLines(), true); }
 
-  const auto checked = CheckJournal(events.value());
+TEST(TracecatJournal, ParsesAndChecksWellFormedJournal) {
+  const auto journal = ParseJournal(SampleJournal());
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  const std::vector<JournalEvent>& events = journal.value().events;
+  ASSERT_EQ(events.size(), 12u);  // the span is not a decision event
+  EXPECT_EQ(events[1].event, "select");
+  EXPECT_EQ(events[1].seq, 1u);
+  EXPECT_DOUBLE_EQ(events[1].t_us, 2.0);
+  EXPECT_DOUBLE_EQ(events[1].Number("benefit").value(), 0.5);
+  EXPECT_EQ(journal.value().label, "unit");
+  EXPECT_TRUE(journal.value().closed);
+
+  const auto checked = CheckJournal(journal.value());
   ASSERT_TRUE(checked.ok()) << checked.status().ToString();
-  EXPECT_EQ(checked.value(), 13u);
+  EXPECT_EQ(checked.value(), 12u);
+
+  // The span report reads the same file and skips the decision events.
+  const auto spans = ParseChromeTrace(SampleJournal());
+  ASSERT_TRUE(spans.ok()) << spans.status().ToString();
+  ASSERT_EQ(spans.value().size(), 1u);
+  EXPECT_EQ(spans.value()[0].name, "compress/total");
 }
 
 TEST(TracecatJournal, ExplainReconstructsTheRun) {
-  const auto events = ParseJournal(SampleJournal());
-  ASSERT_TRUE(events.ok());
-  const auto report = ExplainJournal(events.value(), 5);
+  const auto journal = ParseJournal(SampleJournal());
+  ASSERT_TRUE(journal.ok());
+  const auto report = ExplainJournal(journal.value(), 5);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   const std::string& text = report.value();
-  EXPECT_NE(text.find("== journal: unit (13 events) =="), std::string::npos);
+  EXPECT_NE(text.find("== journal: unit (12 events) =="), std::string::npos);
   EXPECT_NE(text.find("summary-features, n=10 -> k=2"), std::string::npos);
   EXPECT_NE(text.find("selection order: 7 3"), std::string::npos);
   EXPECT_NE(text.find("(recomputed: match)"), std::string::npos);
@@ -387,64 +422,120 @@ TEST(TracecatJournal, ExplainReconstructsTheRun) {
   EXPECT_NE(text.find("retry whatif.cost attempt 1"), std::string::npos);
   EXPECT_NE(text.find("FAULT whatif.cost surfaced unavailable"),
             std::string::npos);
+  EXPECT_NE(text.find("wrote enum epoch 1 (1 round(s), 64 bytes)"),
+            std::string::npos);
   EXPECT_NE(text.find("== pipeline: isum k=2 improvement 12.50% (complete)"),
             std::string::npos);
 }
 
 TEST(TracecatJournal, CheckRejectsHashMismatch) {
-  std::string journal = SampleJournal();
+  std::string trace = SampleJournal();
   // Corrupt one selected query id: the recorded hash no longer matches the
   // replayed selection order.
-  const size_t at = journal.find("\"query\":3");
+  const size_t at = trace.find("\"query\":3");
   ASSERT_NE(at, std::string::npos);
-  journal.replace(at, 9, "\"query\":4");
-  const auto events = ParseJournal(journal);
-  ASSERT_TRUE(events.ok());
-  const auto checked = CheckJournal(events.value());
+  trace.replace(at, 9, "\"query\":4");
+  const auto journal = ParseJournal(trace);
+  ASSERT_TRUE(journal.ok());
+  const auto checked = CheckJournal(journal.value());
   ASSERT_FALSE(checked.ok());
   EXPECT_NE(checked.status().ToString().find("selection hash mismatch"),
             std::string::npos);
   // Explain still renders, and says so.
-  const auto report = ExplainJournal(events.value(), 5);
+  const auto report = ExplainJournal(journal.value(), 5);
   ASSERT_TRUE(report.ok());
   EXPECT_NE(report.value().find("selection hash mismatch"),
             std::string::npos);
 }
 
 TEST(TracecatJournal, CheckRejectsStructuralDamage) {
-  // Truncation: drop the tail so seq keeps its density but the compression
-  // block never ends.
-  const std::string whole = SampleJournal();
-  const std::string headless =
-      whole.substr(whole.find("{\"event\":\"compress_begin\""));
-  EXPECT_FALSE(CheckJournal(ParseJournal(headless).value()).ok());
+  const std::vector<std::string> lines = SampleTraceLines();
+  auto check = [](const std::string& trace) {
+    auto journal = ParseJournal(trace);
+    EXPECT_TRUE(journal.ok()) << journal.status().ToString();
+    return journal.ok() ? CheckJournal(journal.value())
+                        : StatusOr<size_t>(journal.status());
+  };
 
-  // A seq gap (line removed mid-file) must be called out.
-  std::string gapped = whole;
-  const size_t select_at = gapped.find("{\"event\":\"select\",\"seq\":2");
-  gapped.erase(select_at, gapped.find('\n', select_at) - select_at + 1);
-  const auto gap_check = CheckJournal(ParseJournal(gapped).value());
+  // No process_name header: no schema tag to check against.
+  std::vector<std::string> headless = lines;
+  headless.erase(headless.begin() + 1);
+  EXPECT_FALSE(check(JoinTrace(headless, true)).ok());
+
+  // A seq gap (an event removed mid-file) must be called out.
+  std::vector<std::string> gapped = lines;
+  gapped.erase(gapped.begin() + 3);
+  const auto gap_check = check(JoinTrace(gapped, true));
   ASSERT_FALSE(gap_check.ok());
   EXPECT_NE(gap_check.status().ToString().find("non-dense seq"),
             std::string::npos);
 
+  // A compression block that never ends.
+  std::vector<std::string> unterminated = lines;
+  unterminated.resize(5);
+  EXPECT_FALSE(check(JoinTrace(unterminated, true)).ok());
+
   // Unknown event types are schema violations, not silently skipped.
-  std::string unknown = whole;
+  std::string unknown = SampleJournal();
   const size_t retry_at = unknown.find("\"retry\"");
   unknown.replace(retry_at, 7, "\"rerun\"");
-  EXPECT_FALSE(CheckJournal(ParseJournal(unknown).value()).ok());
+  EXPECT_FALSE(check(unknown).ok());
 
   // Missing required field.
-  std::string missing = whole;
+  std::string missing = SampleJournal();
   const size_t gap_at = missing.find(",\"gap\":0.1");
   missing.erase(gap_at, 10);
-  const auto missing_check = CheckJournal(ParseJournal(missing).value());
+  const auto missing_check = check(missing);
   ASSERT_FALSE(missing_check.ok());
   EXPECT_NE(missing_check.status().ToString().find("missing field"),
             std::string::npos);
 
+  // A file without its closing "]" is not a clean run.
+  const auto open_check = check(JoinTrace(lines, false));
+  ASSERT_FALSE(open_check.ok());
+  EXPECT_NE(open_check.status().ToString().find("not closed"),
+            std::string::npos);
+
   EXPECT_FALSE(ParseJournal("").ok());
-  EXPECT_FALSE(ParseJournal("not a journal\n").ok());
+  EXPECT_FALSE(ParseJournal("not a trace\n").ok());
+}
+
+TEST(TracecatJournal, ExplainReadsAKilledRunCutAnywhereInItsLastLine) {
+  // A run killed mid-write leaves no "]" and possibly half an event. For
+  // every cut of the last decision event, explain renders every complete
+  // event and names what is missing; --check fails.
+  std::vector<std::string> lines = SampleTraceLines();
+  lines.pop_back();  // the span: a killed run never wrote its spans
+  const std::string whole = JoinTrace(lines, false);
+  const size_t last_line = whole.rfind('\n') + 1;
+  for (size_t cut = last_line; cut <= whole.size(); ++cut) {
+    SCOPED_TRACE(testing::Message() << "cut at byte " << cut);
+    const auto journal = ParseJournal(whole.substr(0, cut));
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    const bool torn = cut > last_line && cut < whole.size();
+    EXPECT_EQ(!journal.value().torn_tail.empty(), torn);
+    EXPECT_FALSE(journal.value().closed);
+    EXPECT_EQ(journal.value().events.size(), cut == whole.size() ? 12u : 11u);
+    EXPECT_FALSE(CheckJournal(journal.value()).ok());
+    const auto report = ExplainJournal(journal.value(), 5);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_NE(report.value().find("NOT cleanly closed"), std::string::npos);
+    EXPECT_EQ(report.value().find("torn last line dropped") !=
+                  std::string::npos,
+              torn);
+    EXPECT_NE(report.value().find("(recomputed: match)"), std::string::npos);
+  }
+}
+
+TEST(TracecatJournal, MalformedLineBeforeTheLastIsAnError) {
+  std::vector<std::string> lines = SampleTraceLines();
+  lines[3].resize(lines[3].size() / 2);
+  for (const bool closed : {true, false}) {
+    const auto journal = ParseJournal(JoinTrace(lines, closed));
+    ASSERT_FALSE(journal.ok());
+    EXPECT_NE(journal.status().ToString().find("line 4"), std::string::npos)
+        << journal.status().ToString();
+  }
 }
 
 TEST(TracecatWatch, ParsesMetricsSnapshotAndRendersFrame) {

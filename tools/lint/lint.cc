@@ -505,7 +505,7 @@ void LintFile(const std::string& path, const std::string& content,
                             path.find("src/advisor/") != std::string::npos);
   // JSON emission is the obs layer's monopoly: library code writing
   // hand-rolled JSON object literals bypasses the machine-checked schemas
-  // (isum-events-v1, the trace/metrics exporters) that tracecat and CI
+  // (the decision events, the trace/metrics exporters) that tracecat and CI
   // validate. src/obs/ is where the sanctioned emitters live.
   const bool rule_journal =
       is_src && path.find("src/obs/") == std::string::npos;
@@ -860,7 +860,7 @@ void LintFile(const std::string& path, const std::string& content,
       if (json_object) {
         add(t.line, t.col, kJournalSchema,
             "string literal emits ad-hoc JSON; library code must route "
-            "structured output through the src/obs/ emitters (Journal "
+            "structured output through the src/obs/ emitters (journal.h "
             "events, MetricsJsonl, ChromeTraceJson) so every schema stays "
             "machine-checkable by tracecat and CI (docs/OBSERVABILITY.md)");
       }

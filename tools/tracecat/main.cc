@@ -1,11 +1,11 @@
 // tracecat — pretty-prints the observability artifacts the bench drivers
-// emit: traces, metric snapshots, bench baselines, decision journals, live
-// telemetry. Usage:
+// emit: traces (spans and decision events), metric snapshots, bench
+// baselines, profiles, live telemetry, checkpoints. Usage:
 //
 //   tracecat <trace.json> [--metrics=<metrics.jsonl>] [--top=N]
 //   tracecat bench <bench.json> [<bench2.json>] [--check]
 //                  [--rss-tolerance=P]
-//   tracecat explain <journal.jsonl> [--check] [--top=N]
+//   tracecat explain <trace.json> [--check] [--top=N]
 //   tracecat profile <profile.json> [--check] [--top=N]
 //                    [--min-attributed=P]
 //   tracecat profile --diff <old.json> <new.json> [--top=N]
@@ -26,11 +26,13 @@
 // requires --min-attributed=P percent (default 0) of samples to land in a
 // named phase. --diff compares two records by sample share.
 //
-// The explain subcommand reconstructs a run from its --journal= file
-// (isum-events-v1): greedy selection trajectory with recomputed-vs-recorded
-// selection hash, most contested rounds, enumeration rounds,
-// estimated-vs-realized benefit attribution, fault/retry and budget
-// timelines. --check validates the schema strictly (dense seq, known
+// The explain subcommand reconstructs a run from the decision events in
+// its --trace= file (src/obs/journal.h): greedy selection trajectory with
+// recomputed-vs-recorded selection hash, most contested rounds,
+// enumeration rounds, estimated-vs-realized benefit attribution,
+// fault/retry, checkpoint and budget timelines. It also reads the file of
+// a killed run, reporting the missing ']' and a torn last line. --check
+// validates strictly (a cleanly closed file, schema tag, dense seq, known
 // events, required fields, hash match) and prints only a verdict.
 //
 // The watch subcommand renders live run health from the metrics exporter's
@@ -131,7 +133,7 @@ int BenchMain(int argc, char** argv) {
 }
 
 /// `tracecat explain ...`: reconstruct (or with --check, strictly validate)
-/// a decision-provenance journal.
+/// the decision events of a trace file.
 int ExplainMain(int argc, char** argv) {
   std::string path;
   bool check_only = false;
@@ -151,7 +153,7 @@ int ExplainMain(int argc, char** argv) {
   }
   if (path.empty()) {
     std::fprintf(
-        stderr, "usage: tracecat explain <journal.jsonl> [--check] [--top=N]\n");
+        stderr, "usage: tracecat explain <trace.json> [--check] [--top=N]\n");
     return 2;
   }
 
@@ -160,23 +162,23 @@ int ExplainMain(int argc, char** argv) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
     return 1;
   }
-  auto events = isum::tracecat::ParseJournal(content);
-  if (!events.ok()) {
+  auto journal = isum::tracecat::ParseJournal(content);
+  if (!journal.ok()) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                 events.status().ToString().c_str());
+                 journal.status().ToString().c_str());
     return 1;
   }
   if (check_only) {
-    auto checked = isum::tracecat::CheckJournal(events.value());
+    auto checked = isum::tracecat::CheckJournal(journal.value());
     if (!checked.ok()) {
       std::fprintf(stderr, "%s: %s\n", path.c_str(),
                    checked.status().ToString().c_str());
       return 1;
     }
-    std::printf("ok: %zu journal event(s)\n", checked.value());
+    std::printf("ok: %zu decision event(s)\n", checked.value());
     return 0;
   }
-  auto report = isum::tracecat::ExplainJournal(events.value(), top_k);
+  auto report = isum::tracecat::ExplainJournal(journal.value(), top_k);
   if (!report.ok()) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(),
                  report.status().ToString().c_str());

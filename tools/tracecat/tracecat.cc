@@ -11,6 +11,7 @@
 #include "common/deadline.h"
 #include "common/string_util.h"
 #include "obs/journal.h"
+#include "obs/trace.h"
 
 namespace isum::tracecat {
 
@@ -88,6 +89,13 @@ StatusOr<std::vector<TraceEvent>> ParseChromeTrace(
   for (const JsonValue& object : trace.items) {
     TraceEvent event;
     ISUM_ASSIGN_OR_RETURN(event.phase, object.String("ph"));
+    // Decision events and the run's label are ParseJournal's.
+    if (event.phase == "i") continue;
+    const JsonValue* name = object.Find("name");
+    if (event.phase == "M" && name != nullptr &&
+        name->string == "process_name") {
+      continue;
+    }
     ISUM_ASSIGN_OR_RETURN(event.tid, IntegerField<uint32_t>(object, "tid"));
     if (event.phase == "M") {
       const JsonValue* args = object.Find("args");
@@ -706,48 +714,105 @@ std::string ProfileDiff(const ProfileRecord& from, const ProfileRecord& to,
   return out;
 }
 
-// ---- decision-provenance journal ----
+// ---- decision events ----
 
 StatusOr<double> JournalEvent::Number(const std::string& key) const {
-  return object.Number(key);
+  return args.Number(key);
 }
 
 StatusOr<std::string> JournalEvent::String(const std::string& key) const {
-  return object.String(key);
+  return args.String(key);
 }
 
-bool JournalEvent::Has(const std::string& key) const {
-  return object.Has(key);
-}
+bool JournalEvent::Has(const std::string& key) const { return args.Has(key); }
 
-StatusOr<std::vector<JournalEvent>> ParseJournal(const std::string& content) {
-  ISUM_ASSIGN_OR_RETURN(std::vector<JsonValue> lines, ParseJsonLines(content));
-  std::vector<JournalEvent> events;
-  events.reserve(lines.size());
-  for (JsonValue& line : lines) {
-    JournalEvent e;
-    ISUM_ASSIGN_OR_RETURN(e.event, line.String("event"));
-    ISUM_ASSIGN_OR_RETURN(e.seq, IntegerField<uint64_t>(line, "seq"));
-    ISUM_ASSIGN_OR_RETURN(e.t_us, line.Number("t_us"));
-    e.object = std::move(line);
-    events.push_back(std::move(e));
+namespace {
+
+/// The array elements of a trace file that Tracer::Close() never finished:
+/// "[" on the first line, then one event per line, each but the last
+/// followed by a comma. A last line that does not parse was cut off
+/// mid-write and is recorded in `journal->torn_tail`.
+StatusOr<std::vector<JsonValue>> ReadUnclosedTrace(std::string_view content,
+                                                   Journal* journal) {
+  std::vector<std::string> lines = Split(content, '\n');
+  for (std::string& line : lines) line = std::string(Trim(line));
+  size_t last = lines.size();
+  while (last > 0 && lines[last - 1].empty()) --last;
+  if (last == 0 || lines[0] != "[") {
+    return Status::ParseError("trace does not start with a '[' line");
   }
-  if (events.empty()) return Status::ParseError("empty journal");
-  return events;
+  std::vector<JsonValue> items;
+  for (size_t i = 1; i < last; ++i) {
+    std::string_view line = lines[i];
+    if (line.empty()) continue;
+    if (line == "]" && i + 1 == last) {
+      journal->closed = true;
+      break;
+    }
+    if (line.back() == ',') line.remove_suffix(1);
+    auto item = ParseJson(line);
+    if (!item.ok()) {
+      if (i + 1 == last) {
+        journal->torn_tail = item.status().message();
+        break;
+      }
+      return Status::ParseError(StrFormat(
+          "line %zu: %s", i + 1, item.status().message().c_str()));
+    }
+    items.push_back(std::move(item).value());
+  }
+  return items;
+}
+
+}  // namespace
+
+StatusOr<Journal> ParseJournal(const std::string& content) {
+  Journal journal;
+  std::vector<JsonValue> items;
+  auto whole = ParseJson(content);
+  if (whole.ok() && whole->is_array()) {
+    items = std::move(whole->items);
+    journal.closed = true;
+  } else {
+    ISUM_ASSIGN_OR_RETURN(items, ReadUnclosedTrace(content, &journal));
+  }
+  for (size_t i = 0; i < items.size(); ++i) {
+    const JsonValue& item = items[i];
+    ISUM_ASSIGN_OR_RETURN(const std::string phase, item.String("ph"));
+    ISUM_ASSIGN_OR_RETURN(std::string name, item.String("name"));
+    const JsonValue* args = item.Find("args");
+    if (phase == "M" && name == "process_name" && i == 0) {
+      if (args == nullptr) {
+        return Status::ParseError("process_name event without args");
+      }
+      ISUM_RETURN_IF_ERROR(ReadField(*args, "name", &journal.label));
+      ISUM_RETURN_IF_ERROR(ReadField(*args, "schema", &journal.schema));
+    } else if (phase == "i") {
+      if (args == nullptr || !args->is_object()) {
+        return Status::ParseError("instant event " + name + " without args");
+      }
+      JournalEvent e;
+      e.event = std::move(name);
+      ISUM_ASSIGN_OR_RETURN(e.seq, IntegerField<uint64_t>(*args, "seq"));
+      ISUM_ASSIGN_OR_RETURN(e.t_us, item.Number("ts"));
+      e.args = *args;
+      journal.events.push_back(std::move(e));
+    }
+  }
+  if (items.empty()) return Status::ParseError("empty trace");
+  return journal;
 }
 
 namespace {
 
-/// The isum-events-v1 vocabulary: every event type the journal emits and
-/// the fields it must carry (src/obs/journal.cc is the single producer).
+/// The decision-event vocabulary: every event type obs/journal.h emits and
+/// the fields it must carry (its emitters are the single producer).
 struct EventSpec {
   const char* event;
   const char* fields[6];
 };
 
 constexpr EventSpec kEventSpecs[] = {
-    {"journal_begin", {"schema", "label"}},
-    {"journal_end", {}},
     {"compress_begin", {"n", "k", "algorithm", "threads"}},
     {"select", {"round", "query", "benefit", "gap", "shard", "eligible"}},
     {"feature_reset", {"selected"}},
@@ -775,7 +840,7 @@ const EventSpec* FindEventSpec(const std::string& event) {
 }
 
 /// The obs::SelectionOrderHash FNV-1a constants, needed here in incremental
-/// form: a resumed journal carries only the post-restore select events, so
+/// form: a resumed run records only the post-restore select events, so
 /// the verifier seeds the hash state from the ckpt_restore record's
 /// prefix_hash instead of replaying the whole order.
 constexpr uint64_t kSelectionHashOffset = 1469598103934665603ull;
@@ -799,7 +864,7 @@ Status VerifySelectionHash(uint64_t recomputed,
       std::strtoull(recorded.value().c_str(), nullptr, 16);
   if (recomputed != stored) {
     return Status::ParseError(StrFormat(
-        "selection hash mismatch at seq %llu: journal %s, recomputed %016llx",
+        "selection hash mismatch at seq %llu: recorded %s, recomputed %016llx",
         static_cast<unsigned long long>(end_event.seq),
         recorded.value().c_str(),
         static_cast<unsigned long long>(recomputed)));
@@ -809,16 +874,21 @@ Status VerifySelectionHash(uint64_t recomputed,
 
 }  // namespace
 
-StatusOr<size_t> CheckJournal(const std::vector<JournalEvent>& events) {
-  if (events.empty()) return Status::ParseError("empty journal");
-  if (events.front().event != "journal_begin") {
-    return Status::ParseError("journal does not start with journal_begin");
+StatusOr<size_t> CheckJournal(const Journal& journal) {
+  if (!journal.torn_tail.empty()) {
+    return Status::ParseError("torn last line (killed run?): " +
+                              journal.torn_tail);
   }
-  auto schema = events.front().String("schema");
-  if (!schema.ok()) return schema.status();
-  if (schema.value() != "isum-events-v1") {
-    return Status::ParseError("unsupported journal schema: " + schema.value());
+  if (!journal.closed) {
+    return Status::ParseError("trace not closed: no final ']' (killed run?)");
   }
+  if (journal.schema != obs::kDecisionSchema) {
+    return Status::ParseError(
+        "no leading process_name event with schema " +
+        std::string(obs::kDecisionSchema) + " (got \"" + journal.schema +
+        "\")");
+  }
+  const std::vector<JournalEvent>& events = journal.events;
 
   bool in_compress = false;
   uint64_t sel_hash = kSelectionHashOffset;
@@ -828,7 +898,7 @@ StatusOr<size_t> CheckJournal(const std::vector<JournalEvent>& events) {
     const JournalEvent& e = events[i];
     if (e.seq != i) {
       return Status::ParseError(StrFormat(
-          "non-dense seq: expected %zu, got %llu (truncated journal?)", i,
+          "non-dense seq: expected %zu, got %llu (damaged trace?)", i,
           static_cast<unsigned long long>(e.seq)));
     }
     const EventSpec* spec = FindEventSpec(e.event);
@@ -857,7 +927,7 @@ StatusOr<size_t> CheckJournal(const std::vector<JournalEvent>& events) {
       auto phase = e.String("phase");
       if (!phase.ok()) return phase.status();
       if (phase.value() == "compress") {
-        // A resumed compression block: the journal carries only the
+        // A resumed compression block: the trace carries only the
         // post-restore select events, so seed the incremental hash state
         // from the restored prefix.
         if (!in_compress) {
@@ -940,16 +1010,8 @@ std::string HumanGap(double gap) {
 
 }  // namespace
 
-StatusOr<std::string> ExplainJournal(const std::vector<JournalEvent>& events,
-                                     size_t top_k) {
-  if (events.empty()) return Status::ParseError("empty journal");
-
-  std::string label = "?";
-  if (events.front().event == "journal_begin") {
-    auto l = events.front().String("label");
-    if (l.ok()) label = l.value();
-  }
-  const bool closed = events.back().event == "journal_end";
+StatusOr<std::string> ExplainJournal(const Journal& journal, size_t top_k) {
+  const std::vector<JournalEvent>& events = journal.events;
 
   // One pass groups the stream: compression blocks, enumeration rounds,
   // attribution rows, fault/retry/budget timelines.
@@ -1030,8 +1092,12 @@ StatusOr<std::string> ExplainJournal(const std::vector<JournalEvent>& events,
   }
 
   std::string out;
-  out += StrFormat("== journal: %s (%zu events%s) ==\n", label.c_str(),
-                   events.size(), closed ? "" : ", NOT cleanly closed");
+  out += StrFormat("== journal: %s (%zu events%s) ==\n",
+                   journal.label.c_str(), events.size(),
+                   journal.closed ? "" : ", NOT cleanly closed: no final ']'");
+  if (!journal.torn_tail.empty()) {
+    out += "torn last line dropped: " + journal.torn_tail + "\n";
+  }
 
   for (size_t b = 0; b < blocks.size(); ++b) {
     const CompressBlock& block = blocks[b];

@@ -11,9 +11,11 @@
 namespace isum::tracecat {
 
 /// tracecat: pretty-printer for the traces and metric snapshots the bench
-/// drivers emit (--trace= / --metrics=, src/obs/export.h). Every reader
-/// walks a value parsed by common/jsonl.h, so only the schema matters, not
-/// the line layout the emitters happen to use.
+/// drivers emit (--trace= / --metrics=, src/obs/trace.h and
+/// src/obs/export.h). Every reader walks a value parsed by common/jsonl.h,
+/// so only the schema matters, not the line layout the emitters happen to
+/// use — except that a trace file cut short by a killed run is read line by
+/// line (ParseJournal).
 
 /// One parsed Chrome-trace event (complete spans and thread_name metadata).
 struct TraceEvent {
@@ -25,7 +27,9 @@ struct TraceEvent {
   double dur_us = 0.0;
 };
 
-/// Parses a Chrome trace written by obs::ChromeTraceJson.
+/// Parses a Chrome trace written by obs::ChromeTraceJson or
+/// obs::Tracer::Close(). Instant events and process_name metadata (the
+/// decision events, read by ParseJournal) are skipped.
 StatusOr<std::vector<TraceEvent>> ParseChromeTrace(const std::string& content);
 
 /// Aggregate over all spans sharing a name.
@@ -167,41 +171,55 @@ StatusOr<size_t> CheckProfile(const ProfileRecord& record,
 std::string ProfileDiff(const ProfileRecord& from, const ProfileRecord& to,
                         size_t top_k);
 
-/// ---- decision-provenance journal (isum-events-v1, src/obs/journal.h) ----
+/// ---- decision events (instant events of a --trace= file,
+/// src/obs/journal.h) ----
 
-/// One parsed journal line. The envelope fields every event carries are
-/// lifted out; event-specific fields stay in `object` and are read on
-/// demand via Number()/String()/Has().
+/// One decision event. Its name and envelope are lifted out; the decision
+/// fields stay in `args` and are read on demand via Number()/String()/Has().
 struct JournalEvent {
-  std::string event;  ///< e.g. "select", "compress_end"
-  uint64_t seq = 0;
-  double t_us = 0.0;
-  JsonValue object;  ///< the whole parsed line
+  std::string event;  ///< the instant's name, e.g. "select", "compress_end"
+  uint64_t seq = 0;   ///< args.seq
+  double t_us = 0.0;  ///< the instant's ts
+  JsonValue args;     ///< the instant's whole args object
 
   StatusOr<double> Number(const std::string& key) const;
   StatusOr<std::string> String(const std::string& key) const;
   bool Has(const std::string& key) const;
 };
 
-/// Parses an isum-events-v1 journal. Errors on lines without the
-/// event/seq/t_us envelope; event-specific validation is CheckJournal's job.
-StatusOr<std::vector<JournalEvent>> ParseJournal(const std::string& content);
+/// The decision events of one trace file, in file order.
+struct Journal {
+  std::string label = "?";  ///< the leading process_name event's args.name
+  std::string schema;       ///< its args.schema ("" when absent)
+  std::vector<JournalEvent> events;
+  bool closed = false;    ///< the array's closing ']' is present
+  std::string torn_tail;  ///< why the cut-off last line was dropped, or ""
+};
 
-/// Schema validation for `tracecat explain --check`: journal_begin first
-/// (with the right schema tag), known event types only, required per-event
-/// fields present, dense seq numbering, and every compress_end's
-/// selection_hash equal to the hash recomputed from its block's select
-/// events. Returns the number of events validated.
-StatusOr<size_t> CheckJournal(const std::vector<JournalEvent>& events);
+/// Reads the decision events of a trace file, skipping spans and thread
+/// names. The file of a run that never reached Tracer::Close() still reads:
+/// every complete event is kept, and `closed` / `torn_tail` record the
+/// missing ']' and a last line cut mid-event. Any other malformed line is
+/// an error. Event-specific validation is CheckJournal's job.
+StatusOr<Journal> ParseJournal(const std::string& content);
+
+/// Strict validation for `tracecat explain --check`: a closed file whose
+/// first event is process_name with the obs::kDecisionSchema tag, known
+/// event types only, required per-event fields present, dense seq
+/// numbering, and every compress_end's selection_hash equal to the hash
+/// recomputed from its block's select events (seeded by ckpt_restore for
+/// resumed blocks). Returns the number of events validated.
+StatusOr<size_t> CheckJournal(const Journal& journal);
 
 /// Reconstructs the run: per compression block the greedy trajectory
 /// (selection order, recomputed-vs-recorded hash, top-k contested rounds by
 /// smallest winning margin, feature resets), enumeration rounds, the
 /// estimated-vs-realized benefit attribution table, the fault/retry
-/// timeline, and the budget timeline. Errors only on events so malformed
-/// the reconstruction cannot proceed (run CheckJournal for strictness).
-StatusOr<std::string> ExplainJournal(const std::vector<JournalEvent>& events,
-                                     size_t top_k);
+/// timeline, checkpoints, and the budget timeline. The header says when
+/// the file was not closed or lost a torn last line. Errors only on events
+/// so malformed the reconstruction cannot proceed (run CheckJournal for
+/// strictness).
+StatusOr<std::string> ExplainJournal(const Journal& journal, size_t top_k);
 
 /// ---- live telemetry (metrics snapshot, src/obs/exporter.h) ----
 
