@@ -13,8 +13,8 @@ using namespace isum;
 
 int main(int argc, char** argv) {
   isum::bench::ObsScope obs_scope(argc, argv);
-  const bool csv = eval::WantCsv(argc, argv);
-  const double scale = eval::ScaleArg(argc, argv);
+  const bool csv = obs_scope.flags().csv;
+  const double scale = obs_scope.flags().scale;
 
   workload::GeneratorOptions gen;
   gen.instances_per_template = scale >= 2.0 ? 16 : 8;

@@ -12,8 +12,8 @@ using namespace isum;
 
 int main(int argc, char** argv) {
   isum::bench::ObsScope obs_scope(argc, argv);
-  const bool csv = eval::WantCsv(argc, argv);
-  const double scale = eval::ScaleArg(argc, argv);
+  const bool csv = obs_scope.flags().csv;
+  const double scale = obs_scope.flags().scale;
 
   const int mul = scale >= 2.0 ? 4 : 1;
   struct Spec {

@@ -10,36 +10,24 @@
 //       Whole-pipeline perf records come from benchmark/isum_bench, not
 //       from this driver.
 //
-// Flags (besides the shared ObsScope set):
+// Flags (parsed with the shared set in bench_util.h):
 //   --compress-only   skip the slow 2a/2b tuning sweep (the journal, profile
 //                     and chaos CI jobs only need 2c)
 //   --scale s         scales the 2c workload sizes (default sweep tops out
 //                     at ~100k queries; CI smoke uses --scale 0.01)
 
 #include <cstdio>
-#include <cstring>
 
 #include "bench_util.h"
 #include "obs/journal.h"
 
 using namespace isum;
 
-namespace {
-
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   isum::bench::ObsScope obs_scope(argc, argv);
-  const bool csv = eval::WantCsv(argc, argv);
-  const double scale = eval::ScaleArg(argc, argv);
-  const bool compress_only = HasFlag(argc, argv, "--compress-only");
+  const bool csv = obs_scope.flags().csv;
+  const double scale = obs_scope.flags().scale;
+  const bool compress_only = obs_scope.flags().compress_only;
 
   // --- 2c: compression scalability (always runs). TPC-DS-like templates,
   // instance counts chosen to hit each target workload size. ---

@@ -48,8 +48,8 @@ RatioStats SummaryErrorRatios(const workload::Workload& w) {
 
 int main(int argc, char** argv) {
   isum::bench::ObsScope obs_scope(argc, argv);
-  const bool csv = eval::WantCsv(argc, argv);
-  const double scale = eval::ScaleArg(argc, argv);
+  const bool csv = obs_scope.flags().csv;
+  const double scale = obs_scope.flags().scale;
 
   // --- 8a: error ratio distribution. ---
   workload::GeneratorOptions gen;

@@ -313,12 +313,12 @@ BENCHMARK(BM_AdvisorTuneParallel)->Arg(1)->Arg(4);
 }  // namespace
 }  // namespace isum
 
-// BENCHMARK_MAIN(), plus the shared --trace/--metrics flags (ObsScope strips
-// them from argv before google-benchmark's own flag parsing sees them).
+// BENCHMARK_MAIN() plus the shared bench flags: google-benchmark takes its
+// own --benchmark_* flags out of argv first, then ObsScope parses the rest
+// and exits 2 on anything neither knows.
 int main(int argc, char** argv) {
-  isum::bench::ObsScope obs_scope(argc, argv);
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  isum::bench::ObsScope obs_scope(argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return obs_scope.ExitCode();

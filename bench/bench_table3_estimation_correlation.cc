@@ -58,8 +58,8 @@ Signals ComputeSignals(const workload::Workload& w) {
 
 int main(int argc, char** argv) {
   isum::bench::ObsScope obs_scope(argc, argv);
-  const bool csv = eval::WantCsv(argc, argv);
-  const double scale = eval::ScaleArg(argc, argv);
+  const bool csv = obs_scope.flags().csv;
+  const double scale = obs_scope.flags().scale;
   (void)scale;
 
   eval::Table table({"estimation_technique", "TPC-H DTA", "TPC-H DEXTER",

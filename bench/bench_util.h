@@ -39,38 +39,38 @@
 
 namespace isum::bench {
 
-/// The parsed observability flags of one bench invocation. Split out of
-/// ObsScope so the argv handling is directly testable
-/// (tests/bench_util_test.cc): Parse() consumes every flag it recognizes
-/// and compacts argv/argc around them, leaving unknown arguments for the
-/// driver's own parser in their original order.
-struct ObsFlags {
+/// The parsed flags of one bench invocation: the observability set below
+/// plus the drivers' own `--csv`, `--scale s` and bench_fig2_scalability's
+/// `--compress-only`. Split out of ObsScope so the argv handling is
+/// directly testable (tests/bench_util_test.cc): Parse() consumes every
+/// flag it recognizes and compacts argv/argc around them, leaving the
+/// arguments no driver takes in their original order.
+struct BenchFlags {
   std::string bench_name = "bench";  ///< BaseName(argv[0])
   std::string trace_path;
-  std::string metrics_path;
   std::string faults_spec;
   std::string profile_path;
   std::string checkpoint_path;
   uint64_t checkpoint_every = 16;
   double time_budget_seconds = 0.0;
-  int profile_hz = 100;
+  /// Workload scale factor: 1.0 = fast defaults, larger approaches
+  /// paper-sized inputs.
+  double scale = 1.0;
+  bool csv = false;
+  bool compress_only = false;
   bool profile_alloc = false;
   bool allow_truncated = false;
 
-  static ObsFlags Parse(int& argc, char** argv) {
-    ObsFlags flags;
+  static BenchFlags Parse(int& argc, char** argv) {
+    BenchFlags flags;
     if (argc > 0) flags.bench_name = BaseName(argv[0]);
     int kept = 1;
     for (int i = 1; i < argc; ++i) {
       const char* arg = argv[i];
       if (std::strncmp(arg, "--trace=", 8) == 0) {
         flags.trace_path = arg + 8;
-      } else if (std::strncmp(arg, "--metrics=", 10) == 0) {
-        flags.metrics_path = arg + 10;
       } else if (std::strncmp(arg, "--profile=", 10) == 0) {
         flags.profile_path = arg + 10;
-      } else if (std::strncmp(arg, "--profile-hz=", 13) == 0) {
-        flags.profile_hz = static_cast<int>(std::strtol(arg + 13, nullptr, 10));
       } else if (std::strncmp(arg, "--profile-alloc=", 16) == 0) {
         flags.profile_alloc = std::strtol(arg + 16, nullptr, 10) != 0;
       } else if (std::strncmp(arg, "--faults=", 9) == 0) {
@@ -83,12 +83,28 @@ struct ObsFlags {
         flags.checkpoint_every = std::strtoull(arg + 19, nullptr, 10);
       } else if (std::strcmp(arg, "--allow-truncated") == 0) {
         flags.allow_truncated = true;
+      } else if (std::strcmp(arg, "--csv") == 0) {
+        flags.csv = true;
+      } else if (std::strcmp(arg, "--compress-only") == 0) {
+        flags.compress_only = true;
+      } else if (std::strcmp(arg, "--scale") == 0 && i + 1 < argc &&
+                 ParseNumber(argv[i + 1], &flags.scale)) {
+        ++i;
       } else {
         argv[kept++] = argv[i];
       }
     }
     argc = kept;
     return flags;
+  }
+
+  /// True, with `*out` set, when all of `text` is a number.
+  static bool ParseNumber(const char* text, double* out) {
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0') return false;
+    *out = value;
+    return true;
   }
 
   static std::string BaseName(const char* argv0) {
@@ -99,26 +115,29 @@ struct ObsFlags {
   }
 };
 
-/// Uniform observability flags for every bench driver. Declare one at the
-/// top of main():
+/// The flags of every bench driver. Declare one at the top of main() and
+/// read the driver's own flags from it:
 ///
 ///   int main(int argc, char** argv) {
 ///     isum::bench::ObsScope obs_scope(argc, argv);
+///     const bool csv = obs_scope.flags().csv;
 ///     ...
 ///
-/// Recognized flags (consumed from argv so downstream parsers — including
-/// google-benchmark's — never see them):
+/// Any argument that is not a flag below exits 2, naming it. (bench_micro
+/// lets google-benchmark take its --benchmark_* flags out of argv first.)
+///   --csv              print tables as CSV
+///   --scale <s>        workload scale factor (default 1)
+///   --compress-only    bench_fig2_scalability: skip the slow 2a/2b tuning
+///                      sweep
 ///   --trace=<path>     record the whole run as Chrome trace JSON (open in
 ///                      Perfetto / chrome://tracing): the decision events
-///                      of obs/journal.h are written as they happen, the
-///                      spans at exit. `tracecat <path>` renders the spans,
-///                      `tracecat explain <path>` the decisions
-///   --metrics=<path>   run the MetricsExporter (obs/exporter.h) on <path>:
-///                      a metrics-JSONL snapshot of the registry, rewritten
-///                      atomically once per second while the run executes
-///                      and once more at exit. Read with `tracecat watch
-///                      <path>` live, or `tracecat <trace> --metrics=<path>`
-///                      afterwards
+///                      of obs/journal.h are written as they happen, a
+///                      `metrics` counter event of the whole registry once
+///                      per second and at exit (obs/exporter.h), the spans
+///                      at exit. `tracecat <path>` renders the spans and
+///                      the last metrics, `tracecat explain <path>` the
+///                      decisions, `tracecat watch <path>` follows a
+///                      running run
 ///   --faults=<spec>    arm deterministic fault injection for the run
 ///                      (spec grammar in common/fault.h; overrides the
 ///                      ISUM_FAULTS environment variable)
@@ -138,27 +157,30 @@ struct ObsFlags {
 ///                      makes the driver exit 3 so CI can tell a truncated
 ///                      sweep from a complete one (main returns
 ///                      obs.ExitCode())
-///   --profile=<path>   run the sampling CPU profiler (obs/profiler.h) for
-///                      the whole run; written as an isum-profile-v1 record
-///                      plus a flamegraph.pl-ready <path>.collapsed file.
-///                      Enables the tracer (in memory only, without
-///                      --trace=) so samples attribute to phases.
-///                      Read with `tracecat profile <path>`
-///   --profile-hz=<n>   SIGPROF sampling frequency in Hz of CPU time
-///                      (with --profile; default 100)
+///   --profile=<path>   run the sampling CPU profiler (obs/profiler.h, at
+///                      100 Hz of CPU time) for the whole run; written as
+///                      an isum-profile-v1 record plus a flamegraph.pl-ready
+///                      <path>.collapsed file. Enables the tracer (in
+///                      memory only, without --trace=) so samples attribute
+///                      to phases. Read with `tracecat profile <path>`
 ///   --profile-alloc=<0|1> also account operator new/delete per phase
 ///                      (with --profile; needs a -DISUM_OBS_PROFILING=ON
 ///                      build, otherwise ignored with a warning)
 ///
-/// Files other than the --trace= decision events are written from the
-/// destructor, after the driver's work joined.
+/// Files other than the --trace= decision events and metrics ticks are
+/// written from the destructor, after the driver's work joined.
 /// Perf records are not written here: benchmark/isum_bench produces them
 /// (benchmark/README.md).
 class ObsScope {
  public:
   ObsScope(int& argc, char** argv) {
     obs::Tracer::Global().SetCurrentThreadName("main");
-    flags_ = ObsFlags::Parse(argc, argv);
+    flags_ = BenchFlags::Parse(argc, argv);
+    if (argc > 1) {
+      std::fprintf(stderr, "%s: unknown argument: %s\n",
+                   flags_.bench_name.c_str(), argv[1]);
+      std::exit(2);
+    }
     if (!flags_.faults_spec.empty()) {
       const Status status =
           FaultInjector::Global().Configure(flags_.faults_spec);
@@ -192,21 +214,17 @@ class ObsScope {
                      flags_.trace_path.c_str());
         std::exit(2);
       }
-    } else if (!flags_.profile_path.empty()) {
-      // The profiler attributes samples through the tracer's span stack.
-      obs::Tracer::Global().Enable();
-    }
-    if (!flags_.metrics_path.empty()) {
-      obs::MetricsExporterOptions exporter_options;
-      exporter_options.snapshot_path = flags_.metrics_path;
       exporter_ = std::make_unique<obs::MetricsExporter>(
-          &obs::MetricsRegistry::Global(), std::move(exporter_options));
+          &obs::MetricsRegistry::Global());
       const Status status = exporter_->Start();
       if (!status.ok()) {
         std::fprintf(stderr, "metrics exporter: %s\n",
                      status.ToString().c_str());
         std::exit(2);
       }
+    } else if (!flags_.profile_path.empty()) {
+      // The profiler attributes samples through the tracer's span stack.
+      obs::Tracer::Global().Enable();
     }
     if (!flags_.profile_path.empty()) {
       if (flags_.profile_alloc && !obs::Profiler::alloc_hooks_compiled()) {
@@ -215,7 +233,6 @@ class ObsScope {
                      "-DISUM_OBS_PROFILING=ON to compile the alloc hooks\n");
       }
       obs::ProfilerOptions profiler_options;
-      profiler_options.sample_hz = flags_.profile_hz;
       profiler_options.track_allocations = flags_.profile_alloc;
       if (obs::Profiler::Global().Start(profiler_options)) {
         profiling_ = true;
@@ -235,27 +252,22 @@ class ObsScope {
                                       start_)
             .count();
     // Stop the profiler before anything else: Stop() publishes the
-    // allocation gauges into the registry, so the exporter's final
-    // --metrics= snapshot sees them.
+    // allocation gauges into the registry, so the final metrics tick sees
+    // them.
     obs::ProfileDump profile;
     if (profiling_) profile = obs::Profiler::Global().Stop();
-    // Shut down the exporter next (joins its worker and writes the final
-    // snapshot), then close the trace file.
-    if (exporter_ != nullptr) {
-      exporter_->Stop();
-      std::fprintf(stderr, "wrote %llu metrics snapshot(s) to %s\n",
-                   static_cast<unsigned long long>(
-                       exporter_->snapshots_written()),
-                   flags_.metrics_path.c_str());
-      exporter_.reset();
-    }
     if (!flags_.trace_path.empty()) {
+      // Joins the worker and writes the final tick, before the file closes.
+      exporter_->Stop();
       const obs::TraceFileStats stats = obs::Tracer::Global().Close();
       if (stats.ok) {
         std::fprintf(stderr,
-                     "wrote %llu spans and %llu decision events to %s\n",
+                     "wrote %llu spans, %llu decision events and %llu "
+                     "metrics ticks to %s\n",
                      static_cast<unsigned long long>(stats.spans),
                      static_cast<unsigned long long>(stats.instants),
+                     static_cast<unsigned long long>(
+                         exporter_->ticks_written()),
                      flags_.trace_path.c_str());
       } else {
         std::fprintf(stderr, "obs export failed: write error on %s\n",
@@ -281,6 +293,8 @@ class ObsScope {
 
   ObsScope(const ObsScope&) = delete;
   ObsScope& operator=(const ObsScope&) = delete;
+
+  const BenchFlags& flags() const { return flags_; }
 
   /// Driver exit status honoring the abnormal-stop ledger
   /// (common/deadline.h): 0 when every stage ran to completion (or
@@ -308,7 +322,7 @@ class ObsScope {
     }
   }
 
-  ObsFlags flags_;
+  BenchFlags flags_;
   bool profiling_ = false;
   std::unique_ptr<obs::MetricsExporter> exporter_;
   std::chrono::steady_clock::time_point start_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "common/string_util.h"
 
@@ -57,22 +56,6 @@ void Table::Print(const std::string& title, bool csv) const {
   std::printf("\n=== %s ===\n%s", title.c_str(),  // NOLINT(isum-no-stdio)
               ToString(csv).c_str());
   std::fflush(stdout);
-}
-
-bool WantCsv(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0) return true;
-  }
-  return false;
-}
-
-double ScaleArg(int argc, char** argv, double default_scale) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--scale") == 0) {
-      return std::strtod(argv[i + 1], nullptr);
-    }
-  }
-  return default_scale;
 }
 
 }  // namespace isum::eval

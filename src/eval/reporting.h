@@ -30,13 +30,6 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// True if any CLI argument equals "--csv" (shared by bench mains).
-bool WantCsv(int argc, char** argv);
-
-/// Returns the value following "--scale" (default 1.0): bench workload
-/// scale factor; 1.0 = fast defaults, larger approaches paper-sized inputs.
-double ScaleArg(int argc, char** argv, double default_scale = 1.0);
-
 }  // namespace isum::eval
 
 #endif  // ISUM_EVAL_REPORTING_H_

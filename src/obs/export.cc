@@ -10,27 +10,6 @@
 
 namespace isum::obs {
 
-std::string MetricsJsonl(const MetricsSnapshot& snapshot) {
-  std::string out;
-  for (const auto& [name, value] : snapshot.counters) {
-    out += StrFormat("{\"type\":\"counter\",\"name\":\"%s\",\"value\":%llu}\n",
-                     JsonEscape(name).c_str(),
-                     static_cast<unsigned long long>(value));
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    out += StrFormat("{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%.6g}\n",
-                     JsonEscape(name).c_str(), value);
-  }
-  for (const auto& h : snapshot.histograms) {
-    out += StrFormat(
-        "{\"type\":\"histogram\",\"name\":\"%s\",\"count\":%llu,"
-        "\"sum\":%llu,\"p50\":%.6g,\"p95\":%.6g,\"p99\":%.6g}\n",
-        JsonEscape(h.name).c_str(), static_cast<unsigned long long>(h.count),
-        static_cast<unsigned long long>(h.sum), h.p50, h.p95, h.p99);
-  }
-  return out;
-}
-
 namespace {
 
 /// Frames kept in the isum-profile-v1 record (the collapsed-stack file is

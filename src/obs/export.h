@@ -4,22 +4,14 @@
 #include <string>
 
 #include "common/status.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace isum::obs {
 
-/// Serialization of metric snapshots and profiles. Chrome trace JSON lives
-/// with the tracer (obs/trace.h: ChromeTraceJson and the --trace= file).
-///
-/// Metrics JSONL: one JSON object per line
-/// ({"type":"counter"|"gauge"|"histogram",...}). It is the
-/// MetricsExporter's snapshot file (obs/exporter.h). tools/tracecat reads
-/// it back through common/jsonl.h.
-
-/// Renders `snapshot` as metrics JSONL.
-std::string MetricsJsonl(const MetricsSnapshot& snapshot);
+/// Serialization of profiles. Chrome trace JSON, and the metrics ticks in
+/// it, live with the tracer (obs/trace.h: ChromeTraceJson, the --trace=
+/// file and Tracer::WriteMetrics).
 
 /// Run metadata stamped into an isum-profile-v1 record, mirroring the
 /// isum-bench-v1 header fields so a profile and a bench record correlate.

@@ -1,15 +1,10 @@
 #include "obs/exporter.h"
 
-#include "common/checkpoint.h"
 #include "common/deadline.h"
-#include "obs/export.h"
 #include "obs/process_stats.h"
+#include "obs/trace.h"
 
 namespace isum::obs {
-
-MetricsExporter::MetricsExporter(MetricsRegistry* registry,
-                                 MetricsExporterOptions options)
-    : registry_(registry), options_(std::move(options)) {}
 
 MetricsExporter::~MetricsExporter() { Stop(); }
 
@@ -33,20 +28,10 @@ void MetricsExporter::Stop() {
   }
   stop_cv_.NotifyAll();
   if (worker_.joinable()) worker_.join();
-  // Final snapshot after the worker quiesced, through Tick() so the budget
+  // Final tick after the worker quiesced, through Tick() so the budget
   // gauge is fresh in the file even when the worker never got a tick in
   // (Stop() can beat the worker's first iteration).
   (void)Tick();
-}
-
-void MetricsExporter::WriteSnapshotFile() {
-  if (options_.snapshot_path.empty()) return;
-  // tmp + rename: a `tracecat watch` poll never sees a half-written file.
-  const Status status = WriteFileAtomic(options_.snapshot_path,
-                                        MetricsJsonl(registry_->Snapshot()));
-  if (status.ok()) {
-    snapshots_written_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 bool MetricsExporter::Tick() {
@@ -57,7 +42,7 @@ bool MetricsExporter::Tick() {
         static_cast<double>(budget.deadline().remaining_nanos()) * 1e-9;
   }
   registry_->GetGauge("budget.remaining_seconds")->Set(remaining);
-  // Process-level health next to the registry metrics, so the snapshot
+  // Process-level health next to the registry metrics, so the tick
   // answers "is this run leaking / spinning / fanning out" without a second
   // tool (obs/process_stats.h; published as process.*).
   registry_->GetGauge("process.peak_rss_bytes")
@@ -65,15 +50,18 @@ bool MetricsExporter::Tick() {
   registry_->GetGauge("process.cpu_seconds_total")->Set(ProcessCpuSeconds());
   registry_->GetGauge("process.threads")
       ->Set(static_cast<double>(ProcessThreadCount()));
-  WriteSnapshotFile();
+  if (Tracer::Global().WriteMetrics(registry_->Snapshot())) {
+    ticks_written_.fetch_add(1, std::memory_order_relaxed);
+  }
   // Budget-aware shutdown: once the run's ambient budget is gone, the last
-  // snapshot above is final and the worker goes away with the run.
+  // tick above is final and the worker goes away with the run.
   return !(budget.limited() && budget.Expired());
 }
 
 void MetricsExporter::Run() {
   // Timed waits on the stop flag, one Tick per period. Tick() does file
   // I/O, so it runs outside the critical section.
+  Tracer::Global().SetCurrentThreadName("metrics-exporter");
   for (;;) {
     {
       MutexLock lock(mu_);
@@ -82,7 +70,7 @@ void MetricsExporter::Run() {
     if (!Tick()) return;
     MutexLock lock(mu_);
     if (stop_) return;
-    stop_cv_.WaitForNanos(mu_, options_.period_nanos);
+    stop_cv_.WaitForNanos(mu_, kPeriodNanos);
   }
 }
 

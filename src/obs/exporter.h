@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <thread>
 
 #include "common/mutex.h"
@@ -13,61 +12,54 @@
 
 namespace isum::obs {
 
-/// Live telemetry export: a background thread that rewrites a snapshot
-/// file of the MetricsRegistry once per period, in the metrics JSONL format
-/// (obs/export.h MetricsJsonl), for CI artifacts and `tracecat watch <file>`.
-/// Each rewrite is atomic (WriteFileAtomic: `<path>.tmp` + rename), so a
-/// reader sees either the previous snapshot or the new one, never a torn
-/// file.
+/// Live telemetry: a background thread that writes the MetricsRegistry
+/// into the open trace file once per second, as one `metrics` counter event
+/// (Tracer::WriteMetrics), so Perfetto shows every counter as a track on
+/// the spans' clock and `tracecat watch <trace>` follows a running run.
+/// Each tick is one flushed line: a killed run keeps its last one.
 ///
 /// Lifecycle: construct, Start(), Stop() (the destructor stops too). The
 /// worker owns all I/O; no library hot path ever blocks on the exporter —
 /// registry snapshots are lock-free reads of the sharded instruments.
+/// Without an open trace file the ticks still refresh the gauges below but
+/// write nothing.
 ///
-/// Budget awareness: every period the worker publishes the ambient budget's
-/// remaining time as the "budget.remaining_seconds" gauge (-1 when
-/// unlimited), and once that budget expires it writes one final snapshot
-/// and exits — a deadline-killed run still leaves its last state on disk.
-struct MetricsExporterOptions {
-  /// When non-empty, the metrics-JSONL snapshot is rewritten here every
-  /// period and once more on shutdown.
-  std::string snapshot_path;
-  /// Snapshot/refresh period.
-  uint64_t period_nanos = 1'000'000'000;  // 1s
-};
-
+/// Every tick also publishes process health (process.peak_rss_bytes,
+/// process.cpu_seconds_total, process.threads; obs/process_stats.h) and the
+/// ambient budget's remaining time as "budget.remaining_seconds" (-1 when
+/// unlimited). Once that budget expires the worker writes one last tick and
+/// exits: a deadline-killed run still leaves its last state on disk.
 class MetricsExporter {
  public:
+  /// Time between ticks.
+  static constexpr uint64_t kPeriodNanos = 1'000'000'000;  // 1s
+
   /// `registry` must outlive the exporter (pass MetricsRegistry::Global()).
-  explicit MetricsExporter(MetricsRegistry* registry,
-                           MetricsExporterOptions options);
+  explicit MetricsExporter(MetricsRegistry* registry) : registry_(registry) {}
   ~MetricsExporter();
   MetricsExporter(const MetricsExporter&) = delete;
   MetricsExporter& operator=(const MetricsExporter&) = delete;
 
-  /// Launches the worker thread.
+  /// Launches the worker thread; its first tick is immediate.
   Status Start();
 
-  /// Stops the worker: wakes it, joins, writes the final snapshot.
-  /// Idempotent.
+  /// Stops the worker: wakes it, joins, writes the final tick. Idempotent.
   void Stop();
 
-  /// Snapshot files written so far (tests; includes the shutdown write).
-  uint64_t snapshots_written() const {
-    return snapshots_written_.load(std::memory_order_relaxed);
+  /// Ticks written to the trace file so far (includes the final one).
+  uint64_t ticks_written() const {
+    return ticks_written_.load(std::memory_order_relaxed);
   }
 
  private:
   void Run();
-  /// One periodic beat: budget gauge refresh + snapshot file write.
-  /// Returns false once the ambient budget has expired (worker exits).
+  /// One tick: gauge refresh + one metrics event. Returns false once the
+  /// ambient budget has expired (the worker exits).
   bool Tick();
-  void WriteSnapshotFile();
 
   MetricsRegistry* const registry_;
-  const MetricsExporterOptions options_;
   std::thread worker_;
-  std::atomic<uint64_t> snapshots_written_{0};
+  std::atomic<uint64_t> ticks_written_{0};
   Mutex mu_;
   bool stop_ ISUM_GUARDED_BY(mu_) = false;
   bool started_ ISUM_GUARDED_BY(mu_) = false;

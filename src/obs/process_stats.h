@@ -6,7 +6,7 @@
 namespace isum::obs {
 
 /// Process-level resource readings shared by benchmark/isum_bench (bench
-/// records), the MetricsExporter (process.* gauges in its snapshot file),
+/// records), the MetricsExporter (process.* gauges in its metrics ticks),
 /// and the profiler docs' memory workflow. Hoisted here so the
 /// ru_maxrss unit quirk — KiB on Linux, bytes on macOS — lives in exactly
 /// one place. All readers are cheap enough for once-per-run-phase or

@@ -29,15 +29,14 @@ namespace isum::obs {
 ///    (obs/alloc_hooks.cc) charge bytes/counts to the current phase and
 ///    maintain live/peak gauges. Disarmed, the hooks cost one relaxed
 ///    atomic load per allocation; with the option OFF they are not
-///    compiled (or linked) at all, mirroring the tracer's
-///    ISUM_OBS_DISABLE_TRACING elision.
+///    compiled (or linked) at all.
 ///
 /// Determinism: like the tracer, the profiler observes and never steers —
 /// no algorithm reads sample or allocation state, so profiled runs keep
 /// byte-identical selections (asserted by the profile-smoke CI job).
 ///
 /// Bench drivers get all of this through bench_util.h ObsScope as
-/// --profile= / --profile-hz= / --profile-alloc=; the resulting
+/// --profile= / --profile-alloc= (at the default sample_hz); the resulting
 /// isum-profile-v1 record and collapsed-stack file are rendered by
 /// obs/export.h and read back by `tracecat profile`.
 

@@ -1,11 +1,14 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdarg>
 
 #include "common/jsonl.h"
+#include "obs/metrics.h"
 #include "obs/profiler.h"
 
 namespace isum::obs {
@@ -56,6 +59,25 @@ void AppendArgs(std::string* out, const SpanArg* args, size_t n) {
         break;
     }
   }
+}
+
+/// One `"key":value` member of a counter event's args, led by a comma
+/// unless it is the first. Doubles print in their shortest exact form, so a
+/// reader gets back the value that was written.
+void AppendMetric(std::string* out, std::string_view key, double value) {
+  if (!std::isfinite(value)) return;
+  if (out->back() != '{') out->push_back(',');
+  AppendQuoted(out, key);
+  out->push_back(':');
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, result.ptr);
+}
+
+void AppendMetric(std::string* out, std::string_view key, uint64_t value) {
+  if (out->back() != '{') out->push_back(',');
+  AppendQuoted(out, key);
+  AppendF(out, ":%" PRIu64, value);
 }
 
 /// Common head of every event: `{"ph":"<ph>","pid":1,"tid":<tid>,"name":`.
@@ -230,6 +252,34 @@ void Tracer::Instant(const char* name, const SpanArg* args, size_t num_args,
   // seq is assigned under the lock, so file order and seq order agree.
   WriteEventLocked(head + std::to_string(seq_++) + tail);
   if (flush && std::fflush(file_) != 0) write_failed_ = true;
+}
+
+bool Tracer::WriteMetrics(const MetricsSnapshot& snapshot) {
+  if (!writing()) return false;
+  std::string event;
+  AppendEventHead(&event, "C", CurrentThreadState()->tid, kMetricsEvent);
+  event += ",\"ts\":";
+  AppendMicros(&event, SessionNanos());
+  event += ",\"args\":{";
+  for (const auto& [name, value] : snapshot.counters) {
+    AppendMetric(&event, name, value);
+  }
+  for (const auto& [name, value] : snapshot.gauges) {
+    AppendMetric(&event, name, value);
+  }
+  for (const HistogramSample& h : snapshot.histograms) {
+    AppendMetric(&event, h.name + ".count", h.count);
+    AppendMetric(&event, h.name + ".sum", h.sum);
+    AppendMetric(&event, h.name + ".p50", h.p50);
+    AppendMetric(&event, h.name + ".p95", h.p95);
+    AppendMetric(&event, h.name + ".p99", h.p99);
+  }
+  event += "}}";
+  MutexLock lock(file_mu_);
+  if (file_ == nullptr) return false;
+  WriteEventLocked(event);
+  if (std::fflush(file_) != 0) write_failed_ = true;
+  return !write_failed_;
 }
 
 bool Tracer::ClaimPeriod(uint64_t period_nanos) {

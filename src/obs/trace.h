@@ -24,10 +24,9 @@ namespace isum::obs {
 /// documented in docs/OBSERVABILITY.md.
 ///
 /// Cost model: tracing is off by default. A disabled span is a single
-/// relaxed atomic load (and compiles away entirely under
-/// -DISUM_OBS_DISABLE_TRACING, see the macro below). An enabled span
-/// appends to a per-thread buffer guarded by that thread's own
-/// (uncontended) mutex, so recording threads never serialize on each other.
+/// relaxed atomic load. An enabled span appends to a per-thread buffer
+/// guarded by that thread's own (uncontended) mutex, so recording threads
+/// never serialize on each other.
 ///
 /// Sessions: Enable() clears prior spans and starts an in-memory session;
 /// Disable() stops recording; Drain() merges and clears the per-thread
@@ -36,9 +35,10 @@ namespace isum::obs {
 ///
 /// File sessions: Open(path, label) starts a session that also writes a
 /// Chrome trace to `path`. Instant events (InstantEvent below; the decision
-/// events of obs/journal.h) are written to the file as they happen, one
+/// events of obs/journal.h) and metrics counter events (WriteMetrics; the
+/// ticks of obs/exporter.h) are written to the file as they happen, one
 /// per line; Close() appends the drained spans and the thread names and
-/// ends the JSON array. Without an open file, instant events are dropped.
+/// ends the JSON array. Without an open file, both are dropped.
 
 /// One typed key/value argument attached to a span or an instant event
 /// (Chrome-trace `args`). A span keeps the pointers, so span keys and string
@@ -99,6 +99,11 @@ std::string ChromeTraceJson(const TraceDump& dump);
 /// of the decision-event vocabulary (obs/journal.h) the file holds.
 inline constexpr char kDecisionSchema[] = "isum-events-v2";
 
+/// Name of the counter events ("ph":"C") Tracer::WriteMetrics writes.
+inline constexpr char kMetricsEvent[] = "metrics";
+
+struct MetricsSnapshot;
+
 /// What Tracer::Close() wrote.
 struct TraceFileStats {
   uint64_t spans = 0;
@@ -131,6 +136,14 @@ class Tracer {
   /// decision emitters' fast-path guard; callers may use it to skip
   /// argument computation, never to change what the library does.
   bool writing() const { return writing_.load(std::memory_order_relaxed); }
+
+  /// Writes one counter event ("ph":"C", kMetricsEvent) on the calling
+  /// thread at the current session time and flushes it, so a killed run
+  /// keeps its last tick. Its args are every counter and gauge of
+  /// `snapshot` by name, and each histogram as <name>.count, .sum, .p50,
+  /// .p95 and .p99; non-finite values are left out. Returns false when no
+  /// file is open or a write to it has failed.
+  bool WriteMetrics(const MetricsSnapshot& snapshot);
 
   /// Per-file filters for instant events that polls emit. ClaimPeriod is
   /// true for the first call of a file and then at most once per
@@ -274,26 +287,8 @@ class InstantEvent {
   std::array<SpanArg, kMaxArgs> args_{};
 };
 
-/// Zero-cost stand-in used when tracing is compiled out: keeps call sites
-/// that attach args (ISUM_TRACE_SPAN_VAR) compiling to nothing.
-class NoopTraceSpan {
- public:
-  explicit NoopTraceSpan(const char* /*name*/) {}
-  template <typename T>
-  NoopTraceSpan& Arg(const char* /*key*/, T /*value*/) {
-    return *this;
-  }
-};
-
 }  // namespace isum::obs
 
-// Compile-time switch: building with -DISUM_OBS_TRACING=OFF (which defines
-// ISUM_OBS_DISABLE_TRACING) turns every span site into a no-op expression.
-#ifdef ISUM_OBS_DISABLE_TRACING
-#define ISUM_TRACE_SPAN(name) static_cast<void>(0)
-#define ISUM_TRACE_SPAN_VAR(var, name) \
-  ::isum::obs::NoopTraceSpan var { name }
-#else
 #define ISUM_OBS_CONCAT_INNER(a, b) a##b
 #define ISUM_OBS_CONCAT(a, b) ISUM_OBS_CONCAT_INNER(a, b)
 #define ISUM_TRACE_SPAN(name) \
@@ -303,6 +298,5 @@ class NoopTraceSpan {
 ///   span.Arg("k", k).Arg("algorithm", "summary");
 #define ISUM_TRACE_SPAN_VAR(var, name) \
   ::isum::obs::TraceSpan var { name }
-#endif
 
 #endif  // ISUM_OBS_TRACE_H_

@@ -1,8 +1,7 @@
-// Tests for bench/bench_util.h: ObsFlags::Parse, the uniform
-// observability-flag handling every bench driver goes through, and the
-// files ObsScope writes. Parse must consume exactly the flags it owns and
-// compact argc/argv around them so downstream parsers (google-benchmark's
-// included) see the rest untouched and in order.
+// Tests for bench/bench_util.h: BenchFlags::Parse, the flag handling
+// every bench driver goes through, and the file ObsScope writes. Parse
+// must consume exactly the flags a driver takes and compact argc/argv
+// around them; ObsScope exits 2 on anything left over.
 
 #include <gtest/gtest.h>
 
@@ -44,13 +43,14 @@ class ArgvFixture {
 
 TEST(BenchObsFlags, DefaultsWithNoFlags) {
   ArgvFixture args({"/path/to/bench_fig2", "positional"});
-  const ObsFlags flags = ObsFlags::Parse(args.argc(), args.argv());
+  const BenchFlags flags = BenchFlags::Parse(args.argc(), args.argv());
   EXPECT_EQ(flags.bench_name, "bench_fig2");  // basename of argv[0]
   EXPECT_TRUE(flags.trace_path.empty());
-  EXPECT_TRUE(flags.metrics_path.empty());
   EXPECT_TRUE(flags.profile_path.empty());
   EXPECT_EQ(flags.time_budget_seconds, 0.0);
-  EXPECT_EQ(flags.profile_hz, 100);
+  EXPECT_EQ(flags.scale, 1.0);
+  EXPECT_FALSE(flags.csv);
+  EXPECT_FALSE(flags.compress_only);
   EXPECT_FALSE(flags.profile_alloc);
   EXPECT_EQ(args.Remaining(),
             (std::vector<std::string>{"/path/to/bench_fig2", "positional"}));
@@ -58,10 +58,10 @@ TEST(BenchObsFlags, DefaultsWithNoFlags) {
 
 TEST(BenchObsFlags, ConsumesRecognizedFlagsAndKeepsTheRest) {
   ArgvFixture args({"bench", "--scale", "--trace=/tmp/t.json", "0.5",
-                    "--metrics=/tmp/m.jsonl", "--unknown=1", "tail"});
-  const ObsFlags flags = ObsFlags::Parse(args.argc(), args.argv());
+                    "--unknown=1", "tail"});
+  const BenchFlags flags = BenchFlags::Parse(args.argc(), args.argv());
   EXPECT_EQ(flags.trace_path, "/tmp/t.json");
-  EXPECT_EQ(flags.metrics_path, "/tmp/m.jsonl");
+  EXPECT_EQ(flags.scale, 1.0);  // "--scale" is not followed by a number
   // Unrecognized arguments survive in their original relative order.
   EXPECT_EQ(args.Remaining(), (std::vector<std::string>{
                                   "bench", "--scale", "0.5", "--unknown=1",
@@ -69,25 +69,40 @@ TEST(BenchObsFlags, ConsumesRecognizedFlagsAndKeepsTheRest) {
 }
 
 TEST(BenchObsFlags, ParsesEveryFlag) {
-  ArgvFixture args({"bench", "--trace=t.json", "--metrics=m.jsonl",
-                    "--faults=whatif:every=7", "--time-budget=2.5",
-                    "--profile=p.json", "--profile-hz=250",
-                    "--profile-alloc=1"});
-  const ObsFlags flags = ObsFlags::Parse(args.argc(), args.argv());
+  ArgvFixture args({"bench", "--trace=t.json", "--faults=whatif:every=7",
+                    "--time-budget=2.5", "--profile=p.json",
+                    "--profile-alloc=1", "--checkpoint=ckpt/run",
+                    "--checkpoint-every=3", "--allow-truncated"});
+  const BenchFlags flags = BenchFlags::Parse(args.argc(), args.argv());
   EXPECT_EQ(flags.trace_path, "t.json");
-  EXPECT_EQ(flags.metrics_path, "m.jsonl");
   EXPECT_EQ(flags.faults_spec, "whatif:every=7");
   EXPECT_DOUBLE_EQ(flags.time_budget_seconds, 2.5);
   EXPECT_EQ(flags.profile_path, "p.json");
-  EXPECT_EQ(flags.profile_hz, 250);
   EXPECT_TRUE(flags.profile_alloc);
+  EXPECT_EQ(flags.checkpoint_path, "ckpt/run");
+  EXPECT_EQ(flags.checkpoint_every, 3u);
+  EXPECT_TRUE(flags.allow_truncated);
   // Everything was consumed.
   EXPECT_EQ(args.Remaining(), std::vector<std::string>{"bench"});
 }
 
+TEST(BenchObsFlags, ParsesTheDriversOwnFlags) {
+  ArgvFixture args({"bench", "--csv", "--scale", "2.5", "--compress-only"});
+  const BenchFlags flags = BenchFlags::Parse(args.argc(), args.argv());
+  EXPECT_TRUE(flags.csv);
+  EXPECT_DOUBLE_EQ(flags.scale, 2.5);
+  EXPECT_TRUE(flags.compress_only);
+  EXPECT_EQ(args.Remaining(), std::vector<std::string>{"bench"});
+  // A value that is not all number is not a scale.
+  ArgvFixture bad({"bench", "--scale", "2x"});
+  EXPECT_EQ(BenchFlags::Parse(bad.argc(), bad.argv()).scale, 1.0);
+  EXPECT_EQ(bad.Remaining(),
+            (std::vector<std::string>{"bench", "--scale", "2x"}));
+}
+
 TEST(BenchObsFlags, ProfileAllocZeroDisables) {
   ArgvFixture args({"bench", "--profile=p.json", "--profile-alloc=0"});
-  const ObsFlags flags = ObsFlags::Parse(args.argc(), args.argv());
+  const BenchFlags flags = BenchFlags::Parse(args.argc(), args.argv());
   EXPECT_EQ(flags.profile_path, "p.json");
   EXPECT_FALSE(flags.profile_alloc);
 }
@@ -95,35 +110,38 @@ TEST(BenchObsFlags, ProfileAllocZeroDisables) {
 TEST(BenchObsFlags, FlagPrefixesDoNotSwallowLookalikes) {
   // A flag-shaped unknown like "--tracer=" shares the "--trace" prefix and
   // must pass through.
-  ArgvFixture args({"bench", "--tracer=x"});
-  const ObsFlags flags = ObsFlags::Parse(args.argc(), args.argv());
+  ArgvFixture args({"bench", "--tracer=x", "--csv2"});
+  const BenchFlags flags = BenchFlags::Parse(args.argc(), args.argv());
   EXPECT_TRUE(flags.trace_path.empty());
+  EXPECT_FALSE(flags.csv);
   EXPECT_EQ(args.Remaining(),
-            (std::vector<std::string>{"bench", "--tracer=x"}));
+            (std::vector<std::string>{"bench", "--tracer=x", "--csv2"}));
 }
 
 TEST(BenchObsFlags, RetiredFlagsAreNotConsumed) {
-  // The perf record moved to benchmark/isum_bench, the snapshot file to
-  // --metrics= and the decision journal into the --trace= file; trace
-  // sampling is gone. The old flags reach the driver's own parser
-  // untouched.
-  ArgvFixture args({"bench", "--bench-json=x", "--bench-label=y",
-                    "--metrics-snapshot=x", "--journal=j.jsonl",
-                    "--trace-every=4"});
-  const ObsFlags flags = ObsFlags::Parse(args.argc(), args.argv());
-  EXPECT_TRUE(flags.metrics_path.empty());
-  EXPECT_TRUE(flags.trace_path.empty());
-  EXPECT_EQ(args.Remaining(),
-            (std::vector<std::string>{
-                "bench", "--bench-json=x", "--bench-label=y",
-                "--metrics-snapshot=x", "--journal=j.jsonl",
-                "--trace-every=4"}));
+  // The perf record moved to benchmark/isum_bench, the decision journal
+  // and the metrics into the --trace= file; trace sampling and the profile
+  // rate flag are gone. Parse leaves the old flags in argv, and ObsScope
+  // exits 2 naming the first one, before doing anything else.
+  for (const char* retired :
+       {"--journal=x", "--trace-every=2", "--metrics=x",
+        "--bench-json=x", "--metrics-snapshot=x"}) {
+    SCOPED_TRACE(retired);
+    ArgvFixture args({"bench", "--csv", retired});
+    EXPECT_TRUE(BenchFlags::Parse(args.argc(), args.argv()).csv);
+    EXPECT_EQ(args.Remaining(),
+              (std::vector<std::string>{"bench", retired}));
+    ArgvFixture scope_args({"bench", "--csv", retired});
+    EXPECT_EXIT(ObsScope(scope_args.argc(), scope_args.argv()),
+                testing::ExitedWithCode(2),
+                std::string("bench: unknown argument: ") + retired);
+  }
 }
 
-TEST(BenchObsScope, MetricsFlagWritesSnapshotAtExit) {
-  const std::string path = testing::TempDir() + "/obs_scope_metrics.jsonl";
+TEST(BenchObsScope, TraceCarriesTheFinalMetrics) {
+  const std::string path = testing::TempDir() + "/obs_scope_metrics.json";
   std::remove(path.c_str());
-  ArgvFixture args({"bench", "--metrics=" + path});
+  ArgvFixture args({"bench", "--trace=" + path});
   obs::Counter* counter =
       obs::MetricsRegistry::Global().GetCounter("bench_util_test.obs_scope");
   {
@@ -133,23 +151,15 @@ TEST(BenchObsScope, MetricsFlagWritesSnapshotAtExit) {
   }
   StatusOr<std::string> content = ReadFileToString(path);
   ASSERT_TRUE(content.ok()) << content.status().ToString();
-  auto metrics = tracecat::ParseMetricsJsonl(*content);
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  bool saw_counter = false;
-  bool saw_peak_rss = false;
-  for (const tracecat::MetricLine& m : *metrics) {
-    if (m.type == "counter" && m.name == "bench_util_test.obs_scope") {
-      EXPECT_EQ(m.value, static_cast<double>(counter->Value()));
-      EXPECT_GE(m.value, 7.0);
-      saw_counter = true;
-    }
-    if (m.type == "gauge" && m.name == "process.peak_rss_bytes") {
-      EXPECT_GT(m.value, 0.0);
-      saw_peak_rss = true;
-    }
-  }
-  EXPECT_TRUE(saw_counter);
-  EXPECT_TRUE(saw_peak_rss);
+  auto tick = tracecat::LastMetrics(*content);
+  ASSERT_TRUE(tick.ok()) << tick.status().ToString();
+  // The final tick comes after the driver's work: it carries the counter
+  // as the driver left it, and the exporter's process gauges.
+  EXPECT_EQ(tick->Value("bench_util_test.obs_scope"),
+            static_cast<double>(counter->Value()));
+  EXPECT_GE(tick->Value("bench_util_test.obs_scope"), 7.0);
+  EXPECT_GT(tick->Value("process.peak_rss_bytes"), 0.0);
+  EXPECT_EQ(tick->Value("budget.remaining_seconds"), -1.0);
 }
 
 TEST(BenchObsScope, TraceFlagWritesSpansAndDecisionsToOneFile) {
@@ -179,9 +189,9 @@ TEST(BenchObsScope, TraceFlagWritesSpansAndDecisionsToOneFile) {
 }
 
 TEST(BenchObsFlags, BaseNameHandlesPlainAndNestedPaths) {
-  EXPECT_EQ(ObsFlags::BaseName("bench_fig2"), "bench_fig2");
-  EXPECT_EQ(ObsFlags::BaseName("./build/bench/bench_fig2"), "bench_fig2");
-  EXPECT_EQ(ObsFlags::BaseName("/bench_fig2"), "bench_fig2");
+  EXPECT_EQ(BenchFlags::BaseName("bench_fig2"), "bench_fig2");
+  EXPECT_EQ(BenchFlags::BaseName("./build/bench/bench_fig2"), "bench_fig2");
+  EXPECT_EQ(BenchFlags::BaseName("/bench_fig2"), "bench_fig2");
 }
 
 }  // namespace

@@ -117,15 +117,5 @@ TEST(Reporting, RowsPaddedToHeaderCount) {
   EXPECT_EQ(t.ToString(true), "a,b,c\nonly-one,,\n");
 }
 
-TEST(Reporting, ArgHelpers) {
-  const char* argv1[] = {"prog", "--csv"};
-  EXPECT_TRUE(WantCsv(2, const_cast<char**>(argv1)));
-  const char* argv2[] = {"prog"};
-  EXPECT_FALSE(WantCsv(1, const_cast<char**>(argv2)));
-  const char* argv3[] = {"prog", "--scale", "2.5"};
-  EXPECT_DOUBLE_EQ(ScaleArg(3, const_cast<char**>(argv3)), 2.5);
-  EXPECT_DOUBLE_EQ(ScaleArg(1, const_cast<char**>(argv2)), 1.0);
-}
-
 }  // namespace
 }  // namespace isum::eval

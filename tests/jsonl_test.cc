@@ -269,24 +269,55 @@ TEST(JsonFuzz, ChromeTrace) {
   FuzzEveryByte(obs::ChromeTraceJson(dump), [](const std::string& text) {
     const auto events = tracecat::ParseChromeTrace(text);
     if (!events.ok()) return false;
-    (void)tracecat::Report(events.value(), {}, 5);
+    (void)tracecat::Report(events.value(), 5);
     return true;
   });
 }
 
-TEST(JsonFuzz, MetricsJsonl) {
-  obs::MetricsRegistry registry;
-  registry.GetCounter("whatif.optimizer_calls")->Add(25);
-  registry.GetGauge("budget.remaining_seconds")->Set(4.5);
-  registry.GetHistogram("fault.latency.whatif_cost")->Observe(2'000'000);
-  FuzzEveryByte(obs::MetricsJsonl(registry.Snapshot()),
-                [](const std::string& text) {
-                  const auto metrics = tracecat::ParseMetricsJsonl(text);
-                  if (!metrics.ok()) return false;
-                  (void)tracecat::WatchFrame(metrics.value());
-                  (void)tracecat::Report({}, metrics.value(), 5);
-                  return true;
-                });
+TEST(JsonFuzz, MetricsTicks) {
+  // A trace file with two metrics ticks (obs::Tracer::WriteMetrics) among
+  // a decision event and a span. Prefixes stand for killed runs and for
+  // `tracecat watch` reading a file mid-write: the last complete tick must
+  // still be found.
+  const std::string trace =
+      std::string("[\n{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":"
+                  "\"process_name\",\"args\":{\"name\":\"fuzz\","
+                  "\"schema\":\"") +
+      obs::kDecisionSchema +
+      "\"}},\n"
+      "{\"ph\":\"C\",\"pid\":1,\"tid\":1,\"name\":\"metrics\",\"ts\":0.5,"
+      "\"args\":{\"whatif.optimizer_calls\":0,"
+      "\"budget.remaining_seconds\":-1}},\n"
+      "{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"name\":\"fault\","
+      "\"cat\":\"decision\",\"ts\":1.000,\"args\":{\"seq\":0,"
+      "\"site\":\"whatif.cost\",\"code\":\"unavailable\"}},\n"
+      "{\"ph\":\"C\",\"pid\":1,\"tid\":1,\"name\":\"metrics\","
+      "\"ts\":1000000.25,\"args\":{\"fault.injected\":3,"
+      "\"whatif.cache_hits\":75,\"whatif.optimizer_calls\":25,"
+      "\"budget.remaining_seconds\":4.5,"
+      "\"fault.latency.whatif_cost.count\":1,"
+      "\"fault.latency.whatif_cost.sum\":2000000,"
+      "\"fault.latency.whatif_cost.p50\":2000000,"
+      "\"fault.latency.whatif_cost.p95\":2000000,"
+      "\"fault.latency.whatif_cost.p99\":2000000}},\n"
+      "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\","
+      "\"args\":{\"name\":\"main\"}},\n"
+      "{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"name\":\"compress/total\","
+      "\"cat\":\"isum\",\"ts\":1.000,\"dur\":4.000,\"args\":{\"depth\":0}}\n"
+      "]\n";
+  FuzzEveryByte(trace, [](const std::string& text) {
+    const auto tick = tracecat::LastMetrics(text);
+    if (!tick.ok()) return false;
+    (void)tracecat::MetricsReport(tick.value());
+    // The other readers of the same file skip the ticks.
+    const auto spans = tracecat::ParseChromeTrace(text);
+    if (spans.ok()) (void)tracecat::Report(spans.value(), 5);
+    const auto journal = tracecat::ParseJournal(text);
+    if (journal.ok()) {
+      EXPECT_LE(journal->events.size(), 1u);
+    }
+    return true;
+  });
 }
 
 TEST(JsonFuzz, Journal) {
@@ -337,7 +368,7 @@ TEST(JsonFuzz, Journal) {
     }
     // The span report reads the same file.
     const auto spans = tracecat::ParseChromeTrace(text);
-    if (spans.ok()) (void)tracecat::Report(spans.value(), {}, 5);
+    if (spans.ok()) (void)tracecat::Report(spans.value(), 5);
     return true;
   });
 }

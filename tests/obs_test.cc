@@ -1,7 +1,8 @@
 // Tests for src/obs: metrics instruments, registry snapshots/deltas, the
 // scoped-span tracer (driven by a deterministic fake clock), and the
-// Chrome-trace / JSONL exporters. Suite names start with `Obs` so the TSan
-// CI job picks the concurrency tests up via its --gtest_filter.
+// Chrome-trace exporter and the metrics counter event. Suite names start
+// with `Obs` so the TSan CI job picks the concurrency tests up via its
+// --gtest_filter.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/checkpoint.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -216,20 +218,6 @@ class ObsTracerTest : public ::testing::Test {
   }
 };
 
-#ifdef ISUM_OBS_DISABLE_TRACING
-
-TEST_F(ObsTracerTest, CompiledOutSpansRecordNothingEvenWhenEnabled) {
-  Tracer& tracer = Tracer::Global();
-  tracer.Enable();
-  {
-    ISUM_TRACE_SPAN("elided");
-  }
-  tracer.Disable();
-  EXPECT_TRUE(tracer.Drain().spans.empty());
-}
-
-#else  // tracing compiled in
-
 TEST_F(ObsTracerTest, RecordsNestedSpansWithFakeClock) {
   Tracer& tracer = Tracer::Global();
   tracer.SetCurrentThreadName("main");
@@ -350,8 +338,6 @@ TEST_F(ObsTracerTest, SpanArgsAreDroppedWhenNotRecording) {
   EXPECT_TRUE(tracer.Drain().spans.empty());
 }
 
-#endif  // ISUM_OBS_DISABLE_TRACING
-
 // --- exporters --------------------------------------------------------
 
 TEST(ObsExport, ChromeTraceJsonGoldenShape) {
@@ -399,32 +385,38 @@ TEST(ObsExport, SpanArgsRenderInBothExporters) {
             "]\n");
 }
 
-TEST(ObsExport, MetricsJsonlCoversAllInstrumentKinds) {
+TEST_F(ObsTracerTest, MetricsEventCoversAllInstrumentKinds) {
   MetricsRegistry registry;
   registry.GetCounter("whatif.optimizer_calls")->Add(12);
   registry.GetGauge("threadpool.workers")->Set(4.0);
+  registry.GetGauge("budget.remaining_seconds")->Set(0.1);
+  registry.GetGauge("not.a.number")->Set(std::nan(""));
   Histogram* lat = registry.GetHistogram("whatif.optimize_nanos");
   for (int i = 0; i < 10; ++i) lat->Observe(1000);
-  const std::string jsonl = MetricsJsonl(registry.Snapshot());
-  EXPECT_NE(jsonl.find("{\"type\":\"counter\","
-                       "\"name\":\"whatif.optimizer_calls\",\"value\":12}"),
+
+  Tracer& tracer = Tracer::Global();
+  EXPECT_FALSE(tracer.WriteMetrics(registry.Snapshot()));  // no file open
+  const std::string path = testing::TempDir() + "/obs_metrics_event.json";
+  ASSERT_TRUE(tracer.Open(path, "unit"));  // session start = 1000
+  EXPECT_TRUE(tracer.WriteMetrics(registry.Snapshot()));  // ts = 2000 ns
+  EXPECT_TRUE(tracer.Close().ok);
+
+  const StatusOr<std::string> content = ReadFileToString(path);
+  ASSERT_TRUE(content.ok()) << content.status().ToString();
+  // One line; every instrument kind; doubles exact and shortest; the
+  // non-finite gauge left out (JSON has no NaN).
+  EXPECT_NE(content->find("\n{\"ph\":\"C\",\"pid\":1,\"tid\":"),
             std::string::npos);
-  EXPECT_NE(jsonl.find("{\"type\":\"gauge\","
-                       "\"name\":\"threadpool.workers\",\"value\":4}"),
-            std::string::npos);
-  EXPECT_NE(jsonl.find("\"type\":\"histogram\","
-                       "\"name\":\"whatif.optimize_nanos\",\"count\":10,"
-                       "\"sum\":10000"),
-            std::string::npos);
-  // One flat object per line: every line starts with '{' and ends with '}'.
-  size_t start = 0;
-  while (start < jsonl.size()) {
-    const size_t end = jsonl.find('\n', start);
-    ASSERT_NE(end, std::string::npos);
-    EXPECT_EQ(jsonl[start], '{');
-    EXPECT_EQ(jsonl[end - 1], '}');
-    start = end + 1;
-  }
+  EXPECT_NE(content->find(
+                ",\"name\":\"metrics\",\"ts\":1.000,\"args\":{\"whatif.optimizer_calls\":12,"
+                "\"budget.remaining_seconds\":0.1,"
+                "\"threadpool.workers\":4,"
+                "\"whatif.optimize_nanos.count\":10,"
+                "\"whatif.optimize_nanos.sum\":10000,"
+                "\"whatif.optimize_nanos.p50\":"),
+            std::string::npos)
+      << *content;
+  EXPECT_EQ(content->find("not.a.number"), std::string::npos);
 }
 
 }  // namespace

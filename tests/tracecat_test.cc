@@ -1,6 +1,6 @@
-// Tests for tools/tracecat: parsing the exporter's Chrome-trace and
-// metrics-JSONL output (round-trip through src/obs/export.h), phase
-// aggregation, top-k selection, and the rendered report.
+// Tests for tools/tracecat: parsing the tracer's Chrome-trace output (its
+// spans, decision events and metrics ticks), phase aggregation, top-k
+// selection, and the rendered reports.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/checkpoint.h"
 #include "obs/export.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
@@ -31,6 +32,33 @@ obs::TraceDump SampleDump() {
   dump.spans.push_back(
       obs::SpanRecord{"whatif/optimize", 1, 0, 600000, 700000});
   return dump;
+}
+
+/// A trace file as obs::Tracer writes it, with one metrics tick per
+/// snapshot. `closed` is as Close() leaves it; otherwise it is what a
+/// killed run leaves (each tick is flushed, there is no "]").
+std::string TraceWithTicks(const std::vector<obs::MetricsSnapshot>& ticks,
+                           bool closed) {
+  const std::string path = testing::TempDir() + "/tracecat_ticks.json";
+  obs::Tracer& tracer = obs::Tracer::Global();
+  EXPECT_TRUE(tracer.Open(path, "unit"));
+  for (const obs::MetricsSnapshot& tick : ticks) {
+    EXPECT_TRUE(tracer.WriteMetrics(tick));
+  }
+  if (closed) {
+    EXPECT_TRUE(tracer.Close().ok);
+  }
+  StatusOr<std::string> content = ReadFileToString(path);
+  tracer.Close();
+  EXPECT_TRUE(content.ok()) << content.status().ToString();
+  return content.ok() ? *content : std::string();
+}
+
+/// The rendered last tick of a one-tick trace of `registry`.
+std::string RenderedMetrics(const obs::MetricsRegistry& registry) {
+  const auto tick = LastMetrics(TraceWithTicks({registry.Snapshot()}, true));
+  EXPECT_TRUE(tick.ok()) << tick.status().ToString();
+  return tick.ok() ? MetricsReport(tick.value()) : std::string();
 }
 
 TEST(TracecatParse, RoundTripsExporterOutput) {
@@ -81,55 +109,59 @@ TEST(TracecatTopSlowest, OrdersByDurationAndTruncates) {
   EXPECT_EQ(top[1].name, "compress/greedy-pick");
 }
 
-TEST(TracecatMetrics, ParsesExporterJsonl) {
+TEST(TracecatMetrics, ReadsTheLastTickOfATrace) {
   obs::MetricsRegistry registry;
-  registry.GetCounter("whatif.optimizer_calls")->Add(30);
-  registry.GetCounter("whatif.cache_hits")->Add(70);
+  registry.GetCounter("whatif.optimizer_calls")->Add(10);
+  const obs::MetricsSnapshot first = registry.Snapshot();
+  registry.GetCounter("whatif.optimizer_calls")->Add(20);
+  registry.GetGauge("pool.size")->Set(2.5);
   obs::Histogram* lat = registry.GetHistogram("whatif.optimize_nanos");
   for (int i = 0; i < 30; ++i) lat->Observe(1000000);
-  const std::string jsonl = obs::MetricsJsonl(registry.Snapshot());
-  const auto parsed = ParseMetricsJsonl(jsonl);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed.value().size(), 3u);
-  bool saw_calls = false, saw_hist = false;
-  for (const MetricLine& m : parsed.value()) {
-    if (m.type == "counter" && m.name == "whatif.optimizer_calls") {
-      saw_calls = true;
-      EXPECT_DOUBLE_EQ(m.value, 30.0);
-    }
-    if (m.type == "histogram" && m.name == "whatif.optimize_nanos") {
-      saw_hist = true;
-      EXPECT_EQ(m.count, 30u);
-      EXPECT_GT(m.p50, 0.0);
-    }
-  }
-  EXPECT_TRUE(saw_calls);
-  EXPECT_TRUE(saw_hist);
+  const std::string trace = TraceWithTicks({first, registry.Snapshot()}, true);
+
+  const auto tick = LastMetrics(trace);
+  ASSERT_TRUE(tick.ok()) << tick.status().ToString();
+  EXPECT_EQ(tick->Value("whatif.optimizer_calls"), 30.0);
+  EXPECT_EQ(tick->Value("pool.size"), 2.5);
+  EXPECT_EQ(tick->Value("whatif.optimize_nanos.count"), 30.0);
+  EXPECT_GT(tick->Value("whatif.optimize_nanos.p50"), 0.0);
+  EXPECT_EQ(tick->Value("absent"), 0.0);
+  EXPECT_EQ(tick->Value("absent", -1.0), -1.0);
+  // The span reader skips the ticks.
+  const auto spans = ParseChromeTrace(trace);
+  ASSERT_TRUE(spans.ok()) << spans.status().ToString();
+  // A trace without ticks (isum_bench's span-only traces) has none.
+  const auto none = LastMetrics(obs::ChromeTraceJson(SampleDump()));
+  EXPECT_EQ(none.status().code(), StatusCode::kNotFound);
+  EXPECT_FALSE(LastMetrics("not a trace\n").ok());
+  EXPECT_FALSE(LastMetrics("[\n{\"ph\":\"C\",\"name\":\"metrics\",\"ts\":1,"
+                           "\"args\":{\"x\":\"text\"}}\n]\n")
+                   .ok());
 }
 
 TEST(TracecatReport, RendersPhaseAndWhatIfTables) {
   const std::string json = obs::ChromeTraceJson(SampleDump());
   const auto events = ParseChromeTrace(json);
   ASSERT_TRUE(events.ok());
+  const std::string report = Report(events.value(), 3);
+  EXPECT_NE(report.find("== per-phase totals =="), std::string::npos);
+  EXPECT_NE(report.find("compress/greedy-pick"), std::string::npos);
+  EXPECT_NE(report.find("== top 3 slowest spans =="), std::string::npos);
 
   obs::MetricsRegistry registry;
   registry.GetCounter("whatif.optimizer_calls")->Add(25);
   registry.GetCounter("whatif.cache_hits")->Add(75);
-  const auto metrics =
-      ParseMetricsJsonl(obs::MetricsJsonl(registry.Snapshot()));
-  ASSERT_TRUE(metrics.ok());
-
-  const std::string report = Report(events.value(), metrics.value(), 3);
-  EXPECT_NE(report.find("== per-phase totals =="), std::string::npos);
-  EXPECT_NE(report.find("compress/greedy-pick"), std::string::npos);
-  EXPECT_NE(report.find("== top 3 slowest spans =="), std::string::npos);
-  EXPECT_NE(report.find("== what-if optimizer =="), std::string::npos);
-  EXPECT_NE(report.find("optimizer calls: 25"), std::string::npos);
-  EXPECT_NE(report.find("hit rate:        75.0%"), std::string::npos);
+  const std::string metrics = RenderedMetrics(registry);
+  EXPECT_NE(metrics.find("== metrics at "), std::string::npos);
+  EXPECT_NE(metrics.find("what-if: 25 optimizer call(s), 75 cache hit(s) "
+                         "(75.0% hit rate)"),
+            std::string::npos)
+      << metrics;
+  EXPECT_EQ(metrics.find("optimize latency"), std::string::npos);
 }
 
 TEST(TracecatReport, EmptyTraceStillRenders) {
-  const std::string report = Report({}, {}, 10);
+  const std::string report = Report({}, 10);
   EXPECT_NE(report.find("(no spans)"), std::string::npos);
 }
 
@@ -138,14 +170,14 @@ TEST(TracecatReport, RendersRobustnessCountersWhenPresent) {
   registry.GetCounter("fault.injected")->Add(12);
   registry.GetCounter("retry.attempts")->Add(34);
   registry.GetCounter("deadline.exceeded")->Add(5);
-  const auto metrics =
-      ParseMetricsJsonl(obs::MetricsJsonl(registry.Snapshot()));
-  ASSERT_TRUE(metrics.ok());
-  const std::string report = Report({}, metrics.value(), 10);
-  EXPECT_NE(report.find("== robustness =="), std::string::npos);
-  EXPECT_NE(report.find("faults injected:   12"), std::string::npos);
-  EXPECT_NE(report.find("retry attempts:    34"), std::string::npos);
-  EXPECT_NE(report.find("deadline exceeded: 5"), std::string::npos);
+  registry.GetHistogram("fault.latency.whatif.cost")->Observe(2'000'000);
+  const std::string metrics = RenderedMetrics(registry);
+  EXPECT_NE(metrics.find("robustness: 34 retry(ies), 12 fault(s) injected, "
+                         "5 deadline hit(s)"),
+            std::string::npos)
+      << metrics;
+  EXPECT_NE(metrics.find("fault latency whatif.cost: p50 "), std::string::npos)
+      << metrics;
 }
 
 /// A hand-written isum-bench-v1 record in the emitters' layout
@@ -550,16 +582,36 @@ TEST(TracecatWatch, ParsesMetricsSnapshotAndRendersFrame) {
   obs::Histogram* lat = registry.GetHistogram("whatif.optimize_nanos");
   for (int i = 0; i < 10; ++i) lat->Observe(2'000'000);
 
-  const auto metrics = ParseMetricsJsonl(obs::MetricsJsonl(registry.Snapshot()));
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-
-  const std::string frame = WatchFrame(metrics.value());
+  const std::string frame = RenderedMetrics(registry);
   EXPECT_NE(frame.find("budget remaining: 42.5s"), std::string::npos);
   EXPECT_NE(frame.find("compression: 2 run(s), 20000 -> 100 queries"),
             std::string::npos);
   EXPECT_NE(frame.find("(75.0% hit rate)"), std::string::npos);
   EXPECT_NE(frame.find("optimize latency: p50"), std::string::npos);
   EXPECT_NE(frame.find("robustness: 3 retry(ies)"), std::string::npos);
+}
+
+TEST(TracecatWatch, ReadsAnUnclosedTraceCutAnywhereInItsLastTick) {
+  // `tracecat watch` reads a file that is still being written, and a killed
+  // run's file: for every cut of the last tick, the tick before it is read.
+  obs::MetricsRegistry registry;
+  obs::Counter* calls = registry.GetCounter("whatif.optimizer_calls");
+  calls->Add(1);
+  const obs::MetricsSnapshot first = registry.Snapshot();
+  calls->Add(1);
+  const std::string whole =
+      TraceWithTicks({first, registry.Snapshot()}, false);
+  ASSERT_EQ(whole.find(']'), std::string::npos);
+  const size_t last_line = whole.rfind('\n') + 1;
+  for (size_t cut = last_line; cut <= whole.size(); ++cut) {
+    SCOPED_TRACE(testing::Message() << "cut at byte " << cut);
+    const auto tick = LastMetrics(whole.substr(0, cut));
+    ASSERT_TRUE(tick.ok()) << tick.status().ToString();
+    EXPECT_EQ(tick->Value("whatif.optimizer_calls"),
+              cut == whole.size() ? 2.0 : 1.0);
+    EXPECT_NE(MetricsReport(tick.value()).find("what-if: "),
+              std::string::npos);
+  }
 }
 
 // ---- bench RSS gate ----
@@ -785,16 +837,12 @@ TEST(TracecatProfile, DiffReportsShareMovements) {
 
 TEST(TracecatReport, OmitsRobustnessSectionOnCleanRuns) {
   // Counters registered but all zero (the common fault-free run): the
-  // section must not clutter the report.
+  // line must not clutter the report.
   obs::MetricsRegistry registry;
   registry.GetCounter("fault.injected");
   registry.GetCounter("retry.attempts");
   registry.GetCounter("deadline.exceeded");
-  const auto metrics =
-      ParseMetricsJsonl(obs::MetricsJsonl(registry.Snapshot()));
-  ASSERT_TRUE(metrics.ok());
-  EXPECT_EQ(Report({}, metrics.value(), 10).find("== robustness =="),
-            std::string::npos);
+  EXPECT_EQ(RenderedMetrics(registry).find("robustness:"), std::string::npos);
 }
 
 }  // namespace

@@ -861,8 +861,9 @@ void LintFile(const std::string& path, const std::string& content,
         add(t.line, t.col, kJournalSchema,
             "string literal emits ad-hoc JSON; library code must route "
             "structured output through the src/obs/ emitters (journal.h "
-            "events, MetricsJsonl, ChromeTraceJson) so every schema stays "
-            "machine-checkable by tracecat and CI (docs/OBSERVABILITY.md)");
+            "events, Tracer::WriteMetrics, ChromeTraceJson) so every schema "
+            "stays machine-checkable by tracecat and CI "
+            "(docs/OBSERVABILITY.md)");
       }
     }
 

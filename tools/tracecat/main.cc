@@ -1,15 +1,15 @@
 // tracecat — pretty-prints the observability artifacts the bench drivers
-// emit: traces (spans and decision events), metric snapshots, bench
+// emit: traces (spans, decision events and metrics ticks), bench
 // baselines, profiles, live telemetry, checkpoints. Usage:
 //
-//   tracecat <trace.json> [--metrics=<metrics.jsonl>] [--top=N]
+//   tracecat <trace.json> [--top=N]
 //   tracecat bench <bench.json> [<bench2.json>] [--check]
 //                  [--rss-tolerance=P]
 //   tracecat explain <trace.json> [--check] [--top=N]
 //   tracecat profile <profile.json> [--check] [--top=N]
 //                    [--min-attributed=P]
 //   tracecat profile --diff <old.json> <new.json> [--top=N]
-//   tracecat watch <snapshot.jsonl> [--interval=S] [--count=N]
+//   tracecat watch <trace.json> [--interval=S] [--count=N]
 //   tracecat ckpt inspect <file.ckpt...>
 //   tracecat ckpt verify <file.ckpt...>
 //
@@ -35,8 +35,12 @@
 // validates strictly (a cleanly closed file, schema tag, dense seq, known
 // events, required fields, hash match) and prints only a verdict.
 //
-// The watch subcommand renders live run health from the metrics exporter's
-// --metrics= file (metrics JSONL): one frame per interval.
+// Without a subcommand, tracecat renders a closed trace's spans (per-phase
+// totals, slowest spans) and then its last metrics tick.
+//
+// The watch subcommand renders live run health from the last metrics tick
+// in a --trace= file, finished or still being written: one frame per
+// interval.
 //
 // The ckpt subcommand operates on isum-ckpt-v1 checkpoint files
 // (--checkpoint= epochs, src/common/checkpoint.h). `inspect` prints the
@@ -262,8 +266,8 @@ int ProfileMain(int argc, char** argv) {
   return 0;
 }
 
-/// `tracecat watch ...`: render live run-health frames from the metrics
-/// exporter, polling its snapshot file.
+/// `tracecat watch ...`: render live run-health frames from the last
+/// metrics tick of a trace file, polling it.
 int WatchMain(int argc, char** argv) {
   std::string path;
   double interval_seconds = 1.0;
@@ -283,7 +287,7 @@ int WatchMain(int argc, char** argv) {
   }
   if (path.empty()) {
     std::fprintf(stderr,
-                 "usage: tracecat watch <snapshot.jsonl> [--interval=S] "
+                 "usage: tracecat watch <trace.json> [--interval=S] "
                  "[--count=N]\n");
     return 2;
   }
@@ -305,14 +309,18 @@ int WatchMain(int argc, char** argv) {
       if (count == 1) return 1;
       continue;
     }
-    auto metrics = isum::tracecat::ParseMetricsJsonl(content);
-    if (!metrics.ok()) {
-      std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                   metrics.status().ToString().c_str());
-      return 1;
+    auto tick = isum::tracecat::LastMetrics(content);
+    if (!tick.ok()) {
+      std::fprintf(stderr, "frame %d/%d: %s: %s\n", frame + 1, count,
+                   path.c_str(), tick.status().ToString().c_str());
+      // A run that has not written its first tick yet is normal, too.
+      if (count == 1 || tick.status().code() != isum::StatusCode::kNotFound) {
+        return 1;
+      }
+      continue;
     }
     if (count > 1) std::printf("--- frame %d/%d ---\n", frame + 1, count);
-    std::fputs(isum::tracecat::WatchFrame(metrics.value()).c_str(), stdout);
+    std::fputs(isum::tracecat::MetricsReport(tick.value()).c_str(), stdout);
     std::fflush(stdout);
     ++rendered;
   }
@@ -379,13 +387,10 @@ int main(int argc, char** argv) {
     return CkptMain(argc, argv);
   }
   std::string trace_path;
-  std::string metrics_path;
   size_t top_k = 10;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--metrics=", 10) == 0) {
-      metrics_path = arg + 10;
-    } else if (std::strncmp(arg, "--top=", 6) == 0) {
+    if (std::strncmp(arg, "--top=", 6) == 0) {
       top_k = static_cast<size_t>(std::strtoul(arg + 6, nullptr, 10));
     } else if (trace_path.empty() && arg[0] != '-') {
       trace_path = arg;
@@ -395,8 +400,7 @@ int main(int argc, char** argv) {
     }
   }
   if (trace_path.empty()) {
-    std::fprintf(stderr,
-                 "usage: tracecat <trace.json> [--metrics=<path>] [--top=N]\n");
+    std::fprintf(stderr, "usage: tracecat <trace.json> [--top=N]\n");
     return 2;
   }
 
@@ -411,25 +415,16 @@ int main(int argc, char** argv) {
                  events.status().ToString().c_str());
     return 1;
   }
-
-  std::vector<isum::tracecat::MetricLine> metrics;
-  if (!metrics_path.empty()) {
-    std::string metrics_content;
-    if (!ReadFile(metrics_path, &metrics_content)) {
-      std::fprintf(stderr, "cannot read %s\n", metrics_path.c_str());
-      return 1;
-    }
-    auto parsed = isum::tracecat::ParseMetricsJsonl(metrics_content);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s: %s\n", metrics_path.c_str(),
-                   parsed.status().ToString().c_str());
-      return 1;
-    }
-    metrics = std::move(parsed).value();
+  std::string report = isum::tracecat::Report(events.value(), top_k);
+  // Span-only traces (isum_bench's) carry no metrics tick.
+  const auto tick = isum::tracecat::LastMetrics(trace_content);
+  if (tick.ok()) {
+    report += "\n" + isum::tracecat::MetricsReport(tick.value());
+  } else if (tick.status().code() != isum::StatusCode::kNotFound) {
+    std::fprintf(stderr, "%s: %s\n", trace_path.c_str(),
+                 tick.status().ToString().c_str());
+    return 1;
   }
-
-  const std::string report =
-      isum::tracecat::Report(events.value(), metrics, top_k);
   std::fputs(report.c_str(), stdout);
   return 0;
 }

@@ -89,8 +89,9 @@ StatusOr<std::vector<TraceEvent>> ParseChromeTrace(
   for (const JsonValue& object : trace.items) {
     TraceEvent event;
     ISUM_ASSIGN_OR_RETURN(event.phase, object.String("ph"));
-    // Decision events and the run's label are ParseJournal's.
-    if (event.phase == "i") continue;
+    // Decision events and the run's label are ParseJournal's, metrics
+    // ticks LastMetrics'.
+    if (event.phase == "i" || event.phase == "C") continue;
     const JsonValue* name = object.Find("name");
     if (event.phase == "M" && name != nullptr &&
         name->string == "process_name") {
@@ -159,39 +160,7 @@ std::vector<TraceEvent> TopSlowest(const std::vector<TraceEvent>& events,
   return spans;
 }
 
-StatusOr<std::vector<MetricLine>> ParseMetricsJsonl(
-    const std::string& content) {
-  ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue> lines,
-                        ParseJsonLines(content));
-  std::vector<MetricLine> metrics;
-  for (const JsonValue& line : lines) {
-    MetricLine m;
-    ISUM_ASSIGN_OR_RETURN(m.type, line.String("type"));
-    ISUM_ASSIGN_OR_RETURN(m.name, line.String("name"));
-    if (m.type == "histogram") {
-      ISUM_ASSIGN_OR_RETURN(m.count, IntegerField<uint64_t>(line, "count"));
-      ISUM_ASSIGN_OR_RETURN(m.sum, IntegerField<uint64_t>(line, "sum"));
-      ISUM_ASSIGN_OR_RETURN(m.p50, line.Number("p50"));
-      ISUM_ASSIGN_OR_RETURN(m.p95, line.Number("p95"));
-      ISUM_ASSIGN_OR_RETURN(m.p99, line.Number("p99"));
-    } else {
-      ISUM_ASSIGN_OR_RETURN(m.value, line.Number("value"));
-    }
-    metrics.push_back(std::move(m));
-  }
-  return metrics;
-}
-
 namespace {
-
-const MetricLine* FindMetric(const std::vector<MetricLine>& metrics,
-                             const std::string& type,
-                             const std::string& name) {
-  for (const MetricLine& m : metrics) {
-    if (m.type == type && m.name == name) return &m;
-  }
-  return nullptr;
-}
 
 std::string HumanUs(double us) {
   if (us >= 1e6) return StrFormat("%.2fs", us / 1e6);
@@ -201,8 +170,7 @@ std::string HumanUs(double us) {
 
 }  // namespace
 
-std::string Report(const std::vector<TraceEvent>& events,
-                   const std::vector<MetricLine>& metrics, size_t top_k) {
+std::string Report(const std::vector<TraceEvent>& events, size_t top_k) {
   std::string out;
 
   const std::vector<PhaseStat> phases = AggregatePhases(events);
@@ -231,43 +199,6 @@ std::string Report(const std::vector<TraceEvent>& events,
     }
   }
 
-  const MetricLine* calls =
-      FindMetric(metrics, "counter", "whatif.optimizer_calls");
-  const MetricLine* hits = FindMetric(metrics, "counter", "whatif.cache_hits");
-  const MetricLine* lat =
-      FindMetric(metrics, "histogram", "whatif.optimize_nanos");
-  if (calls != nullptr || hits != nullptr) {
-    const double n_calls = calls != nullptr ? calls->value : 0.0;
-    const double n_hits = hits != nullptr ? hits->value : 0.0;
-    const double total = n_calls + n_hits;
-    out += "\n== what-if optimizer ==\n";
-    out += StrFormat("optimizer calls: %.0f\n", n_calls);
-    out += StrFormat("cache hits:      %.0f\n", n_hits);
-    out += StrFormat("hit rate:        %.1f%%\n",
-                     total > 0.0 ? 100.0 * n_hits / total : 0.0);
-    if (lat != nullptr && lat->count > 0) {
-      out += StrFormat("optimize latency: p50 %s  p95 %s  p99 %s\n",
-                       HumanUs(lat->p50 / 1e3).c_str(),
-                       HumanUs(lat->p95 / 1e3).c_str(),
-                       HumanUs(lat->p99 / 1e3).c_str());
-    }
-  }
-
-  // Robustness counters (docs/ROBUSTNESS.md): only reported when the run
-  // recorded any, so fault-free traces stay unchanged.
-  const MetricLine* injected = FindMetric(metrics, "counter", "fault.injected");
-  const MetricLine* retries = FindMetric(metrics, "counter", "retry.attempts");
-  const MetricLine* deadline =
-      FindMetric(metrics, "counter", "deadline.exceeded");
-  const double n_injected = injected != nullptr ? injected->value : 0.0;
-  const double n_retries = retries != nullptr ? retries->value : 0.0;
-  const double n_deadline = deadline != nullptr ? deadline->value : 0.0;
-  if (n_injected > 0.0 || n_retries > 0.0 || n_deadline > 0.0) {
-    out += "\n== robustness ==\n";
-    out += StrFormat("faults injected:   %.0f\n", n_injected);
-    out += StrFormat("retry attempts:    %.0f\n", n_retries);
-    out += StrFormat("deadline exceeded: %.0f\n", n_deadline);
-  }
   return out;
 }
 
@@ -728,12 +659,19 @@ bool JournalEvent::Has(const std::string& key) const { return args.Has(key); }
 
 namespace {
 
-/// The array elements of a trace file that Tracer::Close() never finished:
-/// "[" on the first line, then one event per line, each but the last
-/// followed by a comma. A last line that does not parse was cut off
-/// mid-write and is recorded in `journal->torn_tail`.
-StatusOr<std::vector<JsonValue>> ReadUnclosedTrace(std::string_view content,
-                                                   Journal* journal) {
+/// The array elements of a trace file. One that Tracer::Close() never
+/// finished is read line by line: "[" on the first line, then one event per
+/// line, each but the last followed by a comma. A last line that does not
+/// parse was cut off mid-write; it is dropped and `*torn_tail` says why.
+/// `*closed` is whether the closing ']' is there.
+StatusOr<std::vector<JsonValue>> ReadTraceItems(const std::string& content,
+                                                bool* closed,
+                                                std::string* torn_tail) {
+  auto whole = ParseJson(content);
+  if (whole.ok() && whole->is_array()) {
+    *closed = true;
+    return std::move(whole->items);
+  }
   std::vector<std::string> lines = Split(content, '\n');
   for (std::string& line : lines) line = std::string(Trim(line));
   size_t last = lines.size();
@@ -746,14 +684,14 @@ StatusOr<std::vector<JsonValue>> ReadUnclosedTrace(std::string_view content,
     std::string_view line = lines[i];
     if (line.empty()) continue;
     if (line == "]" && i + 1 == last) {
-      journal->closed = true;
+      *closed = true;
       break;
     }
     if (line.back() == ',') line.remove_suffix(1);
     auto item = ParseJson(line);
     if (!item.ok()) {
       if (i + 1 == last) {
-        journal->torn_tail = item.status().message();
+        *torn_tail = item.status().message();
         break;
       }
       return Status::ParseError(StrFormat(
@@ -768,14 +706,9 @@ StatusOr<std::vector<JsonValue>> ReadUnclosedTrace(std::string_view content,
 
 StatusOr<Journal> ParseJournal(const std::string& content) {
   Journal journal;
-  std::vector<JsonValue> items;
-  auto whole = ParseJson(content);
-  if (whole.ok() && whole->is_array()) {
-    items = std::move(whole->items);
-    journal.closed = true;
-  } else {
-    ISUM_ASSIGN_OR_RETURN(items, ReadUnclosedTrace(content, &journal));
-  }
+  ISUM_ASSIGN_OR_RETURN(
+      const std::vector<JsonValue> items,
+      ReadTraceItems(content, &journal.closed, &journal.torn_tail));
   for (size_t i = 0; i < items.size(); ++i) {
     const JsonValue& item = items[i];
     ISUM_ASSIGN_OR_RETURN(const std::string phase, item.String("ph"));
@@ -1349,48 +1282,83 @@ StatusOr<std::string> ExplainJournal(const Journal& journal, size_t top_k) {
   return out;
 }
 
-// ---- live telemetry (metrics snapshot) ----
+// ---- metrics ticks ----
 
-std::string WatchFrame(const std::vector<MetricLine>& metrics) {
-  auto counter = [&](const char* name) {
-    const MetricLine* m = FindMetric(metrics, "counter", name);
-    return m != nullptr ? m->value : 0.0;
-  };
-  std::string out;
+double MetricsTick::Value(std::string_view name, double fallback) const {
+  const JsonValue* value = values.Find(name);
+  return value != nullptr ? value->number : fallback;
+}
 
-  const MetricLine* budget =
-      FindMetric(metrics, "gauge", "budget.remaining_seconds");
-  const double remaining = budget != nullptr ? budget->value : -1.0;
+StatusOr<MetricsTick> LastMetrics(const std::string& content) {
+  bool closed = false;
+  std::string torn_tail;
+  ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue> items,
+                        ReadTraceItems(content, &closed, &torn_tail));
+  for (auto it = items.rbegin(); it != items.rend(); ++it) {
+    const JsonValue* phase = it->Find("ph");
+    const JsonValue* name = it->Find("name");
+    if (phase == nullptr || phase->string != "C" || name == nullptr ||
+        name->string != obs::kMetricsEvent) {
+      continue;
+    }
+    MetricsTick tick;
+    ISUM_ASSIGN_OR_RETURN(tick.t_us, it->Number("ts"));
+    const JsonValue* args = it->Find("args");
+    if (args == nullptr || !args->is_object()) {
+      return Status::ParseError("metrics event without args");
+    }
+    for (const JsonMember& m : args->members) {
+      if (m.value.type != JsonValue::Type::kNumber) {
+        return Status::ParseError("metrics value is not a number: " + m.key);
+      }
+    }
+    tick.values = *args;
+    return tick;
+  }
+  return Status::NotFound("no metrics event in the trace");
+}
+
+std::string MetricsReport(const MetricsTick& tick) {
+  std::string out =
+      StrFormat("== metrics at %s ==\n", HumanUs(tick.t_us).c_str());
+
+  const double remaining = tick.Value("budget.remaining_seconds", -1.0);
   out += StrFormat("budget remaining: %s\n",
                    remaining < 0.0 ? "unlimited"
                                    : StrFormat("%.1fs", remaining).c_str());
 
   out += StrFormat("compression: %.0f run(s), %.0f -> %.0f queries\n",
-                   counter("compress.runs"), counter("compress.input_queries"),
-                   counter("compress.selected_queries"));
+                   tick.Value("compress.runs"),
+                   tick.Value("compress.input_queries"),
+                   tick.Value("compress.selected_queries"));
   out += StrFormat(
       "tuning: %.0f run(s), %.0f enumeration round(s), %.0f config(s) "
       "explored\n",
-      counter("advisor.tuning_runs"), counter("advisor.enumeration_rounds"),
-      counter("advisor.configurations_explored"));
+      tick.Value("advisor.tuning_runs"),
+      tick.Value("advisor.enumeration_rounds"),
+      tick.Value("advisor.configurations_explored"));
 
-  const double calls = counter("whatif.optimizer_calls");
-  const double hits = counter("whatif.cache_hits");
+  const double calls = tick.Value("whatif.optimizer_calls");
+  const double hits = tick.Value("whatif.cache_hits");
   const double total = calls + hits;
   out += StrFormat("what-if: %.0f optimizer call(s), %.0f cache hit(s) "
                    "(%.1f%% hit rate)\n",
                    calls, hits, total > 0.0 ? 100.0 * hits / total : 0.0);
-  const MetricLine* lat =
-      FindMetric(metrics, "histogram", "whatif.optimize_nanos");
-  if (lat != nullptr) {
-    out += StrFormat("optimize latency: p50 %s  p99 %s\n",
-                     HumanUs(lat->p50 / 1e3).c_str(),
-                     HumanUs(lat->p99 / 1e3).c_str());
+  // Latency histograms record nanoseconds.
+  auto quantile = [&](const std::string& histogram, const char* q) {
+    return HumanUs(tick.Value(histogram + "." + q) / 1e3);
+  };
+  const std::string optimize = "whatif.optimize_nanos";
+  if (tick.Value(optimize + ".count") > 0.0) {
+    out += StrFormat("optimize latency: p50 %s  p95 %s  p99 %s\n",
+                     quantile(optimize, "p50").c_str(),
+                     quantile(optimize, "p95").c_str(),
+                     quantile(optimize, "p99").c_str());
   }
 
-  const double retries = counter("retry.attempts");
-  const double faults = counter("fault.injected");
-  const double deadline = counter("deadline.exceeded");
+  const double retries = tick.Value("retry.attempts");
+  const double faults = tick.Value("fault.injected");
+  const double deadline = tick.Value("deadline.exceeded");
   if (retries > 0.0 || faults > 0.0 || deadline > 0.0) {
     out += StrFormat(
         "robustness: %.0f retry(ies), %.0f fault(s) injected, %.0f deadline "
@@ -1400,27 +1368,31 @@ std::string WatchFrame(const std::vector<MetricLine>& metrics) {
 
   // Per-site injected fault latency (the fault.latency.<site> histograms
   // src/common/fault.cc records for latency-kind rules).
-  for (const MetricLine& m : metrics) {
-    const std::string prefix = "fault.latency.";
-    if (m.type != "histogram" ||
-        m.name.compare(0, prefix.size(), prefix) != 0) {
+  const std::string_view prefix = "fault.latency.";
+  const std::string_view suffix = ".p50";
+  for (const JsonMember& m : tick.values.members) {
+    const std::string_view key = m.key;
+    if (key.size() <= prefix.size() + suffix.size() ||
+        key.substr(0, prefix.size()) != prefix ||
+        key.substr(key.size() - suffix.size()) != suffix) {
       continue;
     }
+    const std::string histogram(key.substr(0, key.size() - suffix.size()));
     out += StrFormat("fault latency %s: p50 %s  p99 %s\n",
-                     m.name.substr(prefix.size()).c_str(),
-                     HumanUs(m.p50 / 1e3).c_str(),
-                     HumanUs(m.p99 / 1e3).c_str());
+                     histogram.substr(prefix.size()).c_str(),
+                     quantile(histogram, "p50").c_str(),
+                     quantile(histogram, "p99").c_str());
   }
 
-  const double ckpt_writes = counter("ckpt.writes");
-  const double ckpt_restores = counter("ckpt.restores");
+  const double ckpt_writes = tick.Value("ckpt.writes");
+  const double ckpt_restores = tick.Value("ckpt.restores");
   if (ckpt_writes > 0.0 || ckpt_restores > 0.0) {
     out += StrFormat(
         "checkpoints: %.0f write(s) (%.0f failed, %.0f bytes), %.0f "
         "restore(s) (%.0f rejected)\n",
-        ckpt_writes, counter("ckpt.write_failures"),
-        counter("ckpt.bytes_written"), ckpt_restores,
-        counter("ckpt.rejected"));
+        ckpt_writes, tick.Value("ckpt.write_failures"),
+        tick.Value("ckpt.bytes_written"), ckpt_restores,
+        tick.Value("ckpt.rejected"));
   }
   return out;
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/jsonl.h"
@@ -10,12 +11,12 @@
 
 namespace isum::tracecat {
 
-/// tracecat: pretty-printer for the traces and metric snapshots the bench
-/// drivers emit (--trace= / --metrics=, src/obs/trace.h and
-/// src/obs/export.h). Every reader walks a value parsed by common/jsonl.h,
-/// so only the schema matters, not the line layout the emitters happen to
-/// use — except that a trace file cut short by a killed run is read line by
-/// line (ParseJournal).
+/// tracecat: pretty-printer for the trace files the bench drivers emit
+/// (--trace=, src/obs/trace.h: spans, decision events and metrics ticks),
+/// and for bench records, profiles and checkpoints. Every reader walks a
+/// value parsed by common/jsonl.h, so only the schema matters, not the line
+/// layout the emitters happen to use — except that a trace file cut short
+/// by a killed run is read line by line (ParseJournal, LastMetrics).
 
 /// One parsed Chrome-trace event (complete spans and thread_name metadata).
 struct TraceEvent {
@@ -29,7 +30,8 @@ struct TraceEvent {
 
 /// Parses a Chrome trace written by obs::ChromeTraceJson or
 /// obs::Tracer::Close(). Instant events and process_name metadata (the
-/// decision events, read by ParseJournal) are skipped.
+/// decision events, read by ParseJournal) and counter events (the metrics
+/// ticks, read by LastMetrics) are skipped.
 StatusOr<std::vector<TraceEvent>> ParseChromeTrace(const std::string& content);
 
 /// Aggregate over all spans sharing a name.
@@ -48,25 +50,34 @@ std::vector<PhaseStat> AggregatePhases(const std::vector<TraceEvent>& events);
 std::vector<TraceEvent> TopSlowest(const std::vector<TraceEvent>& events,
                                    size_t k);
 
-/// One line of a metrics JSONL snapshot (obs::MetricsJsonl).
-struct MetricLine {
-  std::string type;  ///< "counter", "gauge", or "histogram"
-  std::string name;
-  double value = 0.0;  ///< counters/gauges
-  uint64_t count = 0;  ///< histograms
-  uint64_t sum = 0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
+/// Renders the span report: per-phase table and top-k slowest spans.
+std::string Report(const std::vector<TraceEvent>& events, size_t top_k);
+
+/// ---- metrics ticks (counter events of a --trace= file,
+/// src/obs/exporter.h) ----
+
+/// One `metrics` counter event: every counter and gauge of the registry by
+/// name, each histogram as <name>.count, .sum, .p50, .p95 and .p99.
+struct MetricsTick {
+  double t_us = 0.0;  ///< the event's ts (the tracer clock)
+  JsonValue values;   ///< the event's args, name -> number
+
+  /// The value named `name`, or `fallback` when the tick has none.
+  double Value(std::string_view name, double fallback = 0.0) const;
 };
 
-StatusOr<std::vector<MetricLine>> ParseMetricsJsonl(
-    const std::string& content);
+/// The last complete metrics tick of a trace file, closed or not: a file
+/// without its closing ']' is read line by line as ParseJournal reads it,
+/// so a torn last line falls back to the tick before it. NotFound when the
+/// file holds no tick; an error on malformed input.
+StatusOr<MetricsTick> LastMetrics(const std::string& content);
 
-/// Renders the report: per-phase table, top-k slowest spans, and (when
-/// metrics are present) the what-if call/hit-rate table.
-std::string Report(const std::vector<TraceEvent>& events,
-                   const std::vector<MetricLine>& metrics, size_t top_k);
+/// Renders a tick, for `tracecat <trace>` (after the span tables) and
+/// `tracecat watch`: budget left, compression and tuning progress, what-if
+/// calls and hit rate with optimize latency, robustness counters (only when
+/// one is non-zero), per-site injected fault latency (the fault.latency.*
+/// histograms) and checkpoint activity.
+std::string MetricsReport(const MetricsTick& tick);
 
 /// One parsed isum-bench-v1 record (written by benchmark/isum_bench
 /// --record=, and the frozen BENCH_scalability.json trajectory; schema
@@ -220,15 +231,6 @@ StatusOr<size_t> CheckJournal(const Journal& journal);
 /// so malformed the reconstruction cannot proceed (run CheckJournal for
 /// strictness).
 StatusOr<std::string> ExplainJournal(const Journal& journal, size_t top_k);
-
-/// ---- live telemetry (metrics snapshot, src/obs/exporter.h) ----
-
-/// Renders one `tracecat watch` frame from a metrics snapshot (the
-/// exporter's --metrics= file, parsed by ParseMetricsJsonl):
-/// compression/tuning progress counters, what-if hit rate, retry/fault
-/// health (including the per-site fault.latency.* histograms), checkpoint
-/// activity, and the exporter's budget.remaining_seconds gauge.
-std::string WatchFrame(const std::vector<MetricLine>& metrics);
 
 /// ---- checkpoint files (isum-ckpt-v1, src/common/checkpoint.h) ----
 
