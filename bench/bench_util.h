@@ -24,18 +24,11 @@
 #include "common/string_util.h"
 #include "eval/pipeline.h"
 #include "eval/reporting.h"
-#include "obs/export.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "workload/workload_factory.h"
-
-// Short git revision baked in by bench/CMakeLists.txt so --profile= records
-// can be attributed to the code that produced them.
-#ifndef ISUM_GIT_REV
-#define ISUM_GIT_REV "unknown"
-#endif
 
 namespace isum::bench {
 
@@ -49,7 +42,6 @@ struct BenchFlags {
   std::string bench_name = "bench";  ///< BaseName(argv[0])
   std::string trace_path;
   std::string faults_spec;
-  std::string profile_path;
   std::string checkpoint_path;
   uint64_t checkpoint_every = 16;
   double time_budget_seconds = 0.0;
@@ -58,7 +50,6 @@ struct BenchFlags {
   double scale = 1.0;
   bool csv = false;
   bool compress_only = false;
-  bool profile_alloc = false;
   bool allow_truncated = false;
 
   static BenchFlags Parse(int& argc, char** argv) {
@@ -69,10 +60,6 @@ struct BenchFlags {
       const char* arg = argv[i];
       if (std::strncmp(arg, "--trace=", 8) == 0) {
         flags.trace_path = arg + 8;
-      } else if (std::strncmp(arg, "--profile=", 10) == 0) {
-        flags.profile_path = arg + 10;
-      } else if (std::strncmp(arg, "--profile-alloc=", 16) == 0) {
-        flags.profile_alloc = std::strtol(arg + 16, nullptr, 10) != 0;
       } else if (std::strncmp(arg, "--faults=", 9) == 0) {
         flags.faults_spec = arg + 9;
       } else if (std::strncmp(arg, "--time-budget=", 14) == 0) {
@@ -133,11 +120,13 @@ struct BenchFlags {
 ///                      Perfetto / chrome://tracing): the decision events
 ///                      of obs/journal.h are written as they happen, a
 ///                      `metrics` counter event of the whole registry once
-///                      per second and at exit (obs/exporter.h), the spans
-///                      at exit. `tracecat <path>` renders the spans and
-///                      the last metrics, `tracecat explain <path>` the
-///                      decisions, `tracecat watch <path>` follows a
-///                      running run
+///                      per second and at exit (obs/exporter.h), and at
+///                      exit the run's sampling CPU profile (obs/profiler.h,
+///                      100 Hz of CPU time) as one `profile` event, then the
+///                      spans. `tracecat <path>` renders the spans and the
+///                      last metrics, `tracecat explain <path>` the
+///                      decisions, `tracecat profile <path>` the samples,
+///                      `tracecat watch <path>` follows a running run
 ///   --faults=<spec>    arm deterministic fault injection for the run
 ///                      (spec grammar in common/fault.h; overrides the
 ///                      ISUM_FAULTS environment variable)
@@ -157,20 +146,10 @@ struct BenchFlags {
 ///                      makes the driver exit 3 so CI can tell a truncated
 ///                      sweep from a complete one (main returns
 ///                      obs.ExitCode())
-///   --profile=<path>   run the sampling CPU profiler (obs/profiler.h, at
-///                      100 Hz of CPU time) for the whole run; written as
-///                      an isum-profile-v1 record plus a flamegraph.pl-ready
-///                      <path>.collapsed file. Enables the tracer (in
-///                      memory only, without --trace=) so samples attribute
-///                      to phases. Read with `tracecat profile <path>`
-///   --profile-alloc=<0|1> also account operator new/delete per phase
-///                      (with --profile; needs a -DISUM_OBS_PROFILING=ON
-///                      build, otherwise ignored with a warning)
 ///
-/// Files other than the --trace= decision events and metrics ticks are
-/// written from the destructor, after the driver's work joined.
-/// Perf records are not written here: benchmark/isum_bench produces them
-/// (benchmark/README.md).
+/// The profile and the spans are written from the destructor, after the
+/// driver's work joined. Perf records are not written here:
+/// benchmark/isum_bench produces them (benchmark/README.md).
 class ObsScope {
  public:
   ObsScope(int& argc, char** argv) {
@@ -222,72 +201,42 @@ class ObsScope {
                      status.ToString().c_str());
         std::exit(2);
       }
-    } else if (!flags_.profile_path.empty()) {
-      // The profiler attributes samples through the tracer's span stack.
-      obs::Tracer::Global().Enable();
-    }
-    if (!flags_.profile_path.empty()) {
-      if (flags_.profile_alloc && !obs::Profiler::alloc_hooks_compiled()) {
+      // Samples attribute to phases through the tracer's span stack.
+      profiling_ = obs::Profiler::Global().Start(obs::ProfilerOptions());
+      if (!profiling_) {
+        // Keep the bench usable: the run still executes, just unsampled.
         std::fprintf(stderr,
-                     "--profile-alloc=1 ignored: build with "
-                     "-DISUM_OBS_PROFILING=ON to compile the alloc hooks\n");
-      }
-      obs::ProfilerOptions profiler_options;
-      profiler_options.track_allocations = flags_.profile_alloc;
-      if (obs::Profiler::Global().Start(profiler_options)) {
-        profiling_ = true;
-      } else {
-        // Keep the bench usable: the run still executes, just unprofiled.
-        std::fprintf(stderr, "--profile=%s: profiler failed to start "
-                             "(unsupported platform?); continuing without\n",
-                     flags_.profile_path.c_str());
+                     "--trace=%s: profiler failed to start (unsupported "
+                     "platform?); tracing without samples\n",
+                     flags_.trace_path.c_str());
       }
     }
-    start_ = std::chrono::steady_clock::now();
   }
 
   ~ObsScope() {
-    const double wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-            .count();
+    if (flags_.trace_path.empty()) return;
     // Stop the profiler before anything else: Stop() publishes the
     // allocation gauges into the registry, so the final metrics tick sees
     // them.
     obs::ProfileDump profile;
     if (profiling_) profile = obs::Profiler::Global().Stop();
-    if (!flags_.trace_path.empty()) {
-      // Joins the worker and writes the final tick, before the file closes.
-      exporter_->Stop();
-      const obs::TraceFileStats stats = obs::Tracer::Global().Close();
-      if (stats.ok) {
-        std::fprintf(stderr,
-                     "wrote %llu spans, %llu decision events and %llu "
-                     "metrics ticks to %s\n",
-                     static_cast<unsigned long long>(stats.spans),
-                     static_cast<unsigned long long>(stats.instants),
-                     static_cast<unsigned long long>(
-                         exporter_->ticks_written()),
-                     flags_.trace_path.c_str());
-      } else {
-        std::fprintf(stderr, "obs export failed: write error on %s\n",
-                     flags_.trace_path.c_str());
-      }
-    } else if (!flags_.profile_path.empty()) {
-      obs::Tracer::Global().Disable();
-    }
-    if (profiling_) {
-      obs::ProfileMeta meta;
-      meta.label = flags_.bench_name;
-      meta.bench = flags_.bench_name;
-      meta.git_rev = ISUM_GIT_REV;
-      meta.wall_seconds = wall_seconds;
-      Report(obs::WriteFile(flags_.profile_path,
-                            obs::ProfileJson(profile, meta)),
-             flags_.profile_path, profile.samples, "profile samples");
-      const std::string collapsed_path = flags_.profile_path + ".collapsed";
-      Report(obs::WriteFile(collapsed_path, obs::CollapsedStacks(profile)),
-             collapsed_path, profile.stacks.size(), "collapsed stacks");
+    // Joins the worker and writes the final tick, before the file closes.
+    exporter_->Stop();
+    obs::Tracer& tracer = obs::Tracer::Global();
+    if (profiling_) tracer.WriteProfile(profile);
+    const obs::TraceFileStats stats = tracer.Close();
+    if (stats.ok) {
+      std::fprintf(stderr,
+                   "wrote %llu spans, %llu decision events, %llu metrics "
+                   "ticks and %llu profile samples to %s\n",
+                   static_cast<unsigned long long>(stats.spans),
+                   static_cast<unsigned long long>(stats.instants),
+                   static_cast<unsigned long long>(exporter_->ticks_written()),
+                   static_cast<unsigned long long>(profile.samples),
+                   flags_.trace_path.c_str());
+    } else {
+      std::fprintf(stderr, "obs export failed: write error on %s\n",
+                   flags_.trace_path.c_str());
     }
   }
 
@@ -312,20 +261,9 @@ class ObsScope {
   }
 
  private:
-  static void Report(const Status& status, const std::string& path,
-                     size_t items, const char* what) {
-    if (status.ok()) {
-      std::fprintf(stderr, "wrote %zu %s to %s\n", items, what, path.c_str());
-    } else {
-      std::fprintf(stderr, "obs export failed: %s\n",
-                   status.ToString().c_str());
-    }
-  }
-
   BenchFlags flags_;
   bool profiling_ = false;
   std::unique_ptr<obs::MetricsExporter> exporter_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 /// The six algorithms of Figure 9/10/12/15: Uniform, Cost, Stratified,

@@ -80,7 +80,9 @@ uint64_t GetU64(const char* p) {
 void SplitPath(const std::string& path, std::string* dir, std::string* file) {
   const size_t slash = path.find_last_of('/');
   if (slash == std::string::npos) {
-    *dir = ".";
+    // A move, not `*dir = "."`: GCC 12 at -O2 reports a false -Wrestrict
+    // overlap inside that assignment's inlined copy.
+    *dir = std::string(".");
     *file = path;
   } else {
     *dir = slash == 0 ? "/" : path.substr(0, slash);

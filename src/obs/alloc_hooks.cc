@@ -60,7 +60,7 @@ std::atomic<uint64_t> g_peak_bytes{0};
 std::atomic<uint64_t> g_unattributed_bytes{0};
 std::atomic<uint64_t> g_unattributed_count{0};
 
-size_t UsableSize(void* ptr, size_t requested) {
+size_t UsableSize(void* ptr, [[maybe_unused]] size_t requested) {
 #ifdef ISUM_ALLOC_HAVE_USABLE_SIZE
 #if defined(__APPLE__)
   return ::malloc_size(ptr);

@@ -25,12 +25,11 @@ namespace isum::obs {
 /// (docs/OBSERVABILITY.md documents the schema and a walkthrough).
 ///
 /// Cost model: every emitter starts with one relaxed atomic load
-/// (Enabled()) and returns at once when no trace file is open, including
-/// under --profile= alone, which traces in memory only. Emitters sit at
-/// per-round/per-decision frequency (k events per compression, one per
-/// enumeration round), never inside the O(n²) inner loops. Events that mark
-/// an abnormal stop, a fault or a checkpoint flush the file at once, so a
-/// run that is killed still leaves them on disk (docs/ROBUSTNESS.md).
+/// (Enabled()) and returns at once when no trace file is open. Emitters
+/// sit at per-round/per-decision frequency (k events per compression, one
+/// per enumeration round), never inside the O(n²) inner loops. Events that
+/// mark an abnormal stop, a fault or a checkpoint flush the file at once,
+/// so a run that is killed still leaves them on disk (docs/ROBUSTNESS.md).
 ///
 /// Determinism: recording must never influence control flow — callers may
 /// not branch on Enabled() beyond skipping argument computation, and tests

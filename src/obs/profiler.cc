@@ -172,14 +172,6 @@ Profiler& Profiler::Global() {
   return *profiler;
 }
 
-bool Profiler::alloc_hooks_compiled() {
-#ifdef ISUM_OBS_PROFILING
-  return true;
-#else
-  return false;
-#endif
-}
-
 bool Profiler::running() const {
   MutexLock lock(mu_);
   return running_;
@@ -230,7 +222,7 @@ bool Profiler::Start(const ProfilerOptions& options) {
   g_active_buffer.store(buffer, std::memory_order_release);
 
 #ifdef ISUM_OBS_PROFILING
-  if (options_.track_allocations) internal::ArmAllocHooks();
+  internal::ArmAllocHooks();
 #endif
 
   itimerval timer;
@@ -241,7 +233,7 @@ bool Profiler::Start(const ProfilerOptions& options) {
   timer.it_value.tv_usec = interval_usec;
   if (setitimer(ITIMER_PROF, &timer, nullptr) != 0) {
 #ifdef ISUM_OBS_PROFILING
-    if (options_.track_allocations) (void)internal::DisarmAllocHooks();
+    (void)internal::DisarmAllocHooks();
 #endif
     g_active_buffer.store(nullptr, std::memory_order_release);
     delete[] buffer->samples;
@@ -269,49 +261,45 @@ ProfileDump Profiler::Stop() {
       g_active_buffer.exchange(nullptr, std::memory_order_acq_rel);
 
 #ifdef ISUM_OBS_PROFILING
-  if (options_.track_allocations) {
-    internal::AllocSnapshot alloc = internal::DisarmAllocHooks();
-    dump.alloc_enabled = true;
-    dump.alloc_total_bytes = alloc.total_bytes;
-    dump.alloc_total_count = alloc.total_count;
-    dump.alloc_live_bytes = alloc.live_bytes;
-    dump.alloc_peak_bytes = alloc.peak_bytes;
-    for (const internal::AllocPhaseTotals& phase : alloc.phases) {
-      // Merge by content: distinct static strings can spell the same name.
-      const std::string name = phase.phase != nullptr ? phase.phase : "";
-      ProfileAllocPhase* merged = nullptr;
-      for (ProfileAllocPhase& existing : dump.alloc_phases) {
-        if (existing.phase == name) {
-          merged = &existing;
-          break;
-        }
+  internal::AllocSnapshot alloc = internal::DisarmAllocHooks();
+  dump.alloc_enabled = true;
+  dump.alloc_total_bytes = alloc.total_bytes;
+  dump.alloc_total_count = alloc.total_count;
+  dump.alloc_live_bytes = alloc.live_bytes;
+  dump.alloc_peak_bytes = alloc.peak_bytes;
+  for (const internal::AllocPhaseTotals& phase : alloc.phases) {
+    // Merge by content: distinct static strings can spell the same name.
+    const std::string name = phase.phase != nullptr ? phase.phase : "";
+    ProfileAllocPhase* merged = nullptr;
+    for (ProfileAllocPhase& existing : dump.alloc_phases) {
+      if (existing.phase == name) {
+        merged = &existing;
+        break;
       }
-      if (merged == nullptr) {
-        dump.alloc_phases.push_back(ProfileAllocPhase{name, 0, 0});
-        merged = &dump.alloc_phases.back();
-      }
-      merged->bytes += phase.bytes;
-      merged->count += phase.count;
     }
-    std::sort(dump.alloc_phases.begin(), dump.alloc_phases.end(),
-              [](const ProfileAllocPhase& a, const ProfileAllocPhase& b) {
-                if (a.bytes != b.bytes) return a.bytes > b.bytes;
-                return a.phase < b.phase;
-              });
-    MetricsRegistry& registry = MetricsRegistry::Global();
-    registry.GetGauge("alloc.live_bytes")
-        ->Set(static_cast<double>(dump.alloc_live_bytes));
-    registry.GetGauge("alloc.peak_bytes")
-        ->Set(static_cast<double>(dump.alloc_peak_bytes));
-    registry.GetCounter("alloc.bytes_total")->Add(dump.alloc_total_bytes);
-    registry.GetCounter("alloc.count_total")->Add(dump.alloc_total_count);
-    for (const ProfileAllocPhase& phase : dump.alloc_phases) {
-      if (phase.phase.empty()) continue;
-      registry.GetCounter("alloc." + phase.phase + ".bytes")
-          ->Add(phase.bytes);
-      registry.GetCounter("alloc." + phase.phase + ".count")
-          ->Add(phase.count);
+    if (merged == nullptr) {
+      dump.alloc_phases.push_back(ProfileAllocPhase{name, 0, 0});
+      merged = &dump.alloc_phases.back();
     }
+    merged->bytes += phase.bytes;
+    merged->count += phase.count;
+  }
+  std::sort(dump.alloc_phases.begin(), dump.alloc_phases.end(),
+            [](const ProfileAllocPhase& a, const ProfileAllocPhase& b) {
+              if (a.bytes != b.bytes) return a.bytes > b.bytes;
+              return a.phase < b.phase;
+            });
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  registry.GetGauge("alloc.live_bytes")
+      ->Set(static_cast<double>(dump.alloc_live_bytes));
+  registry.GetGauge("alloc.peak_bytes")
+      ->Set(static_cast<double>(dump.alloc_peak_bytes));
+  registry.GetCounter("alloc.bytes_total")->Add(dump.alloc_total_bytes);
+  registry.GetCounter("alloc.count_total")->Add(dump.alloc_total_count);
+  for (const ProfileAllocPhase& phase : dump.alloc_phases) {
+    if (phase.phase.empty()) continue;
+    registry.GetCounter("alloc." + phase.phase + ".bytes")->Add(phase.bytes);
+    registry.GetCounter("alloc." + phase.phase + ".count")->Add(phase.count);
   }
 #endif  // ISUM_OBS_PROFILING
 

@@ -25,30 +25,26 @@ namespace isum::obs {
 ///    the handler itself is async-signal-safe (common/signal_safe.h).
 ///
 ///  - Allocation accounting (only when the tree is built with
-///    -DISUM_OBS_PROFILING=ON): interposing operator new/delete hooks
-///    (obs/alloc_hooks.cc) charge bytes/counts to the current phase and
-///    maintain live/peak gauges. Disarmed, the hooks cost one relaxed
-///    atomic load per allocation; with the option OFF they are not
-///    compiled (or linked) at all.
+///    -DISUM_OBS_PROFILING=ON, and then for every session): interposing
+///    operator new/delete hooks (obs/alloc_hooks.cc) charge bytes/counts to
+///    the current phase and maintain live/peak gauges. Disarmed, the hooks
+///    cost one relaxed atomic load per allocation; with the option OFF they
+///    are not compiled (or linked) at all.
 ///
 /// Determinism: like the tracer, the profiler observes and never steers —
 /// no algorithm reads sample or allocation state, so profiled runs keep
 /// byte-identical selections (asserted by the profile-smoke CI job).
 ///
-/// Bench drivers get all of this through bench_util.h ObsScope as
-/// --profile= / --profile-alloc= (at the default sample_hz); the resulting
-/// isum-profile-v1 record and collapsed-stack file are rendered by
-/// obs/export.h and read back by `tracecat profile`.
+/// Bench drivers get all of this through bench_util.h ObsScope: every
+/// --trace= run samples at the default sample_hz, and
+/// Tracer::WriteProfile (obs/trace.h) writes the dump into the trace file
+/// as one `profile` event, which `tracecat profile` reads back.
 
 struct ProfilerOptions {
   /// SIGPROF frequency in Hz of *CPU time* (so an idle process samples
   /// rarely and a saturated one at ~hz x utilized cores). Clamped to
   /// [1, 10000]. 100 Hz adds well under 5% overhead (CI-asserted).
   int sample_hz = 100;
-  /// Arm the operator new/delete accounting for the session. Ignored (with
-  /// a false return from armed_allocations()) unless built with
-  /// ISUM_OBS_PROFILING=ON.
-  bool track_allocations = false;
   /// Sample-buffer capacity, preallocated at Start() so the signal handler
   /// never allocates. Samples past the capacity are counted as dropped.
   size_t max_samples = 1 << 15;
@@ -78,6 +74,7 @@ struct ProfileDump {
   /// Unique stacks, descending count (ties by phase then frames).
   std::vector<ProfileStack> stacks;
 
+  /// True when the allocation hooks ran (ISUM_OBS_PROFILING builds).
   bool alloc_enabled = false;
   uint64_t alloc_total_bytes = 0;
   uint64_t alloc_total_count = 0;
@@ -114,10 +111,6 @@ class Profiler {
   /// Approximate (the buffer fills concurrently); intended for tests and
   /// progress reporting.
   uint64_t samples_captured() const;
-
-  /// True when the allocation hooks were compiled in
-  /// (-DISUM_OBS_PROFILING=ON).
-  static bool alloc_hooks_compiled();
 
  private:
   Profiler() = default;

@@ -61,8 +61,8 @@ void AppendArgs(std::string* out, const SpanArg* args, size_t n) {
   }
 }
 
-/// One `"key":value` member of a counter event's args, led by a comma
-/// unless it is the first. Doubles print in their shortest exact form, so a
+/// One `"key":value` member of an event's args, led by a comma unless it
+/// is the first. Doubles print in their shortest exact form, so a
 /// reader gets back the value that was written.
 void AppendMetric(std::string* out, std::string_view key, double value) {
   if (!std::isfinite(value)) return;
@@ -275,6 +275,56 @@ bool Tracer::WriteMetrics(const MetricsSnapshot& snapshot) {
     AppendMetric(&event, h.name + ".p99", h.p99);
   }
   event += "}}";
+  MutexLock lock(file_mu_);
+  if (file_ == nullptr) return false;
+  WriteEventLocked(event);
+  if (std::fflush(file_) != 0) write_failed_ = true;
+  return !write_failed_;
+}
+
+bool Tracer::WriteProfile(const ProfileDump& dump) {
+  if (!writing()) return false;
+  std::string event;
+  AppendEventHead(&event, "M", CurrentThreadState()->tid, kProfileEvent);
+  event += ",\"ts\":";
+  AppendMicros(&event, SessionNanos());
+  event += ",\"args\":{";
+  AppendMetric(&event, "sample_hz", static_cast<uint64_t>(dump.sample_hz));
+  AppendMetric(&event, "samples", dump.samples);
+  AppendMetric(&event, "dropped", dump.dropped);
+  AppendMetric(&event, "attributed", dump.attributed);
+  if (dump.alloc_enabled) {
+    AppendMetric(&event, "alloc_total_bytes", dump.alloc_total_bytes);
+    AppendMetric(&event, "alloc_total_count", dump.alloc_total_count);
+    AppendMetric(&event, "alloc_live_bytes",
+                 static_cast<double>(dump.alloc_live_bytes));
+    AppendMetric(&event, "alloc_peak_bytes", dump.alloc_peak_bytes);
+    event += ",\"alloc_phases\":[";
+    for (const ProfileAllocPhase& phase : dump.alloc_phases) {
+      if (event.back() != '[') event.push_back(',');
+      event += "{\"phase\":";
+      AppendQuoted(&event, phase.phase);
+      AppendMetric(&event, "bytes", phase.bytes);
+      AppendMetric(&event, "count", phase.count);
+      event.push_back('}');
+    }
+    event.push_back(']');
+  }
+  event += ",\"stacks\":[";
+  for (const ProfileStack& stack : dump.stacks) {
+    if (event.back() != '[') event.push_back(',');
+    event += "{\"phase\":";
+    AppendQuoted(&event, stack.phase);
+    event += ",\"frames\":[";
+    for (const std::string& frame : stack.frames) {
+      if (event.back() != '[') event.push_back(',');
+      AppendQuoted(&event, frame);
+    }
+    event.push_back(']');
+    AppendMetric(&event, "count", stack.count);
+    event.push_back('}');
+  }
+  event += "]}}";
   MutexLock lock(file_mu_);
   if (file_ == nullptr) return false;
   WriteEventLocked(event);

@@ -38,7 +38,9 @@ namespace isum::obs {
 /// events of obs/journal.h) and metrics counter events (WriteMetrics; the
 /// ticks of obs/exporter.h) are written to the file as they happen, one
 /// per line; Close() appends the drained spans and the thread names and
-/// ends the JSON array. Without an open file, both are dropped.
+/// ends the JSON array. Without an open file, both are dropped. Just before
+/// Close(), WriteProfile adds the run's sampling profile (obs/profiler.h)
+/// as one metadata event.
 
 /// One typed key/value argument attached to a span or an instant event
 /// (Chrome-trace `args`). A span keeps the pointers, so span keys and string
@@ -102,7 +104,11 @@ inline constexpr char kDecisionSchema[] = "isum-events-v2";
 /// Name of the counter events ("ph":"C") Tracer::WriteMetrics writes.
 inline constexpr char kMetricsEvent[] = "metrics";
 
+/// Name of the metadata event ("ph":"M") Tracer::WriteProfile writes.
+inline constexpr char kProfileEvent[] = "profile";
+
 struct MetricsSnapshot;
+struct ProfileDump;
 
 /// What Tracer::Close() wrote.
 struct TraceFileStats {
@@ -144,6 +150,15 @@ class Tracer {
   /// .p95 and .p99; non-finite values are left out. Returns false when no
   /// file is open or a write to it has failed.
   bool WriteMetrics(const MetricsSnapshot& snapshot);
+
+  /// Writes `dump` as one metadata event ("ph":"M", kProfileEvent) at the
+  /// current session time and flushes it. Its args are sample_hz, samples,
+  /// dropped and attributed; when the allocation hooks ran, the alloc_*
+  /// totals and alloc_phases (phase, bytes, count); and the raw stacks
+  /// (phase, frames outermost first, count), with "" as the phase of
+  /// samples outside any span. Returns false when no file is open or a
+  /// write to it has failed.
+  bool WriteProfile(const ProfileDump& dump);
 
   /// Per-file filters for instant events that polls emit. ClaimPeriod is
   /// true for the first call of a file and then at most once per

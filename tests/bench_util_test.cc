@@ -46,12 +46,10 @@ TEST(BenchObsFlags, DefaultsWithNoFlags) {
   const BenchFlags flags = BenchFlags::Parse(args.argc(), args.argv());
   EXPECT_EQ(flags.bench_name, "bench_fig2");  // basename of argv[0]
   EXPECT_TRUE(flags.trace_path.empty());
-  EXPECT_TRUE(flags.profile_path.empty());
   EXPECT_EQ(flags.time_budget_seconds, 0.0);
   EXPECT_EQ(flags.scale, 1.0);
   EXPECT_FALSE(flags.csv);
   EXPECT_FALSE(flags.compress_only);
-  EXPECT_FALSE(flags.profile_alloc);
   EXPECT_EQ(args.Remaining(),
             (std::vector<std::string>{"/path/to/bench_fig2", "positional"}));
 }
@@ -70,15 +68,12 @@ TEST(BenchObsFlags, ConsumesRecognizedFlagsAndKeepsTheRest) {
 
 TEST(BenchObsFlags, ParsesEveryFlag) {
   ArgvFixture args({"bench", "--trace=t.json", "--faults=whatif:every=7",
-                    "--time-budget=2.5", "--profile=p.json",
-                    "--profile-alloc=1", "--checkpoint=ckpt/run",
+                    "--time-budget=2.5", "--checkpoint=ckpt/run",
                     "--checkpoint-every=3", "--allow-truncated"});
   const BenchFlags flags = BenchFlags::Parse(args.argc(), args.argv());
   EXPECT_EQ(flags.trace_path, "t.json");
   EXPECT_EQ(flags.faults_spec, "whatif:every=7");
   EXPECT_DOUBLE_EQ(flags.time_budget_seconds, 2.5);
-  EXPECT_EQ(flags.profile_path, "p.json");
-  EXPECT_TRUE(flags.profile_alloc);
   EXPECT_EQ(flags.checkpoint_path, "ckpt/run");
   EXPECT_EQ(flags.checkpoint_every, 3u);
   EXPECT_TRUE(flags.allow_truncated);
@@ -100,13 +95,6 @@ TEST(BenchObsFlags, ParsesTheDriversOwnFlags) {
             (std::vector<std::string>{"bench", "--scale", "2x"}));
 }
 
-TEST(BenchObsFlags, ProfileAllocZeroDisables) {
-  ArgvFixture args({"bench", "--profile=p.json", "--profile-alloc=0"});
-  const BenchFlags flags = BenchFlags::Parse(args.argc(), args.argv());
-  EXPECT_EQ(flags.profile_path, "p.json");
-  EXPECT_FALSE(flags.profile_alloc);
-}
-
 TEST(BenchObsFlags, FlagPrefixesDoNotSwallowLookalikes) {
   // A flag-shaped unknown like "--tracer=" shares the "--trace" prefix and
   // must pass through.
@@ -119,13 +107,13 @@ TEST(BenchObsFlags, FlagPrefixesDoNotSwallowLookalikes) {
 }
 
 TEST(BenchObsFlags, RetiredFlagsAreNotConsumed) {
-  // The perf record moved to benchmark/isum_bench, the decision journal
-  // and the metrics into the --trace= file; trace sampling and the profile
-  // rate flag are gone. Parse leaves the old flags in argv, and ObsScope
-  // exits 2 naming the first one, before doing anything else.
+  // The perf record moved to benchmark/isum_bench, the decision journal,
+  // the metrics and the profile into the --trace= file; trace sampling and
+  // the profile rate flag are gone. Parse leaves the old flags in argv, and
+  // ObsScope exits 2 naming the first one, before doing anything else.
   for (const char* retired :
-       {"--journal=x", "--trace-every=2", "--metrics=x",
-        "--bench-json=x", "--metrics-snapshot=x"}) {
+       {"--journal=x", "--trace-every=2", "--metrics=x", "--bench-json=x",
+        "--metrics-snapshot=x", "--profile=x", "--profile-alloc=1"}) {
     SCOPED_TRACE(retired);
     ArgvFixture args({"bench", "--csv", retired});
     EXPECT_TRUE(BenchFlags::Parse(args.argc(), args.argv()).csv);
@@ -186,6 +174,19 @@ TEST(BenchObsScope, TraceFlagWritesSpansAndDecisionsToOneFile) {
   ASSERT_TRUE(checked.ok()) << checked.status().ToString();
   // compress_begin, three selects, compress_end.
   EXPECT_EQ(checked.value(), 5u);
+  // The run's sampling profile rides in the same file, as one event.
+  size_t profile_events = 0;
+  for (size_t at = content->find("\"name\":\"profile\"");
+       at != std::string::npos;
+       at = content->find("\"name\":\"profile\"", at + 1)) {
+    ++profile_events;
+  }
+  EXPECT_EQ(profile_events, 1u);
+  auto profile = tracecat::ParseProfile(*content);
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  EXPECT_EQ(profile->label, "bench");
+  const auto profile_checked = tracecat::CheckProfile(*profile, 0.0);
+  EXPECT_TRUE(profile_checked.ok()) << profile_checked.status().ToString();
 }
 
 TEST(BenchObsFlags, BaseNameHandlesPlainAndNestedPaths) {

@@ -158,8 +158,8 @@ TEST_F(JournalTest, OpenFailureLeavesJournalDisabled) {
 }
 
 TEST_F(JournalTest, InMemoryTracingWritesNoEvents) {
-  // --profile= without --trace= enables the tracer with no file open: the
-  // spans record, the decision events are dropped.
+  // A session started with Enable() has no file open: the spans record,
+  // the decision events are dropped.
   Tracer::Global().Enable();
   EXPECT_TRUE(Tracer::Global().enabled());
   EXPECT_FALSE(journal::Enabled());

@@ -12,7 +12,6 @@
 #include "catalog/schema_builder.h"
 #include "common/fault.h"
 #include "common/jsonl.h"
-#include "obs/export.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -230,32 +229,39 @@ TEST(JsonFuzz, BenchRecordIsumBenchShape) {
 }
 
 TEST(JsonFuzz, ProfileRecord) {
-  obs::ProfileDump dump;
-  dump.sample_hz = 100;
-  dump.samples = 4;
-  dump.attributed = 3;
-  dump.alloc_enabled = true;
-  dump.alloc_total_bytes = 4096;
-  dump.alloc_total_count = 8;
-  dump.alloc_live_bytes = -128;
-  dump.alloc_peak_bytes = 2048;
-  dump.stacks.push_back(
-      obs::ProfileStack{"compress/greedy-pick", {"main", "Greedy"}, 3});
-  dump.stacks.push_back(obs::ProfileStack{"", {"main"}, 1});
-  dump.alloc_phases.push_back(obs::ProfileAllocPhase{"compress", 4096, 8});
-  obs::ProfileMeta meta;
-  meta.label = "fuzz";
-  meta.bench = "bench_x";
-  meta.git_rev = "deadbee";
-  meta.wall_seconds = 0.25;
-  FuzzEveryByte(obs::ProfileJson(dump, meta), [](const std::string& text) {
-    const auto record = tracecat::ParseProfileJson(text);
+  // A trace file carrying a profile event (obs::Tracer::WriteProfile) with
+  // allocation totals, between the run's label and a span. Written out
+  // rather than taken from the tracer, whose thread-name lines grow with
+  // every thread the test process started before. Prefixes stand for
+  // killed runs.
+  const std::string trace =
+      std::string("[\n{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":"
+                  "\"process_name\",\"args\":{\"name\":\"fuzz\","
+                  "\"schema\":\"") +
+      obs::kDecisionSchema +
+      "\"}},\n"
+      "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"profile\","
+      "\"ts\":250000.000,\"args\":{\"sample_hz\":100,\"samples\":4,"
+      "\"dropped\":0,\"attributed\":3,\"alloc_total_bytes\":4096,"
+      "\"alloc_total_count\":8,\"alloc_live_bytes\":-128,"
+      "\"alloc_peak_bytes\":2048,\"alloc_phases\":[{\"phase\":\"compress\","
+      "\"bytes\":4096,\"count\":8}],\"stacks\":["
+      "{\"phase\":\"compress/greedy-pick\",\"frames\":[\"main\",\"Greedy\"],"
+      "\"count\":3},{\"phase\":\"\",\"frames\":[\"main\"],\"count\":1}]}},\n"
+      "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\","
+      "\"args\":{\"name\":\"main\"}},\n"
+      "{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"name\":\"compress/total\","
+      "\"cat\":\"isum\",\"ts\":1.000,\"dur\":4.000,\"args\":{\"depth\":0}}\n"
+      "]\n";
+  FuzzEveryByte(trace, [](const std::string& text) {
+    const auto record = tracecat::ParseProfile(text);
     if (!record.ok()) return false;
     const auto checked = tracecat::CheckProfile(record.value(), 50.0);
     if (checked.ok()) {
-      EXPECT_EQ(checked.value(), record->samples);
+      EXPECT_EQ(checked.value(), record->dump.samples);
     }
     (void)tracecat::ProfileReport(record.value(), 5);
+    (void)tracecat::CollapsedStacks(record.value());
     (void)tracecat::ProfileDiff(record.value(), record.value(), 5);
     return true;
   });

@@ -1,6 +1,7 @@
 // Tests for src/obs/profiler: the sampling CPU profiler's session
 // lifecycle, phase attribution through the tracer's span stack, and the
-// collapsed-stack / isum-profile-v1 exporters (driven from synthetic
+// profile event of a trace file (Tracer::WriteProfile, read back by
+// tracecat, which also renders the collapsed stacks; driven from synthetic
 // ProfileDumps, so golden assertions don't depend on real sampling).
 // Allocation-accounting tests are compiled only under ISUM_OBS_PROFILING.
 // Suite names start with `Profiler` so the TSan CI job picks the
@@ -13,9 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "obs/export.h"
+#include "common/checkpoint.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "tools/tracecat/tracecat.h"
 
 namespace isum::obs {
 namespace {
@@ -27,7 +29,7 @@ namespace {
 uint64_t SpinUntilSamples(uint64_t min_samples) {
   volatile uint64_t sink = 0;
   for (int outer = 0; outer < 20000; ++outer) {
-    for (uint64_t i = 0; i < 200000; ++i) sink += i * i;
+    for (uint64_t i = 0; i < 200000; ++i) sink = sink + i * i;
     if (Profiler::Global().samples_captured() >= min_samples) break;
   }
   return sink;
@@ -65,10 +67,12 @@ TEST(ProfilerSession, TinyBufferCountsDroppedSamples) {
   SpinUntilSamples(16);
   // Burn a little more CPU so samples arrive after the buffer filled.
   volatile uint64_t sink = 0;
-  for (uint64_t i = 0; i < 40000000; ++i) sink += i;
+  for (uint64_t i = 0; i < 40000000; ++i) sink = sink + i;
   const ProfileDump dump = Profiler::Global().Stop();
   EXPECT_LE(dump.samples, 16u);
-  if (dump.samples == 16u) EXPECT_GT(dump.dropped, 0u);
+  if (dump.samples == 16u) {
+    EXPECT_GT(dump.dropped, 0u);
+  }
 }
 
 TEST(ProfilerAttribution, SamplesInsideSpanCarryItsPhase) {
@@ -117,7 +121,7 @@ TEST(ProfilerPhaseStack, PushPopNestAndOverflowAreSafe) {
   EXPECT_EQ(internal::CurrentPhase(), nullptr);
 }
 
-/// Synthetic dump shared by the exporter goldens.
+/// Synthetic dump shared by the export goldens.
 ProfileDump SampleDump() {
   ProfileDump dump;
   dump.sample_hz = 100;
@@ -142,8 +146,36 @@ ProfileDump SampleDump() {
   return dump;
 }
 
+/// The content of a trace file holding `dump` as its profile event, closed
+/// as Tracer::Close() leaves it or, with `closed` false, as a run killed
+/// right after WriteProfile leaves it.
+std::string TraceWithProfile(const ProfileDump& dump, bool closed) {
+  // Named after the running test: ctest runs tests as parallel processes.
+  const std::string path =
+      testing::TempDir() + "/profiler_export." +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + ".json";
+  Tracer& tracer = Tracer::Global();
+  EXPECT_TRUE(tracer.Open(path, "run"));
+  EXPECT_TRUE(tracer.WriteProfile(dump));
+  if (closed) {
+    EXPECT_TRUE(tracer.Close().ok);
+  }
+  StatusOr<std::string> content = ReadFileToString(path);
+  tracer.Close();
+  EXPECT_TRUE(content.ok()) << content.status().ToString();
+  return content.ok() ? *content : std::string();
+}
+
+/// `dump` through a trace file and back through tracecat's reader.
+tracecat::ProfileRecord RoundTrip(const ProfileDump& dump) {
+  auto record = tracecat::ParseProfile(TraceWithProfile(dump, true));
+  EXPECT_TRUE(record.ok()) << record.status().ToString();
+  return record.ok() ? *record : tracecat::ProfileRecord();
+}
+
 TEST(ProfilerExport, CollapsedStacksMatchFlamegraphFormat) {
-  const std::string collapsed = CollapsedStacks(SampleDump());
+  const std::string collapsed =
+      tracecat::CollapsedStacks(RoundTrip(SampleDump()));
   EXPECT_EQ(collapsed,
             "compress/greedy-pick;main;Greedy;Score 6\n"
             "compress/greedy-pick;main;Greedy 2\n"
@@ -153,63 +185,87 @@ TEST(ProfilerExport, CollapsedStacksMatchFlamegraphFormat) {
 
 TEST(ProfilerExport, CollapsedStacksSanitizeSeparators) {
   ProfileDump dump;
+  dump.sample_hz = 100;
   dump.samples = 1;
   dump.stacks.push_back(ProfileStack{"phase;x", {"fn;y"}, 1});
-  EXPECT_EQ(CollapsedStacks(dump), "phase:x;fn:y 1\n");
+  EXPECT_EQ(tracecat::CollapsedStacks(RoundTrip(dump)), "phase:x;fn:y 1\n");
 }
 
 TEST(ProfilerExport, ProfileJsonCarriesScalarsPhasesFramesAndAllocs) {
-  ProfileMeta meta;
-  meta.label = "run";
-  meta.bench = "bench_fig2_scalability";
-  meta.git_rev = "abc1234";
-  meta.wall_seconds = 2.5;
-  const std::string json = ProfileJson(SampleDump(), meta);
+  const std::string trace = TraceWithProfile(SampleDump(), true);
+  EXPECT_NE(trace.find("{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":"
+                       "\"profile\",\"ts\":"),
+            std::string::npos);
+  EXPECT_NE(trace.find("\"args\":{\"sample_hz\":100,\"samples\":10,"
+                       "\"dropped\":1,\"attributed\":9,"),
+            std::string::npos);
+  EXPECT_NE(trace.find("\"alloc_live_bytes\":-128,"), std::string::npos);
+  EXPECT_NE(trace.find("{\"phase\":\"compress/greedy-pick\",\"frames\":"
+                       "[\"main\",\"Greedy\",\"Score\"],\"count\":6}"),
+            std::string::npos);
 
-  EXPECT_NE(json.find("\"schema\": \"isum-profile-v1\",\n"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"sample_hz\": 100,\n"), std::string::npos);
-  EXPECT_NE(json.find("\"samples\": 10,\n"), std::string::npos);
-  EXPECT_NE(json.find("\"attributed_samples\": 9,\n"), std::string::npos);
-  EXPECT_NE(json.find("\"attributed_percent\": 90.00,\n"), std::string::npos);
-  EXPECT_NE(json.find("\"alloc_live_bytes\": -128,\n"), std::string::npos);
+  const tracecat::ProfileRecord record = RoundTrip(SampleDump());
+  EXPECT_EQ(record.label, "run");
+  EXPECT_EQ(record.dump.sample_hz, 100);
+  EXPECT_EQ(record.dump.samples, 10u);
+  EXPECT_EQ(record.dump.dropped, 1u);
+  EXPECT_EQ(record.dump.attributed, 9u);
+  EXPECT_DOUBLE_EQ(record.attributed_percent, 90.0);
+  EXPECT_TRUE(record.dump.alloc_enabled);
+  EXPECT_EQ(record.dump.alloc_live_bytes, -128);
   // Phases aggregate the two greedy-pick stacks and sort descending.
-  EXPECT_NE(json.find("{\"name\": \"compress/greedy-pick\", \"samples\": 8, "
-                      "\"percent\": 80.00},"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"(unattributed)\""), std::string::npos);
+  ASSERT_EQ(record.phases.size(), 3u);
+  EXPECT_EQ(record.phases[0].name, "compress/greedy-pick");
+  EXPECT_EQ(record.phases[0].samples, 8u);
+  EXPECT_DOUBLE_EQ(record.phases[0].percent, 80.0);
+  EXPECT_EQ(record.phases[1].name, "(unattributed)");  // ties sort by name
   // Frame self/total: Greedy is the leaf of one 2-sample stack but appears
   // in 8 samples total.
-  EXPECT_NE(json.find("{\"name\": \"Greedy\", \"self\": 2, \"total\": 8}"),
-            std::string::npos);
-  EXPECT_NE(json.find("{\"name\": \"Score\", \"self\": 6, \"total\": 6}"),
-            std::string::npos);
-  EXPECT_NE(
-      json.find("{\"name\": \"compress/greedy-pick\", \"bytes\": 3072, "
-                "\"count\": 6},"),
-      std::string::npos);
+  auto frame = [&record](const std::string& name) {
+    for (const tracecat::ProfileFrameStat& f : record.frames) {
+      if (f.name == name) return f;
+    }
+    return tracecat::ProfileFrameStat{};
+  };
+  EXPECT_EQ(frame("Greedy").self, 2u);
+  EXPECT_EQ(frame("Greedy").total, 8u);
+  EXPECT_EQ(frame("Score").self, 6u);
+  EXPECT_EQ(frame("Score").total, 6u);
+  ASSERT_EQ(record.dump.alloc_phases.size(), 2u);
+  EXPECT_EQ(record.dump.alloc_phases[0].phase, "compress/greedy-pick");
+  EXPECT_EQ(record.dump.alloc_phases[0].bytes, 3072u);
+  EXPECT_EQ(record.dump.alloc_phases[0].count, 6u);
 }
 
 TEST(ProfilerExport, ProfileJsonIsLineDisciplined) {
-  ProfileMeta meta;
-  meta.label = "run";
-  const std::string json = ProfileJson(SampleDump(), meta);
-  // Every line is a complete scalar, object, bracket, or brace — the same
-  // discipline as isum-bench-v1, so tracecat's line parser round-trips it.
-  size_t start = 0;
-  while (start < json.size()) {
-    size_t end = json.find('\n', start);
-    ASSERT_NE(end, std::string::npos);
-    const std::string line = json.substr(start, end - start);
-    EXPECT_FALSE(line.empty());
-    start = end + 1;
-  }
+  // WriteProfile writes one flushed line (the last, until Close() appends
+  // more), so the trace of a run killed before Close() still holds the
+  // whole profile.
+  const std::string trace = TraceWithProfile(SampleDump(), false);
+  const std::string last_line = trace.substr(trace.rfind('\n') + 1);
+  EXPECT_EQ(last_line.find("{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":"
+                           "\"profile\","),
+            0u);
+  EXPECT_EQ(last_line.back(), '}');
+  EXPECT_EQ(trace.find("\"profile\""), trace.rfind("\"profile\""));
+  const auto record = tracecat::ParseProfile(trace);
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  EXPECT_EQ(tracecat::CollapsedStacks(*record),
+            tracecat::CollapsedStacks(RoundTrip(SampleDump())));
 }
 
 #ifdef ISUM_OBS_PROFILING
 
 TEST(ProfilerAlloc, HooksAreCompiledIn) {
-  EXPECT_TRUE(Profiler::alloc_hooks_compiled());
+  // Every profiler session arms the hooks in this build.
+  ASSERT_TRUE(Profiler::Global().Start(ProfilerOptions()));
+  {
+    std::vector<char> block(1 << 16);
+    block[0] = 1;
+  }
+  const ProfileDump dump = Profiler::Global().Stop();
+  EXPECT_TRUE(dump.alloc_enabled);
+  EXPECT_GE(dump.alloc_total_bytes, static_cast<uint64_t>(1 << 16));
 }
 
 TEST(ProfilerAlloc, TracksBytesAndPhases) {
@@ -251,7 +307,15 @@ TEST(ProfilerAlloc, DisarmedHooksStopCounting) {
 #else
 
 TEST(ProfilerAlloc, HooksAreCompiledOut) {
-  EXPECT_FALSE(Profiler::alloc_hooks_compiled());
+  // Without the hooks no session accounts allocations.
+  ASSERT_TRUE(Profiler::Global().Start(ProfilerOptions()));
+  {
+    std::vector<char> block(1 << 16);
+    block[0] = 1;
+  }
+  const ProfileDump dump = Profiler::Global().Stop();
+  EXPECT_FALSE(dump.alloc_enabled);
+  EXPECT_EQ(dump.alloc_total_bytes, 0u);
 }
 
 #endif  // ISUM_OBS_PROFILING

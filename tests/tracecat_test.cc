@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/checkpoint.h"
-#include "obs/export.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -39,7 +38,10 @@ obs::TraceDump SampleDump() {
 /// killed run leaves (each tick is flushed, there is no "]").
 std::string TraceWithTicks(const std::vector<obs::MetricsSnapshot>& ticks,
                            bool closed) {
-  const std::string path = testing::TempDir() + "/tracecat_ticks.json";
+  // Named after the running test: ctest runs tests as parallel processes.
+  const std::string path =
+      testing::TempDir() + "/tracecat_ticks." +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + ".json";
   obs::Tracer& tracer = obs::Tracer::Global();
   EXPECT_TRUE(tracer.Open(path, "unit"));
   for (const obs::MetricsSnapshot& tick : ticks) {
@@ -656,73 +658,73 @@ TEST(TracecatBenchRss, FailsPastToleranceFirstToLast) {
 
 // ---- sampling profiles ----
 
-/// A hand-written isum-profile-v1 record in obs::ProfileJson's layout (one
-/// key or section entry per line).
-std::string SampleProfileRecord() {
-  std::string out;
-  out += "{\n";
-  out += "\"schema\": \"isum-profile-v1\",\n";
-  out += "\"label\": \"run\",\n";
-  out += "\"bench\": \"bench_fig2_scalability\",\n";
-  out += "\"git_rev\": \"abc1234\",\n";
-  out += "\"sample_hz\": 100,\n";
-  out += "\"wall_seconds\": 2.500000,\n";
-  out += "\"samples\": 200,\n";
-  out += "\"dropped\": 3,\n";
-  out += "\"attributed_samples\": 190,\n";
-  out += "\"attributed_percent\": 95.00,\n";
-  out += "\"alloc_enabled\": 1,\n";
-  out += "\"alloc_total_bytes\": 4096,\n";
-  out += "\"alloc_total_count\": 8,\n";
-  out += "\"alloc_live_bytes\": -128,\n";
-  out += "\"alloc_peak_bytes\": 2048,\n";
-  out += "\"phases\": [\n";
-  out += "{\"name\": \"compress/greedy-pick\", \"samples\": 150, "
-         "\"percent\": 75.00},\n";
-  out += "{\"name\": \"whatif/optimize\", \"samples\": 40, "
-         "\"percent\": 20.00},\n";
-  out += "{\"name\": \"(unattributed)\", \"samples\": 10, "
-         "\"percent\": 5.00}\n";
-  out += "],\n";
-  out += "\"frames\": [\n";
-  out += "{\"name\": \"isum::core::Score\", \"self\": 120, \"total\": 150},\n";
-  out += "{\"name\": \"main\", \"self\": 10, \"total\": 200}\n";
-  out += "],\n";
-  out += "\"alloc_phases\": [\n";
-  out += "{\"name\": \"compress/greedy-pick\", \"bytes\": 3072, "
-         "\"count\": 6},\n";
-  out += "{\"name\": \"(unattributed)\", \"bytes\": 1024, \"count\": 2}\n";
+/// A trace file in obs::Tracer's layout whose profile event was written by
+/// hand: 200 samples at 100 Hz, 2.5 s into the run, with allocations.
+std::string SampleProfileTrace() {
+  std::string out = "[\n";
+  out += "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
+         "\"args\":{\"name\":\"bench_fig2_scalability\","
+         "\"schema\":\"isum-events-v2\"}},\n";
+  out += "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"profile\","
+         "\"ts\":2500000.000,\"args\":{\"sample_hz\":100,\"samples\":200,"
+         "\"dropped\":3,\"attributed\":190,\"alloc_total_bytes\":4096,"
+         "\"alloc_total_count\":8,\"alloc_live_bytes\":-128,"
+         "\"alloc_peak_bytes\":2048,\"alloc_phases\":["
+         "{\"phase\":\"compress/greedy-pick\",\"bytes\":3072,\"count\":6},"
+         "{\"phase\":\"\",\"bytes\":1024,\"count\":2}],\"stacks\":["
+         "{\"phase\":\"compress/greedy-pick\",\"frames\":[\"main\","
+         "\"Greedy\",\"isum::core::Score\"],\"count\":120},"
+         "{\"phase\":\"whatif/optimize\",\"frames\":[\"main\","
+         "\"Optimize\"],\"count\":40},"
+         "{\"phase\":\"compress/greedy-pick\",\"frames\":[\"main\","
+         "\"Greedy\"],\"count\":30},"
+         "{\"phase\":\"\",\"frames\":[\"main\"],\"count\":10}]}},\n";
+  out += "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\","
+         "\"args\":{\"name\":\"main\"}}\n";
   out += "]\n";
-  out += "}\n";
   return out;
 }
 
+/// The profile of SampleProfileTrace(), which must parse.
+ProfileRecord SampleProfile() {
+  auto parsed = ParseProfile(SampleProfileTrace());
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  return parsed.ok() ? *parsed : ProfileRecord();
+}
+
 TEST(TracecatProfile, ParsesFullRecord) {
-  const auto parsed = ParseProfileJson(SampleProfileRecord());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const ProfileRecord& r = parsed.value();
-  EXPECT_EQ(r.label, "run");
-  EXPECT_EQ(r.bench, "bench_fig2_scalability");
-  EXPECT_EQ(r.git_rev, "abc1234");
-  EXPECT_EQ(r.sample_hz, 100);
+  const ProfileRecord r = SampleProfile();
+  EXPECT_EQ(r.label, "bench_fig2_scalability");
   EXPECT_DOUBLE_EQ(r.wall_seconds, 2.5);
-  EXPECT_EQ(r.samples, 200u);
-  EXPECT_EQ(r.dropped, 3u);
-  EXPECT_EQ(r.attributed_samples, 190u);
+  EXPECT_EQ(r.dump.sample_hz, 100);
+  EXPECT_EQ(r.dump.samples, 200u);
+  EXPECT_EQ(r.dump.dropped, 3u);
+  EXPECT_EQ(r.dump.attributed, 190u);
   EXPECT_DOUBLE_EQ(r.attributed_percent, 95.0);
-  EXPECT_TRUE(r.alloc_enabled);
-  EXPECT_EQ(r.alloc_total_bytes, 4096u);
-  EXPECT_EQ(r.alloc_live_bytes, -128);
-  EXPECT_EQ(r.alloc_peak_bytes, 2048u);
+  EXPECT_TRUE(r.dump.alloc_enabled);
+  EXPECT_EQ(r.dump.alloc_total_bytes, 4096u);
+  EXPECT_EQ(r.dump.alloc_live_bytes, -128);
+  EXPECT_EQ(r.dump.alloc_peak_bytes, 2048u);
+  ASSERT_EQ(r.dump.stacks.size(), 4u);
+  EXPECT_EQ(r.dump.stacks[0].frames,
+            (std::vector<std::string>{"main", "Greedy", "isum::core::Score"}));
+  // The phase table sums the two greedy-pick stacks.
   ASSERT_EQ(r.phases.size(), 3u);
   EXPECT_EQ(r.phases[0].name, "compress/greedy-pick");
   EXPECT_EQ(r.phases[0].samples, 150u);
-  ASSERT_EQ(r.frames.size(), 2u);
+  EXPECT_DOUBLE_EQ(r.phases[0].percent, 75.0);
+  EXPECT_EQ(r.phases[2].name, "(unattributed)");
+  // Frames by self samples; total counts every stack holding the frame.
+  ASSERT_EQ(r.frames.size(), 4u);
   EXPECT_EQ(r.frames[0].name, "isum::core::Score");
   EXPECT_EQ(r.frames[0].self, 120u);
-  EXPECT_EQ(r.frames[0].total, 150u);
-  ASSERT_EQ(r.alloc_phases.size(), 2u);
-  EXPECT_EQ(r.alloc_phases[0].bytes, 3072u);
+  EXPECT_EQ(r.frames[0].total, 120u);
+  EXPECT_EQ(r.frames[2].name, "Greedy");
+  EXPECT_EQ(r.frames[2].total, 150u);
+  EXPECT_EQ(r.frames[3].name, "main");
+  EXPECT_EQ(r.frames[3].total, 200u);
+  ASSERT_EQ(r.dump.alloc_phases.size(), 2u);
+  EXPECT_EQ(r.dump.alloc_phases[0].bytes, 3072u);
 }
 
 TEST(TracecatProfile, RoundTripsEmitterOutput) {
@@ -733,62 +735,115 @@ TEST(TracecatProfile, RoundTripsEmitterOutput) {
   dump.stacks.push_back(
       obs::ProfileStack{"compress/greedy-pick", {"main", "Greedy"}, 3});
   dump.stacks.push_back(obs::ProfileStack{"", {"main"}, 1});
-  obs::ProfileMeta meta;
-  meta.label = "smoke";
-  meta.bench = "bench_x";
-  meta.git_rev = "deadbee";
-  meta.wall_seconds = 0.25;
-  const auto parsed = ParseProfileJson(obs::ProfileJson(dump, meta));
+  const std::string path = testing::TempDir() + "/tracecat_profile.json";
+  obs::Tracer& tracer = obs::Tracer::Global();
+  ASSERT_TRUE(tracer.Open(path, "smoke"));
+  EXPECT_TRUE(tracer.WriteProfile(dump));
+  EXPECT_TRUE(tracer.Close().ok);
+  StatusOr<std::string> content = ReadFileToString(path);
+  ASSERT_TRUE(content.ok()) << content.status().ToString();
+  const auto parsed = ParseProfile(*content);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed.value().label, "smoke");
-  EXPECT_EQ(parsed.value().sample_hz, 500);
-  EXPECT_EQ(parsed.value().samples, 4u);
-  ASSERT_EQ(parsed.value().phases.size(), 2u);
-  EXPECT_EQ(parsed.value().phases[0].name, "compress/greedy-pick");
-  const auto checked = CheckProfile(parsed.value(), 70.0);
+  EXPECT_EQ(parsed->label, "smoke");
+  EXPECT_EQ(parsed->dump.sample_hz, 500);
+  EXPECT_EQ(parsed->dump.samples, 4u);
+  EXPECT_EQ(parsed->dump.attributed, 3u);
+  EXPECT_FALSE(parsed->dump.alloc_enabled);
+  ASSERT_EQ(parsed->dump.stacks.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(parsed->dump.stacks[i].phase, dump.stacks[i].phase);
+    EXPECT_EQ(parsed->dump.stacks[i].frames, dump.stacks[i].frames);
+    EXPECT_EQ(parsed->dump.stacks[i].count, dump.stacks[i].count);
+  }
+  ASSERT_EQ(parsed->phases.size(), 2u);
+  EXPECT_EQ(parsed->phases[0].name, "compress/greedy-pick");
+  const auto checked = CheckProfile(*parsed, 70.0);
   EXPECT_TRUE(checked.ok()) << checked.status().ToString();
 }
 
 TEST(TracecatProfile, RejectsSchemaInvalidInput) {
-  std::string wrong_tag = SampleProfileRecord();
-  wrong_tag.replace(wrong_tag.find("isum-profile-v1"), 15, "isum-profile-v9");
-  EXPECT_FALSE(ParseProfileJson(wrong_tag).ok());
-  std::string unknown_scalar = SampleProfileRecord();
-  unknown_scalar.insert(unknown_scalar.find("\"phases\""),
-                        "\"mystery\": 1,\n");
-  EXPECT_FALSE(ParseProfileJson(unknown_scalar).ok());
-  EXPECT_FALSE(
-      ParseProfileJson("{\n\"schema\": \"isum-profile-v1\",\n").ok());
-  EXPECT_FALSE(ParseProfileJson("not a profile\n").ok());
+  auto with = [](const std::string& from, const std::string& to) {
+    std::string trace = SampleProfileTrace();
+    const size_t at = trace.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) trace.replace(at, from.size(), to);
+    return trace;
+  };
+  // A field of the wrong type, a missing one, a frame that is not a
+  // string, stacks that are not an array, an unknown key, no args.
+  for (const std::string& trace :
+       {with("\"samples\":200", "\"samples\":\"200\""),
+        with("\"sample_hz\":100,", ""),
+        with("\"count\":120", "\"count\":\"x\""),
+        with("[\"main\",\"Greedy\",", "[7,\"Greedy\","),
+        with("\"stacks\":[", "\"stacks\":7,\"x\":["),
+        with("\"dropped\":3,", "\"mystery\":1,\"dropped\":3,"),
+        with(",\"args\":{\"sample_hz\"", ",\"x\":{\"sample_hz\"")}) {
+    const auto parsed = ParseProfile(trace);
+    EXPECT_FALSE(parsed.ok());
+    EXPECT_NE(parsed.status().code(), StatusCode::kNotFound)
+        << parsed.status().ToString();
+  }
+  EXPECT_FALSE(ParseProfile("not a trace\n").ok());
 }
 
 TEST(TracecatProfile, SingleLineRecordParsesLikeTheEmitterLayout) {
-  const std::string emitted = SampleProfileRecord();
-  const auto a = ParseProfileJson(emitted);
-  const auto b = ParseProfileJson(OnOneLine(emitted));
+  const std::string emitted = SampleProfileTrace();
+  const auto a = ParseProfile(emitted);
+  const auto b = ParseProfile(OnOneLine(emitted));
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
-  const ProfileRecord& x = a.value();
-  const ProfileRecord& y = b.value();
-  EXPECT_EQ(x.sample_hz, y.sample_hz);
-  EXPECT_EQ(x.samples, y.samples);
-  EXPECT_EQ(x.attributed_samples, y.attributed_samples);
-  EXPECT_EQ(x.alloc_enabled, y.alloc_enabled);
-  EXPECT_EQ(x.alloc_live_bytes, y.alloc_live_bytes);
-  EXPECT_EQ(x.alloc_total_bytes, y.alloc_total_bytes);
-  // The report renders every remaining field, sections included.
-  EXPECT_EQ(ProfileReport(x, 100), ProfileReport(y, 100));
+  EXPECT_EQ(a->dump.samples, b->dump.samples);
+  EXPECT_EQ(a->dump.attributed, b->dump.attributed);
+  EXPECT_EQ(a->dump.alloc_live_bytes, b->dump.alloc_live_bytes);
+  // The report and the collapsed stacks render every remaining field.
+  EXPECT_EQ(ProfileReport(*a, 100), ProfileReport(*b, 100));
+  EXPECT_EQ(CollapsedStacks(*a), CollapsedStacks(*b));
+}
+
+TEST(TracecatProfile, ReadsUnclosedTraceWithTornLastLine) {
+  // A run killed after the profile event, mid-way through a span line.
+  std::string killed = SampleProfileTrace();
+  killed.resize(killed.find("{\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+                            "\"name\":\"thread_name\""));
+  killed += "{\"ph\":\"X\",\"pid\":1,\"ti";
+  const auto parsed = ParseProfile(killed);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->label, "bench_fig2_scalability");
+  EXPECT_EQ(ProfileReport(*parsed, 10), ProfileReport(SampleProfile(), 10));
+  // Cut inside the profile line itself, the profile is lost, not misread.
+  std::string torn = SampleProfileTrace();
+  torn.resize(torn.find("\"stacks\""));
+  EXPECT_EQ(ParseProfile(torn).status().code(), StatusCode::kNotFound);
+}
+
+TEST(TracecatProfile, TraceWithoutProfileEventIsNotFound) {
+  const auto parsed =
+      ParseProfile(TraceWithTicks({obs::MetricsRegistry().Snapshot()}, true));
+  EXPECT_EQ(parsed.status().code(), StatusCode::kNotFound)
+      << parsed.status().ToString();
+}
+
+TEST(TracecatProfile, SpanAndDecisionReadersSkipTheProfileEvent) {
+  const auto spans = ParseChromeTrace(SampleProfileTrace());
+  ASSERT_TRUE(spans.ok()) << spans.status().ToString();
+  ASSERT_EQ(spans->size(), 1u);
+  EXPECT_EQ((*spans)[0].name, "thread_name");
+  const auto journal = ParseJournal(SampleProfileTrace());
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  EXPECT_EQ(journal->label, "bench_fig2_scalability");
+  EXPECT_TRUE(journal->events.empty());
 }
 
 TEST(TracecatProfile, ReportRendersPhaseFrameAndAllocTables) {
-  const auto parsed = ParseProfileJson(SampleProfileRecord());
-  ASSERT_TRUE(parsed.ok());
-  const std::string report = ProfileReport(parsed.value(), 5);
+  const std::string report = ProfileReport(SampleProfile(), 5);
   EXPECT_NE(report.find("bench_fig2_scalability"), std::string::npos);
-  EXPECT_NE(report.find("200 sample(s) at 100 Hz"), std::string::npos);
+  EXPECT_NE(report.find("200 sample(s) at 100 Hz over 2.50s wall"),
+            std::string::npos);
   EXPECT_NE(report.find("95.0% attributed"), std::string::npos);
   EXPECT_NE(report.find("== per-phase samples =="), std::string::npos);
   EXPECT_NE(report.find("compress/greedy-pick"), std::string::npos);
+  EXPECT_NE(report.find("(unattributed)"), std::string::npos);
   EXPECT_NE(report.find("frames by self samples"), std::string::npos);
   EXPECT_NE(report.find("isum::core::Score"), std::string::npos);
   EXPECT_NE(report.find("== allocations =="), std::string::npos);
@@ -796,37 +851,36 @@ TEST(TracecatProfile, ReportRendersPhaseFrameAndAllocTables) {
 }
 
 TEST(TracecatProfile, CheckEnforcesAttributionAndConsistency) {
-  const auto parsed = ParseProfileJson(SampleProfileRecord());
-  ASSERT_TRUE(parsed.ok());
+  const ProfileRecord sample = SampleProfile();
   // 95% attributed: passes a 90% floor, fails a 99% floor.
-  EXPECT_TRUE(CheckProfile(parsed.value(), 90.0).ok());
-  const auto strict = CheckProfile(parsed.value(), 99.0);
+  EXPECT_TRUE(CheckProfile(sample, 90.0).ok());
+  const auto strict = CheckProfile(sample, 99.0);
   EXPECT_FALSE(strict.ok());
   EXPECT_NE(strict.status().ToString().find("95.0%"), std::string::npos);
-  // Tampered percent is caught even when the floor would pass.
-  ProfileRecord tampered = parsed.value();
-  tampered.attributed_percent = 99.0;
+  // An attributed count the stacks do not hold is caught even when the
+  // floor would pass.
+  ProfileRecord tampered = sample;
+  tampered.dump.attributed = 199;
   EXPECT_FALSE(CheckProfile(tampered, 0.0).ok());
-  // Phase totals must sum to the sample count.
-  ProfileRecord short_phases = parsed.value();
-  short_phases.phases.pop_back();
-  EXPECT_FALSE(CheckProfile(short_phases, 0.0).ok());
-  ProfileRecord bad_hz = parsed.value();
-  bad_hz.sample_hz = 0;
+  // Stack counts must sum to the sample count.
+  ProfileRecord short_stacks = sample;
+  short_stacks.dump.stacks.pop_back();
+  EXPECT_FALSE(CheckProfile(short_stacks, 0.0).ok());
+  ProfileRecord bad_hz = sample;
+  bad_hz.dump.sample_hz = 0;
   EXPECT_FALSE(CheckProfile(bad_hz, 0.0).ok());
 }
 
 TEST(TracecatProfile, DiffReportsShareMovements) {
-  const auto from = ParseProfileJson(SampleProfileRecord());
-  ASSERT_TRUE(from.ok());
-  ProfileRecord to = from.value();
+  const ProfileRecord from = SampleProfile();
+  ProfileRecord to = from;
   to.label = "post";
   // greedy-pick shrinks 75% -> 40%, optimize grows 20% -> 55%.
   to.phases[0].percent = 40.0;
   to.phases[1].percent = 55.0;
   to.frames[0].self = 40;  // Score: 60% -> 20% self share
-  const std::string diff = ProfileDiff(from.value(), to, 5);
-  EXPECT_NE(diff.find("run (abc1234) -> post (abc1234)"), std::string::npos);
+  const std::string diff = ProfileDiff(from, to, 5);
+  EXPECT_NE(diff.find("bench_fig2_scalability -> post"), std::string::npos);
   EXPECT_NE(diff.find("compress/greedy-pick"), std::string::npos);
   EXPECT_NE(diff.find("-35.0%"), std::string::npos);
   EXPECT_NE(diff.find("+35.0%"), std::string::npos);

@@ -1,13 +1,13 @@
 // tracecat — pretty-prints the observability artifacts the bench drivers
-// emit: traces (spans, decision events and metrics ticks), bench
-// baselines, profiles, live telemetry, checkpoints. Usage:
+// emit: traces (spans, decision events, metrics ticks and the sampling
+// profile), bench baselines, live telemetry, checkpoints. Usage:
 //
 //   tracecat <trace.json> [--top=N]
 //   tracecat bench <bench.json> [<bench2.json>] [--check]
 //                  [--rss-tolerance=P]
 //   tracecat explain <trace.json> [--check] [--top=N]
-//   tracecat profile <profile.json> [--check] [--top=N]
-//                    [--min-attributed=P]
+//   tracecat profile <trace.json> [--check] [--top=N]
+//                    [--min-attributed=P] [--collapsed]
 //   tracecat profile --diff <old.json> <new.json> [--top=N]
 //   tracecat watch <trace.json> [--interval=S] [--count=N]
 //   tracecat ckpt inspect <file.ckpt...>
@@ -20,11 +20,12 @@
 // the schema and gates peak RSS growth between the first and last record
 // (default tolerance +10%), for CI smoke jobs.
 //
-// The profile subcommand parses isum-profile-v1 files (--profile= output,
-// src/obs/profiler.h): per-phase sample attribution, top frames by self
-// samples, the allocation hot-list. --check validates the record and
+// The profile subcommand reads the `profile` event of a --trace= file
+// (src/obs/profiler.h): per-phase sample attribution, top frames by self
+// samples, the allocation hot-list. --check validates the profile and
 // requires --min-attributed=P percent (default 0) of samples to land in a
-// named phase. --diff compares two records by sample share.
+// named phase. --diff compares two traces' profiles by sample share.
+// --collapsed prints the stacks as flamegraph.pl input.
 //
 // The explain subcommand reconstructs a run from the decision events in
 // its --trace= file (src/obs/journal.h): greedy selection trajectory with
@@ -192,12 +193,14 @@ int ExplainMain(int argc, char** argv) {
   return 0;
 }
 
-/// `tracecat profile ...`: render (or with --check, validate) one
-/// isum-profile-v1 record, or with --diff compare two by sample share.
+/// `tracecat profile ...`: render (or with --check, validate) the profile
+/// of one trace file, print its stacks as flamegraph.pl input
+/// (--collapsed), or with --diff compare two by sample share.
 int ProfileMain(int argc, char** argv) {
   std::vector<std::string> paths;
   bool check_only = false;
   bool diff = false;
+  bool collapsed = false;
   size_t top_k = 10;
   double min_attributed_percent = 0.0;
   for (int i = 2; i < argc; ++i) {
@@ -206,6 +209,8 @@ int ProfileMain(int argc, char** argv) {
       check_only = true;
     } else if (std::strcmp(arg, "--diff") == 0) {
       diff = true;
+    } else if (std::strcmp(arg, "--collapsed") == 0) {
+      collapsed = true;
     } else if (std::strncmp(arg, "--top=", 6) == 0) {
       top_k = static_cast<size_t>(std::strtoul(arg + 6, nullptr, 10));
     } else if (std::strncmp(arg, "--min-attributed=", 17) == 0) {
@@ -218,10 +223,10 @@ int ProfileMain(int argc, char** argv) {
     }
   }
   const size_t want_paths = diff ? 2 : 1;
-  if (paths.size() != want_paths || (diff && check_only)) {
+  if (paths.size() != want_paths || check_only + diff + collapsed > 1) {
     std::fprintf(stderr,
-                 "usage: tracecat profile <profile.json> [--check] [--top=N] "
-                 "[--min-attributed=P]\n"
+                 "usage: tracecat profile <trace.json> [--check] [--top=N] "
+                 "[--min-attributed=P] [--collapsed]\n"
                  "       tracecat profile --diff <old.json> <new.json> "
                  "[--top=N]\n");
     return 2;
@@ -234,7 +239,7 @@ int ProfileMain(int argc, char** argv) {
       std::fprintf(stderr, "cannot read %s\n", path.c_str());
       return 1;
     }
-    auto parsed = isum::tracecat::ParseProfileJson(content);
+    auto parsed = isum::tracecat::ParseProfile(content);
     if (!parsed.ok()) {
       std::fprintf(stderr, "%s: %s\n", path.c_str(),
                    parsed.status().ToString().c_str());
@@ -247,6 +252,11 @@ int ProfileMain(int argc, char** argv) {
     const std::string delta =
         isum::tracecat::ProfileDiff(records.front(), records.back(), top_k);
     std::fputs(delta.c_str(), stdout);
+    return 0;
+  }
+  if (collapsed) {
+    std::fputs(isum::tracecat::CollapsedStacks(records.front()).c_str(),
+               stdout);
     return 0;
   }
   if (check_only) {

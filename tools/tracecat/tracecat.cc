@@ -6,6 +6,8 @@
 #include <initializer_list>
 #include <limits>
 #include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/checkpoint.h"
 #include "common/deadline.h"
@@ -90,11 +92,12 @@ StatusOr<std::vector<TraceEvent>> ParseChromeTrace(
     TraceEvent event;
     ISUM_ASSIGN_OR_RETURN(event.phase, object.String("ph"));
     // Decision events and the run's label are ParseJournal's, metrics
-    // ticks LastMetrics'.
+    // ticks LastMetrics', the profile ParseProfile's.
     if (event.phase == "i" || event.phase == "C") continue;
     const JsonValue* name = object.Find("name");
     if (event.phase == "M" && name != nullptr &&
-        name->string == "process_name") {
+        (name->string == "process_name" ||
+         name->string == obs::kProfileEvent)) {
       continue;
     }
     ISUM_ASSIGN_OR_RETURN(event.tid, IntegerField<uint32_t>(object, "tid"));
@@ -366,283 +369,6 @@ Status CheckBenchRss(const std::vector<BenchRecord>& records,
         to.git_rev.c_str(), growth_percent, tolerance_percent));
   }
   return Status::OK();
-}
-
-// ---- sampling profiles ----
-
-StatusOr<ProfileRecord> ParseProfileJson(const std::string& content) {
-  ISUM_ASSIGN_OR_RETURN(const JsonValue object, ParseJson(content));
-  if (!object.is_object()) {
-    return Status::ParseError("profile record is not a JSON object");
-  }
-  if (!object.Has("schema")) {
-    return Status::ParseError("profile record without schema tag");
-  }
-  ISUM_ASSIGN_OR_RETURN(const std::string schema, object.String("schema"));
-  if (schema != "isum-profile-v1") {
-    return Status::ParseError("unsupported profile schema: " + schema);
-  }
-  if (!object.Has("samples") || !object.Has("attributed_samples")) {
-    return Status::ParseError(
-        "profile record missing samples/attributed_samples");
-  }
-  ISUM_RETURN_IF_ERROR(CheckKnownKeys(
-      object,
-      {"schema", "label", "bench", "git_rev", "sample_hz", "wall_seconds",
-       "samples", "dropped", "attributed_samples", "attributed_percent",
-       "alloc_enabled", "alloc_total_bytes", "alloc_total_count",
-       "alloc_live_bytes", "alloc_peak_bytes", "phases", "frames",
-       "alloc_phases"},
-      "profile"));
-
-  ProfileRecord record;
-  double alloc_enabled = 0.0;
-  for (const Status& status : {
-           ReadField(object, "label", &record.label),
-           ReadField(object, "bench", &record.bench),
-           ReadField(object, "git_rev", &record.git_rev),
-           ReadField(object, "sample_hz", &record.sample_hz),
-           ReadField(object, "wall_seconds", &record.wall_seconds),
-           ReadField(object, "samples", &record.samples),
-           ReadField(object, "dropped", &record.dropped),
-           ReadField(object, "attributed_samples",
-                     &record.attributed_samples),
-           ReadField(object, "attributed_percent",
-                     &record.attributed_percent),
-           ReadField(object, "alloc_enabled", &alloc_enabled),
-           ReadField(object, "alloc_total_bytes", &record.alloc_total_bytes),
-           ReadField(object, "alloc_total_count", &record.alloc_total_count),
-           ReadField(object, "alloc_live_bytes", &record.alloc_live_bytes),
-           ReadField(object, "alloc_peak_bytes", &record.alloc_peak_bytes),
-       }) {
-    if (!status.ok()) return status;
-  }
-  record.alloc_enabled = alloc_enabled != 0.0;
-
-  ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue>* phases,
-                        ArrayField(object, "phases"));
-  for (const JsonValue& entry : *phases) {
-    ProfilePhaseStat phase;
-    ISUM_ASSIGN_OR_RETURN(phase.name, entry.String("name"));
-    ISUM_ASSIGN_OR_RETURN(phase.samples,
-                          IntegerField<uint64_t>(entry, "samples"));
-    ISUM_ASSIGN_OR_RETURN(phase.percent, entry.Number("percent"));
-    record.phases.push_back(std::move(phase));
-  }
-  ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue>* frames,
-                        ArrayField(object, "frames"));
-  for (const JsonValue& entry : *frames) {
-    ProfileFrameStat frame;
-    ISUM_ASSIGN_OR_RETURN(frame.name, entry.String("name"));
-    ISUM_ASSIGN_OR_RETURN(frame.self, IntegerField<uint64_t>(entry, "self"));
-    ISUM_ASSIGN_OR_RETURN(frame.total,
-                          IntegerField<uint64_t>(entry, "total"));
-    record.frames.push_back(std::move(frame));
-  }
-  ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue>* alloc_phases,
-                        ArrayField(object, "alloc_phases"));
-  for (const JsonValue& entry : *alloc_phases) {
-    ProfileAllocStat alloc;
-    ISUM_ASSIGN_OR_RETURN(alloc.name, entry.String("name"));
-    ISUM_ASSIGN_OR_RETURN(alloc.bytes, IntegerField<uint64_t>(entry, "bytes"));
-    ISUM_ASSIGN_OR_RETURN(alloc.count, IntegerField<uint64_t>(entry, "count"));
-    record.alloc_phases.push_back(std::move(alloc));
-  }
-  return record;
-}
-
-std::string ProfileReport(const ProfileRecord& record, size_t top_k) {
-  std::string out;
-  out += StrFormat("== profile: %s / %s (%s) ==\n", record.bench.c_str(),
-                   record.label.c_str(), record.git_rev.c_str());
-  out += StrFormat(
-      "%llu sample(s) at %d Hz over %.2fs wall (%llu dropped), "
-      "%.1f%% attributed to a phase\n",
-      static_cast<unsigned long long>(record.samples), record.sample_hz,
-      record.wall_seconds, static_cast<unsigned long long>(record.dropped),
-      record.attributed_percent);
-
-  out += "\n== per-phase samples ==\n";
-  if (record.phases.empty()) {
-    out += "(no samples)\n";
-  } else {
-    out += StrFormat("%-40s %10s %8s\n", "phase", "samples", "share");
-    for (const ProfilePhaseStat& p : record.phases) {
-      out += StrFormat("%-40s %10llu %7.1f%%\n", p.name.c_str(),
-                       static_cast<unsigned long long>(p.samples), p.percent);
-    }
-  }
-
-  if (!record.frames.empty()) {
-    const size_t n = std::min(top_k, record.frames.size());
-    out += StrFormat("\n== top %zu frames by self samples ==\n", n);
-    out += StrFormat("%-56s %8s %8s\n", "frame", "self", "total");
-    for (size_t i = 0; i < n; ++i) {
-      const ProfileFrameStat& f = record.frames[i];
-      out += StrFormat("%-56s %8llu %8llu\n", f.name.c_str(),
-                       static_cast<unsigned long long>(f.self),
-                       static_cast<unsigned long long>(f.total));
-    }
-  }
-
-  if (record.alloc_enabled) {
-    out += "\n== allocations ==\n";
-    out += StrFormat(
-        "total: %s in %llu allocation(s); peak %s, live at stop %s%s\n",
-        HumanBytes(static_cast<double>(record.alloc_total_bytes)).c_str(),
-        static_cast<unsigned long long>(record.alloc_total_count),
-        HumanBytes(static_cast<double>(record.alloc_peak_bytes)).c_str(),
-        HumanBytes(std::abs(static_cast<double>(record.alloc_live_bytes)))
-            .c_str(),
-        record.alloc_live_bytes < 0 ? " (net freed)" : "");
-    if (!record.alloc_phases.empty()) {
-      out += StrFormat("%-40s %12s %10s\n", "phase", "bytes", "count");
-      for (const ProfileAllocStat& a : record.alloc_phases) {
-        out += StrFormat("%-40s %12s %10llu\n", a.name.c_str(),
-                         HumanBytes(static_cast<double>(a.bytes)).c_str(),
-                         static_cast<unsigned long long>(a.count));
-      }
-    }
-  }
-  return out;
-}
-
-StatusOr<size_t> CheckProfile(const ProfileRecord& record,
-                              double min_attributed_percent) {
-  if (record.sample_hz <= 0) {
-    return Status::InvalidArgument(
-        StrFormat("non-positive sample_hz: %d", record.sample_hz));
-  }
-  if (record.attributed_samples > record.samples) {
-    return Status::InvalidArgument(StrFormat(
-        "attributed_samples %llu exceeds samples %llu",
-        static_cast<unsigned long long>(record.attributed_samples),
-        static_cast<unsigned long long>(record.samples)));
-  }
-  // The emitter computes attributed_percent from the two counts; a
-  // mismatch means the record was edited or truncated.
-  const double expected =
-      record.samples > 0
-          ? 100.0 * static_cast<double>(record.attributed_samples) /
-                static_cast<double>(record.samples)
-          : 0.0;
-  if (std::abs(expected - record.attributed_percent) > 0.05) {
-    return Status::InvalidArgument(StrFormat(
-        "attributed_percent %.2f inconsistent with %llu/%llu samples",
-        record.attributed_percent,
-        static_cast<unsigned long long>(record.attributed_samples),
-        static_cast<unsigned long long>(record.samples)));
-  }
-  uint64_t phase_samples = 0;
-  for (const ProfilePhaseStat& p : record.phases) phase_samples += p.samples;
-  if (phase_samples != record.samples) {
-    return Status::InvalidArgument(
-        StrFormat("phase samples sum to %llu, record has %llu",
-                  static_cast<unsigned long long>(phase_samples),
-                  static_cast<unsigned long long>(record.samples)));
-  }
-  if (record.attributed_percent < min_attributed_percent) {
-    return Status::InvalidArgument(StrFormat(
-        "only %.1f%% of samples attributed to a phase (minimum %.1f%%): "
-        "is the tracer enabled and the workload instrumented?",
-        record.attributed_percent, min_attributed_percent));
-  }
-  return static_cast<size_t>(record.samples);
-}
-
-std::string ProfileDiff(const ProfileRecord& from, const ProfileRecord& to,
-                        size_t top_k) {
-  std::string out;
-  out += StrFormat("== profile delta: %s (%s) -> %s (%s) ==\n",
-                   from.label.c_str(), from.git_rev.c_str(), to.label.c_str(),
-                   to.git_rev.c_str());
-
-  // Shares, not raw counts: the two runs can differ in length and rate.
-  out += StrFormat("%-40s %8s %8s %8s\n", "phase", "from", "to", "delta");
-  auto find_phase = [](const std::vector<ProfilePhaseStat>& phases,
-                       const std::string& name) -> const ProfilePhaseStat* {
-    for (const ProfilePhaseStat& p : phases) {
-      if (p.name == name) return &p;
-    }
-    return nullptr;
-  };
-  auto phase_row = [&](const std::string& name, const ProfilePhaseStat* a,
-                       const ProfilePhaseStat* b) {
-    const double pa = a != nullptr ? a->percent : 0.0;
-    const double pb = b != nullptr ? b->percent : 0.0;
-    out += StrFormat("%-40s %7.1f%% %7.1f%% %+7.1f%%\n", name.c_str(), pa, pb,
-                     pb - pa);
-  };
-  for (const ProfilePhaseStat& p : from.phases) {
-    phase_row(p.name, &p, find_phase(to.phases, p.name));
-  }
-  for (const ProfilePhaseStat& p : to.phases) {
-    if (find_phase(from.phases, p.name) == nullptr) {
-      phase_row(p.name, nullptr, &p);
-    }
-  }
-
-  // Frames by largest absolute self-share movement.
-  struct FrameDelta {
-    std::string name;
-    double from_share = 0.0;
-    double to_share = 0.0;
-  };
-  auto share = [](uint64_t self, uint64_t samples) {
-    return samples > 0
-               ? 100.0 * static_cast<double>(self) /
-                     static_cast<double>(samples)
-               : 0.0;
-  };
-  std::vector<FrameDelta> deltas;
-  auto delta_row = [&](const std::string& name) -> FrameDelta& {
-    for (FrameDelta& d : deltas) {
-      if (d.name == name) return d;
-    }
-    deltas.push_back(FrameDelta{name, 0.0, 0.0});
-    return deltas.back();
-  };
-  for (const ProfileFrameStat& f : from.frames) {
-    delta_row(f.name).from_share = share(f.self, from.samples);
-  }
-  for (const ProfileFrameStat& f : to.frames) {
-    delta_row(f.name).to_share = share(f.self, to.samples);
-  }
-  std::sort(deltas.begin(), deltas.end(),
-            [](const FrameDelta& a, const FrameDelta& b) {
-              const double da = std::abs(a.to_share - a.from_share);
-              const double db = std::abs(b.to_share - b.from_share);
-              if (da != db) return da > db;
-              return a.name < b.name;
-            });
-  if (deltas.size() > top_k) deltas.resize(top_k);
-  if (!deltas.empty()) {
-    out += StrFormat("\n== top %zu frame movements (self share) ==\n",
-                     deltas.size());
-    out += StrFormat("%-56s %8s %8s %8s\n", "frame", "from", "to", "delta");
-    for (const FrameDelta& d : deltas) {
-      out += StrFormat("%-56s %7.1f%% %7.1f%% %+7.1f%%\n", d.name.c_str(),
-                       d.from_share, d.to_share, d.to_share - d.from_share);
-    }
-  }
-
-  if (from.alloc_enabled && to.alloc_enabled) {
-    const double from_bytes = static_cast<double>(from.alloc_total_bytes);
-    const double to_bytes = static_cast<double>(to.alloc_total_bytes);
-    std::string alloc_delta;
-    if (from_bytes > 0.0) {
-      alloc_delta =
-          StrFormat(" (%+.1f%%)", 100.0 * (to_bytes - from_bytes) / from_bytes);
-    }
-    out += StrFormat("\nallocated: %s -> %s%s; peak %s -> %s\n",
-                     HumanBytes(from_bytes).c_str(),
-                     HumanBytes(to_bytes).c_str(), alloc_delta.c_str(),
-                     HumanBytes(static_cast<double>(from.alloc_peak_bytes))
-                         .c_str(),
-                     HumanBytes(static_cast<double>(to.alloc_peak_bytes))
-                         .c_str());
-  }
-  return out;
 }
 
 // ---- decision events ----
@@ -1393,6 +1119,368 @@ std::string MetricsReport(const MetricsTick& tick) {
         ckpt_writes, tick.Value("ckpt.write_failures"),
         tick.Value("ckpt.bytes_written"), ckpt_restores,
         tick.Value("ckpt.rejected"));
+  }
+  return out;
+}
+
+// ---- sampling profiles ----
+
+namespace {
+
+/// Frames kept in ProfileRecord::frames.
+constexpr size_t kMaxProfileFrames = 64;
+
+const char* PhaseOrUnattributed(const std::string& phase) {
+  return phase.empty() ? "(unattributed)" : phase.c_str();
+}
+
+/// The profile event's args, back in the dump they were written from.
+StatusOr<obs::ProfileDump> ReadProfileDump(const JsonValue& args) {
+  ISUM_RETURN_IF_ERROR(CheckKnownKeys(
+      args,
+      {"sample_hz", "samples", "dropped", "attributed", "alloc_total_bytes",
+       "alloc_total_count", "alloc_live_bytes", "alloc_peak_bytes",
+       "alloc_phases", "stacks"},
+      "profile"));
+  obs::ProfileDump dump;
+  ISUM_ASSIGN_OR_RETURN(dump.sample_hz, IntegerField<int>(args, "sample_hz"));
+  ISUM_ASSIGN_OR_RETURN(dump.samples, IntegerField<uint64_t>(args, "samples"));
+  ISUM_ASSIGN_OR_RETURN(dump.dropped, IntegerField<uint64_t>(args, "dropped"));
+  ISUM_ASSIGN_OR_RETURN(dump.attributed,
+                        IntegerField<uint64_t>(args, "attributed"));
+  dump.alloc_enabled = args.Has("alloc_total_bytes");
+  if (dump.alloc_enabled) {
+    ISUM_ASSIGN_OR_RETURN(dump.alloc_total_bytes,
+                          IntegerField<uint64_t>(args, "alloc_total_bytes"));
+    ISUM_ASSIGN_OR_RETURN(dump.alloc_total_count,
+                          IntegerField<uint64_t>(args, "alloc_total_count"));
+    ISUM_ASSIGN_OR_RETURN(dump.alloc_live_bytes,
+                          IntegerField<int64_t>(args, "alloc_live_bytes"));
+    ISUM_ASSIGN_OR_RETURN(dump.alloc_peak_bytes,
+                          IntegerField<uint64_t>(args, "alloc_peak_bytes"));
+    ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue>* phases,
+                          ArrayField(args, "alloc_phases"));
+    for (const JsonValue& entry : *phases) {
+      obs::ProfileAllocPhase phase;
+      ISUM_ASSIGN_OR_RETURN(phase.phase, entry.String("phase"));
+      ISUM_ASSIGN_OR_RETURN(phase.bytes,
+                            IntegerField<uint64_t>(entry, "bytes"));
+      ISUM_ASSIGN_OR_RETURN(phase.count,
+                            IntegerField<uint64_t>(entry, "count"));
+      dump.alloc_phases.push_back(std::move(phase));
+    }
+  }
+  ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue>* stacks,
+                        ArrayField(args, "stacks"));
+  for (const JsonValue& entry : *stacks) {
+    obs::ProfileStack stack;
+    ISUM_ASSIGN_OR_RETURN(stack.phase, entry.String("phase"));
+    ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue>* frames,
+                          ArrayField(entry, "frames"));
+    for (const JsonValue& frame : *frames) {
+      if (frame.type != JsonValue::Type::kString) {
+        return Status::ParseError("profile frame is not a string");
+      }
+      stack.frames.push_back(frame.string);
+    }
+    ISUM_ASSIGN_OR_RETURN(stack.count, IntegerField<uint64_t>(entry, "count"));
+    dump.stacks.push_back(std::move(stack));
+  }
+  return dump;
+}
+
+/// Derives the attribution share and the phase and frame tables of
+/// `record` from its dump.
+void SummarizeProfile(ProfileRecord* record) {
+  const obs::ProfileDump& dump = record->dump;
+  auto share = [&dump](uint64_t samples) {
+    return dump.samples > 0 ? 100.0 * static_cast<double>(samples) /
+                                  static_cast<double>(dump.samples)
+                            : 0.0;
+  };
+  record->attributed_percent = share(dump.attributed);
+
+  for (const obs::ProfileStack& stack : dump.stacks) {
+    const std::string name = PhaseOrUnattributed(stack.phase);
+    auto it = std::find_if(
+        record->phases.begin(), record->phases.end(),
+        [&name](const ProfilePhaseStat& p) { return p.name == name; });
+    if (it == record->phases.end()) {
+      record->phases.push_back(ProfilePhaseStat{name, 0, 0.0});
+      it = record->phases.end() - 1;
+    }
+    it->samples += stack.count;
+  }
+  for (ProfilePhaseStat& phase : record->phases) {
+    phase.percent = share(phase.samples);
+  }
+  std::sort(record->phases.begin(), record->phases.end(),
+            [](const ProfilePhaseStat& a, const ProfilePhaseStat& b) {
+              if (a.samples != b.samples) return a.samples > b.samples;
+              return a.name < b.name;
+            });
+
+  // Self counts leaf occurrences, total counts stacks containing the frame
+  // (once per stack, so recursion doesn't inflate it).
+  std::vector<ProfileFrameStat>& frames = record->frames;
+  std::unordered_map<std::string, size_t> frame_index;
+  auto frame_row = [&](const std::string& name) -> ProfileFrameStat& {
+    auto [it, inserted] = frame_index.emplace(name, frames.size());
+    if (inserted) frames.push_back(ProfileFrameStat{name, 0, 0});
+    return frames[it->second];
+  };
+  for (const obs::ProfileStack& stack : dump.stacks) {
+    if (stack.frames.empty()) continue;
+    frame_row(stack.frames.back()).self += stack.count;
+    std::unordered_set<std::string> seen;
+    for (const std::string& frame : stack.frames) {
+      if (seen.insert(frame).second) frame_row(frame).total += stack.count;
+    }
+  }
+  std::sort(frames.begin(), frames.end(),
+            [](const ProfileFrameStat& a, const ProfileFrameStat& b) {
+              if (a.self != b.self) return a.self > b.self;
+              if (a.total != b.total) return a.total > b.total;
+              return a.name < b.name;
+            });
+  if (frames.size() > kMaxProfileFrames) frames.resize(kMaxProfileFrames);
+}
+
+std::string CollapsedToken(const std::string& name) {
+  std::string out = name;
+  std::replace(out.begin(), out.end(), ';', ':');
+  std::replace(out.begin(), out.end(), '\n', ' ');
+  return out;
+}
+
+}  // namespace
+
+StatusOr<ProfileRecord> ParseProfile(const std::string& content) {
+  bool closed = false;
+  std::string torn_tail;
+  ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue> items,
+                        ReadTraceItems(content, &closed, &torn_tail));
+  ProfileRecord record;
+  const JsonValue* event = nullptr;
+  for (const JsonValue& item : items) {
+    const JsonValue* phase = item.Find("ph");
+    const JsonValue* name = item.Find("name");
+    const JsonValue* args = item.Find("args");
+    if (phase == nullptr || phase->string != "M" || name == nullptr) continue;
+    if (name->string == "process_name" && args != nullptr) {
+      ISUM_RETURN_IF_ERROR(ReadField(*args, "name", &record.label));
+    } else if (name->string == obs::kProfileEvent) {
+      event = &item;
+    }
+  }
+  if (event == nullptr) {
+    return Status::NotFound("no profile event in the trace");
+  }
+  ISUM_ASSIGN_OR_RETURN(const double ts_us, event->Number("ts"));
+  record.wall_seconds = ts_us / 1e6;
+  const JsonValue* args = event->Find("args");
+  if (args == nullptr || !args->is_object()) {
+    return Status::ParseError("profile event without args");
+  }
+  ISUM_ASSIGN_OR_RETURN(record.dump, ReadProfileDump(*args));
+  SummarizeProfile(&record);
+  return record;
+}
+
+std::string CollapsedStacks(const ProfileRecord& record) {
+  std::string out;
+  for (const obs::ProfileStack& stack : record.dump.stacks) {
+    std::string line = CollapsedToken(PhaseOrUnattributed(stack.phase));
+    for (const std::string& frame : stack.frames) {
+      line += ';';
+      line += CollapsedToken(frame);
+    }
+    out += StrFormat("%s %llu\n", line.c_str(),
+                     static_cast<unsigned long long>(stack.count));
+  }
+  return out;
+}
+
+std::string ProfileReport(const ProfileRecord& record, size_t top_k) {
+  const obs::ProfileDump& dump = record.dump;
+  std::string out;
+  out += StrFormat("== profile: %s ==\n", record.label.c_str());
+  out += StrFormat(
+      "%llu sample(s) at %d Hz over %.2fs wall (%llu dropped), "
+      "%.1f%% attributed to a phase\n",
+      static_cast<unsigned long long>(dump.samples), dump.sample_hz,
+      record.wall_seconds, static_cast<unsigned long long>(dump.dropped),
+      record.attributed_percent);
+
+  out += "\n== per-phase samples ==\n";
+  if (record.phases.empty()) {
+    out += "(no samples)\n";
+  } else {
+    out += StrFormat("%-40s %10s %8s\n", "phase", "samples", "share");
+    for (const ProfilePhaseStat& p : record.phases) {
+      out += StrFormat("%-40s %10llu %7.1f%%\n", p.name.c_str(),
+                       static_cast<unsigned long long>(p.samples), p.percent);
+    }
+  }
+
+  if (!record.frames.empty()) {
+    const size_t n = std::min(top_k, record.frames.size());
+    out += StrFormat("\n== top %zu frames by self samples ==\n", n);
+    out += StrFormat("%-56s %8s %8s\n", "frame", "self", "total");
+    for (size_t i = 0; i < n; ++i) {
+      const ProfileFrameStat& f = record.frames[i];
+      out += StrFormat("%-56s %8llu %8llu\n", f.name.c_str(),
+                       static_cast<unsigned long long>(f.self),
+                       static_cast<unsigned long long>(f.total));
+    }
+  }
+
+  if (dump.alloc_enabled) {
+    out += "\n== allocations ==\n";
+    out += StrFormat(
+        "total: %s in %llu allocation(s); peak %s, live at stop %s%s\n",
+        HumanBytes(static_cast<double>(dump.alloc_total_bytes)).c_str(),
+        static_cast<unsigned long long>(dump.alloc_total_count),
+        HumanBytes(static_cast<double>(dump.alloc_peak_bytes)).c_str(),
+        HumanBytes(std::abs(static_cast<double>(dump.alloc_live_bytes)))
+            .c_str(),
+        dump.alloc_live_bytes < 0 ? " (net freed)" : "");
+    if (!dump.alloc_phases.empty()) {
+      out += StrFormat("%-40s %12s %10s\n", "phase", "bytes", "count");
+      for (const obs::ProfileAllocPhase& a : dump.alloc_phases) {
+        out += StrFormat("%-40s %12s %10llu\n", PhaseOrUnattributed(a.phase),
+                         HumanBytes(static_cast<double>(a.bytes)).c_str(),
+                         static_cast<unsigned long long>(a.count));
+      }
+    }
+  }
+  return out;
+}
+
+StatusOr<size_t> CheckProfile(const ProfileRecord& record,
+                              double min_attributed_percent) {
+  const obs::ProfileDump& dump = record.dump;
+  if (dump.sample_hz <= 0) {
+    return Status::InvalidArgument(
+        StrFormat("non-positive sample_hz: %d", dump.sample_hz));
+  }
+  uint64_t stacked = 0;
+  uint64_t attributed = 0;
+  for (const obs::ProfileStack& stack : dump.stacks) {
+    stacked += stack.count;
+    if (!stack.phase.empty()) attributed += stack.count;
+  }
+  if (stacked != dump.samples) {
+    return Status::InvalidArgument(
+        StrFormat("stack counts sum to %llu, the profile has %llu samples",
+                  static_cast<unsigned long long>(stacked),
+                  static_cast<unsigned long long>(dump.samples)));
+  }
+  if (attributed != dump.attributed) {
+    return Status::InvalidArgument(StrFormat(
+        "stacks with a phase hold %llu samples, the profile says %llu",
+        static_cast<unsigned long long>(attributed),
+        static_cast<unsigned long long>(dump.attributed)));
+  }
+  if (record.attributed_percent < min_attributed_percent) {
+    return Status::InvalidArgument(StrFormat(
+        "only %.1f%% of samples attributed to a phase (minimum %.1f%%): "
+        "is the workload instrumented?",
+        record.attributed_percent, min_attributed_percent));
+  }
+  return static_cast<size_t>(dump.samples);
+}
+
+std::string ProfileDiff(const ProfileRecord& from, const ProfileRecord& to,
+                        size_t top_k) {
+  std::string out;
+  out += StrFormat("== profile delta: %s -> %s ==\n", from.label.c_str(),
+                   to.label.c_str());
+
+  // Shares, not raw counts: the two runs can differ in length and rate.
+  out += StrFormat("%-40s %8s %8s %8s\n", "phase", "from", "to", "delta");
+  auto find_phase = [](const std::vector<ProfilePhaseStat>& phases,
+                       const std::string& name) -> const ProfilePhaseStat* {
+    for (const ProfilePhaseStat& p : phases) {
+      if (p.name == name) return &p;
+    }
+    return nullptr;
+  };
+  auto phase_row = [&](const std::string& name, const ProfilePhaseStat* a,
+                       const ProfilePhaseStat* b) {
+    const double pa = a != nullptr ? a->percent : 0.0;
+    const double pb = b != nullptr ? b->percent : 0.0;
+    out += StrFormat("%-40s %7.1f%% %7.1f%% %+7.1f%%\n", name.c_str(), pa, pb,
+                     pb - pa);
+  };
+  for (const ProfilePhaseStat& p : from.phases) {
+    phase_row(p.name, &p, find_phase(to.phases, p.name));
+  }
+  for (const ProfilePhaseStat& p : to.phases) {
+    if (find_phase(from.phases, p.name) == nullptr) {
+      phase_row(p.name, nullptr, &p);
+    }
+  }
+
+  // Frames by largest absolute self-share movement.
+  struct FrameDelta {
+    std::string name;
+    double from_share = 0.0;
+    double to_share = 0.0;
+  };
+  auto share = [](uint64_t self, uint64_t samples) {
+    return samples > 0
+               ? 100.0 * static_cast<double>(self) /
+                     static_cast<double>(samples)
+               : 0.0;
+  };
+  std::vector<FrameDelta> deltas;
+  auto delta_row = [&](const std::string& name) -> FrameDelta& {
+    for (FrameDelta& d : deltas) {
+      if (d.name == name) return d;
+    }
+    deltas.push_back(FrameDelta{name, 0.0, 0.0});
+    return deltas.back();
+  };
+  for (const ProfileFrameStat& f : from.frames) {
+    delta_row(f.name).from_share = share(f.self, from.dump.samples);
+  }
+  for (const ProfileFrameStat& f : to.frames) {
+    delta_row(f.name).to_share = share(f.self, to.dump.samples);
+  }
+  std::sort(deltas.begin(), deltas.end(),
+            [](const FrameDelta& a, const FrameDelta& b) {
+              const double da = std::abs(a.to_share - a.from_share);
+              const double db = std::abs(b.to_share - b.from_share);
+              if (da != db) return da > db;
+              return a.name < b.name;
+            });
+  if (deltas.size() > top_k) deltas.resize(top_k);
+  if (!deltas.empty()) {
+    out += StrFormat("\n== top %zu frame movements (self share) ==\n",
+                     deltas.size());
+    out += StrFormat("%-56s %8s %8s %8s\n", "frame", "from", "to", "delta");
+    for (const FrameDelta& d : deltas) {
+      out += StrFormat("%-56s %7.1f%% %7.1f%% %+7.1f%%\n", d.name.c_str(),
+                       d.from_share, d.to_share, d.to_share - d.from_share);
+    }
+  }
+
+  if (from.dump.alloc_enabled && to.dump.alloc_enabled) {
+    const double from_bytes = static_cast<double>(from.dump.alloc_total_bytes);
+    const double to_bytes = static_cast<double>(to.dump.alloc_total_bytes);
+    std::string alloc_delta;
+    if (from_bytes > 0.0) {
+      alloc_delta =
+          StrFormat(" (%+.1f%%)", 100.0 * (to_bytes - from_bytes) / from_bytes);
+    }
+    out += StrFormat("\nallocated: %s -> %s%s; peak %s -> %s\n",
+                     HumanBytes(from_bytes).c_str(),
+                     HumanBytes(to_bytes).c_str(), alloc_delta.c_str(),
+                     HumanBytes(static_cast<double>(from.dump.alloc_peak_bytes))
+                         .c_str(),
+                     HumanBytes(static_cast<double>(to.dump.alloc_peak_bytes))
+                         .c_str());
   }
   return out;
 }

@@ -8,15 +8,17 @@
 
 #include "common/jsonl.h"
 #include "common/status.h"
+#include "obs/profiler.h"
 
 namespace isum::tracecat {
 
 /// tracecat: pretty-printer for the trace files the bench drivers emit
-/// (--trace=, src/obs/trace.h: spans, decision events and metrics ticks),
-/// and for bench records, profiles and checkpoints. Every reader walks a
-/// value parsed by common/jsonl.h, so only the schema matters, not the line
-/// layout the emitters happen to use — except that a trace file cut short
-/// by a killed run is read line by line (ParseJournal, LastMetrics).
+/// (--trace=, src/obs/trace.h: spans, decision events, metrics ticks and
+/// the sampling profile), and for bench records and checkpoints. Every
+/// reader walks a value parsed by common/jsonl.h, so only the schema
+/// matters, not the line layout the emitters happen to use — except that a
+/// trace file cut short by a killed run is read line by line (ParseJournal,
+/// LastMetrics, ParseProfile).
 
 /// One parsed Chrome-trace event (complete spans and thread_name metadata).
 struct TraceEvent {
@@ -30,8 +32,9 @@ struct TraceEvent {
 
 /// Parses a Chrome trace written by obs::ChromeTraceJson or
 /// obs::Tracer::Close(). Instant events and process_name metadata (the
-/// decision events, read by ParseJournal) and counter events (the metrics
-/// ticks, read by LastMetrics) are skipped.
+/// decision events, read by ParseJournal), counter events (the metrics
+/// ticks, read by LastMetrics) and the profile event (ParseProfile) are
+/// skipped.
 StatusOr<std::vector<TraceEvent>> ParseChromeTrace(const std::string& content);
 
 /// Aggregate over all spans sharing a name.
@@ -114,9 +117,10 @@ std::string BenchDelta(const BenchRecord& from, const BenchRecord& to);
 Status CheckBenchRss(const std::vector<BenchRecord>& records,
                      double tolerance_percent);
 
-/// ---- sampling profiles (isum-profile-v1, src/obs/profiler.h) ----
+/// ---- sampling profiles (the `profile` event of a --trace= file,
+/// src/obs/profiler.h) ----
 
-/// Per-phase sample totals of one profile record.
+/// Per-phase sample totals of one profile.
 struct ProfilePhaseStat {
   std::string name;  ///< "(unattributed)" for samples outside any span
   uint64_t samples = 0;
@@ -130,55 +134,46 @@ struct ProfileFrameStat {
   uint64_t total = 0;  ///< samples with this frame anywhere on the stack
 };
 
-/// Per-phase allocation totals (present when the record was taken with
-/// --profile-alloc=1 on an ISUM_OBS_PROFILING build).
-struct ProfileAllocStat {
-  std::string name;
-  uint64_t bytes = 0;
-  uint64_t count = 0;
-};
-
-/// One parsed --profile= record (the isum-profile-v1 layout written by
-/// obs::ProfileJson; schema documented in docs/OBSERVABILITY.md).
+/// The profile of one trace file: the `profile` event's args as the
+/// profiler produced them (obs::Tracer::WriteProfile), and the tables
+/// ParseProfile derives from its raw stacks.
 struct ProfileRecord {
-  std::string label;
-  std::string bench;
-  std::string git_rev;
-  int sample_hz = 0;
-  double wall_seconds = 0.0;
-  uint64_t samples = 0;
-  uint64_t dropped = 0;
-  uint64_t attributed_samples = 0;
+  std::string label = "?";    ///< the trace's process_name args.name
+  double wall_seconds = 0.0;  ///< the event's ts: when the profiler stopped
+  obs::ProfileDump dump;
   double attributed_percent = 0.0;
-  bool alloc_enabled = false;
-  uint64_t alloc_total_bytes = 0;
-  uint64_t alloc_total_count = 0;
-  int64_t alloc_live_bytes = 0;  ///< signed: frees of pre-arm allocations
-  uint64_t alloc_peak_bytes = 0;
-  std::vector<ProfilePhaseStat> phases;      ///< descending samples
-  std::vector<ProfileFrameStat> frames;      ///< descending self
-  std::vector<ProfileAllocStat> alloc_phases;
+  std::vector<ProfilePhaseStat> phases;  ///< descending samples
+  /// Descending self samples, cut to the top 64.
+  std::vector<ProfileFrameStat> frames;
 };
 
-/// Parses one isum-profile-v1 record. Errors on anything schema-invalid:
-/// wrong or missing schema tag, missing required scalars, unknown top-level
-/// keys, malformed JSON.
-StatusOr<ProfileRecord> ParseProfileJson(const std::string& content);
+/// Reads the `profile` event of a trace file, closed or not (a file without
+/// its closing ']' is read line by line, as ParseJournal reads it), and
+/// derives the phase and frame tables. NotFound when the file has no
+/// profile event; an error on malformed input.
+StatusOr<ProfileRecord> ParseProfile(const std::string& content);
 
 /// Renders the profile report: header (samples, rate, attribution), the
 /// per-phase attribution table, top-k frames by self samples, and — when
-/// the record carries allocation data — the allocation hot-list.
+/// the allocation hooks ran — the allocation hot-list.
 std::string ProfileReport(const ProfileRecord& record, size_t top_k);
 
-/// Validation for `tracecat profile --check`: sane scalars (positive hz,
-/// percent arithmetic consistent with the sample counts) and at least
-/// `min_attributed_percent` of samples attributed to a named phase.
-/// Returns the number of samples validated.
+/// The stacks in the collapsed-stack format flamegraph.pl consumes, for
+/// `tracecat profile --collapsed`: one `phase;outer;...;leaf count` line
+/// per recorded stack, so the phase is the flame root and frames fan out
+/// under it. Samples outside any span root at "(unattributed)"; semicolons
+/// inside names become ':' and newlines ' '.
+std::string CollapsedStacks(const ProfileRecord& record);
+
+/// Validation for `tracecat profile --check`: a positive sample rate, stack
+/// counts that sum to `samples` and, over the stacks with a phase, to
+/// `attributed`, and at least `min_attributed_percent` of samples
+/// attributed to a named phase. Returns the number of samples validated.
 StatusOr<size_t> CheckProfile(const ProfileRecord& record,
                               double min_attributed_percent);
 
-/// Per-phase and per-frame sample-share diff between two profile records
-/// (shares, not raw counts, so records of different lengths compare).
+/// Per-phase and per-frame sample-share diff between two profiles (shares,
+/// not raw counts, so runs of different lengths compare).
 std::string ProfileDiff(const ProfileRecord& from, const ProfileRecord& to,
                         size_t top_k);
 
