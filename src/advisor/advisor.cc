@@ -14,20 +14,6 @@ namespace isum::advisor {
 
 namespace {
 
-/// The run's effective budget: the explicit TimeBudget (or the ambient one),
-/// tightened by the legacy time_budget_seconds knob when that expires first.
-TimeBudget EffectiveTuningBudget(const TuningOptions& options) {
-  TimeBudget budget = EffectiveBudget(options.budget);
-  if (options.time_budget_seconds > 0.0) {
-    const Deadline legacy = Deadline::After(options.time_budget_seconds);
-    if (budget.deadline().unlimited() ||
-        legacy.nanos() < budget.deadline().nanos()) {
-      budget = TimeBudget(legacy, budget.token());
-    }
-  }
-  return budget;
-}
-
 /// Budget for candidate selection: half the remaining time (DTA's split, so
 /// enumeration always sees some candidates), same cancellation token.
 TimeBudget SelectionBudget(const TimeBudget& full) {
@@ -52,7 +38,7 @@ TuningResult DtaStyleAdvisor::Tune(const std::vector<WeightedQuery>& queries,
   engine::WhatIfOptimizer what_if(cost_model_);
   const catalog::Catalog& catalog = cost_model_->catalog();
 
-  const TimeBudget budget = EffectiveTuningBudget(options);
+  const TimeBudget budget = EffectiveBudget(options.budget);
   const TimeBudget selection_budget = SelectionBudget(budget);
 
   // --- Candidate selection: per query, keep the individually improving

@@ -31,19 +31,17 @@ struct TuningOptions {
   int max_candidates_per_query = 12;
   /// Keep a candidate only if it improves its query by this fraction.
   double min_improvement = 0.0;
-  /// Anytime tuning (DTA's time-budget mode, paper §1/§10): stop candidate
-  /// selection and enumeration once this many seconds have elapsed and
-  /// return the best configuration found so far. 0 = no budget.
-  double time_budget_seconds = 0.0;
-  /// Deadline/cancellation for the whole run. Combined with
-  /// time_budget_seconds (whichever expires first wins); when unlimited the
-  /// ambient process budget applies (common/deadline.h). Candidate selection
-  /// gets at most half the remaining time so enumeration always runs.
+  /// Deadline/cancellation for the whole run: anytime tuning (DTA's
+  /// time-budget mode, paper §1/§10) stops candidate selection and
+  /// enumeration at the deadline and returns the best configuration found
+  /// so far (e.g. `TimeBudget::After(seconds)`). When unlimited the ambient
+  /// process budget applies (common/deadline.h). Candidate selection gets at
+  /// most half the remaining time so enumeration always runs.
   TimeBudget budget;
   /// Worker threads for candidate evaluation during enumeration (what-if
   /// calls are independent). Results are identical for any thread count —
-  /// except when combined with time_budget_seconds, where the anytime
-  /// cutoff lands on whatever work finished first.
+  /// except when a deadline cuts the run short, where the anytime cutoff
+  /// lands on whatever work finished first.
   int num_threads = 1;
   CandidateGenOptions candidate_options;
   /// Crash-safe checkpoint/resume for the enumeration phase (the dominant

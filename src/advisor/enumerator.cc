@@ -131,17 +131,6 @@ uint64_t EnumerationFingerprint(const std::vector<WeightedQuery>& queries,
   return h;
 }
 
-struct EnumSnapshot {
-  uint64_t fingerprint = 0;
-  uint64_t done = 0;
-  uint64_t stop_reason = 0;
-  uint64_t configurations_explored = 0;
-  uint64_t initial_cost_bits = 0;
-  uint64_t total_cost_bits = 0;
-  std::vector<uint64_t> winners;
-  std::vector<double> costs;
-};
-
 void EncodeEnumSnapshot(const EnumSnapshot& snapshot,
                         CheckpointWriter* writer) {
   writer->BeginSection(kEnumMetaSection);
@@ -160,39 +149,43 @@ void EncodeEnumSnapshot(const EnumSnapshot& snapshot,
   writer->EndSection();
 }
 
-/// Newest valid epoch decoded into an EnumSnapshot, or kNotFound when no
-/// usable checkpoint exists (absent lineage, fingerprint mismatch,
-/// structurally invalid payload). Callers must still validate the initial
-/// cost bits against a fresh costing pass before applying anything.
+/// Newest valid epoch decoded into an EnumSnapshot, or an error when no
+/// usable checkpoint exists (absent lineage, structurally invalid payload;
+/// kNotFound on a fingerprint mismatch). Callers must still validate the
+/// initial cost bits against a fresh costing pass before applying anything.
 StatusOr<EnumSnapshot> LoadEnumSnapshot(CheckpointStore& store,
                                         uint64_t expected_fingerprint) {
-  StatusOr<CheckpointReader> reader = store.LoadLatest();
-  if (!reader.ok()) return reader.status();
-  EnumSnapshot snapshot;
-  StatusOr<CheckpointCursor> meta = reader->Section(kEnumMetaSection);
-  if (!meta.ok()) return meta.status();
-  ISUM_ASSIGN_OR_RETURN(snapshot.fingerprint, meta->ReadU64());
-  ISUM_ASSIGN_OR_RETURN(snapshot.done, meta->ReadU64());
-  ISUM_ASSIGN_OR_RETURN(snapshot.stop_reason, meta->ReadU64());
-  ISUM_ASSIGN_OR_RETURN(snapshot.configurations_explored, meta->ReadU64());
-  ISUM_ASSIGN_OR_RETURN(snapshot.initial_cost_bits, meta->ReadU64());
-  ISUM_ASSIGN_OR_RETURN(snapshot.total_cost_bits, meta->ReadU64());
+  ISUM_ASSIGN_OR_RETURN(const CheckpointReader reader, store.LoadLatest());
+  ISUM_ASSIGN_OR_RETURN(EnumSnapshot snapshot, DecodeEnumSnapshot(reader));
   if (snapshot.fingerprint != expected_fingerprint) {
     return Status::NotFound("checkpoint fingerprint mismatch");
   }
-  if (snapshot.stop_reason > static_cast<uint64_t>(StopReason::kFault)) {
-    return Status::ParseError("checkpoint stop_reason out of range");
-  }
-  StatusOr<CheckpointCursor> winners = reader->Section(kEnumWinnersSection);
-  if (!winners.ok()) return winners.status();
-  ISUM_ASSIGN_OR_RETURN(snapshot.winners, winners->ReadU64Vector());
-  StatusOr<CheckpointCursor> costs = reader->Section(kEnumCostsSection);
-  if (!costs.ok()) return costs.status();
-  ISUM_ASSIGN_OR_RETURN(snapshot.costs, costs->ReadF64Vector());
   return snapshot;
 }
 
 }  // namespace
+
+StatusOr<EnumSnapshot> DecodeEnumSnapshot(const CheckpointReader& reader) {
+  EnumSnapshot snapshot;
+  ISUM_ASSIGN_OR_RETURN(CheckpointCursor meta,
+                        reader.Section(kEnumMetaSection));
+  ISUM_ASSIGN_OR_RETURN(snapshot.fingerprint, meta.ReadU64());
+  ISUM_ASSIGN_OR_RETURN(snapshot.done, meta.ReadU64());
+  ISUM_ASSIGN_OR_RETURN(snapshot.stop_reason, meta.ReadU64());
+  ISUM_ASSIGN_OR_RETURN(snapshot.configurations_explored, meta.ReadU64());
+  ISUM_ASSIGN_OR_RETURN(snapshot.initial_cost_bits, meta.ReadU64());
+  ISUM_ASSIGN_OR_RETURN(snapshot.total_cost_bits, meta.ReadU64());
+  if (snapshot.stop_reason > static_cast<uint64_t>(StopReason::kFault)) {
+    return Status::ParseError("checkpoint stop_reason out of range");
+  }
+  ISUM_ASSIGN_OR_RETURN(CheckpointCursor winners,
+                        reader.Section(kEnumWinnersSection));
+  ISUM_ASSIGN_OR_RETURN(snapshot.winners, winners.ReadU64Vector());
+  ISUM_ASSIGN_OR_RETURN(CheckpointCursor costs,
+                        reader.Section(kEnumCostsSection));
+  ISUM_ASSIGN_OR_RETURN(snapshot.costs, costs.ReadF64Vector());
+  return snapshot;
+}
 
 EnumerationResult GreedyEnumerate(
     engine::WhatIfOptimizer& what_if,

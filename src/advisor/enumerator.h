@@ -22,6 +22,25 @@ struct EnumerationResult {
   StopReason stop_reason = StopReason::kComplete;
 };
 
+/// One `.enum` checkpoint epoch (layout in enumerator.cc).
+struct EnumSnapshot {
+  uint64_t fingerprint = 0;
+  uint64_t done = 0;
+  uint64_t stop_reason = 0;  ///< a StopReason; DecodeEnumSnapshot checks range
+  uint64_t configurations_explored = 0;
+  uint64_t initial_cost_bits = 0;
+  uint64_t total_cost_bits = 0;
+  std::vector<uint64_t> winners;  ///< pool indices, in round order
+  std::vector<double> costs;      ///< per-query current cost
+};
+
+/// Decodes one enumeration epoch. kParseError when the payload is
+/// structurally invalid (stop reason out of range). Whether it fits a run
+/// (fingerprint, initial cost bits, pool and query counts) is the resuming
+/// run's check. `tracecat ckpt` uses this to reject exactly the epochs
+/// resume rejects on their own bytes.
+StatusOr<EnumSnapshot> DecodeEnumSnapshot(const CheckpointReader& reader);
+
 /// Greedily grows a configuration from `pool`: each round adds the candidate
 /// with the maximum weighted-workload cost improvement that still fits the
 /// storage budget, stopping at `max_indexes` or when no candidate improves.

@@ -53,17 +53,12 @@ void EncodeSelectionSnapshot(const SelectionSnapshot& snapshot,
   writer->EndSection();
 }
 
-StatusOr<SelectionSnapshot> LoadSelectionSnapshot(
-    CheckpointStore& store, uint64_t expected_fingerprint) {
-  ISUM_ASSIGN_OR_RETURN(const CheckpointReader reader, store.LoadLatest());
+StatusOr<SelectionSnapshot> DecodeSelectionSnapshot(
+    const CheckpointReader& reader) {
   ISUM_ASSIGN_OR_RETURN(CheckpointCursor meta,
                         reader.Section(kSelectionMetaSection));
   SelectionSnapshot snapshot;
   ISUM_ASSIGN_OR_RETURN(snapshot.fingerprint, meta.ReadU64());
-  if (snapshot.fingerprint != expected_fingerprint) {
-    return Status::NotFound(
-        "checkpoint fingerprint does not match this work unit");
-  }
   ISUM_ASSIGN_OR_RETURN(const uint64_t done, meta.ReadU64());
   snapshot.done = done != 0;
   ISUM_ASSIGN_OR_RETURN(const uint64_t reason, meta.ReadU64());
@@ -89,13 +84,24 @@ StatusOr<SelectionSnapshot> LoadSelectionSnapshot(
   return snapshot;
 }
 
+StatusOr<SelectionSnapshot> LoadSelectionSnapshot(
+    CheckpointStore& store, uint64_t expected_fingerprint) {
+  ISUM_ASSIGN_OR_RETURN(const CheckpointReader reader, store.LoadLatest());
+  ISUM_ASSIGN_OR_RETURN(SelectionSnapshot snapshot,
+                        DecodeSelectionSnapshot(reader));
+  if (snapshot.fingerprint != expected_fingerprint) {
+    return Status::NotFound(
+        "checkpoint fingerprint does not match this work unit");
+  }
+  return snapshot;
+}
+
 SelectionCheckpointer::SelectionCheckpointer(
     std::unique_ptr<CheckpointStore> store, uint64_t fingerprint,
-    uint64_t every_rounds, const char* phase)
+    uint64_t every_rounds)
     : store_(std::move(store)),
       fingerprint_(fingerprint),
-      every_rounds_(every_rounds == 0 ? 1 : every_rounds),
-      phase_(phase) {}
+      every_rounds_(every_rounds == 0 ? 1 : every_rounds) {}
 
 void SelectionCheckpointer::OnRound(const SelectionResult& result) {
   if (result.selected.size() < written_rounds_ + every_rounds_) return;
@@ -120,7 +126,7 @@ void SelectionCheckpointer::Write(const SelectionResult& result, bool done) {
   const uint64_t epoch = store_->next_epoch();
   if (!store_->WriteEpoch(writer).ok()) return;
   written_rounds_ = result.selected.size();
-  obs::journal::CkptWrite(phase_, epoch, result.selected.size(),
+  obs::journal::CkptWrite("compress", epoch, result.selected.size(),
                           store_->last_write_bytes());
 }
 

@@ -49,9 +49,16 @@ uint64_t SelectionFingerprint(const CompressionState& state,
 void EncodeSelectionSnapshot(const SelectionSnapshot& snapshot,
                              CheckpointWriter* writer);
 
+/// Decodes one selection epoch. kParseError when the payload is
+/// structurally inconsistent (stop reason out of range, id or benefit count
+/// differing from the rounds in the meta section). `tracecat ckpt` uses
+/// this to reject exactly the epochs resume rejects.
+StatusOr<SelectionSnapshot> DecodeSelectionSnapshot(
+    const CheckpointReader& reader);
+
 /// Loads the newest valid epoch and decodes it. kNotFound when no epoch
 /// exists or the stored fingerprint differs from `expected_fingerprint`;
-/// kParseError when the payload is structurally inconsistent.
+/// kParseError as in DecodeSelectionSnapshot.
 StatusOr<SelectionSnapshot> LoadSelectionSnapshot(
     CheckpointStore& store, uint64_t expected_fingerprint);
 
@@ -61,8 +68,7 @@ StatusOr<SelectionSnapshot> LoadSelectionSnapshot(
 class SelectionCheckpointer {
  public:
   SelectionCheckpointer(std::unique_ptr<CheckpointStore> store,
-                        uint64_t fingerprint, uint64_t every_rounds,
-                        const char* phase);
+                        uint64_t fingerprint, uint64_t every_rounds);
 
   /// After each completed round: writes an epoch every `every_rounds`
   /// rounds beyond the last write.
@@ -84,7 +90,6 @@ class SelectionCheckpointer {
   std::unique_ptr<CheckpointStore> store_;
   uint64_t fingerprint_ = 0;
   uint64_t every_rounds_ = 1;
-  const char* phase_ = "compress";
   size_t written_rounds_ = 0;
 };
 

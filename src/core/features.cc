@@ -68,12 +68,6 @@ double SparseVector::Sum() const {
   return s;
 }
 
-double SparseVector::MaxWeight() const {
-  double m = 0.0;
-  for (const Entry& e : entries_) m = std::max(m, e.weight);
-  return m;
-}
-
 void SparseVector::AddScaled(const SparseVector& other, double scale) {
   std::vector<Entry> scratch;
   AddScaled(other, scale, &scratch);
@@ -133,10 +127,6 @@ void SparseVector::ZeroWhere(const SparseVector& mask) {
   }
 }
 
-void SparseVector::Prune() {
-  std::erase_if(entries_, [](const Entry& e) { return e.weight == 0.0; });
-}
-
 double WeightedJaccard(const SparseVector& a, const SparseVector& b) {
   double min_sum = 0.0, max_sum = 0.0;
   const auto& ae = a.entries();
@@ -167,7 +157,6 @@ void DenseScratch::Scatter(const SparseVector& v) {
   for (int32_t f : touched_) dense_[f] = 0.0;
   touched_.clear();
   sum_ = 0.0;
-  positive_ = 0;
   for (const SparseVector::Entry& e : v.entries()) {
     if (static_cast<size_t>(e.feature) >= dense_.size()) {
       dense_.resize(static_cast<size_t>(e.feature) + 1, 0.0);
@@ -175,7 +164,6 @@ void DenseScratch::Scatter(const SparseVector& v) {
     dense_[e.feature] = e.weight;
     touched_.push_back(e.feature);
     sum_ += e.weight;
-    if (e.weight > 0.0) ++positive_;
   }
 }
 
@@ -184,7 +172,6 @@ void DenseScratch::Scatter(const int32_t* features, const double* weights,
   for (int32_t f : touched_) dense_[f] = 0.0;
   touched_.clear();
   sum_ = 0.0;
-  positive_ = 0;
   for (size_t i = 0; i < n; ++i) {
     if (static_cast<size_t>(features[i]) >= dense_.size()) {
       dense_.resize(static_cast<size_t>(features[i]) + 1, 0.0);
@@ -192,7 +179,6 @@ void DenseScratch::Scatter(const int32_t* features, const double* weights,
     dense_[features[i]] = weights[i];
     touched_.push_back(features[i]);
     sum_ += weights[i];
-    if (weights[i] > 0.0) ++positive_;
   }
 }
 
@@ -207,18 +193,6 @@ double WeightedJaccardVsDense(const DenseScratch& query,
   return max_sum > 0.0 ? min_sum / max_sum : 0.0;
 }
 
-double BinaryJaccardVsDense(const DenseScratch& query,
-                            const SparseVector& row) {
-  size_t inter = 0, row_positive = 0;
-  for (const SparseVector::Entry& e : row.entries()) {
-    if (e.weight <= 0.0) continue;
-    ++row_positive;
-    if (query.Get(e.feature) > 0.0) ++inter;
-  }
-  const size_t uni = query.positive_count() + row_positive - inter;
-  return uni > 0 ? static_cast<double>(inter) / static_cast<double>(uni) : 0.0;
-}
-
 FeatureMatrix FeatureMatrix::FromVectors(const std::vector<SparseVector>& rows,
                                          size_t num_features) {
   FeatureMatrix m;
@@ -229,20 +203,16 @@ FeatureMatrix FeatureMatrix::FromVectors(const std::vector<SparseVector>& rows,
   m.features_.reserve(total);
   m.weights_.reserve(total);
   m.row_sums_.reserve(rows.size());
-  m.row_positive_.reserve(rows.size());
   m.offsets_.push_back(0);
   for (const SparseVector& v : rows) {
     double sum = 0.0;
-    int32_t positive = 0;
     for (const SparseVector::Entry& e : v.entries()) {
       m.features_.push_back(e.feature);
       m.weights_.push_back(e.weight);
       sum += e.weight;
-      if (e.weight > 0.0) ++positive;
     }
     m.offsets_.push_back(m.features_.size());
     m.row_sums_.push_back(sum);
-    m.row_positive_.push_back(positive);
   }
   return m;
 }
@@ -266,47 +236,6 @@ void FeatureMatrix::WeightedJaccardBatch(const DenseScratch& query,
     const double max_sum = q_sum + row_sums_[r] - min_sum;
     out[r - begin] = max_sum > 0.0 ? min_sum / max_sum : 0.0;
   }
-}
-
-void FeatureMatrix::BinaryJaccardBatch(const DenseScratch& query, size_t begin,
-                                       size_t end, double* out) const {
-  const size_t q_positive = query.positive_count();
-  for (size_t r = begin; r < end; ++r) {
-    size_t inter = 0;
-    for (size_t i = offsets_[r]; i < offsets_[r + 1]; ++i) {
-      if (weights_[i] > 0.0 && query.Get(features_[i]) > 0.0) ++inter;
-    }
-    const size_t uni =
-        q_positive + static_cast<size_t>(row_positive_[r]) - inter;
-    out[r - begin] =
-        uni > 0 ? static_cast<double>(inter) / static_cast<double>(uni) : 0.0;
-  }
-}
-
-double BinaryJaccard(const SparseVector& a, const SparseVector& b) {
-  const auto& ae = a.entries();
-  const auto& be = b.entries();
-  size_t i = 0, j = 0;
-  double inter = 0.0, uni = 0.0;
-  while (i < ae.size() || j < be.size()) {
-    const bool a_live = i < ae.size();
-    const bool b_live = j < be.size();
-    if (b_live && (!a_live || be[j].feature < ae[i].feature)) {
-      if (be[j].weight > 0.0) uni += 1.0;
-      ++j;
-    } else if (a_live && (!b_live || ae[i].feature < be[j].feature)) {
-      if (ae[i].weight > 0.0) uni += 1.0;
-      ++i;
-    } else {
-      const bool av = ae[i].weight > 0.0;
-      const bool bv = be[j].weight > 0.0;
-      if (av || bv) uni += 1.0;
-      if (av && bv) inter += 1.0;
-      ++i;
-      ++j;
-    }
-  }
-  return uni > 0.0 ? inter / uni : 0.0;
 }
 
 }  // namespace isum::core

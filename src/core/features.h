@@ -59,8 +59,6 @@ class SparseVector {
 
   /// Sum of weights.
   double Sum() const;
-  /// Largest weight (0 if empty).
-  double MaxWeight() const;
 
   /// this += other * scale (union of supports).
   void AddScaled(const SparseVector& other, double scale);
@@ -86,9 +84,6 @@ class SparseVector {
   /// (the paper's "feature remove/cover" update option, §4.3).
   void ZeroWhere(const SparseVector& mask);
 
-  /// Drops explicit zero entries.
-  void Prune();
-
  private:
   std::vector<Entry> entries_;  // sorted by feature id
 };
@@ -96,10 +91,6 @@ class SparseVector {
 /// Weighted Jaccard similarity (paper §4.2):
 ///   sum_c min(a_c, b_c) / sum_c max(a_c, b_c);  0 when both empty.
 double WeightedJaccard(const SparseVector& a, const SparseVector& b);
-
-/// Plain (binary) Jaccard over the supports of a and b (zero-weight entries
-/// excluded).
-double BinaryJaccard(const SparseVector& a, const SparseVector& b);
 
 /// A reusable dense scatter buffer over the feature-id range: scatter one
 /// sparse vector, probe any feature at O(1), clear only the touched slots.
@@ -113,7 +104,7 @@ class DenseScratch {
   void Reserve(size_t num_features);
 
   /// Replaces the scattered vector (clearing the previous one) and caches
-  /// its weight sum and positive-support size for the sum-identity kernels.
+  /// its weight sum for the sum-identity kernels.
   void Scatter(const SparseVector& v);
 
   /// Low-level variant for CSR rows (see FeatureMatrix).
@@ -124,14 +115,11 @@ class DenseScratch {
   }
   /// Sum of the scattered weights (entry order).
   double sum() const { return sum_; }
-  /// Number of scattered entries with weight > 0.
-  size_t positive_count() const { return positive_; }
 
  private:
   std::vector<double> dense_;
   std::vector<int32_t> touched_;
   double sum_ = 0.0;
-  size_t positive_ = 0;
 };
 
 /// Weighted Jaccard of the scattered query against one sparse row in
@@ -143,10 +131,6 @@ class DenseScratch {
 /// tolerates. Requires non-negative weights, as everywhere in this module.
 double WeightedJaccardVsDense(const DenseScratch& query,
                               const SparseVector& row);
-
-/// Binary Jaccard counterpart: intersection gathered over the row's positive
-/// entries, union by inclusion-exclusion over the positive-support sizes.
-double BinaryJaccardVsDense(const DenseScratch& query, const SparseVector& row);
 
 /// An immutable CSR snapshot of many feature vectors in SoA layout
 /// (int32 feature ids / double weights), built once so repeated one-vs-many
@@ -160,7 +144,6 @@ class FeatureMatrix {
 
   size_t rows() const { return row_sums_.size(); }
   size_t num_features() const { return num_features_; }
-  double RowSum(size_t r) const { return row_sums_[r]; }
 
   /// Scatters row r into `scratch` (the probe side of a one-vs-many scan).
   void ScatterRow(size_t r, DenseScratch* scratch) const;
@@ -170,16 +153,11 @@ class FeatureMatrix {
   void WeightedJaccardBatch(const DenseScratch& query, size_t begin, size_t end,
                             double* out) const;
 
-  /// Binary-Jaccard counterpart of WeightedJaccardBatch.
-  void BinaryJaccardBatch(const DenseScratch& query, size_t begin, size_t end,
-                          double* out) const;
-
  private:
   std::vector<size_t> offsets_;      // rows() + 1 entries
   std::vector<int32_t> features_;    // concatenated row feature ids
   std::vector<double> weights_;      // parallel to features_
   std::vector<double> row_sums_;     // per-row weight sum (entry order)
-  std::vector<int32_t> row_positive_;  // per-row positive-support size
   size_t num_features_ = 0;
 };
 

@@ -92,7 +92,7 @@ SelectionResult RunSelection(CompressionState& state, size_t k,
       }
     }
     ckpt = std::make_unique<SelectionCheckpointer>(
-        std::move(store), fingerprint, ckpt_config.every_rounds, "compress");
+        std::move(store), fingerprint, ckpt_config.every_rounds);
     ckpt->NoteRestored(seed.selected.size());
   }
 

@@ -28,10 +28,16 @@ bool Configuration::Contains(const Index& index) const {
 std::vector<const Index*> Configuration::IndexesOnTable(
     catalog::TableId table) const {
   std::vector<const Index*> out;
-  for (const Index& index : indexes_) {
-    if (index.table() == table) out.push_back(&index);
-  }
+  IndexesOnTable(table, &out);
   return out;
+}
+
+void Configuration::IndexesOnTable(catalog::TableId table,
+                                   std::vector<const Index*>* out) const {
+  out->clear();
+  for (const Index& index : indexes_) {
+    if (index.table() == table) out->push_back(&index);
+  }
 }
 
 uint64_t Configuration::TotalSizeBytes(const catalog::Catalog& catalog) const {

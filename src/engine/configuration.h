@@ -33,6 +33,9 @@ class Configuration {
 
   /// Indexes defined on `table` (in insertion order).
   std::vector<const Index*> IndexesOnTable(catalog::TableId table) const;
+  /// The same into `*out` (cleared first), reusing its capacity.
+  void IndexesOnTable(catalog::TableId table,
+                      std::vector<const Index*>* out) const;
 
   /// Total estimated storage of all indexes.
   uint64_t TotalSizeBytes(const catalog::Catalog& catalog) const;

@@ -80,7 +80,8 @@ AccessPath CostModel::BestAccessPath(
   best.provides_order = false;
   best.seek_selectivity = 1.0;
 
-  std::vector<bool> filter_used;
+  // Per-thread scratch, for the reason Optimizer::Optimize keeps its slots.
+  thread_local std::vector<bool> filter_used;
   for (const Index* index : indexes) {
     // --- Determine the seek prefix this index supports. ---
     double seek_sel = 1.0;

@@ -120,7 +120,8 @@ ExecutionResult Executor::Execute(const sql::BoundQuery& query,
 
   // Exact evaluation of retained complex predicates (fallback: Bernoulli at
   // estimated selectivity inside EvaluateFilter).
-  const ExpressionEvaluator evaluator(&database_->catalog(), &query.alias_map);
+  const AliasMap aliases = BuildAliasMap(query);
+  const ExpressionEvaluator evaluator(&database_->catalog(), &aliases);
   auto eval_single_table = [&](const sql::FilterPredicate& f,
                                const TableData& data, uint32_t row,
                                bool* out_keep) {

@@ -8,6 +8,14 @@
 
 namespace isum::exec {
 
+AliasMap BuildAliasMap(const sql::BoundQuery& query) {
+  AliasMap out;
+  for (const sql::BoundTableRef& ref : query.tables) {
+    out[ToLower(ref.effective_name)] = ref.table;
+  }
+  return out;
+}
+
 std::optional<catalog::ColumnId> ExpressionEvaluator::Resolve(
     const sql::ColumnRefExpression& ref) const {
   if (!ref.table().empty()) {

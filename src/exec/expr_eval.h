@@ -3,12 +3,22 @@
 
 #include <functional>
 #include <optional>
+#include <string>
+#include <unordered_map>
 
 #include "catalog/catalog.h"
 #include "sql/ast.h"
 #include "sql/bound_query.h"
 
 namespace isum::exec {
+
+/// Lower-cased effective table name (alias, else table name) -> table id.
+using AliasMap = std::unordered_map<std::string, catalog::TableId>;
+
+/// The name scope the binder resolved `query`'s column references in,
+/// rebuilt from `query.tables`: a later entry with the same name wins, as in
+/// the binder's scope. Exec owns this map; BoundQuery does not carry it.
+AliasMap BuildAliasMap(const sql::BoundQuery& query);
 
 /// Interprets retained predicate expressions (BoundQuery's complex
 /// predicates) against row values, so the execution substrate can evaluate
@@ -22,11 +32,10 @@ class ExpressionEvaluator {
   /// `value_of` yields the current row's value for a resolved column.
   using ValueFn = std::function<std::optional<double>(catalog::ColumnId)>;
 
-  /// `alias_map` comes from the BoundQuery (lower-cased effective table
-  /// name -> table id); `catalog` resolves column ordinals.
-  ExpressionEvaluator(
-      const catalog::Catalog* catalog,
-      const std::unordered_map<std::string, catalog::TableId>* alias_map)
+  /// `alias_map` comes from BuildAliasMap; `catalog` resolves column
+  /// ordinals. Both must outlive the evaluator.
+  ExpressionEvaluator(const catalog::Catalog* catalog,
+                      const AliasMap* alias_map)
       : catalog_(catalog), alias_map_(alias_map) {}
 
   /// Numeric value of a scalar expression; nullopt if not evaluable.
@@ -51,7 +60,7 @@ class ExpressionEvaluator {
                                   const ValueFn& value_of) const;
 
   const catalog::Catalog* catalog_;
-  const std::unordered_map<std::string, catalog::TableId>* alias_map_;
+  const AliasMap* alias_map_;
 };
 
 }  // namespace isum::exec

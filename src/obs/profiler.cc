@@ -65,22 +65,38 @@ constinit thread_local const char* g_phase_stack[kPhaseStackDepth] = {};
 constinit thread_local std::atomic<uint32_t> g_phase_depth{0};
 
 /// Best-effort symbol name for one pc: dynamic-symbol lookup plus C++
-/// demangling, hex fallback. Executables export their symbols to dladdr
-/// via CMAKE_ENABLE_EXPORTS (-rdynamic) in the top-level CMakeLists.
+/// demangling. Executables export their symbols to dladdr via
+/// CMAKE_ENABLE_EXPORTS (-rdynamic) in the top-level CMakeLists. Functions
+/// with internal linkage have no dynamic symbol; they print as
+/// `<object basename>+0x<offset into the object>`, which ASLR does not move,
+/// so profiles of two runs still match them. Bare hex only when no loaded
+/// object contains the pc.
 std::string SymbolizePc(void* pc) {
 #ifdef ISUM_PROFILER_HAVE_BACKTRACE
   Dl_info info;
-  if (dladdr(pc, &info) != 0 && info.dli_sname != nullptr) {
-    int status = -1;
-    char* demangled =
-        abi::__cxa_demangle(info.dli_sname, nullptr, nullptr, &status);
-    if (status == 0 && demangled != nullptr) {
-      std::string name(demangled);
+  if (dladdr(pc, &info) != 0) {
+    if (info.dli_sname != nullptr) {
+      int status = -1;
+      char* demangled =
+          abi::__cxa_demangle(info.dli_sname, nullptr, nullptr, &status);
+      if (status == 0 && demangled != nullptr) {
+        std::string name(demangled);
+        std::free(demangled);
+        return name;
+      }
       std::free(demangled);
-      return name;
+      return info.dli_sname;
     }
-    std::free(demangled);
-    return info.dli_sname;
+    if (info.dli_fname != nullptr && info.dli_fbase != nullptr) {
+      const char* slash = std::strrchr(info.dli_fname, '/');
+      char offset[32];
+      std::snprintf(offset, sizeof(offset), "+0x%llx",
+                    static_cast<unsigned long long>(
+                        reinterpret_cast<uintptr_t>(pc) -
+                        reinterpret_cast<uintptr_t>(info.dli_fbase)));
+      return std::string(slash == nullptr ? info.dli_fname : slash + 1) +
+             offset;
+    }
   }
 #endif
   char buf[32];

@@ -44,9 +44,6 @@ class Scope {
   }
 
   const std::vector<BoundTableRef>& tables() const { return tables_; }
-  const std::unordered_map<std::string, catalog::TableId>& names() const {
-    return by_name_;
-  }
 
   StatusOr<catalog::ColumnId> Resolve(const ColumnRefExpression& ref) const {
     if (!ref.table().empty()) {
@@ -483,10 +480,8 @@ double EncodeLiteral(const LiteralExpression& lit) {
   return 0.0;
 }
 
-StatusOr<BoundQuery> Binder::Bind(const SelectStatement& original,
-                                  std::string sql_text) const {
+StatusOr<BoundQuery> Binder::Bind(const SelectStatement& original) const {
   BoundQuery out;
-  out.sql_text = std::move(sql_text);
   // Template identity reflects the SQL as written, pre-flattening.
   out.template_hash = TemplateHash(original);
 
@@ -502,7 +497,6 @@ StatusOr<BoundQuery> Binder::Bind(const SelectStatement& original,
   Scope scope(*catalog_, stmt.from);
   ISUM_RETURN_IF_ERROR(scope.Validate(stmt.from));
   out.tables = scope.tables();
-  out.alias_map = scope.names();
   for (BoundTableRef& ref : out.tables) {
     auto it = semantics.find(ToLower(ref.effective_name));
     if (it != semantics.end()) ref.semantics = it->second;

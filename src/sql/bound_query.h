@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -112,10 +111,6 @@ struct BoundQuery {
   std::optional<int64_t> limit;
 
   uint64_t template_hash = 0;
-  std::string sql_text;
-  /// lower-cased effective table name (alias or table) -> table id; lets
-  /// retained expressions be re-resolved (e.g. by the executor).
-  std::unordered_map<std::string, catalog::TableId> alias_map;
 
   /// True if the query references table `t`.
   bool ReferencesTable(catalog::TableId t) const;

@@ -34,7 +34,7 @@ StatusOr<int> LoadQueryStore(const std::string& jsonl, Workload* workload) {
       ISUM_ASSIGN_OR_RETURN(tag, line.String("tag"));
     }
     ISUM_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::ParseSelect(sql));
-    ISUM_ASSIGN_OR_RETURN(sql::BoundQuery bound, binder.Bind(stmt, sql));
+    ISUM_ASSIGN_OR_RETURN(sql::BoundQuery bound, binder.Bind(stmt));
     workload->AddBoundQuery(std::move(bound), std::move(sql), cost,
                             std::move(tag));
     ++loaded;

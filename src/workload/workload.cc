@@ -9,7 +9,7 @@ namespace isum::workload {
 Status Workload::AddQuery(const std::string& sql, std::string tag) {
   ISUM_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::ParseSelect(sql));
   sql::Binder binder(env_.catalog, env_.stats);
-  ISUM_ASSIGN_OR_RETURN(sql::BoundQuery bound, binder.Bind(stmt, sql));
+  ISUM_ASSIGN_OR_RETURN(sql::BoundQuery bound, binder.Bind(stmt));
   AddBoundQuery(std::move(bound), sql, /*base_cost=*/-1.0, std::move(tag));
   return Status::OK();
 }

@@ -31,7 +31,7 @@ class AnytimeTest : public ::testing::Test {
 TEST_F(AnytimeTest, TinyBudgetReturnsQuicklyAndValid) {
   advisor::TuningOptions options;
   options.max_indexes = 20;
-  options.time_budget_seconds = 1e-6;  // effectively zero
+  options.budget = TimeBudget::After(1e-6);  // effectively zero
   advisor::DtaStyleAdvisor advisor(env_->cost_model.get());
   const advisor::TuningResult result = advisor.Tune(queries_, options);
   // Must return promptly (well under a second even with slack) and
@@ -43,7 +43,7 @@ TEST_F(AnytimeTest, TinyBudgetReturnsQuicklyAndValid) {
 TEST_F(AnytimeTest, UnlimitedBudgetMatchesDefault) {
   advisor::TuningOptions budgeted;
   budgeted.max_indexes = 8;
-  budgeted.time_budget_seconds = 3600.0;  // never binds
+  budgeted.budget = TimeBudget::After(3600.0);  // never binds
   advisor::TuningOptions plain;
   plain.max_indexes = 8;
   advisor::DtaStyleAdvisor advisor(env_->cost_model.get());
@@ -56,10 +56,10 @@ TEST_F(AnytimeTest, LargerBudgetNeverSmallerConfiguration) {
   advisor::DtaStyleAdvisor advisor(env_->cost_model.get());
   advisor::TuningOptions tiny;
   tiny.max_indexes = 20;
-  tiny.time_budget_seconds = 1e-6;
+  tiny.budget = TimeBudget::After(1e-6);
   advisor::TuningOptions big;
   big.max_indexes = 20;
-  big.time_budget_seconds = 3600.0;
+  big.budget = TimeBudget::After(3600.0);
   const auto small_result = advisor.Tune(queries_, tiny);
   const auto big_result = advisor.Tune(queries_, big);
   EXPECT_LE(small_result.configuration.size(), big_result.configuration.size());

@@ -50,7 +50,7 @@ class BinderTest : public ::testing::Test {
     auto stmt = ParseSelect(sql);
     EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
     Binder binder(&cat_, &stats_);
-    auto bound = binder.Bind(*stmt, sql);
+    auto bound = binder.Bind(*stmt);
     EXPECT_TRUE(bound.ok()) << bound.status().ToString() << "\nSQL: " << sql;
     return bound.ok() ? std::move(bound).value() : BoundQuery{};
   }

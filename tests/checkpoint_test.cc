@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "advisor/advisor.h"
+#include "advisor/enumerator.h"
 #include "common/checkpoint.h"
 #include "common/deadline.h"
 #include "common/fault.h"
@@ -643,6 +644,99 @@ TEST_F(CheckpointResumeTest, TracecatInspectsWrittenEpochs) {
   EXPECT_FALSE(tracecat::InspectCheckpoint(damaged).ok());
   EXPECT_EQ(tracecat::InspectCheckpoint(damaged + ".missing").status().code(),
             StatusCode::kNotFound);
+}
+
+TEST(TracecatCkptTest, VerifyRejectsExactlyTheEpochsResumeRejects) {
+  // Each epoch is written under its lineage's file name, as the writers
+  // name them; the decoder a resuming run uses and `tracecat ckpt verify`
+  // must give the same verdict on it.
+  const auto selection = [](uint64_t reason, uint64_t rounds,
+                            const std::vector<double>& benefits,
+                            bool benefits_section) {
+    CheckpointWriter writer;
+    writer.BeginSection(core::kSelectionMetaSection);
+    for (const uint64_t v : {uint64_t{111}, uint64_t{0}, reason, rounds}) {
+      writer.AppendU64(v);
+    }
+    writer.EndSection();
+    writer.BeginSection(core::kSelectionIdsSection);
+    writer.AppendU64Vector({3, 4});
+    writer.EndSection();
+    if (benefits_section) {
+      writer.BeginSection(core::kSelectionBenefitsSection);
+      writer.AppendF64Vector(benefits);
+      writer.EndSection();
+    }
+    return writer;
+  };
+  const auto enumeration = [](uint64_t reason, bool costs_section) {
+    CheckpointWriter writer;
+    writer.BeginSection(1);
+    for (const uint64_t v : {uint64_t{111}, uint64_t{1}, reason, uint64_t{9},
+                             Bits(10.0), Bits(8.0)}) {
+      writer.AppendU64(v);
+    }
+    writer.EndSection();
+    writer.BeginSection(2);
+    writer.AppendU64Vector({0, 2});
+    writer.EndSection();
+    if (costs_section) {
+      writer.BeginSection(3);
+      writer.AppendF64Vector({4.0, 4.0});
+      writer.EndSection();
+    }
+    return writer;
+  };
+  struct Case {
+    const char* name;
+    bool compress;  ///< `.compress` lineage, else `.enum`
+    CheckpointWriter epoch;
+    bool valid;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"sel_ok", true, selection(1, 2, {1.0, 2.0}, true), true});
+  cases.push_back(
+      {"sel_reason", true, selection(99, 2, {1.0, 2.0}, true), false});
+  cases.push_back(
+      {"sel_rounds", true, selection(0, 5, {1.0, 2.0}, true), false});
+  cases.push_back({"sel_benefits", true, selection(0, 2, {1.0}, true), false});
+  cases.push_back(
+      {"sel_no_benefits", true, selection(0, 2, {1.0, 2.0}, false), false});
+  cases.push_back({"enum_ok", false, enumeration(2, true), true});
+  cases.push_back({"enum_reason", false, enumeration(99, true), false});
+  cases.push_back({"enum_no_costs", false, enumeration(0, false), false});
+
+  for (const Case& c : cases) {
+    CheckpointStore store(
+        FreshCkptBase(c.name) + (c.compress ? ".compress" : ".enum"), 111);
+    const uint64_t epoch = store.next_epoch();
+    ASSERT_TRUE(store.WriteEpoch(c.epoch).ok()) << c.name;
+    StatusOr<CheckpointReader> reader = store.LoadLatest();
+    ASSERT_TRUE(reader.ok()) << c.name;
+    const bool decoded = c.compress
+                             ? core::DecodeSelectionSnapshot(*reader).ok()
+                             : advisor::DecodeEnumSnapshot(*reader).ok();
+    EXPECT_EQ(decoded, c.valid) << c.name;
+    StatusOr<std::string> report =
+        tracecat::InspectCheckpoint(store.EpochPath(epoch));
+    EXPECT_EQ(report.ok(), decoded) << c.name;
+    if (report.ok()) {
+      EXPECT_NE(report->find(c.compress ? "selection snapshot"
+                                        : "enumeration snapshot"),
+                std::string::npos)
+          << c.name;
+    }
+  }
+
+  // Any other file name is listed as a container only.
+  CheckpointStore plain(FreshCkptBase("plain"), 111);
+  const uint64_t epoch = plain.next_epoch();
+  ASSERT_TRUE(plain.WriteEpoch(selection(99, 2, {1.0}, true)).ok());
+  StatusOr<std::string> report =
+      tracecat::InspectCheckpoint(plain.EpochPath(epoch));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report->find("section 3"), std::string::npos);
+  EXPECT_EQ(report->find("snapshot"), std::string::npos);
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ class EngineTest : public ::testing::Test {
     auto stmt = sql::ParseSelect(sql);
     EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
     sql::Binder binder(&cat_, &stats_);
-    auto bound = binder.Bind(*stmt, sql);
+    auto bound = binder.Bind(*stmt);
     EXPECT_TRUE(bound.ok()) << bound.status().ToString();
     return std::move(bound).value();
   }

@@ -81,15 +81,13 @@ TEST(SparseVector, AllZeroAndPrune) {
   EXPECT_TRUE(a.AllZero());
   SparseVector b = SparseVector::FromPairs({{1, 1.0}, {2, 2.0}});
   b.ZeroWhere(SparseVector::FromPairs({{1, 1.0}}));
-  EXPECT_EQ(b.nnz(), 2u);
-  b.Prune();
-  EXPECT_EQ(b.nnz(), 1u);
+  EXPECT_EQ(b.nnz(), 2u);  // zeroed entries stay present
+  EXPECT_FALSE(b.AllZero());
 }
 
 TEST(SparseVector, SumAndMax) {
   SparseVector a = SparseVector::FromPairs({{1, 1.5}, {2, 2.5}});
   EXPECT_DOUBLE_EQ(a.Sum(), 4.0);
-  EXPECT_DOUBLE_EQ(a.MaxWeight(), 2.5);
   EXPECT_DOUBLE_EQ(SparseVector().Sum(), 0.0);
 }
 
@@ -112,19 +110,6 @@ TEST(WeightedJaccard, HandComputedExample) {
   SparseVector b = SparseVector::FromPairs({{2, 0.3}, {3, 0.5}});
   // min: 0 + 0.3 + 0 = 0.3; max: 0.4 + 0.6 + 0.5 = 1.5.
   EXPECT_NEAR(WeightedJaccard(a, b), 0.3 / 1.5, 1e-12);
-}
-
-TEST(BinaryJaccard, CountsSupportOverlap) {
-  SparseVector a = SparseVector::FromPairs({{1, 0.9}, {2, 0.1}, {3, 0.5}});
-  SparseVector b = SparseVector::FromPairs({{2, 123.0}, {3, 4.0}, {4, 1.0}});
-  EXPECT_NEAR(BinaryJaccard(a, b), 2.0 / 4.0, 1e-12);
-}
-
-TEST(BinaryJaccard, IgnoresZeroWeightEntries) {
-  SparseVector a = SparseVector::FromPairs({{1, 1.0}, {2, 1.0}});
-  a.ZeroWhere(SparseVector::FromPairs({{2, 1.0}}));  // 2 present but zero
-  SparseVector b = SparseVector::FromPairs({{2, 1.0}});
-  EXPECT_DOUBLE_EQ(BinaryJaccard(a, b), 0.0);
 }
 
 // --- Property sweep over random vectors. ---
@@ -151,10 +136,6 @@ TEST_P(JaccardProperties, BoundsSymmetryIdentity) {
     EXPECT_LE(sab, 1.0);
     EXPECT_DOUBLE_EQ(sab, WeightedJaccard(b, a));          // symmetry
     EXPECT_DOUBLE_EQ(WeightedJaccard(a, a), 1.0);          // identity
-    // Binary Jaccard dominates nothing in general but shares bounds.
-    const double bj = BinaryJaccard(a, b);
-    EXPECT_GE(bj, 0.0);
-    EXPECT_LE(bj, 1.0);
   }
 }
 
@@ -186,8 +167,6 @@ TEST_P(BatchKernels, VsDenseMatchesSortedMerge) {
     scratch.Scatter(q);
     EXPECT_NEAR(WeightedJaccardVsDense(scratch, row), WeightedJaccard(q, row),
                 1e-12);
-    EXPECT_NEAR(BinaryJaccardVsDense(scratch, row), BinaryJaccard(q, row),
-                1e-12);
     // Self-similarity must stay exactly 1 through the dense path.
     scratch.Scatter(row);
     EXPECT_DOUBLE_EQ(WeightedJaccardVsDense(scratch, row), 1.0);
@@ -204,16 +183,13 @@ TEST_P(BatchKernels, FeatureMatrixMatchesPairwiseLoops) {
   ASSERT_EQ(matrix.rows(), rows.size());
 
   DenseScratch scratch;
-  std::vector<double> weighted(rows.size()), binary(rows.size());
+  std::vector<double> weighted(rows.size());
   for (size_t q = 0; q < rows.size(); ++q) {
     matrix.ScatterRow(q, &scratch);
     EXPECT_NEAR(scratch.sum(), rows[q].Sum(), 1e-12);
     matrix.WeightedJaccardBatch(scratch, 0, rows.size(), weighted.data());
-    matrix.BinaryJaccardBatch(scratch, 0, rows.size(), binary.data());
     for (size_t r = 0; r < rows.size(); ++r) {
       EXPECT_NEAR(weighted[r], WeightedJaccard(rows[q], rows[r]), 1e-12)
-          << "q=" << q << " r=" << r;
-      EXPECT_NEAR(binary[r], BinaryJaccard(rows[q], rows[r]), 1e-12)
           << "q=" << q << " r=" << r;
     }
     EXPECT_DOUBLE_EQ(weighted[q], 1.0);
@@ -226,7 +202,6 @@ TEST_P(BatchKernels, KernelsIgnoreExplicitZeroEntries) {
     SparseVector q = RandomVector(rng, 16);
     SparseVector row = RandomVector(rng, 16);
     const double expected_w = WeightedJaccard(q, row);
-    const double expected_b = BinaryJaccard(q, row);
     // ZeroWhere against an empty-support mask keeps weights; Set() the
     // other way: inject explicit zeros into the row.
     SparseVector padded = row;
@@ -234,7 +209,6 @@ TEST_P(BatchKernels, KernelsIgnoreExplicitZeroEntries) {
     DenseScratch scratch;
     scratch.Scatter(q);
     EXPECT_NEAR(WeightedJaccardVsDense(scratch, padded), expected_w, 1e-12);
-    EXPECT_NEAR(BinaryJaccardVsDense(scratch, padded), expected_b, 1e-12);
   }
 }
 

@@ -527,7 +527,7 @@ class OptimizerDifferentialShapes : public ::testing::Test {
     auto stmt = sql::ParseSelect(sql);
     EXPECT_TRUE(stmt.ok()) << sql << ": " << stmt.status().ToString();
     sql::Binder binder(&cat_, &stats_);
-    auto bound = binder.Bind(*stmt, sql);
+    auto bound = binder.Bind(*stmt);
     EXPECT_TRUE(bound.ok()) << sql << ": " << bound.status().ToString();
     return std::move(bound).value();
   }

@@ -9,10 +9,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <set>
 #include <string>
 #include <vector>
+
+#if defined(__has_include)
+#if __has_include(<dlfcn.h>) && __has_include(<execinfo.h>)
+#define ISUM_PROFILER_TEST_HAVE_DLADDR 1
+#include <dlfcn.h>
+#endif
+#endif
 
 #include "common/checkpoint.h"
 #include "obs/profiler.h"
@@ -100,6 +111,62 @@ TEST(ProfilerAttribution, SamplesInsideSpanCarryItsPhase) {
       << "expected >=90% of samples attributed, got " << dump.attributed
       << "/" << dump.samples;
 }
+
+#ifdef ISUM_PROFILER_TEST_HAVE_DLADDR
+/// Frames of the samples one 1 kHz session takes inside SpinUntilSamples,
+/// which, like this function, has internal linkage and so no dynamic
+/// symbol.
+std::set<std::string> InternalLinkageSessionFrames() {
+  Tracer::Global().Enable();
+  ProfilerOptions options;
+  options.sample_hz = 1000;
+  EXPECT_TRUE(Profiler::Global().Start(options));
+  {
+    TraceSpan span("profiler-test/internal");
+    SpinUntilSamples(20);
+  }
+  const ProfileDump dump = Profiler::Global().Stop();
+  Tracer::Global().Disable();
+  (void)Tracer::Global().Drain();
+  std::set<std::string> frames;
+  for (const ProfileStack& stack : dump.stacks) {
+    if (stack.phase != "profiler-test/internal") continue;
+    frames.insert(stack.frames.begin(), stack.frames.end());
+  }
+  return frames;
+}
+
+TEST(ProfilerSymbols, InternalLinkageFramesHaveStableNames) {
+  // The return address into InternalLinkageSessionFrames is the same pc in
+  // both sessions. It must print as `<object>+0x<offset>`, the same both
+  // times, and never as a bare address, which ASLR moves between runs.
+  const std::set<std::string> first = InternalLinkageSessionFrames();
+  const std::set<std::string> second = InternalLinkageSessionFrames();
+  ASSERT_FALSE(first.empty());
+  ASSERT_FALSE(second.empty());
+  for (const std::set<std::string>* frames : {&first, &second}) {
+    for (const std::string& frame : *frames) {
+      EXPECT_NE(frame.rfind("0x", 0), 0u) << "bare address frame " << frame;
+    }
+  }
+  Dl_info info;
+  ASSERT_NE(dladdr(reinterpret_cast<void*>(&InternalLinkageSessionFrames),
+                   &info),
+            0);
+  ASSERT_EQ(info.dli_sname, nullptr);  // internal linkage: no dynamic symbol
+  const char* slash = std::strrchr(info.dli_fname, '/');
+  const std::string object =
+      std::string(slash == nullptr ? info.dli_fname : slash + 1) + "+0x";
+  std::vector<std::string> shared;
+  std::set_intersection(first.begin(), first.end(), second.begin(),
+                        second.end(), std::back_inserter(shared));
+  EXPECT_TRUE(std::any_of(shared.begin(), shared.end(),
+                          [&](const std::string& frame) {
+                            return frame.rfind(object, 0) == 0;
+                          }))
+      << "no " << object << "<offset> frame common to both sessions";
+}
+#endif  // ISUM_PROFILER_TEST_HAVE_DLADDR
 
 TEST(ProfilerPhaseStack, PushPopNestAndOverflowAreSafe) {
   EXPECT_EQ(internal::CurrentPhase(), nullptr);

@@ -165,7 +165,7 @@ TEST_F(RecipeTest, InstantiationParsesBindsAndHitsSelectivityBand) {
           InstantiateSql(recipe, catalog_, stats_, inst_rng);
       auto stmt = sql::ParseSelect(sql);
       ASSERT_TRUE(stmt.ok()) << stmt.status().ToString() << "\n" << sql;
-      auto bound = binder.Bind(*stmt, sql);
+      auto bound = binder.Bind(*stmt);
       ASSERT_TRUE(bound.ok()) << bound.status().ToString() << "\n" << sql;
       // Range filters should land within ~an order of magnitude of the
       // recipe's selectivity band (histogram quantiles are approximate).

@@ -436,7 +436,7 @@ TEST_F(WhatIfRetryTest, CacheHitsBypassFaultInjection) {
   auto bind = [&](const std::string& text) {
     StatusOr<sql::SelectStatement> stmt = sql::ParseSelect(text);
     EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
-    StatusOr<sql::BoundQuery> bound = binder.Bind(*stmt, text);
+    StatusOr<sql::BoundQuery> bound = binder.Bind(*stmt);
     EXPECT_TRUE(bound.ok()) << bound.status().ToString();
     return std::move(bound).value();
   };
@@ -599,21 +599,6 @@ TEST_F(PipelineBudgetTest, TuneUnlimitedBudgetIsComplete) {
   const advisor::TuningResult result = advisor.Tune(queries_, options);
   EXPECT_EQ(result.stop_reason, StopReason::kComplete);
   EXPECT_EQ(result.retry_attempts, 0u);
-}
-
-TEST_F(PipelineBudgetTest, ExplicitBudgetMatchesLegacySecondsKnob) {
-  // The TimeBudget field and the legacy time_budget_seconds knob agree: an
-  // effectively-zero budget through either path truncates the same way.
-  advisor::DtaStyleAdvisor advisor(env_->cost_model.get());
-  advisor::TuningOptions via_budget;
-  via_budget.budget = TimeBudget::After(1e-9);
-  advisor::TuningOptions via_seconds;
-  via_seconds.time_budget_seconds = 1e-9;
-  const auto a = advisor.Tune(queries_, via_budget);
-  const auto b = advisor.Tune(queries_, via_seconds);
-  EXPECT_EQ(a.configuration.indexes(), b.configuration.indexes());
-  EXPECT_EQ(a.stop_reason, StopReason::kDeadline);
-  EXPECT_EQ(b.stop_reason, StopReason::kDeadline);
 }
 
 TEST_F(PipelineBudgetTest, DexterAdvisorHonorsCancellation) {

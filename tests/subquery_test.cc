@@ -110,7 +110,7 @@ class SubqueryBindTest : public ::testing::Test {
     auto stmt = ParseSelect(sql);
     EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
     Binder binder(&cat_, &stats_);
-    auto bound = binder.Bind(*stmt, sql);
+    auto bound = binder.Bind(*stmt);
     EXPECT_TRUE(bound.ok()) << bound.status().ToString() << "\n" << sql;
     return bound.ok() ? std::move(bound).value() : BoundQuery{};
   }
@@ -253,7 +253,7 @@ TEST(SubqueryExecutor, SemiAndAntiSemantics) {
     auto stmt = sql::ParseSelect(sql);
     EXPECT_TRUE(stmt.ok());
     sql::Binder binder(&cat, &stats);
-    auto bound = binder.Bind(*stmt, sql);
+    auto bound = binder.Bind(*stmt);
     EXPECT_TRUE(bound.ok()) << bound.status().ToString();
     return std::move(bound).value();
   };

@@ -9,8 +9,10 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "advisor/enumerator.h"
 #include "common/checkpoint.h"
 #include "common/deadline.h"
+#include "core/checkpointing.h"
 #include "common/string_util.h"
 #include "obs/journal.h"
 #include "obs/trace.h"
@@ -1487,17 +1489,6 @@ std::string ProfileDiff(const ProfileRecord& from, const ProfileRecord& to,
 
 // ---- checkpoint files ----
 
-namespace {
-
-std::string StopReasonNote(uint64_t reason) {
-  if (reason > static_cast<uint64_t>(StopReason::kFault)) {
-    return StrFormat("invalid(%llu)", static_cast<unsigned long long>(reason));
-  }
-  return StopReasonToString(static_cast<StopReason>(reason));
-}
-
-}  // namespace
-
 StatusOr<std::string> InspectCheckpoint(const std::string& path) {
   auto bytes = ReadFileToString(path);
   if (!bytes.ok()) return bytes.status();
@@ -1509,58 +1500,32 @@ StatusOr<std::string> InspectCheckpoint(const std::string& path) {
     out += StrFormat("  section %u: %zu byte(s)\n", id,
                      reader->SectionSize(id));
   }
-  // Both snapshot layouts keep their scalars in section 1; the enumeration
-  // layout is distinguished by its 48-byte meta plus the winners (2) and
-  // costs (3) sections. Sections an older writer added beside them (4 and 5
-  // held a what-if memo) are only listed. Anything else prints as a raw
-  // container.
-  if (reader->SectionSize(1) == 48 && reader->HasSection(2) &&
-      reader->HasSection(3)) {
-    auto meta = reader->Section(1);
-    if (!meta.ok()) return meta.status();
-    ISUM_ASSIGN_OR_RETURN(const uint64_t fingerprint, meta->ReadU64());
-    ISUM_ASSIGN_OR_RETURN(const uint64_t done, meta->ReadU64());
-    ISUM_ASSIGN_OR_RETURN(const uint64_t reason, meta->ReadU64());
-    ISUM_ASSIGN_OR_RETURN(const uint64_t explored, meta->ReadU64());
-    auto winners = reader->Section(2);
-    if (!winners.ok()) return winners.status();
-    ISUM_ASSIGN_OR_RETURN(const std::vector<uint64_t> winner_ids,
-                          winners->ReadU64Vector());
-    auto costs = reader->Section(3);
-    if (!costs.ok()) return costs.status();
-    ISUM_ASSIGN_OR_RETURN(const std::vector<double> cost_vec,
-                          costs->ReadF64Vector());
-    out += StrFormat(
-        "enumeration snapshot: fingerprint %016llx, %zu round(s), "
-        "%zu quer(ies), %llu config(s) explored, stop %s%s\n",
-        static_cast<unsigned long long>(fingerprint), winner_ids.size(),
-        cost_vec.size(), static_cast<unsigned long long>(explored),
-        StopReasonNote(reason).c_str(), done != 0 ? ", done" : "");
-  } else if (reader->SectionSize(1) == 32) {
-    auto meta = reader->Section(1);
-    if (!meta.ok()) return meta.status();
-    ISUM_ASSIGN_OR_RETURN(const uint64_t fingerprint, meta->ReadU64());
-    ISUM_ASSIGN_OR_RETURN(const uint64_t done, meta->ReadU64());
-    ISUM_ASSIGN_OR_RETURN(const uint64_t reason, meta->ReadU64());
-    ISUM_ASSIGN_OR_RETURN(const uint64_t rounds, meta->ReadU64());
-    auto ids_cursor = reader->Section(2);
-    if (!ids_cursor.ok()) return ids_cursor.status();
-    ISUM_ASSIGN_OR_RETURN(const std::vector<uint64_t> ids,
-                          ids_cursor->ReadU64Vector());
-    if (ids.size() != rounds) {
-      return Status::ParseError(StrFormat(
-          "selection snapshot: meta claims %llu round(s), ids section has "
-          "%zu",
-          static_cast<unsigned long long>(rounds), ids.size()));
-    }
-    std::vector<size_t> order(ids.begin(), ids.end());
+  // The writers name each epoch <base>.<lineage>.<fingerprint>.e<N>.ckpt
+  // (CheckpointStore), so the lineage picks the decoder that resume uses.
+  const std::string name = path.substr(path.find_last_of('/') + 1);
+  if (name.find(".compress.") != std::string::npos) {
+    ISUM_ASSIGN_OR_RETURN(const core::SelectionSnapshot snapshot,
+                          core::DecodeSelectionSnapshot(*reader));
     out += StrFormat(
         "selection snapshot: fingerprint %016llx, %zu round(s), prefix hash "
         "%016llx, stop %s%s\n",
-        static_cast<unsigned long long>(fingerprint), order.size(),
-        static_cast<unsigned long long>(
-            obs::SelectionOrderHash(order.data(), order.size())),
-        StopReasonNote(reason).c_str(), done != 0 ? ", done" : "");
+        static_cast<unsigned long long>(snapshot.fingerprint),
+        snapshot.selected.size(),
+        static_cast<unsigned long long>(obs::SelectionOrderHash(
+            snapshot.selected.data(), snapshot.selected.size())),
+        StopReasonToString(snapshot.stop_reason),
+        snapshot.done ? ", done" : "");
+  } else if (name.find(".enum.") != std::string::npos) {
+    ISUM_ASSIGN_OR_RETURN(const advisor::EnumSnapshot snapshot,
+                          advisor::DecodeEnumSnapshot(*reader));
+    out += StrFormat(
+        "enumeration snapshot: fingerprint %016llx, %zu round(s), "
+        "%zu quer(ies), %llu config(s) explored, stop %s%s\n",
+        static_cast<unsigned long long>(snapshot.fingerprint),
+        snapshot.winners.size(), snapshot.costs.size(),
+        static_cast<unsigned long long>(snapshot.configurations_explored),
+        StopReasonToString(static_cast<StopReason>(snapshot.stop_reason)),
+        snapshot.done != 0 ? ", done" : "");
   }
   return out;
 }

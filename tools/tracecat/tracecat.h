@@ -231,10 +231,12 @@ StatusOr<std::string> ExplainJournal(const Journal& journal, size_t top_k);
 
 /// Human summary of one checkpoint file for `tracecat ckpt inspect`:
 /// container header, per-section sizes, and the decoded snapshot metadata
-/// when the sections match the compression (.compress) or enumeration
-/// (.enum) layout. Errors on unreadable or structurally invalid files —
-/// the same validation a resuming run applies, so `tracecat ckpt verify`
-/// (inspect minus the printing) answers "would this file restore?".
+/// when the file name carries the compression (`.compress.`) or enumeration
+/// (`.enum.`) lineage; any other file is listed as a container only.
+/// Decodes with the resuming run's own decoders
+/// (core::DecodeSelectionSnapshot, advisor::DecodeEnumSnapshot), so
+/// `tracecat ckpt verify` (inspect minus the printing) rejects exactly the
+/// epochs resume rejects on their own bytes.
 StatusOr<std::string> InspectCheckpoint(const std::string& path);
 
 }  // namespace isum::tracecat
