@@ -1,9 +1,10 @@
 // Ablation (DESIGN.md design-choice index): what delta costing and the
-// affected-table pruning in greedy enumeration buy. Reports, per workload
+// index-relevance pruning in greedy enumeration buy. Reports, per workload
 // size: real optimizer invocations, the requests answered by costs carried
-// over from the previous round (TuningResult::cache_hits), and the calls an
-// unpruned enumerator would have made (every candidate x every query x
-// every greedy round).
+// over from the previous round (TuningResult::cache_hits), the requests
+// skipped because the query cannot use the candidate
+// (TuningResult::skipped), and the calls an unpruned enumerator would have
+// made (every candidate x every query x every greedy round).
 
 #include <cstdio>
 
@@ -18,7 +19,7 @@ int main(int argc, char** argv) {
   const int mul = scale >= 2.0 ? 2 : 1;
 
   eval::Table table({"n_queries", "optimizer_calls", "cache_hits",
-                     "hit_rate_pct", "naive_calls_est"});
+                     "hit_rate_pct", "skipped", "naive_calls_est"});
   for (int templates : {10, 30, 60, 91}) {
     workload::GeneratorOptions gen;
     gen.instances_per_template = mul;
@@ -41,10 +42,10 @@ int main(int argc, char** argv) {
     const double hits = static_cast<double>(result.cache_hits);
     table.AddRow(StrFormat("%zu", queries.size()),
                  {calls, hits, 100.0 * hits / std::max(1.0, calls + hits),
-                  naive});
+                  static_cast<double>(result.skipped), naive});
   }
   table.Print("Ablation: optimizer-call savings from delta costing + "
-              "affected-table pruning (TPC-DS-like, full tuning)",
+              "index-relevance pruning (TPC-DS-like, full tuning)",
               csv);
   std::printf("\nExpected shape: real optimizer calls grow far slower than "
               "the naive candidate x query x round product; most of the "

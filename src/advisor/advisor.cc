@@ -145,6 +145,7 @@ TuningResult DtaStyleAdvisor::Tune(const std::vector<WeightedQuery>& queries,
   }
   result.optimizer_calls = what_if.optimizer_calls();
   result.cache_hits = what_if.cache_hits();
+  result.skipped = what_if.skipped();
   result.optimizer_seconds = what_if.optimizer_seconds();
   result.retry_attempts = what_if.retry_attempts();
   result.elapsed_seconds =

@@ -22,37 +22,44 @@ struct CandidateEvaluation {
   Status status;
 };
 
-/// Costs `candidate` added to `base_config` for the queries in `on_table`
-/// (those referencing the candidate's table, in query order) into `costs`,
-/// aligned with `on_table`, and sums the weighted improvement over
-/// `current_cost` in that order. `prepared` is aligned with `queries`.
+/// Costs `candidate` added to `base_config` for the queries in `relevant`
+/// (those that can use the candidate, Optimizer::CanUse, in query order)
+/// into `costs`, aligned with `relevant`, and sums the weighted improvement
+/// over `current_cost` in that order. `prepared` is aligned with `queries`.
+/// `unusable` more queries reference the candidate's table but cannot use
+/// it; their trial cost is their current cost, so they are counted as
+/// skipped what-if requests and left out of the sum, whose terms for them
+/// would be exactly ±0.0 (see the loop).
 ///
 /// Delta costing: when `costs` still holds the candidate's answers from the
-/// previous round, only the queries flagged in `recost` (those referencing
-/// the previous winner's table) are re-costed; the others are carried over.
-/// That is exact because the optimizer reads a configuration only through
-/// the indexes on the query's own tables (engine/optimizer.h), so for a
-/// query that does not reference the winner's table the trial
-/// configurations of the two rounds look the same, in the same order.
-/// Carried-over answers are counted as what-if cache hits. The trial
-/// configuration is built only once some query needs re-costing. On failure
-/// `costs` is cleared, so a candidate is never resumed from a partial
-/// vector.
+/// previous round, only the queries flagged in `recost` (those that can use
+/// the previous winner) are re-costed; the others are carried over. That is
+/// exact because a query's plan does not change when an index it cannot use
+/// joins the configuration, at any position (engine/optimizer.h), so for a
+/// query that cannot use the winner the trial configurations of the two
+/// rounds plan the same. Carried-over answers are counted as what-if cache
+/// hits. The trial configuration is built only once some query needs
+/// re-costing. On failure `costs` is cleared, so a candidate is never
+/// resumed from a partial vector.
 CandidateEvaluation EvaluateCandidate(
     engine::WhatIfOptimizer& what_if,
     const std::vector<WeightedQuery>& queries,
     const std::vector<engine::PreparedQuery>& prepared,
-    const std::vector<size_t>& on_table,
+    const std::vector<size_t>& relevant, size_t unusable,
     const engine::Configuration& base_config, const engine::Index& candidate,
     const std::vector<double>& current_cost, const std::vector<bool>& recost,
     std::vector<double>& costs, const TimeBudget& budget) {
   std::optional<engine::Configuration> trial;
-  const bool carry = costs.size() == on_table.size();
-  if (!carry) costs.assign(on_table.size(), 0.0);
+  const bool carry = costs.size() == relevant.size();
+  if (!carry) costs.assign(relevant.size(), 0.0);
   CandidateEvaluation out;
   uint64_t carried = 0;
-  for (size_t j = 0; j < on_table.size(); ++j) {
-    const size_t qi = on_table[j];
+  // The sum starts at +0.0 and so can never be -0.0 (an exact cancellation
+  // rounds to +0.0), and x + (±0.0) == x for every other x. So leaving out
+  // the unusable queries' terms, weight * (c - c) == ±0.0, leaves the sum
+  // bit-identical to the sum over every query on the candidate's table.
+  for (size_t j = 0; j < relevant.size(); ++j) {
+    const size_t qi = relevant[j];
     if (carry && !recost[qi]) {
       ++carried;
     } else {
@@ -71,6 +78,7 @@ CandidateEvaluation EvaluateCandidate(
     out.improvement += queries[qi].weight * (current_cost[qi] - costs[j]);
   }
   what_if.CountCarriedOver(carried);
+  what_if.CountSkipped(unusable);
   return out;
 }
 
@@ -204,11 +212,14 @@ EnumerationResult GreedyEnumerate(
       obs::MetricsRegistry::Global().GetCounter(
           "advisor.configurations_explored");
   // Process-wide what-if counters, sampled per round so the enum_round
-  // events can attribute this round's cache hits and optimizer calls.
+  // events can attribute this round's cache hits, optimizer calls and
+  // skipped requests.
   static obs::Counter* const whatif_calls_counter =
       obs::MetricsRegistry::Global().GetCounter("whatif.optimizer_calls");
   static obs::Counter* const whatif_hits_counter =
       obs::MetricsRegistry::Global().GetCounter("whatif.cache_hits");
+  static obs::Counter* const whatif_skipped_counter =
+      obs::MetricsRegistry::Global().GetCounter("whatif.skipped_unusable");
   EnumerationResult result;
 
   // Every query is costed under many configurations, so each is prepared
@@ -253,20 +264,34 @@ EnumerationResult GreedyEnumerate(
   uint64_t used_storage = 0;
   uint64_t round_index = 0;
 
-  // Delta-costing state (EvaluateCandidate). Queries referencing each
-  // table, in query order, built once. Each candidate's per-query costs
-  // from its last complete evaluation, aligned with its table's list; empty
-  // means none, so its next evaluation costs every query. A vector is only
-  // ever one round old: a candidate that is not evaluated in a round either
-  // never becomes eligible again (used, or over the storage budget) or the
-  // round was cut short and enumeration stops before the next one. `recost`
-  // flags the queries on the last winner's table, the only ones whose costs
-  // a new round can change.
-  std::vector<std::vector<size_t>> queries_on_table(catalog.num_tables());
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    for (const sql::BoundTableRef& ref : queries[qi].query->tables) {
-      std::vector<size_t>& on_table = queries_on_table[ref.table];
-      if (on_table.empty() || on_table.back() != qi) on_table.push_back(qi);
+  // Delta-costing state (EvaluateCandidate), built once. relevant[c]: the
+  // queries that can use pool[c] (Optimizer::CanUse), in query order;
+  // unusable[c]: how many more reference its table. Each candidate's
+  // per-query costs from its last complete evaluation, aligned with
+  // relevant[c]; empty means none, so its next evaluation costs every
+  // relevant query. A vector is only ever one round old: a candidate that
+  // is not evaluated in a round either never becomes eligible again (used,
+  // or over the storage budget) or the round was cut short and enumeration
+  // stops before the next one. `recost` flags the queries that can use the
+  // last winner, the only ones whose costs a new round can change.
+  std::vector<std::vector<size_t>> relevant(pool.size());
+  std::vector<size_t> unusable(pool.size(), 0);
+  {
+    std::vector<std::vector<size_t>> queries_on_table(catalog.num_tables());
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      for (const sql::BoundTableRef& ref : queries[qi].query->tables) {
+        std::vector<size_t>& on_table = queries_on_table[ref.table];
+        if (on_table.empty() || on_table.back() != qi) on_table.push_back(qi);
+      }
+    }
+    for (size_t c = 0; c < pool.size(); ++c) {
+      const std::vector<size_t>& on_table = queries_on_table[pool[c].table()];
+      for (const size_t qi : on_table) {
+        if (engine::Optimizer::CanUse(prepared[qi], pool[c])) {
+          relevant[c].push_back(qi);
+        }
+      }
+      unusable[c] = on_table.size() - relevant[c].size();
     }
   }
   std::vector<std::vector<double>> candidate_costs(pool.size());
@@ -372,6 +397,7 @@ EnumerationResult GreedyEnumerate(
     result.configurations_explored += eligible.size();
     const uint64_t round_calls_before = whatif_calls_counter->Value();
     const uint64_t round_hits_before = whatif_hits_counter->Value();
+    const uint64_t round_skipped_before = whatif_skipped_counter->Value();
 
     // When a budget is attached, candidate evaluations run under a per-round
     // child token: the first worker to observe expiry/cancellation fires it,
@@ -383,11 +409,11 @@ EnumerationResult GreedyEnumerate(
 
     std::vector<CandidateEvaluation> evaluations(eligible.size());
     auto evaluate = [&](size_t e) {
-      const engine::Index& candidate = pool[eligible[e]];
+      const size_t c = eligible[e];
       evaluations[e] = EvaluateCandidate(
-          what_if, queries, prepared, queries_on_table[candidate.table()],
-          result.configuration, candidate, current_cost, recost,
-          candidate_costs[eligible[e]], round_budget);
+          what_if, queries, prepared, relevant[c], unusable[c],
+          result.configuration, pool[c], current_cost, recost,
+          candidate_costs[c], round_budget);
       const Status& st = evaluations[e].status;
       if (!st.ok() && st.code() != StatusCode::kUnavailable &&
           round_cancel.cancellable()) {
@@ -446,13 +472,14 @@ EnumerationResult GreedyEnumerate(
       obs::journal::EnumRound(
           round_index, eligible.size(), best_i, best_improvement,
           whatif_hits_counter->Value() - round_hits_before,
-          whatif_calls_counter->Value() - round_calls_before);
+          whatif_calls_counter->Value() - round_calls_before,
+          whatif_skipped_counter->Value() - round_skipped_before);
     }
     ++round_index;
     used[best_i] = true;
     used_storage += pool[best_i].SizeBytes(catalog);
     result.configuration.Add(pool[best_i]);
-    const std::vector<size_t>& won = queries_on_table[pool[best_i].table()];
+    const std::vector<size_t>& won = relevant[best_i];
     recost.assign(queries.size(), false);
     for (size_t j = 0; j < won.size(); ++j) {
       current_cost[won[j]] = candidate_costs[best_i][j];

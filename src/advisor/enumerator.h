@@ -44,11 +44,11 @@ StatusOr<EnumSnapshot> DecodeEnumSnapshot(const CheckpointReader& reader);
 /// Greedily grows a configuration from `pool`: each round adds the candidate
 /// with the maximum weighted-workload cost improvement that still fits the
 /// storage budget, stopping at `max_indexes` or when no candidate improves.
-/// Costs only the queries referencing the candidate's table, and after the
-/// first round re-costs only those that also reference the last winner's
-/// table, carrying the candidate's other costs over from the previous round
-/// (exact: a query's cost depends only on the indexes on its own tables).
-/// That is what makes enumeration tractable.
+/// Costs a candidate only for the queries that can use it
+/// (Optimizer::CanUse), and after the first round re-costs only those that
+/// can also use the last winner, carrying the candidate's other costs over
+/// from the previous round (exact: an index a query cannot use never
+/// changes its plan). That is what makes enumeration tractable.
 /// `budget` makes enumeration anytime: it is observed at round boundaries
 /// and inside every what-if call, and on expiry the configuration built so
 /// far is returned with stop_reason set. Candidates whose costing fails

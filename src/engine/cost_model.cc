@@ -9,27 +9,6 @@ namespace {
 
 double Log2Clamped(double x) { return std::log2(std::max(2.0, x)); }
 
-/// True if `op` can extend a seek prefix with an equality match.
-bool IsEqualityOp(sql::PredicateOp op) {
-  return op == sql::PredicateOp::kEq || op == sql::PredicateOp::kIn ||
-         op == sql::PredicateOp::kIsNull;
-}
-
-/// True if `op` can terminate a seek prefix with a range scan.
-bool IsRangeOp(sql::PredicateOp op) {
-  switch (op) {
-    case sql::PredicateOp::kLt:
-    case sql::PredicateOp::kLe:
-    case sql::PredicateOp::kGt:
-    case sql::PredicateOp::kGe:
-    case sql::PredicateOp::kBetween:
-    case sql::PredicateOp::kLike:  // sargable prefix patterns only reach here
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 double CostModel::FullScanCost(catalog::TableId table) const {
@@ -150,7 +129,8 @@ AccessPath CostModel::BestAccessPath(
 
     if (matched == 0) {
       // No seek possible: index-only scan is useful when covering (narrower
-      // than the heap) or when it provides the desired order.
+      // than the heap) or when it provides the desired order. Skipping the
+      // rest here is what Optimizer::CanUse relies on.
       if (!covering && !provides_order) continue;
       const double leaf_pages = static_cast<double>(index->LeafPages(*catalog_));
       double io = covering

@@ -26,6 +26,27 @@ struct CostParams {
   double stream_agg_per_row = 0.005;
 };
 
+/// True if `op` can extend an index seek prefix with an equality match.
+inline bool IsEqualityOp(sql::PredicateOp op) {
+  return op == sql::PredicateOp::kEq || op == sql::PredicateOp::kIn ||
+         op == sql::PredicateOp::kIsNull;
+}
+
+/// True if `op` can terminate an index seek prefix with a range scan.
+inline bool IsRangeOp(sql::PredicateOp op) {
+  switch (op) {
+    case sql::PredicateOp::kLt:
+    case sql::PredicateOp::kLe:
+    case sql::PredicateOp::kGt:
+    case sql::PredicateOp::kGe:
+    case sql::PredicateOp::kBetween:
+    case sql::PredicateOp::kLike:  // sargable prefix patterns only reach here
+      return true;
+    default:
+      return false;
+  }
+}
+
 /// How a single table is accessed under a configuration.
 struct AccessPath {
   /// Chosen index; nullptr means full table scan. Points into the

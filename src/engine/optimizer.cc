@@ -95,6 +95,38 @@ PreparedQuery Optimizer::Prepare(const sql::BoundQuery& query) {
   return prepared;
 }
 
+bool Optimizer::CanUse(const PreparedQuery& prepared, const Index& index) {
+  const PreparedQuery::Table* slot = nullptr;
+  for (const PreparedQuery::Table& t : prepared.tables_) {
+    if (t.table == index.table()) {
+      slot = &t;
+      break;
+    }
+  }
+  if (slot == nullptr) return false;
+  bool covering = true;  // clause 3
+  for (catalog::ColumnId c : slot->required_columns) {
+    if (!index.ContainsColumn(c)) {
+      covering = false;
+      break;
+    }
+  }
+  if (covering) return true;
+  if (index.key_columns().empty()) return false;
+  const catalog::ColumnId lead = index.key_columns()[0];
+  for (const sql::FilterPredicate& f : slot->filters) {  // clause 1
+    if (f.column == lead && f.sargable &&
+        (IsEqualityOp(f.op) || IsRangeOp(f.op))) {
+      return true;
+    }
+  }
+  for (const PreparedQuery::JoinEdge& edge : slot->joins) {  // clause 2
+    if (edge.column == lead) return true;
+  }
+  return !prepared.desired_order_.empty() &&  // clause 4
+         prepared.desired_order_.front() == lead;
+}
+
 PlanSummary Optimizer::Optimize(const PreparedQuery& prepared,
                                 const Configuration& config) const {
   const CostModel& cm = *cost_model_;
@@ -218,7 +250,7 @@ PlanSummary Optimizer::Optimize(const PreparedQuery& prepared,
           best_connected = true;
         }
         // Index nested loop: the leading index key must be i's column of a
-        // join predicate linking it to the placed set.
+        // join predicate linking it to the placed set (CanUse clause 2).
         for (const Index* index : slots[i].indexes) {
           if (index->key_columns().empty()) continue;
           const catalog::ColumnId lead = index->key_columns()[0];

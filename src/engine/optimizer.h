@@ -93,12 +93,34 @@ class Optimizer {
   /// `query`: it must outlive the result.
   static PreparedQuery Prepare(const sql::BoundQuery& query);
 
+  /// False when no configuration can make the plan of `prepared` depend on
+  /// `index`: then Optimize(prepared, C with `index` inserted anywhere)
+  /// equals Optimize(prepared, C) in every PlanSummary field, bit for bit,
+  /// for every C. The planner reads an index only on the query's slot for
+  /// the index's table, and only through these four clauses, so CanUse is
+  /// false when the query does not reference the table or none holds:
+  ///  1. seek: the leading key is a sargable filter column with an equality
+  ///     or range op (IsEqualityOp/IsRangeOp). Without one the seek prefix
+  ///     in CostModel::BestAccessPath stays empty (`matched == 0`);
+  ///  2. index nested loop: the leading key is one of the slot's join-edge
+  ///     columns, the test Optimize's INL loop makes before it costs a
+  ///     probe (`if (!usable) continue`);
+  ///  3. covering: the index contains every required column of the slot;
+  ///  4. order: a desired order exists and the leading key is its first
+  ///     column. With an empty seek prefix, BestAccessPath `continue`s past
+  ///     an index that is neither covering (3) nor order-providing (4).
+  /// Clauses 3 and 4 are necessary, not sufficient, conditions for what
+  /// BestAccessPath tests, so CanUse may be true for an index the plan
+  /// then ignores, never false for one it uses.
+  static bool CanUse(const PreparedQuery& prepared, const Index& index);
+
   /// Returns the cheapest plan found for the prepared query under `config`;
   /// a pure function of the two. AccessPath::index and inl_index pointers
   /// refer into `config`. Reads `config` only through IndexesOnTable(t),
   /// once per call, for the tables t the query references, so indexes on
-  /// other tables never change the plan; greedy enumeration's delta costing
-  /// (advisor/enumerator.cc) relies on this.
+  /// other tables never change the plan, and neither do indexes on its own
+  /// tables that CanUse rejects; greedy enumeration (advisor/enumerator.cc)
+  /// and evaluation (eval/pipeline.cc) rely on this.
   PlanSummary Optimize(const PreparedQuery& prepared,
                        const Configuration& config) const;
 

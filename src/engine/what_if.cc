@@ -18,6 +18,7 @@ namespace {
 struct WhatIfMetrics {
   obs::Counter* calls;
   obs::Counter* hits;
+  obs::Counter* skipped;
   obs::Counter* retries;
   obs::Histogram* optimize_nanos;
 
@@ -26,6 +27,7 @@ struct WhatIfMetrics {
       obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
       return WhatIfMetrics{registry.GetCounter("whatif.optimizer_calls"),
                            registry.GetCounter("whatif.cache_hits"),
+                           registry.GetCounter("whatif.skipped_unusable"),
                            registry.GetCounter("retry.attempts"),
                            registry.GetHistogram("whatif.optimize_nanos")};
     }();
@@ -101,6 +103,12 @@ void WhatIfOptimizer::CountCarriedOver(uint64_t requests) {
   if (requests == 0) return;
   cache_hits_.Add(requests);
   WhatIfMetrics::Get().hits->Add(requests);
+}
+
+void WhatIfOptimizer::CountSkipped(uint64_t requests) {
+  if (requests == 0) return;
+  skipped_.Add(requests);
+  WhatIfMetrics::Get().skipped->Add(requests);
 }
 
 }  // namespace isum::engine

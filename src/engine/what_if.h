@@ -33,11 +33,13 @@ struct RetryPolicy {
 /// measured.
 ///
 /// Nothing is cached here. Repeated questions are avoided by the caller
-/// instead: greedy enumeration carries a candidate's per-query costs from
-/// one round to the next and re-costs only the queries whose tables the last
-/// winner touched (advisor/enumerator.h). It reports those carried-over
-/// answers through CountCarriedOver, so optimizer_calls() + cache_hits() is
-/// the total number of what-if requests.
+/// instead: greedy enumeration never asks what a candidate index does for
+/// a query that cannot use it (Optimizer::CanUse), and carries a
+/// candidate's per-query costs from one round to the next, re-costing only
+/// the queries that can use the last winner (advisor/enumerator.h). It
+/// reports the unasked requests through CountSkipped and the carried-over
+/// answers through CountCarriedOver, so optimizer_calls() + cache_hits() +
+/// skipped() is the total number of what-if requests.
 ///
 /// Thread-safe: Cost() may be called concurrently (the advisor evaluates
 /// candidate configurations in parallel), also on one shared PreparedQuery;
@@ -89,6 +91,11 @@ class WhatIfOptimizer {
   /// question (class comment). Counted as cache_hits().
   void CountCarriedOver(uint64_t requests);
 
+  /// Records `requests` what-if requests the caller did not make because
+  /// the index they add provably cannot change the answer
+  /// (Optimizer::CanUse is false). Counted as skipped().
+  void CountSkipped(uint64_t requests);
+
   /// Number of real optimizer invocations. Thin view over this instance's
   /// obs::Counter; the process-wide registry mirrors the same events under
   /// "whatif.optimizer_calls" (docs/OBSERVABILITY.md).
@@ -100,6 +107,10 @@ class WhatIfOptimizer {
   /// TuningResult::cache_hits, so all three are renamed together by a
   /// change that may edit benchmark/ (docs/OBSERVABILITY.md).
   uint64_t cache_hits() const { return cache_hits_.Value(); }
+  /// Number of requests answered without an optimizer call because the
+  /// trial index is unusable for the query (CountSkipped). Mirrored
+  /// process-wide as "whatif.skipped_unusable".
+  uint64_t skipped() const { return skipped_.Value(); }
   /// Number of retries after transient what-if failures (0 unless fault
   /// injection or a flaky backend is active). Mirrored process-wide as
   /// "retry.attempts".
@@ -120,6 +131,7 @@ class WhatIfOptimizer {
   void ResetCounters() {
     optimizer_calls_.Reset();
     cache_hits_.Reset();
+    skipped_.Reset();
     retry_attempts_.Reset();
     optimizer_nanos_.Reset();
   }
@@ -134,6 +146,7 @@ class WhatIfOptimizer {
   RetryPolicy retry_policy_;
   obs::Counter optimizer_calls_;
   obs::Counter cache_hits_;
+  obs::Counter skipped_;
   obs::Counter retry_attempts_;
   obs::Counter optimizer_nanos_;
 };

@@ -1,5 +1,7 @@
 #include "eval/pipeline.h"
 
+#include <algorithm>
+
 #include "common/deadline.h"
 #include "engine/optimizer.h"
 #include "obs/journal.h"
@@ -12,9 +14,38 @@ double WorkloadImprovementPercent(const workload::Workload& workload,
   const double base = workload.TotalCost();
   if (base <= 0.0) return 0.0;
   engine::Optimizer optimizer(workload.env().cost_model);
+  std::vector<bool> indexed(workload.env().catalog->num_tables(), false);
+  for (const engine::Index& index : config.indexes()) {
+    indexed[index.table()] = true;
+  }
+  // A query that can use no index of `config` plans as under no indexes
+  // (Optimizer::CanUse), so its base cost stands in for the plan when the
+  // workload's optimizer computed it. A query on no indexed table is such a
+  // query without being prepared. Every term equals the plan's cost, so the
+  // sum is the one over every plan, bit for bit.
   double tuned = 0.0;
   for (size_t i = 0; i < workload.size(); ++i) {
-    tuned += optimizer.Cost(workload.query(i).bound, config);
+    const workload::QueryInfo& q = workload.query(i);
+    if (!q.base_cost_from_optimizer) {
+      tuned += optimizer.Cost(q.bound, config);
+      continue;
+    }
+    const bool on_indexed_table =
+        std::any_of(q.bound.tables.begin(), q.bound.tables.end(),
+                    [&](const sql::BoundTableRef& ref) {
+                      return indexed[ref.table];
+                    });
+    if (!on_indexed_table) {
+      tuned += q.base_cost;
+      continue;
+    }
+    const engine::PreparedQuery prepared = engine::Optimizer::Prepare(q.bound);
+    const bool usable = std::any_of(
+        config.indexes().begin(), config.indexes().end(),
+        [&](const engine::Index& index) {
+          return engine::Optimizer::CanUse(prepared, index);
+        });
+    tuned += usable ? optimizer.Cost(prepared, config) : q.base_cost;
   }
   return (base - tuned) / base * 100.0;
 }

@@ -112,10 +112,11 @@ inline void CompressEnd(uint64_t selected, uint64_t selection_hash,
 
 /// Enumeration round `round` evaluated `candidates` configurations and
 /// added pool index `best_index` with `best_improvement`. `cache_hits` /
-/// `optimizer_calls` are this round's what-if deltas.
+/// `optimizer_calls` / `skipped` (requests for an index the query cannot
+/// use) are this round's what-if deltas.
 inline void EnumRound(uint64_t round, uint64_t candidates, uint64_t best_index,
                       double best_improvement, uint64_t cache_hits,
-                      uint64_t optimizer_calls) {
+                      uint64_t optimizer_calls, uint64_t skipped) {
   if (!Enabled()) return;
   InstantEvent("enum_round", /*flush=*/false)
       .Arg("round", round)
@@ -123,7 +124,8 @@ inline void EnumRound(uint64_t round, uint64_t candidates, uint64_t best_index,
       .Arg("best_index", best_index)
       .Arg("improvement", best_improvement)
       .Arg("cache_hits", cache_hits)
-      .Arg("optimizer_calls", optimizer_calls);
+      .Arg("optimizer_calls", optimizer_calls)
+      .Arg("skipped", skipped);
 }
 
 inline void EnumEnd(uint64_t config_size, double initial_cost,

@@ -280,7 +280,7 @@ class TraceSpan {
 /// written unless Tracer::writing().
 class InstantEvent {
  public:
-  static constexpr size_t kMaxArgs = 6;
+  static constexpr size_t kMaxArgs = 7;  // enum_round has 7
 
   InstantEvent(const char* name, bool flush) : name_(name), flush_(flush) {}
   ~InstantEvent() {

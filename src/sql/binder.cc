@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -796,19 +795,25 @@ double BoundQuery::TableFilterSelectivity(catalog::TableId t) const {
 }
 
 std::vector<catalog::ColumnId> BoundQuery::ReferencedColumns() const {
-  std::set<catalog::ColumnId> all;
-  for (const auto& f : filters) all.insert(f.column);
+  size_t n = filters.size() + 2 * joins.size() + group_by_columns.size() +
+             order_by_columns.size() + output_columns.size();
+  for (const auto& c : complex_predicates) n += c.columns.size();
+  std::vector<catalog::ColumnId> all;
+  all.reserve(n);
+  for (const auto& f : filters) all.push_back(f.column);
   for (const auto& j : joins) {
-    all.insert(j.left);
-    all.insert(j.right);
+    all.push_back(j.left);
+    all.push_back(j.right);
   }
   for (const auto& c : complex_predicates) {
-    all.insert(c.columns.begin(), c.columns.end());
+    all.insert(all.end(), c.columns.begin(), c.columns.end());
   }
-  for (const auto& g : group_by_columns) all.insert(g);
-  for (const auto& [col, desc] : order_by_columns) all.insert(col);
-  for (const auto& o : output_columns) all.insert(o);
-  return {all.begin(), all.end()};
+  all.insert(all.end(), group_by_columns.begin(), group_by_columns.end());
+  for (const auto& [col, desc] : order_by_columns) all.push_back(col);
+  all.insert(all.end(), output_columns.begin(), output_columns.end());
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  return all;
 }
 
 }  // namespace isum::sql

@@ -119,7 +119,8 @@ struct BoundQuery {
   /// single-table predicates included). 1.0 when unfiltered.
   double TableFilterSelectivity(catalog::TableId t) const;
 
-  /// All distinct columns mentioned anywhere in the query.
+  /// All distinct columns mentioned anywhere in the query, sorted by
+  /// (table, column).
   std::vector<catalog::ColumnId> ReferencedColumns() const;
 };
 

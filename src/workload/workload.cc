@@ -25,6 +25,7 @@ void Workload::AddBoundQuery(sql::BoundQuery bound, std::string sql,
   if (base_cost < 0.0) {
     engine::Optimizer optimizer(env_.cost_model);
     base_cost = optimizer.Cost(info.bound, engine::Configuration());
+    info.base_cost_from_optimizer = true;
   }
   info.base_cost = base_cost;
   by_template_[info.template_hash].push_back(queries_.size());

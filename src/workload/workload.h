@@ -24,6 +24,11 @@ struct QueryInfo {
   std::string sql;
   sql::BoundQuery bound;
   double base_cost = 0.0;
+  /// True when `base_cost` is what the workload's own optimizer returns for
+  /// `bound` under no indexes (AddBoundQuery computed it); false for a
+  /// recorded cost, such as a query store's, which evaluation then never
+  /// uses in place of a plan.
+  bool base_cost_from_optimizer = false;
   uint64_t template_hash = 0;
   /// Optional generator tag (e.g. DSB class "SPJ"/"Aggregate"/"Complex").
   std::string tag;
@@ -51,14 +56,14 @@ class Workload {
   /// generator label.
   Status AddQuery(const std::string& sql, std::string tag = "");
 
-  /// Appends an already-bound query (cost computed if `base_cost` < 0).
+  /// Appends an already-bound query (cost computed if `base_cost` < 0, and
+  /// then QueryInfo::base_cost_from_optimizer is set).
   void AddBoundQuery(sql::BoundQuery bound, std::string sql, double base_cost,
                      std::string tag = "");
 
   size_t size() const { return queries_.size(); }
   bool empty() const { return queries_.empty(); }
   const QueryInfo& query(size_t i) const { return queries_[i]; }
-  QueryInfo& mutable_query(size_t i) { return queries_[i]; }
 
   /// Sum of base costs, C(W).
   double TotalCost() const;

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "catalog/schema_builder.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 #include "stats/data_generator.h"
+#include "workload/workload_factory.h"
 
 namespace isum::sql {
 namespace {
@@ -268,6 +271,40 @@ TEST(EncodeLiteralTest, StringsHashStably) {
   auto b = LiteralExpression::String("EUROPE");
   EXPECT_EQ(EncodeLiteral(*a1), EncodeLiteral(*a2));
   EXPECT_NE(EncodeLiteral(*a1), EncodeLiteral(*b));
+}
+
+/// ReferencedColumns as it was when it collected into a std::set.
+std::vector<catalog::ColumnId> ReferencedColumnsBySet(const BoundQuery& q) {
+  std::set<catalog::ColumnId> all;
+  for (const auto& f : q.filters) all.insert(f.column);
+  for (const auto& j : q.joins) {
+    all.insert(j.left);
+    all.insert(j.right);
+  }
+  for (const auto& c : q.complex_predicates) {
+    all.insert(c.columns.begin(), c.columns.end());
+  }
+  for (const auto& g : q.group_by_columns) all.insert(g);
+  for (const auto& [col, desc] : q.order_by_columns) all.insert(col);
+  for (const auto& o : q.output_columns) all.insert(o);
+  return {all.begin(), all.end()};
+}
+
+TEST(ReferencedColumnsTest, SameOrderAsTheSetOnSeededWorkloads) {
+  for (const char* name : {"tpch", "tpcds", "dsb", "realm"}) {
+    workload::GeneratorOptions gen;
+    gen.seed = 3;
+    gen.instances_per_template = 2;
+    gen.max_templates = 60;
+    const workload::GeneratedWorkload env =
+        workload::MakeWorkloadByName(name, gen);
+    ASSERT_GT(env.workload->size(), 0u) << name;
+    for (size_t i = 0; i < env.workload->size(); ++i) {
+      const BoundQuery& q = env.workload->query(i).bound;
+      EXPECT_EQ(q.ReferencedColumns(), ReferencedColumnsBySet(q))
+          << name << " query " << i;
+    }
+  }
 }
 
 }  // namespace

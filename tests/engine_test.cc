@@ -349,8 +349,9 @@ TEST_F(EngineTest, ExplainMentionsChosenStructures) {
 }
 
 // The optimizer reads a configuration only through the indexes on the
-// query's own tables, in configuration order; greedy enumeration's delta
-// costing (advisor/enumerator.cc) carries costs over on exactly that basis.
+// query's own tables, in configuration order; Optimizer::CanUse narrows
+// that further (relevance_differential_test.cc), and greedy enumeration's
+// delta costing (advisor/enumerator.cc) carries costs over on that basis.
 
 TEST_F(EngineTest, OptimizerIgnoresIndexesOnUnreferencedTables) {
   sql::BoundQuery q = Bind("SELECT v FROM big WHERE v < 100");

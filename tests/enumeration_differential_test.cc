@@ -3,10 +3,12 @@
 // recommend exactly what a naive enumerator recommends when it re-costs
 // every (candidate, query) request of every round with a fresh
 // engine::Optimizer — same indexes in the same order, bit-identical initial
-// and final workload cost — and account for every naive request as either
-// an optimizer call or a carried-over answer. Swept over seeded TPC-H-,
-// TPC-DS- and Real-M-like workloads, plus a case where an injected what-if
-// fault makes candidates fail in one round and succeed in the next.
+// and final workload cost — and account for every naive request as an
+// optimizer call, a carried-over answer or a request skipped because the
+// query cannot use the candidate (engine::Optimizer::CanUse). Swept over
+// seeded TPC-H-, TPC-DS- and Real-M-like workloads, plus a case where an
+// injected what-if fault makes candidates fail in one round and succeed in
+// the next.
 
 #include <gtest/gtest.h>
 
@@ -157,12 +159,15 @@ TEST_P(EnumerationDifferentialTest, MatchesNaive) {
         << "threads " << threads;
     EXPECT_EQ(Bits(got.final_cost), Bits(want.final_cost))
         << "threads " << threads;
-    // Every naive request is either an optimizer call or a carried-over
-    // answer, and some must have been carried over, or this compares
-    // nothing.
-    EXPECT_EQ(what_if.optimizer_calls() + what_if.cache_hits(), want.requests)
+    // Every naive request is an optimizer call, a carried-over answer or a
+    // skipped one, and some must have been carried over and some skipped,
+    // or this compares nothing.
+    EXPECT_EQ(what_if.optimizer_calls() + what_if.cache_hits() +
+                  what_if.skipped(),
+              want.requests)
         << "threads " << threads;
     EXPECT_GT(what_if.cache_hits(), 0u) << "threads " << threads;
+    EXPECT_GT(what_if.skipped(), 0u) << "threads " << threads;
   }
 }
 
@@ -217,13 +222,17 @@ TEST_F(EnumerationFaultTest, CandidateFailingOneRoundIsFullyRecostedLater) {
   ASSERT_EQ(want.indexes.front(), s.pool.front());
 
   // whatif.cost fails from the second query of round 0's second candidate
-  // on (after initial costing and the first candidate's queries), so that
+  // on (after initial costing and the calls for the queries that can use
+  // the first candidate), so that
   // candidate fails with a partly filled cost vector and every later one
   // fails too. A latency rule on the round-start site calls the sleep hook,
   // which disarms the what-if fault when round 1 starts.
   size_t first_calls = 0;
   for (const advisor::WeightedQuery& wq : s.queries) {
-    if (wq.query->ReferencesTable(s.pool.front().table())) ++first_calls;
+    if (engine::Optimizer::CanUse(engine::Optimizer::Prepare(*wq.query),
+                                  s.pool.front())) {
+      ++first_calls;
+    }
   }
   const uint64_t after = s.queries.size() + first_calls + 1;
   g_round_starts = 0;

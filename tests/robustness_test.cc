@@ -428,8 +428,8 @@ TEST_F(WhatIfRetryTest, TransientFaultSucceedsAfterRetries) {
 }
 
 TEST_F(WhatIfRetryTest, CacheHitsBypassFaultInjection) {
-  // Greedy enumeration carries a candidate's cost for a query the last
-  // winner's table does not touch over from the previous round. That cache
+  // Greedy enumeration carries a candidate's cost for a query that cannot
+  // use the last winner over from the previous round. That cache
   // hit needs no optimizer call, so no fault can fire on it.
   const catalog::Catalog& cat = *env_->catalog;
   sql::Binder binder(env_->catalog.get(), env_->stats.get());

@@ -368,7 +368,7 @@ std::vector<std::string> SampleTraceLines() {
       InstantLine("enum_round", 4,
                   ",\"round\":0,\"candidates\":6,\"best_index\":2,"
                   "\"improvement\":12.5,\"cache_hits\":4,"
-                  "\"optimizer_calls\":8"),
+                  "\"optimizer_calls\":8,\"skipped\":3"),
       InstantLine("enum_end", 5,
                   ",\"indexes\":1,\"initial_cost\":100,\"final_cost\":87.5,"
                   "\"stop_reason\":\"complete\""),

@@ -470,7 +470,7 @@ namespace {
 /// the fields it must carry (its emitters are the single producer).
 struct EventSpec {
   const char* event;
-  const char* fields[6];
+  const char* fields[7];
 };
 
 constexpr EventSpec kEventSpecs[] = {
@@ -480,7 +480,7 @@ constexpr EventSpec kEventSpecs[] = {
     {"compress_end", {"selected", "selection_hash", "benefit_sum",
                       "stop_reason"}},
     {"enum_round", {"round", "candidates", "best_index", "improvement",
-                    "cache_hits", "optimizer_calls"}},
+                    "cache_hits", "optimizer_calls", "skipped"}},
     {"enum_end", {"indexes", "initial_cost", "final_cost", "stop_reason"}},
     {"retry", {"site", "attempt", "backoff_us"}},
     {"fault", {"site", "code"}},
@@ -856,9 +856,9 @@ StatusOr<std::string> ExplainJournal(const Journal& journal, size_t top_k) {
     out += StrFormat("\n== enumeration: %zu round(s) ==\n",
                      enum_rounds.size());
     if (!enum_rounds.empty()) {
-      out += StrFormat("%8s %11s %11s %12s %11s %10s\n", "round",
+      out += StrFormat("%8s %11s %11s %12s %11s %10s %10s\n", "round",
                        "candidates", "picked", "improvement", "cache_hits",
-                       "opt_calls");
+                       "opt_calls", "skipped");
       for (const JournalEvent* e : enum_rounds) {
         auto round = e->Number("round");
         auto candidates = e->Number("candidates");
@@ -866,13 +866,15 @@ StatusOr<std::string> ExplainJournal(const Journal& journal, size_t top_k) {
         auto improvement = e->Number("improvement");
         auto hits = e->Number("cache_hits");
         auto calls = e->Number("optimizer_calls");
+        auto skipped = e->Number("skipped");
         out += StrFormat(
-            "%8.0f %11.0f %11.0f %12.6g %11.0f %10.0f\n",
+            "%8.0f %11.0f %11.0f %12.6g %11.0f %10.0f %10.0f\n",
             round.ok() ? round.value() : -1.0,
             candidates.ok() ? candidates.value() : 0.0,
             best.ok() ? best.value() : -1.0,
             improvement.ok() ? improvement.value() : 0.0,
-            hits.ok() ? hits.value() : 0.0, calls.ok() ? calls.value() : 0.0);
+            hits.ok() ? hits.value() : 0.0, calls.ok() ? calls.value() : 0.0,
+            skipped.ok() ? skipped.value() : 0.0);
       }
     }
     for (const JournalEvent* e : enum_ends) {
@@ -1070,8 +1072,9 @@ std::string MetricsReport(const MetricsTick& tick) {
   const double hits = tick.Value("whatif.cache_hits");
   const double total = calls + hits;
   out += StrFormat("what-if: %.0f optimizer call(s), %.0f cache hit(s) "
-                   "(%.1f%% hit rate)\n",
-                   calls, hits, total > 0.0 ? 100.0 * hits / total : 0.0);
+                   "(%.1f%% hit rate), %.0f skipped as unusable\n",
+                   calls, hits, total > 0.0 ? 100.0 * hits / total : 0.0,
+                   tick.Value("whatif.skipped_unusable"));
   // Latency histograms record nanoseconds.
   auto quantile = [&](const std::string& histogram, const char* q) {
     return HumanUs(tick.Value(histogram + "." + q) / 1e3);
