@@ -9,7 +9,7 @@
 #include "bench_util.h"
 #include "common/math_util.h"
 #include "core/benefit.h"
-#include "core/summary.h"
+#include "core/greedy.h"
 
 using namespace isum;
 

@@ -37,7 +37,8 @@ namespace isum::bench {
 /// `--compress-only`. Split out of ObsScope so the argv handling is
 /// directly testable (tests/bench_util_test.cc): Parse() consumes every
 /// flag it recognizes and compacts argv/argc around them, leaving the
-/// arguments no driver takes in their original order.
+/// arguments no driver takes in their original order. A numeric flag whose
+/// value is not wholly a number (a negative count included) is not taken.
 struct BenchFlags {
   std::string bench_name = "bench";  ///< BaseName(argv[0])
   std::string trace_path;
@@ -62,12 +63,14 @@ struct BenchFlags {
         flags.trace_path = arg + 8;
       } else if (std::strncmp(arg, "--faults=", 9) == 0) {
         flags.faults_spec = arg + 9;
-      } else if (std::strncmp(arg, "--time-budget=", 14) == 0) {
-        flags.time_budget_seconds = std::strtod(arg + 14, nullptr);
+      } else if (std::strncmp(arg, "--time-budget=", 14) == 0 &&
+                 ParseNumber(arg + 14, &flags.time_budget_seconds)) {
+        // Parsed in the condition: a malformed value is kept in argv.
       } else if (std::strncmp(arg, "--checkpoint=", 13) == 0) {
         flags.checkpoint_path = arg + 13;
-      } else if (std::strncmp(arg, "--checkpoint-every=", 19) == 0) {
-        flags.checkpoint_every = std::strtoull(arg + 19, nullptr, 10);
+      } else if (std::strncmp(arg, "--checkpoint-every=", 19) == 0 &&
+                 ParseCount(arg + 19, &flags.checkpoint_every)) {
+        // Parsed in the condition, as above.
       } else if (std::strcmp(arg, "--allow-truncated") == 0) {
         flags.allow_truncated = true;
       } else if (std::strcmp(arg, "--csv") == 0) {
@@ -83,15 +86,6 @@ struct BenchFlags {
     }
     argc = kept;
     return flags;
-  }
-
-  /// True, with `*out` set, when all of `text` is a number.
-  static bool ParseNumber(const char* text, double* out) {
-    char* end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (end == text || *end != '\0') return false;
-    *out = value;
-    return true;
   }
 
   static std::string BaseName(const char* argv0) {
@@ -110,7 +104,8 @@ struct BenchFlags {
 ///     const bool csv = obs_scope.flags().csv;
 ///     ...
 ///
-/// Any argument that is not a flag below exits 2, naming it. (bench_micro
+/// Any argument that is not a flag below, or whose numeric value is
+/// malformed, exits 2, naming it. (bench_micro
 /// lets google-benchmark take its --benchmark_* flags out of argv first.)
 ///   --csv              print tables as CSV
 ///   --scale <s>        workload scale factor (default 1)

@@ -1,8 +1,11 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace isum {
 
@@ -55,6 +58,24 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
       return false;
     }
   }
+  return true;
+}
+
+bool ParseNumber(const char* text, double* out) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
+}
+
+bool ParseCount(const char* text, uint64_t* out) {
+  if (std::isdigit(static_cast<unsigned char>(text[0])) == 0) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = value;
   return true;
 }
 

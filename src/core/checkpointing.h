@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/checkpoint.h"
-#include "core/allpairs.h"
+#include "core/greedy.h"
 
 namespace isum::core {
 
@@ -19,7 +19,7 @@ namespace isum::core {
 /// CompressionState::ReplaySelection(), which reproduces every derived
 /// structure bit-for-bit at O(rounds·n) cost, a small fraction of the
 /// argmax work the resumed run skips. Bit-identity of the resumed run then
-/// follows from the determinism rules the selects already guarantee.
+/// follows from the determinism GreedySelect already guarantees.
 
 /// Section ids inside a selection checkpoint (isum-ckpt-v1 container).
 inline constexpr uint32_t kSelectionMetaSection = 1;
@@ -39,9 +39,8 @@ struct SelectionSnapshot {
 /// signals (per-query features and utilities — which already encode the
 /// workload, featurization scheme, and utility mode), the algorithm and
 /// update strategy. The hash is seeded with the constant "compress", which
-/// keeps fingerprints of existing checkpoints valid. k and num_threads are
-/// deliberately excluded: greedy prefixes are k-stable and selection is
-/// bit-identical across thread counts.
+/// keeps fingerprints of existing checkpoints valid. k is deliberately
+/// excluded: greedy prefixes are k-stable.
 uint64_t SelectionFingerprint(const CompressionState& state,
                               uint64_t algorithm, uint64_t update);
 
@@ -62,7 +61,7 @@ StatusOr<SelectionSnapshot> DecodeSelectionSnapshot(
 StatusOr<SelectionSnapshot> LoadSelectionSnapshot(
     CheckpointStore& store, uint64_t expected_fingerprint);
 
-/// Round-boundary hook the greedy selects drive. Owns the epoch store;
+/// Round-boundary hook GreedySelect drives. Owns the epoch store;
 /// write failures are best-effort (counted in ckpt.write_failures, never
 /// fatal to the run).
 class SelectionCheckpointer {

@@ -62,13 +62,6 @@ void CompressionState::SelectAndUpdate(size_t s, UpdateStrategy strategy) {
   }
 }
 
-bool CompressionState::AllUnselectedZeroed() const {
-  for (size_t i = 0; i < size(); ++i) {
-    if (!selected_[i] && !rows_[class_of_[i]].AllZero()) return false;
-  }
-  return true;
-}
-
 void CompressionState::ResetUnselectedFeatures() {
   if (obs::journal::Enabled()) {
     size_t selected_so_far = 0;
@@ -82,10 +75,7 @@ void CompressionState::ResetUnselectedFeatures() {
 void CompressionState::ReplaySelection(const std::vector<size_t>& ids,
                                        UpdateStrategy strategy) {
   for (const size_t id : ids) {
-    // Equivalent to the loop-head reset in the greedy selects: `id` is
-    // still unselected here, so "no eligible query" collapses to "every
-    // unselected query's features are zero".
-    if (AllUnselectedZeroed()) ResetUnselectedFeatures();
+    EligibleAfterReset();
     SelectAndUpdate(id, strategy);
   }
 }
@@ -96,6 +86,15 @@ std::vector<size_t> CompressionState::EligibleQueries() const {
     if (!selected_[i] && !rows_[class_of_[i]].AllZero()) out.push_back(i);
   }
   return out;
+}
+
+std::vector<size_t> CompressionState::EligibleAfterReset() {
+  std::vector<size_t> eligible = EligibleQueries();
+  if (eligible.empty()) {
+    ResetUnselectedFeatures();
+    eligible = EligibleQueries();
+  }
+  return eligible;
 }
 
 }  // namespace isum::core

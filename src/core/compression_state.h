@@ -67,24 +67,26 @@ class CompressionState {
   /// using s's features at selection time (Algorithm 2, lines 9–11).
   void SelectAndUpdate(size_t s, UpdateStrategy strategy);
 
-  /// True if every unselected query's features are all zero.
-  bool AllUnselectedZeroed() const;
-
   /// Resets unselected queries' features to their original weights
   /// (Algorithm 2, line 12). Utilities stay discounted.
   void ResetUnselectedFeatures();
 
   /// Checkpoint restore: re-applies a recorded selection prefix to a fresh
-  /// state. Before each id it reproduces the greedy loop's reset condition
-  /// (every unselected query fully covered ⇔ the round saw no eligible
-  /// query), then applies `strategy` — so the replayed state is
-  /// bit-identical to the state the recording run had after those rounds,
-  /// at O(rounds·n) cost and without any argmax scan (core/checkpointing.h).
+  /// state. Before each id it runs the greedy round's EligibleAfterReset,
+  /// then applies `strategy` — so the replayed state is bit-identical to
+  /// the state the recording run had after those rounds, at O(rounds·n)
+  /// cost and without any argmax scan (core/checkpointing.h).
   void ReplaySelection(const std::vector<size_t>& ids,
                        UpdateStrategy strategy);
 
   /// Queries eligible for selection: unselected with a non-zero feature.
   std::vector<size_t> EligibleQueries() const;
+
+  /// The head of every greedy round (Algorithm 2, line 12): the eligible
+  /// queries, after resetting unselected features when none is eligible
+  /// (every unselected query fully covered). Empty only when no unselected
+  /// query has a feature even after the reset.
+  std::vector<size_t> EligibleAfterReset();
 
  private:
   FeatureSpace space_;

@@ -45,10 +45,9 @@ SelectionResult RunSelection(CompressionState& state, size_t k,
                              const TimeBudget& budget) {
   ISUM_TRACE_SPAN_VAR(span, "compress/greedy-pick");
   span.Arg("k", static_cast<uint64_t>(k))
-      .Arg("algorithm", AlgorithmName(options.algorithm))
-      .Arg("threads", options.num_threads);
-  obs::journal::CompressBegin(state.size(), k, AlgorithmName(options.algorithm),
-                              static_cast<uint64_t>(options.num_threads));
+      .Arg("algorithm", AlgorithmName(options.algorithm));
+  obs::journal::CompressBegin(state.size(), k,
+                              AlgorithmName(options.algorithm));
 
   // Checkpoint/resume (core/checkpointing.h): restore the newest valid
   // epoch whose fingerprint matches this work unit, replay its prefix into
@@ -96,24 +95,9 @@ SelectionResult RunSelection(CompressionState& state, size_t k,
     ckpt->NoteRestored(seed.selected.size());
   }
 
-  SelectionResult result;
-  switch (options.algorithm) {
-    case SelectionAlgorithm::kAllPairs: {
-      if (options.num_threads > 1) {
-        ThreadPool pool(static_cast<size_t>(options.num_threads));
-        result = AllPairsGreedySelect(state, k, options.update, budget, &pool,
-                                      ckpt.get(), std::move(seed));
-      } else {
-        result = AllPairsGreedySelect(state, k, options.update, budget,
-                                      nullptr, ckpt.get(), std::move(seed));
-      }
-      break;
-    }
-    case SelectionAlgorithm::kSummaryFeatures:
-      result = SummaryGreedySelect(state, k, options.update, budget,
-                                   ckpt.get(), std::move(seed));
-      break;
-  }
+  SelectionResult result =
+      GreedySelect(state, k, options.algorithm, options.update, budget,
+                   ckpt.get(), std::move(seed));
   if (ckpt != nullptr) ckpt->OnDone(result);
   NoteStopReason(result.stop_reason);
   if (obs::journal::Enabled()) {

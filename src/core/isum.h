@@ -2,21 +2,14 @@
 #define ISUM_CORE_ISUM_H_
 
 #include "common/checkpoint.h"
-#include "core/summary.h"
+#include "core/greedy.h"
 #include "core/weighing.h"
 
 namespace isum::core {
 
-/// Which greedy algorithm drives selection.
-enum class SelectionAlgorithm {
-  /// Algorithms 1–2: O(k·n²) all-pairs comparisons.
-  kAllPairs,
-  /// Algorithm 3: O(k·n) via workload summary features. The default.
-  kSummaryFeatures,
-};
-
 /// Full configuration of the ISUM compressor. The defaults are the paper's
-/// default ISUM; `StatsVariant()` returns ISUM-S.
+/// default ISUM; `StatsVariant()` returns ISUM-S. Compression runs on the
+/// calling thread (GreedySelect is serial).
 struct IsumOptions {
   FeaturizationOptions featurization;  // rule-based, table weights on
   UtilityMode utility_mode = UtilityMode::kCostOnly;
@@ -28,10 +21,6 @@ struct IsumOptions {
   /// CompressedWorkload::stop_reason set. Unlimited by default; an
   /// unlimited budget falls back to the ambient one (common/deadline.h).
   TimeBudget budget;
-  /// Worker threads for the all-pairs argmax (1 = serial). Results are
-  /// bit-identical for every value (see AllPairsGreedySelect); the
-  /// summary-features algorithm is O(k·n) and stays serial.
-  int num_threads = 1;
   /// Crash-safe checkpoint/resume: when enabled (or when an ambient config
   /// is installed via --checkpoint=), selection writes an epoch every
   /// `checkpoint.every_rounds` rounds and resumes from the newest valid

@@ -3,8 +3,8 @@
 
 #include <vector>
 
-#include "core/allpairs.h"
 #include "core/compression_state.h"
+#include "core/greedy.h"
 
 namespace isum::core {
 

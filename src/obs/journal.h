@@ -64,28 +64,25 @@ struct Hex {
 
 /// Greedy selection started: `n_queries` inputs, target size `k`.
 inline void CompressBegin(uint64_t n_queries, uint64_t k,
-                          const char* algorithm, uint64_t threads) {
+                          const char* algorithm) {
   if (!Enabled()) return;
   InstantEvent("compress_begin", /*flush=*/false)
       .Arg("n", n_queries)
       .Arg("k", k)
-      .Arg("algorithm", algorithm)
-      .Arg("threads", threads);
+      .Arg("algorithm", algorithm);
 }
 
 /// Round `round` chose `query` with marginal `benefit`. `gap` is the
 /// margin over the runner-up candidate (-1 when the round had no
-/// runner-up); `shard` is the argmax shard the winner came from (always 0
-/// for the serial summary algorithm); `eligible` the candidate count.
+/// runner-up); `eligible` the candidate count.
 inline void SelectRound(uint64_t round, uint64_t query, double benefit,
-                        double gap, uint64_t shard, uint64_t eligible) {
+                        double gap, uint64_t eligible) {
   if (!Enabled()) return;
   InstantEvent("select", /*flush=*/false)
       .Arg("round", round)
       .Arg("query", query)
       .Arg("benefit", benefit)
       .Arg("gap", gap)
-      .Arg("shard", shard)
       .Arg("eligible", eligible);
 }
 

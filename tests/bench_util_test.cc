@@ -95,6 +95,28 @@ TEST(BenchObsFlags, ParsesTheDriversOwnFlags) {
             (std::vector<std::string>{"bench", "--scale", "2x"}));
 }
 
+TEST(BenchObsFlags, MalformedNumericValuesExitTwo) {
+  // A value that is not wholly a number is not taken: no silent "no
+  // budget" from --time-budget=abc, no wrapped count from a negative one.
+  // ObsScope then exits 2 naming the argument.
+  for (const char* bad :
+       {"--time-budget=abc", "--time-budget=", "--time-budget=2s",
+        "--time-budget=nan", "--checkpoint-every=-1",
+        "--checkpoint-every=4.5", "--checkpoint-every= 3",
+        "--checkpoint-every=99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    ArgvFixture args({"bench", bad});
+    const BenchFlags flags = BenchFlags::Parse(args.argc(), args.argv());
+    EXPECT_EQ(flags.time_budget_seconds, 0.0);
+    EXPECT_EQ(flags.checkpoint_every, 16u);
+    EXPECT_EQ(args.Remaining(), (std::vector<std::string>{"bench", bad}));
+    ArgvFixture scope_args({"bench", bad});
+    EXPECT_EXIT(ObsScope(scope_args.argc(), scope_args.argv()),
+                testing::ExitedWithCode(2),
+                std::string("bench: unknown argument: ") + bad);
+  }
+}
+
 TEST(BenchObsFlags, FlagPrefixesDoNotSwallowLookalikes) {
   // A flag-shaped unknown like "--tracer=" shares the "--trace" prefix and
   // must pass through.

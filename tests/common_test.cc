@@ -219,6 +219,33 @@ TEST(StringUtil, StrFormatBasics) {
   EXPECT_EQ(StrFormat("%.2f", 1.005), "1.00");
 }
 
+TEST(StringUtil, ParseNumberAcceptsOnlyWholeFiniteNumbers) {
+  double v = -1.0;
+  EXPECT_TRUE(ParseNumber("2.5", &v));
+  EXPECT_EQ(v, 2.5);
+  EXPECT_TRUE(ParseNumber("-3e2", &v));
+  EXPECT_EQ(v, -300.0);
+  for (const char* bad : {"", "ninety", "5x", "1.5 ", "nan", "inf"}) {
+    v = 7.0;
+    EXPECT_FALSE(ParseNumber(bad, &v)) << bad;
+    EXPECT_EQ(v, 7.0) << "left untouched: " << bad;
+  }
+}
+
+TEST(StringUtil, ParseCountRefusesSignsAndOverflow) {
+  uint64_t n = 9;
+  EXPECT_TRUE(ParseCount("0", &n));
+  EXPECT_EQ(n, 0u);
+  EXPECT_TRUE(ParseCount("18446744073709551615", &n));
+  EXPECT_EQ(n, UINT64_MAX);
+  for (const char* bad : {"", "-1", "+1", " 1", "1.0", "12ab",
+                          "18446744073709551616"}) {
+    n = 9;
+    EXPECT_FALSE(ParseCount(bad, &n)) << bad;
+    EXPECT_EQ(n, 9u) << "left untouched: " << bad;
+  }
+}
+
 // --- status ---
 
 TEST(Status, OkByDefault) {

@@ -5,18 +5,15 @@
 // loop they replace are kept below, copied verbatim, as the reference, with
 // the greedy selection loops reduced to their serial argmax. Compared bit for
 // bit after every SelectAndUpdate and every reset: each query's current and
-// original features (ids and weight bits), utilities, EligibleQueries and
-// AllUnselectedZeroed, under all four update strategies; summary and
-// all-pairs selections (1 and 4 threads) by order and benefit bits; the
-// weights of all four weighing strategies; a replayed selection against the
-// live run; and FeaturizeWorkload against per-query Featurize for both
-// weighting schemes with the table weight on and off. Inputs: seeded TPC-H,
-// TPC-DS, DSB and Real-M workloads with several instances per template, and
-// hand-built shapes (a self-join, non-sargable and complex predicates,
-// selectivity ties, the same columns in another filter order).
-//
-// The 4-thread all-pairs case reads the shared class rows from every worker
-// (run under TSan in CI).
+// original features (ids and weight bits), utilities and EligibleQueries,
+// under all four update strategies; summary and all-pairs selections by
+// order and benefit bits; the weights of all four weighing strategies; a
+// replayed selection against the live run; and FeaturizeWorkload against
+// per-query Featurize for both weighting schemes with the table weight on
+// and off. Inputs: seeded TPC-H, TPC-DS, DSB and Real-M workloads with
+// several instances per template, and hand-built shapes (a self-join,
+// non-sargable and complex predicates, selectivity ties, the same columns in
+// another filter order).
 
 #include <gtest/gtest.h>
 
@@ -33,11 +30,9 @@
 
 #include "catalog/schema_builder.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
-#include "core/allpairs.h"
 #include "core/compression_state.h"
+#include "core/greedy.h"
 #include "core/isum.h"
-#include "core/summary.h"
 #include "core/weighing.h"
 #include "core/weighting.h"
 #include "obs/metrics.h"
@@ -100,13 +95,6 @@ class RefState {
           break;
       }
     }
-  }
-
-  bool AllUnselectedZeroed() const {
-    for (size_t i = 0; i < features_.size(); ++i) {
-      if (!selected_[i] && !features_[i].AllZero()) return false;
-    }
-    return true;
   }
 
   void ResetUnselectedFeatures() {
@@ -255,7 +243,8 @@ std::vector<double> RefWeighSelectedQueries(const workload::Workload& workload,
 
 // ---- Reference: the greedy selections' serial argmax ----
 
-/// SummaryGreedySelect without budget, faults, decision events or checkpoints.
+/// Summary-features GreedySelect without budget, faults, decision events
+/// or checkpoints.
 SelectionResult RefSummarySelect(RefState& state, size_t k,
                                  UpdateStrategy strategy) {
   SelectionResult result;
@@ -313,7 +302,7 @@ SelectionResult RefSummarySelect(RefState& state, size_t k,
   return result;
 }
 
-/// AllPairsGreedySelect as one unsharded, serial first-occurrence argmax.
+/// All-pairs GreedySelect as one serial first-occurrence argmax.
 SelectionResult RefAllPairsSelect(RefState& state, size_t k,
                                   UpdateStrategy strategy) {
   SelectionResult result;
@@ -390,7 +379,6 @@ void ExpectSameState(const CompressionState& got, const State& want,
     ASSERT_EQ(got.selected(i), want.selected(i)) << label << ": query " << i;
   }
   ASSERT_EQ(got.EligibleQueries(), want.EligibleQueries()) << label;
-  ASSERT_EQ(got.AllUnselectedZeroed(), want.AllUnselectedZeroed()) << label;
 }
 
 void ExpectSameSelection(const SelectionResult& got,
@@ -507,8 +495,8 @@ size_t ExpectSameUnderRandomSelections(const workload::Workload& w,
   return resets;
 }
 
-/// Live summary and all-pairs runs (1 and 4 threads) against the reference,
-/// then weighing, then a replay of the live selection.
+/// Live summary and all-pairs runs against the reference, then weighing,
+/// then a replay of the live selection.
 void ExpectSameSelectionsAndWeights(const workload::Workload& w,
                                     const FeaturizationOptions& options,
                                     UtilityMode utility_mode,
@@ -517,7 +505,8 @@ void ExpectSameSelectionsAndWeights(const workload::Workload& w,
   // Summary selection.
   CompressionState got(w, options, utility_mode);
   RefState want(w, options, utility_mode);
-  const SelectionResult live = SummaryGreedySelect(got, k, strategy);
+  const SelectionResult live =
+      GreedySelect(got, k, SelectionAlgorithm::kSummaryFeatures, strategy);
   const SelectionResult ref = RefSummarySelect(want, k, strategy);
   ExpectSameSelection(live, ref, label + " summary");
   ExpectSameState(got, want, label + " after summary");
@@ -539,20 +528,14 @@ void ExpectSameSelectionsAndWeights(const workload::Workload& w,
   replayed.ReplaySelection(live.selected, strategy);
   ExpectSameState(replayed, want, label + " replayed");
 
-  // All-pairs selection, serial and on 4 threads.
+  // All-pairs selection.
   RefState want_pairs(w, options, utility_mode);
   const SelectionResult ref_pairs = RefAllPairsSelect(want_pairs, k, strategy);
-  for (const size_t threads : {1u, 4u}) {
-    CompressionState got_pairs(w, options, utility_mode);
-    std::optional<ThreadPool> pool;
-    if (threads > 1) pool.emplace(threads);
-    const SelectionResult pairs = AllPairsGreedySelect(
-        got_pairs, k, strategy, TimeBudget(), pool ? &*pool : nullptr);
-    const std::string pairs_label =
-        label + " all-pairs/" + std::to_string(threads);
-    ExpectSameSelection(pairs, ref_pairs, pairs_label);
-    ExpectSameState(got_pairs, want_pairs, pairs_label);
-  }
+  CompressionState got_pairs(w, options, utility_mode);
+  const SelectionResult pairs =
+      GreedySelect(got_pairs, k, SelectionAlgorithm::kAllPairs, strategy);
+  ExpectSameSelection(pairs, ref_pairs, label + " all-pairs");
+  ExpectSameState(got_pairs, want_pairs, label + " all-pairs");
 }
 
 std::string StrategyName(UpdateStrategy s) {

@@ -185,7 +185,8 @@ TEST_F(CoreTest, ResetRestoresOriginalFeatures) {
 TEST_F(CoreTest, AllPairsSelectsKDistinct) {
   CompressionState state(W(), {}, UtilityMode::kCostOnly);
   SelectionResult result =
-      AllPairsGreedySelect(state, 10, UpdateStrategy::kUtilityAndFeatureZero);
+      GreedySelect(state, 10, SelectionAlgorithm::kAllPairs,
+                   UpdateStrategy::kUtilityAndFeatureZero);
   EXPECT_EQ(result.selected.size(), 10u);
   std::set<size_t> uniq(result.selected.begin(), result.selected.end());
   EXPECT_EQ(uniq.size(), 10u);
@@ -195,7 +196,8 @@ TEST_F(CoreTest, AllPairsSelectsKDistinct) {
 TEST_F(CoreTest, SummarySelectsKDistinct) {
   CompressionState state(W(), {}, UtilityMode::kCostOnly);
   SelectionResult result =
-      SummaryGreedySelect(state, 10, UpdateStrategy::kUtilityAndFeatureZero);
+      GreedySelect(state, 10, SelectionAlgorithm::kSummaryFeatures,
+                   UpdateStrategy::kUtilityAndFeatureZero);
   EXPECT_EQ(result.selected.size(), 10u);
   std::set<size_t> uniq(result.selected.begin(), result.selected.end());
   EXPECT_EQ(uniq.size(), 10u);
@@ -203,8 +205,9 @@ TEST_F(CoreTest, SummarySelectsKDistinct) {
 
 TEST_F(CoreTest, SelectionCappedAtWorkloadSize) {
   CompressionState state(W(), {}, UtilityMode::kCostOnly);
-  SelectionResult result = AllPairsGreedySelect(
-      state, W().size() + 50, UpdateStrategy::kUtilityAndFeatureZero);
+  SelectionResult result =
+      GreedySelect(state, W().size() + 50, SelectionAlgorithm::kAllPairs,
+                   UpdateStrategy::kUtilityAndFeatureZero);
   EXPECT_EQ(result.selected.size(), W().size());
 }
 
@@ -216,7 +219,8 @@ TEST_F(CoreTest, FirstPickMaximizesBenefit) {
   }
   CompressionState state2(W(), {}, UtilityMode::kCostOnly);
   SelectionResult result =
-      AllPairsGreedySelect(state2, 1, UpdateStrategy::kUtilityAndFeatureZero);
+      GreedySelect(state2, 1, SelectionAlgorithm::kAllPairs,
+                   UpdateStrategy::kUtilityAndFeatureZero);
   const size_t argmax = static_cast<size_t>(
       std::max_element(benefits.begin(), benefits.end()) - benefits.begin());
   EXPECT_EQ(result.selected[0], argmax);
@@ -228,9 +232,11 @@ TEST_F(CoreTest, SummaryAgreesWithAllPairsOnEarlyPicks) {
   CompressionState s1(W(), {}, UtilityMode::kCostOnly);
   CompressionState s2(W(), {}, UtilityMode::kCostOnly);
   const auto a =
-      AllPairsGreedySelect(s1, 8, UpdateStrategy::kUtilityAndFeatureZero);
+      GreedySelect(s1, 8, SelectionAlgorithm::kAllPairs,
+                   UpdateStrategy::kUtilityAndFeatureZero);
   const auto b =
-      SummaryGreedySelect(s2, 8, UpdateStrategy::kUtilityAndFeatureZero);
+      GreedySelect(s2, 8, SelectionAlgorithm::kSummaryFeatures,
+                   UpdateStrategy::kUtilityAndFeatureZero);
   std::set<size_t> sa(a.selected.begin(), a.selected.end());
   int overlap = 0;
   for (size_t i : b.selected) overlap += sa.contains(i);
@@ -305,7 +311,8 @@ TEST_F(CoreTest, WeightsNormalizedAcrossStrategies) {
   Isum isum(&W());
   CompressionState state = isum.MakeState();
   const SelectionResult selection =
-      SummaryGreedySelect(state, 6, isum.options().update);
+      GreedySelect(state, 6, SelectionAlgorithm::kSummaryFeatures,
+                   isum.options().update);
   for (WeighingStrategy strategy :
        {WeighingStrategy::kNone, WeighingStrategy::kSelectionBenefit,
         WeighingStrategy::kRecalibrated,
@@ -326,7 +333,8 @@ TEST_F(CoreTest, NoneWeighingIsUniform) {
   Isum isum(&W());
   CompressionState state = isum.MakeState();
   const SelectionResult selection =
-      SummaryGreedySelect(state, 4, isum.options().update);
+      GreedySelect(state, 4, SelectionAlgorithm::kSummaryFeatures,
+                   isum.options().update);
   const std::vector<double> weights =
       WeighSelectedQueries(W(), state, selection, WeighingStrategy::kNone);
   for (double w : weights) EXPECT_DOUBLE_EQ(w, 0.25);
@@ -338,7 +346,8 @@ TEST_F(CoreTest, TemplateWeighingBoostsRepresentativeInstances) {
   Isum isum(&W());
   CompressionState state = isum.MakeState();
   const SelectionResult selection =
-      SummaryGreedySelect(state, 6, isum.options().update);
+      GreedySelect(state, 6, SelectionAlgorithm::kSummaryFeatures,
+                   isum.options().update);
   const auto recal = WeighSelectedQueries(W(), state, selection,
                                           WeighingStrategy::kRecalibrated);
   const auto tmpl = WeighSelectedQueries(

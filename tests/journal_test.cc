@@ -78,8 +78,8 @@ TEST_F(JournalTest, LifecycleIsWellFormed) {
   EXPECT_TRUE(journal::Enabled());
   EXPECT_TRUE(Tracer::Global().enabled()) << "a file session records spans";
 
-  journal::CompressBegin(100, 10, "summary-features", 1);
-  journal::SelectRound(0, 42, 0.5, 0.25, 0, 100);
+  journal::CompressBegin(100, 10, "summary-features");
+  journal::SelectRound(0, 42, 0.5, 0.25, 100);
   journal::FeatureReset(7);
   const size_t order[] = {42};
   journal::CompressEnd(1, SelectionOrderHash(order, 1), 0.5, "complete");
@@ -236,8 +236,8 @@ TEST_F(JournalTest, AbnormalStopReasonFlushesEagerly) {
     return j.events.empty() ? std::string("(none)") : j.events.back().event;
   };
 
-  journal::CompressBegin(10, 5, "summary-features", 1);
-  journal::SelectRound(0, 3, 1.0, -1.0, 0, 10);
+  journal::CompressBegin(10, 5, "summary-features");
+  journal::SelectRound(0, 3, 1.0, -1.0, 10);
   const size_t order[] = {3};
   journal::CompressEnd(1, SelectionOrderHash(order, 1), 1.0, "deadline");
   EXPECT_EQ(last_on_disk(), "compress_end");
@@ -295,7 +295,7 @@ TEST_F(JournalTest, ConcurrentEmittersKeepSeqDense) {
     threads.emplace_back([t] {
       for (int i = 0; i < kPerThread; ++i) {
         journal::SelectRound(static_cast<uint64_t>(i),
-                             static_cast<uint64_t>(t), 1.0, 0.5, 0, 10);
+                             static_cast<uint64_t>(t), 1.0, 0.5, 10);
       }
     });
   }

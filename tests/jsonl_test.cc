@@ -343,13 +343,13 @@ TEST(JsonFuzz, Journal) {
       "\"}},\n"
       "{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"name\":\"compress_begin\","
       "\"cat\":\"decision\",\"ts\":1.000,\"args\":{\"seq\":0,\"n\":10,"
-      "\"k\":2,\"algorithm\":\"summary-features\",\"threads\":1}},\n"
+      "\"k\":2,\"algorithm\":\"summary-features\"}},\n"
       "{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"name\":\"select\","
       "\"cat\":\"decision\",\"ts\":2.000,\"args\":{\"seq\":1,\"round\":0,"
-      "\"query\":7,\"benefit\":0.5,\"gap\":0.1,\"shard\":0,\"eligible\":10}},\n"
+      "\"query\":7,\"benefit\":0.5,\"gap\":0.1,\"eligible\":10}},\n"
       "{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"name\":\"select\","
       "\"cat\":\"decision\",\"ts\":3.000,\"args\":{\"seq\":2,\"round\":1,"
-      "\"query\":3,\"benefit\":0.25,\"gap\":-1,\"shard\":0,\"eligible\":9}},\n"
+      "\"query\":3,\"benefit\":0.25,\"gap\":-1,\"eligible\":9}},\n"
       "{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"name\":\"compress_end\","
       "\"cat\":\"decision\",\"ts\":4.000,\"args\":{\"seq\":3,\"selected\":2,"
       "\"selection_hash\":\"" +

@@ -504,44 +504,60 @@ class PipelineBudgetTest : public ::testing::Test {
   std::vector<advisor::WeightedQuery> queries_;
 };
 
+/// Both selection algorithms share one greedy loop, which polls the budget
+/// once per round; the two budget cases below run under each.
+constexpr core::SelectionAlgorithm kAlgorithms[] = {
+    core::SelectionAlgorithm::kSummaryFeatures,
+    core::SelectionAlgorithm::kAllPairs};
+
 TEST_F(PipelineBudgetTest, CompressUnderExpiredBudgetReturnsValidPrefix) {
-  core::IsumOptions options;
-  options.budget = TimeBudget::After(0.0);
-  const workload::CompressedWorkload out =
-      core::Isum(&*env_->workload, options).Compress(10);
-  EXPECT_EQ(out.stop_reason, StopReason::kDeadline);
-  EXPECT_TRUE(out.entries.empty());  // expired before the first round
+  for (const core::SelectionAlgorithm algorithm : kAlgorithms) {
+    SCOPED_TRACE(static_cast<int>(algorithm));
+    core::IsumOptions options;
+    options.algorithm = algorithm;
+    options.budget = TimeBudget::After(0.0);
+    const workload::CompressedWorkload out =
+        core::Isum(&*env_->workload, options).Compress(10);
+    EXPECT_EQ(out.stop_reason, StopReason::kDeadline);
+    EXPECT_TRUE(out.entries.empty());  // expired before the first round
+  }
 }
 
 TEST_F(PipelineBudgetTest, CompressDeadlineMidSelectionKeepsPrefix) {
-  // Fake clock: each greedy round checks the budget once, so advancing the
-  // clock past the deadline after N checks yields exactly N selections.
-  SetMonotonicClockForTest(&FakeNow);
-  g_fake_now.store(0);
-  core::IsumOptions options;
-  options.budget = TimeBudget(Deadline::AtNanos(1));
+  for (const core::SelectionAlgorithm algorithm : kAlgorithms) {
+    SCOPED_TRACE(static_cast<int>(algorithm));
+    // Fake clock: each greedy round checks the budget once, so advancing
+    // the clock past the deadline after N checks yields exactly N
+    // selections.
+    SetMonotonicClockForTest(&FakeNow);
+    g_fake_now.store(0);
+    core::IsumOptions options;
+    options.algorithm = algorithm;
 
-  // Baseline: the same compression unbudgeted.
-  const workload::CompressedWorkload full =
-      core::Isum(&*env_->workload).Compress(10);
-  ASSERT_GT(full.entries.size(), 3u);
-  EXPECT_EQ(full.stop_reason, StopReason::kComplete);
+    // Baseline: the same compression unbudgeted.
+    const workload::CompressedWorkload full =
+        core::Isum(&*env_->workload, options).Compress(10);
+    ASSERT_GT(full.entries.size(), 3u);
+    EXPECT_EQ(full.stop_reason, StopReason::kComplete);
 
-  // Budgeted run with a clock that expires after three round checks. The
-  // budget is polled once per greedy round (feature extraction reads no
-  // clock), so rounds 1-3 complete and round 4 stops.
-  static std::atomic<int> checks{0};
-  checks.store(0);
-  SetMonotonicClockForTest(+[]() -> uint64_t {
-    return checks.fetch_add(1, std::memory_order_relaxed) < 3 ? 0u : 10u;
-  });
-  const workload::CompressedWorkload truncated =
-      core::Isum(&*env_->workload, options).Compress(10);
-  EXPECT_EQ(truncated.stop_reason, StopReason::kDeadline);
-  ASSERT_EQ(truncated.entries.size(), 3u);
-  // The truncated result is a prefix of the full greedy selection.
-  for (size_t i = 0; i < truncated.entries.size(); ++i) {
-    EXPECT_EQ(truncated.entries[i].query_index, full.entries[i].query_index);
+    // Budgeted run with a clock that expires after three round checks. The
+    // budget is polled once per greedy round (feature extraction reads no
+    // clock), so rounds 1-3 complete and round 4 stops.
+    options.budget = TimeBudget(Deadline::AtNanos(1));
+    static std::atomic<int> checks{0};
+    checks.store(0);
+    SetMonotonicClockForTest(+[]() -> uint64_t {
+      return checks.fetch_add(1, std::memory_order_relaxed) < 3 ? 0u : 10u;
+    });
+    const workload::CompressedWorkload truncated =
+        core::Isum(&*env_->workload, options).Compress(10);
+    EXPECT_EQ(truncated.stop_reason, StopReason::kDeadline);
+    ASSERT_EQ(truncated.entries.size(), 3u);
+    // The truncated result is a prefix of the full greedy selection.
+    for (size_t i = 0; i < truncated.entries.size(); ++i) {
+      EXPECT_EQ(truncated.entries[i].query_index,
+                full.entries[i].query_index);
+    }
   }
 }
 

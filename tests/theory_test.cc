@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/allpairs.h"
 #include "core/benefit.h"
+#include "core/greedy.h"
 #include "workload/workload_factory.h"
 
 namespace isum::core {
@@ -86,7 +86,8 @@ TEST_P(TheoryTest, GreedyWithinSubmodularBoundOfOptimum) {
 
   // Greedy (Algorithms 1–2) on the same instance.
   CompressionState state(w, {}, UtilityMode::kCostOnly);
-  const SelectionResult greedy = AllPairsGreedySelect(state, k, kStrategy);
+  const SelectionResult greedy =
+      GreedySelect(state, k, SelectionAlgorithm::kAllPairs, kStrategy);
   const double greedy_benefit = SetBenefit(w, greedy.selected);
 
   // §5.1: worst-case (1 - 1/e) ≈ 0.632 under the stated conditions. The
@@ -101,7 +102,8 @@ TEST_P(TheoryTest, GreedyFirstPickIsSingletonOptimum) {
   workload::GeneratedWorkload env = MakeSmall(GetParam() ^ 0xABCD);
   const workload::Workload& w = *env.workload;
   CompressionState state(w, {}, UtilityMode::kCostOnly);
-  const SelectionResult greedy = AllPairsGreedySelect(state, 1, kStrategy);
+  const SelectionResult greedy =
+      GreedySelect(state, 1, SelectionAlgorithm::kAllPairs, kStrategy);
   double best = 0.0;
   for (size_t i = 0; i < w.size(); ++i) {
     best = std::max(best, SetBenefit(w, {i}));
@@ -139,7 +141,8 @@ TEST_P(TheoryTest, MarginalGainsDiminishOnAverage) {
   workload::GeneratedWorkload env = MakeSmall(GetParam() ^ 0x7777);
   const workload::Workload& w = *env.workload;
   CompressionState state(w, {}, UtilityMode::kCostOnly);
-  const SelectionResult greedy = AllPairsGreedySelect(state, 6, kStrategy);
+  const SelectionResult greedy =
+      GreedySelect(state, 6, SelectionAlgorithm::kAllPairs, kStrategy);
   ASSERT_GE(greedy.selection_benefits.size(), 4u);
   const auto& b = greedy.selection_benefits;
   const double early = b[0] + b[1];

@@ -354,14 +354,13 @@ std::vector<std::string> SampleTraceLines() {
                   "\"args\":{\"name\":\"unit\",\"schema\":\"") +
           obs::kDecisionSchema + "\"}}",
       InstantLine("compress_begin", 0,
-                  ",\"n\":10,\"k\":2,\"algorithm\":\"summary-features\","
-                  "\"threads\":1"),
+                  ",\"n\":10,\"k\":2,\"algorithm\":\"summary-features\""),
       InstantLine("select", 1,
                   ",\"round\":0,\"query\":7,\"benefit\":0.5,\"gap\":0.1,"
-                  "\"shard\":0,\"eligible\":10"),
+                  "\"eligible\":10"),
       InstantLine("select", 2,
                   ",\"round\":1,\"query\":3,\"benefit\":0.25,\"gap\":0.005,"
-                  "\"shard\":0,\"eligible\":9"),
+                  "\"eligible\":9"),
       InstantLine("compress_end", 3,
                   std::string(",\"selected\":2,\"selection_hash\":\"") + hash +
                       "\",\"benefit_sum\":0.75,\"stop_reason\":\"complete\""),
@@ -480,6 +479,23 @@ TEST(TracecatJournal, CheckRejectsHashMismatch) {
   ASSERT_TRUE(report.ok());
   EXPECT_NE(report.value().find("selection hash mismatch"),
             std::string::npos);
+}
+
+TEST(TracecatJournal, OlderTracesWithThreadsAndShardStillCheck) {
+  // Traces written while all-pairs selection could run on threads carry
+  // `threads` on compress_begin and `shard` on select. Only required
+  // fields are checked, so those files stay readable.
+  std::vector<std::string> lines = SampleTraceLines();
+  lines[2].insert(lines[2].rfind("}}"), ",\"threads\":1");
+  lines[3].insert(lines[3].rfind("}}"), ",\"shard\":0");
+  const auto journal = ParseJournal(JoinTrace(lines, true));
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  EXPECT_EQ(journal.value().events[0].Number("threads").value(), 1.0);
+  const auto checked = CheckJournal(journal.value());
+  ASSERT_TRUE(checked.ok()) << checked.status().ToString();
+  const auto report = ExplainJournal(journal.value(), 5);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report.value().find("(recomputed: match)"), std::string::npos);
 }
 
 TEST(TracecatJournal, CheckRejectsStructuralDamage) {

@@ -16,7 +16,6 @@ constexpr const char kNoAssert[] = "isum-no-assert";
 constexpr const char kNoStdio[] = "isum-no-stdio";
 constexpr const char kNoNondeterminism[] = "isum-no-nondeterminism";
 constexpr const char kIncludeGuard[] = "isum-include-guard";
-constexpr const char kMissingOverride[] = "isum-missing-override";
 constexpr const char kUncheckedStatus[] = "isum-unchecked-status";
 constexpr const char kNoRawClock[] = "isum-no-raw-clock";
 constexpr const char kNoPerPairAlloc[] = "isum-no-perpair-alloc";
@@ -30,7 +29,7 @@ constexpr const char kNoAllocInSignal[] = "isum-no-alloc-in-signal";
 /// std::vector costs a malloc per pair (the regression class the scratch
 /// overloads in core/features.h exist to prevent; docs/BENCHMARKING.md).
 constexpr const char* kHotPathFiles[] = {
-    "src/core/features.cc",      "src/core/summary.cc",
+    "src/core/features.cc",      "src/core/greedy.cc",
     "src/core/compression_state.cc", "src/core/benefit.cc",
     "src/core/weighing.cc",      "src/core/incremental.cc",
     "src/baselines/kmedoid.cc",
@@ -144,10 +143,9 @@ std::string Violation::ToString() const {
 }
 
 std::vector<std::string> KnownRules() {
-  return {kNoAssert,   kNoStdio,          kNoNondeterminism, kIncludeGuard,
-          kMissingOverride, kUncheckedStatus, kNoRawClock,   kNoPerPairAlloc,
-          kBudgetPoll, kLockScope,        kGuardedBy,        kJournalSchema,
-          kNoAllocInSignal};
+  return {kNoAssert,       kNoStdio,    kNoNondeterminism, kIncludeGuard,
+          kUncheckedStatus, kNoRawClock, kNoPerPairAlloc,   kBudgetPoll,
+          kLockScope,       kGuardedBy,  kJournalSchema,    kNoAllocInSignal};
 }
 
 LexedSource Lex(const std::string& content) {
@@ -440,11 +438,6 @@ void CollectStatusApi(const std::string& content, StatusApi* api) {
 
 namespace {
 
-struct ClassScope {
-  bool has_base = false;
-  int open_depth = 0;  ///< brace depth at which the class body was entered
-};
-
 struct LoopScope {
   int open_depth = 0;
   int line = 0;
@@ -530,11 +523,8 @@ void LintFile(const std::string& path, const std::string& content,
   };
 
   int brace_depth = 0;
-  std::vector<ClassScope> class_stack;
   std::vector<LoopScope> loop_stack;
   std::vector<int> lock_stack;  // brace depth of each live lock declaration
-  bool pending_class = false;
-  bool pending_base = false;
   bool loop_header = false;
   int loop_paren = 0;
   bool loop_parens_closed = false;
@@ -612,45 +602,6 @@ void LintFile(const std::string& path, const std::string& content,
         pending_do = true;
         do_line = t.line;
         do_col = t.col;
-      } else if (s == "class" || s == "struct") {
-        // Look ahead: a '{' before any ';', '(' or '=' opens a class body.
-        bool saw_base = false;
-        for (size_t j = i + 1; j < toks.size() && j < i + 200; ++j) {
-          const std::string& u = toks[j].text;
-          if (u == "{") {
-            pending_class = true;
-            pending_base = saw_base;
-            break;
-          }
-          if (u == ";" || u == "(" || u == "=") break;
-          if (toks[j].kind == Token::Kind::kPunct && u == ":") {
-            saw_base = true;
-          }
-        }
-      }
-
-      // --- isum-missing-override ---
-      if (s == "virtual" && !class_stack.empty() &&
-          class_stack.back().has_base &&
-          brace_depth == class_stack.back().open_depth + 1) {
-        bool has_paren = false;
-        bool has_tilde = false;
-        bool has_override = false;
-        for (size_t j = i + 1; j < toks.size() && j < i + 400; ++j) {
-          const Token& u = toks[j];
-          if (u.kind == Token::Kind::kPunct) {
-            if (u.text == ";" || u.text == "{") break;
-            if (u.text == "(") has_paren = true;
-            if (u.text == "~") has_tilde = true;
-          } else if (u.kind == Token::Kind::kIdent &&
-                     (u.text == "override" || u.text == "final")) {
-            has_override = true;
-          }
-        }
-        if (has_paren && !has_tilde && !has_override) {
-          add(t.line, t.col, kMissingOverride,
-              "virtual member of a derived class should be marked override");
-        }
       }
 
       // --- isum-no-assert ---
@@ -886,10 +837,6 @@ void LintFile(const std::string& path, const std::string& content,
         loop_stack.push_back(std::move(loop));
         pending_do = false;
       }
-      if (pending_class) {
-        class_stack.push_back({pending_base, brace_depth});
-        pending_class = false;
-      }
       if (signal_pending) {
         signal_depth = brace_depth;
         signal_pending = false;
@@ -902,16 +849,11 @@ void LintFile(const std::string& path, const std::string& content,
         pop_loop(loop_stack.back());
         loop_stack.pop_back();
       }
-      while (!class_stack.empty() &&
-             class_stack.back().open_depth == brace_depth) {
-        class_stack.pop_back();
-      }
       while (!lock_stack.empty() && lock_stack.back() > brace_depth) {
         lock_stack.pop_back();
       }
       if (signal_depth == brace_depth) signal_depth = -1;
     } else if (s == ";") {
-      pending_class = false;
       signal_pending = false;  // annotated declaration, no body
       if (loop_header && loop_parens_closed) {
         loop_header = false;  // unbraced single-statement body

@@ -49,20 +49,31 @@
 // validation silently and reports ok/error per file — it answers "would a
 // resuming run accept this file?" without starting one.
 //
-// Exits non-zero on unreadable or malformed input.
+// Exits 2 on a usage error (an unknown argument, or a numeric flag value
+// that is not wholly a number) and non-zero on unreadable or malformed
+// input.
 
+#include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 
+#include "common/string_util.h"
 #include "tools/tracecat/tracecat.h"
 
 namespace {
+
+/// A numeric flag whose value is not wholly a number (or, for a count, is
+/// negative) is a usage error, like an unknown argument.
+int MalformedValue(const char* arg) {
+  std::fprintf(stderr, "malformed value: %s\n", arg);
+  return 2;
+}
 
 bool ReadFile(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
@@ -84,7 +95,9 @@ int BenchMain(int argc, char** argv) {
     if (std::strcmp(arg, "--check") == 0) {
       check_only = true;
     } else if (std::strncmp(arg, "--rss-tolerance=", 16) == 0) {
-      rss_tolerance_percent = std::strtod(arg + 16, nullptr);
+      if (!isum::ParseNumber(arg + 16, &rss_tolerance_percent)) {
+        return MalformedValue(arg);
+      }
     } else if (arg[0] != '-' && paths.size() < 2) {
       paths.emplace_back(arg);
     } else {
@@ -142,13 +155,13 @@ int BenchMain(int argc, char** argv) {
 int ExplainMain(int argc, char** argv) {
   std::string path;
   bool check_only = false;
-  size_t top_k = 5;
+  uint64_t top_k = 5;
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--check") == 0) {
       check_only = true;
     } else if (std::strncmp(arg, "--top=", 6) == 0) {
-      top_k = static_cast<size_t>(std::strtoul(arg + 6, nullptr, 10));
+      if (!isum::ParseCount(arg + 6, &top_k)) return MalformedValue(arg);
     } else if (path.empty() && arg[0] != '-') {
       path = arg;
     } else {
@@ -201,7 +214,7 @@ int ProfileMain(int argc, char** argv) {
   bool check_only = false;
   bool diff = false;
   bool collapsed = false;
-  size_t top_k = 10;
+  uint64_t top_k = 10;
   double min_attributed_percent = 0.0;
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
@@ -212,9 +225,11 @@ int ProfileMain(int argc, char** argv) {
     } else if (std::strcmp(arg, "--collapsed") == 0) {
       collapsed = true;
     } else if (std::strncmp(arg, "--top=", 6) == 0) {
-      top_k = static_cast<size_t>(std::strtoul(arg + 6, nullptr, 10));
+      if (!isum::ParseCount(arg + 6, &top_k)) return MalformedValue(arg);
     } else if (std::strncmp(arg, "--min-attributed=", 17) == 0) {
-      min_attributed_percent = std::strtod(arg + 17, nullptr);
+      if (!isum::ParseNumber(arg + 17, &min_attributed_percent)) {
+        return MalformedValue(arg);
+      }
     } else if (arg[0] != '-' && paths.size() < 2) {
       paths.emplace_back(arg);
     } else {
@@ -285,9 +300,13 @@ int WatchMain(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--interval=", 11) == 0) {
-      interval_seconds = std::strtod(arg + 11, nullptr);
+      if (!isum::ParseNumber(arg + 11, &interval_seconds)) {
+        return MalformedValue(arg);
+      }
     } else if (std::strncmp(arg, "--count=", 8) == 0) {
-      count = std::atoi(arg + 8);
+      uint64_t frames = 0;
+      if (!isum::ParseCount(arg + 8, &frames)) return MalformedValue(arg);
+      count = static_cast<int>(std::min<uint64_t>(frames, INT_MAX));
     } else if (path.empty() && arg[0] != '-') {
       path = arg;
     } else {
@@ -397,11 +416,11 @@ int main(int argc, char** argv) {
     return CkptMain(argc, argv);
   }
   std::string trace_path;
-  size_t top_k = 10;
+  uint64_t top_k = 10;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--top=", 6) == 0) {
-      top_k = static_cast<size_t>(std::strtoul(arg + 6, nullptr, 10));
+      if (!isum::ParseCount(arg + 6, &top_k)) return MalformedValue(arg);
     } else if (trace_path.empty() && arg[0] != '-') {
       trace_path = arg;
     } else {

@@ -474,8 +474,8 @@ struct EventSpec {
 };
 
 constexpr EventSpec kEventSpecs[] = {
-    {"compress_begin", {"n", "k", "algorithm", "threads"}},
-    {"select", {"round", "query", "benefit", "gap", "shard", "eligible"}},
+    {"compress_begin", {"n", "k", "algorithm"}},
+    {"select", {"round", "query", "benefit", "gap", "eligible"}},
     {"feature_reset", {"selected"}},
     {"compress_end", {"selected", "selection_hash", "benefit_sum",
                       "stop_reason"}},
@@ -653,7 +653,6 @@ struct CompressBlock {
   std::string algorithm = "?";
   uint64_t n = 0;
   uint64_t k = 0;
-  uint64_t threads = 1;
   std::vector<const JournalEvent*> selects;
   std::vector<size_t> order;
   std::vector<uint64_t> reset_rounds;  ///< selected-so-far at each reset
@@ -695,10 +694,6 @@ StatusOr<std::string> ExplainJournal(const Journal& journal, size_t top_k) {
       if (n.ok()) open_block->n = static_cast<uint64_t>(n.value());
       auto k = e.Number("k");
       if (k.ok()) open_block->k = static_cast<uint64_t>(k.value());
-      auto threads = e.Number("threads");
-      if (threads.ok()) {
-        open_block->threads = static_cast<uint64_t>(threads.value());
-      }
     } else if (e.event == "select") {
       if (open_block == nullptr) {
         return Status::ParseError("select outside a compression block");
@@ -781,12 +776,10 @@ StatusOr<std::string> ExplainJournal(const Journal& journal, size_t top_k) {
       }
     }
     out += StrFormat(
-        "\n== compression %zu/%zu: %s, n=%llu -> k=%llu, %llu thread(s), "
-        "%s ==\n",
+        "\n== compression %zu/%zu: %s, n=%llu -> k=%llu, %s ==\n",
         b + 1, blocks.size(), block.algorithm.c_str(),
         static_cast<unsigned long long>(block.n),
-        static_cast<unsigned long long>(block.k),
-        static_cast<unsigned long long>(block.threads), stop_reason.c_str());
+        static_cast<unsigned long long>(block.k), stop_reason.c_str());
     out += StrFormat("selected %zu, estimated benefit sum %.6g\n",
                      static_cast<size_t>(block.restored) + block.order.size(),
                      benefit_sum);
@@ -833,20 +826,19 @@ StatusOr<std::string> ExplainJournal(const Journal& journal, size_t top_k) {
     if (!contested.empty()) {
       out += StrFormat("top %zu contested rounds (smallest winning margin):\n",
                        contested.size());
-      out += StrFormat("%8s %10s %12s %12s %7s %9s\n", "round", "query",
-                       "benefit", "margin", "shard", "eligible");
+      out += StrFormat("%8s %10s %12s %12s %9s\n", "round", "query",
+                       "benefit", "margin", "eligible");
       for (const JournalEvent* e : contested) {
         auto round = e->Number("round");
         auto query = e->Number("query");
         auto benefit = e->Number("benefit");
-        auto shard = e->Number("shard");
         auto eligible = e->Number("eligible");
         out += StrFormat(
-            "%8.0f %10.0f %12.6g %12s %7.0f %9.0f\n",
+            "%8.0f %10.0f %12.6g %12s %9.0f\n",
             round.ok() ? round.value() : -1.0,
             query.ok() ? query.value() : -1.0,
             benefit.ok() ? benefit.value() : 0.0,
-            HumanGap(gap_of(e)).c_str(), shard.ok() ? shard.value() : 0.0,
+            HumanGap(gap_of(e)).c_str(),
             eligible.ok() ? eligible.value() : 0.0);
       }
     }
