@@ -97,25 +97,6 @@ void BM_WeightedJaccard(benchmark::State& state) {
 }
 BENCHMARK(BM_WeightedJaccard);
 
-void BM_WeightedJaccardBatch(benchmark::State& state) {
-  const auto& env = TpchEnv();
-  core::CompressionState cs(*env.workload, {}, core::UtilityMode::kCostOnly);
-  std::vector<core::SparseVector> rows;
-  for (size_t i = 0; i < cs.size(); ++i) rows.push_back(cs.features(i));
-  const core::FeatureMatrix matrix =
-      core::FeatureMatrix::FromVectors(rows, cs.feature_space().size());
-  core::DenseScratch scratch;
-  std::vector<double> out(matrix.rows());
-  for (auto _ : state) {
-    matrix.ScatterRow(0, &scratch);
-    matrix.WeightedJaccardBatch(scratch, 0, matrix.rows(), out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(matrix.rows()));
-}
-BENCHMARK(BM_WeightedJaccardBatch);
-
 // The scratch-reuse AddScaled overload vs. the allocating one, on the
 // summary-accumulation access pattern (one running sum += many vectors).
 void BM_AddScaledAlloc(benchmark::State& state) {

@@ -38,7 +38,8 @@ namespace isum::bench {
 /// directly testable (tests/bench_util_test.cc): Parse() consumes every
 /// flag it recognizes and compacts argv/argc around them, leaving the
 /// arguments no driver takes in their original order. A numeric flag whose
-/// value is not wholly a number (a negative count included) is not taken.
+/// value is not wholly a number (a negative count included) is not taken,
+/// nor is a time budget that is not positive.
 struct BenchFlags {
   std::string bench_name = "bench";  ///< BaseName(argv[0])
   std::string trace_path;
@@ -64,7 +65,7 @@ struct BenchFlags {
       } else if (std::strncmp(arg, "--faults=", 9) == 0) {
         flags.faults_spec = arg + 9;
       } else if (std::strncmp(arg, "--time-budget=", 14) == 0 &&
-                 ParseNumber(arg + 14, &flags.time_budget_seconds)) {
+                 ParsePositive(arg + 14, &flags.time_budget_seconds)) {
         // Parsed in the condition: a malformed value is kept in argv.
       } else if (std::strncmp(arg, "--checkpoint=", 13) == 0) {
         flags.checkpoint_path = arg + 13;
@@ -86,6 +87,14 @@ struct BenchFlags {
     }
     argc = kept;
     return flags;
+  }
+
+  /// True, with `*out` set, when all of `text` is a number > 0.
+  static bool ParsePositive(const char* text, double* out) {
+    double value = 0.0;
+    if (!ParseNumber(text, &value) || !(value > 0.0)) return false;
+    *out = value;
+    return true;
   }
 
   static std::string BaseName(const char* argv0) {
@@ -125,7 +134,7 @@ struct BenchFlags {
 ///   --faults=<spec>    arm deterministic fault injection for the run
 ///                      (spec grammar in common/fault.h; overrides the
 ///                      ISUM_FAULTS environment variable)
-///   --time-budget=<s>  install an ambient whole-run time budget of `s`
+///   --time-budget=<s>  install an ambient whole-run time budget of `s` > 0
 ///                      seconds (common/deadline.h); stages stop cleanly
 ///                      with best-so-far results once it expires
 ///   --checkpoint=<path> install an ambient checkpoint config
@@ -210,9 +219,8 @@ class ObsScope {
 
   ~ObsScope() {
     if (flags_.trace_path.empty()) return;
-    // Stop the profiler before anything else: Stop() publishes the
-    // allocation gauges into the registry, so the final metrics tick sees
-    // them.
+    // Stop sampling first, so the profile covers the run and not its
+    // shutdown (the final metrics tick and the file writes below).
     obs::ProfileDump profile;
     if (profiling_) profile = obs::Profiler::Global().Stop();
     // Joins the worker and writes the final tick, before the file closes.

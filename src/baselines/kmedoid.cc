@@ -17,18 +17,17 @@ workload::CompressedWorkload KMedoidCompressor::Compress(
   if (n == 0) return out;
   k = std::min(k, n);
 
-  // ISUM rule-based features as the similarity substrate. Featurized once
-  // per feature class into an immutable CSR snapshot: every distance scan
-  // below is a medoid-major one-vs-many gather over the class rows instead
-  // of per-pair sorted merges, and a query reads its class's row.
+  // ISUM rule-based features as the similarity substrate, featurized once
+  // per feature class: every distance scan below scatters one medoid's row
+  // and gathers over the class rows instead of per-pair sorted merges, and
+  // a query reads its class's row.
   core::FeatureSpace space;
   const core::WorkloadFeatures features =
       core::FeaturizeWorkload(workload, {}, &space);
+  const std::vector<core::SparseVector>& rows = features.rows;
   const std::vector<uint32_t>& class_of = features.class_of;
-  const core::FeatureMatrix matrix =
-      core::FeatureMatrix::FromVectors(features.rows, space.size());
   core::DenseScratch scratch;
-  std::vector<double> class_sim(matrix.rows(), 0.0);
+  std::vector<double> class_sim(rows.size(), 0.0);
 
   // Scans medoids in ascending slot order with a strict comparison, so the
   // lowest medoid slot wins distance ties exactly like the per-pair loop
@@ -37,8 +36,10 @@ workload::CompressedWorkload KMedoidCompressor::Compress(
                               std::vector<size_t>* assignment) {
     std::vector<double> best(n, 2.0);
     for (size_t m = 0; m < medoids.size(); ++m) {
-      matrix.ScatterRow(class_of[medoids[m]], &scratch);
-      matrix.WeightedJaccardBatch(scratch, 0, matrix.rows(), class_sim.data());
+      scratch.Scatter(rows[class_of[medoids[m]]]);
+      for (size_t c = 0; c < rows.size(); ++c) {
+        class_sim[c] = core::WeightedJaccardVsDense(scratch, rows[c]);
+      }
       for (size_t i = 0; i < n; ++i) {
         const double d = 1.0 - class_sim[class_of[i]];
         if (d < best[i]) {
@@ -78,13 +79,11 @@ workload::CompressedWorkload KMedoidCompressor::Compress(
       double best_sum = -1.0;
       size_t best_medoid = medoids[m];
       for (size_t cand : members) {
-        matrix.ScatterRow(class_of[cand], &scratch);
+        scratch.Scatter(rows[class_of[cand]]);
         double sum = 0.0;
         for (size_t other : members) {
-          double s = 0.0;
-          const size_t row = class_of[other];
-          matrix.WeightedJaccardBatch(scratch, row, row + 1, &s);
-          sum += 1.0 - s;
+          sum += 1.0 -
+                 core::WeightedJaccardVsDense(scratch, rows[class_of[other]]);
         }
         if (best_sum < 0.0 || sum < best_sum) {
           best_sum = sum;

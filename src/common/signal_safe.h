@@ -22,9 +22,8 @@
 ///
 ///   ISUM_SIGNAL_SAFE void SigprofHandler(int sig, siginfo_t*, void*);
 ///
-/// Used by the sampling profiler (src/obs/profiler.cc) and the allocation
-/// hooks (src/obs/alloc_hooks.cc); the constraints are documented in
-/// docs/OBSERVABILITY.md.
+/// Used by the sampling profiler (src/obs/profiler.cc); the constraints
+/// are documented in docs/OBSERVABILITY.md.
 #define ISUM_SIGNAL_SAFE
 
 #endif  // ISUM_COMMON_SIGNAL_SAFE_H_

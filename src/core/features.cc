@@ -167,21 +167,6 @@ void DenseScratch::Scatter(const SparseVector& v) {
   }
 }
 
-void DenseScratch::Scatter(const int32_t* features, const double* weights,
-                           size_t n) {
-  for (int32_t f : touched_) dense_[f] = 0.0;
-  touched_.clear();
-  sum_ = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    if (static_cast<size_t>(features[i]) >= dense_.size()) {
-      dense_.resize(static_cast<size_t>(features[i]) + 1, 0.0);
-    }
-    dense_[features[i]] = weights[i];
-    touched_.push_back(features[i]);
-    sum_ += weights[i];
-  }
-}
-
 double WeightedJaccardVsDense(const DenseScratch& query,
                               const SparseVector& row) {
   double min_sum = 0.0, row_sum = 0.0;
@@ -191,51 +176,6 @@ double WeightedJaccardVsDense(const DenseScratch& query,
   }
   const double max_sum = query.sum() + row_sum - min_sum;
   return max_sum > 0.0 ? min_sum / max_sum : 0.0;
-}
-
-FeatureMatrix FeatureMatrix::FromVectors(const std::vector<SparseVector>& rows,
-                                         size_t num_features) {
-  FeatureMatrix m;
-  m.num_features_ = num_features;
-  size_t total = 0;
-  for (const SparseVector& v : rows) total += v.nnz();
-  m.offsets_.reserve(rows.size() + 1);
-  m.features_.reserve(total);
-  m.weights_.reserve(total);
-  m.row_sums_.reserve(rows.size());
-  m.offsets_.push_back(0);
-  for (const SparseVector& v : rows) {
-    double sum = 0.0;
-    for (const SparseVector::Entry& e : v.entries()) {
-      m.features_.push_back(e.feature);
-      m.weights_.push_back(e.weight);
-      sum += e.weight;
-    }
-    m.offsets_.push_back(m.features_.size());
-    m.row_sums_.push_back(sum);
-  }
-  return m;
-}
-
-void FeatureMatrix::ScatterRow(size_t r, DenseScratch* scratch) const {
-  scratch->Reserve(num_features_);
-  scratch->Scatter(features_.data() + offsets_[r],
-                   weights_.data() + offsets_[r],
-                   offsets_[r + 1] - offsets_[r]);
-}
-
-void FeatureMatrix::WeightedJaccardBatch(const DenseScratch& query,
-                                         size_t begin, size_t end,
-                                         double* out) const {
-  const double q_sum = query.sum();
-  for (size_t r = begin; r < end; ++r) {
-    double min_sum = 0.0;
-    for (size_t i = offsets_[r]; i < offsets_[r + 1]; ++i) {
-      min_sum += std::min(weights_[i], query.Get(features_[i]));
-    }
-    const double max_sum = q_sum + row_sums_[r] - min_sum;
-    out[r - begin] = max_sum > 0.0 ? min_sum / max_sum : 0.0;
-  }
 }
 
 }  // namespace isum::core

@@ -107,9 +107,6 @@ class DenseScratch {
   /// its weight sum for the sum-identity kernels.
   void Scatter(const SparseVector& v);
 
-  /// Low-level variant for CSR rows (see FeatureMatrix).
-  void Scatter(const int32_t* features, const double* weights, size_t n);
-
   double Get(int feature) const {
     return static_cast<size_t>(feature) < dense_.size() ? dense_[feature] : 0.0;
   }
@@ -131,35 +128,6 @@ class DenseScratch {
 /// tolerates. Requires non-negative weights, as everywhere in this module.
 double WeightedJaccardVsDense(const DenseScratch& query,
                               const SparseVector& row);
-
-/// An immutable CSR snapshot of many feature vectors in SoA layout
-/// (int32 feature ids / double weights), built once so repeated one-vs-many
-/// similarity scans stream two flat arrays instead of chasing n vectors.
-class FeatureMatrix {
- public:
-  /// Snapshots `rows`; feature ids must be < num_features (FeatureSpace
-  /// size). Explicit zero-weight entries are kept, like SparseVector.
-  static FeatureMatrix FromVectors(const std::vector<SparseVector>& rows,
-                                   size_t num_features);
-
-  size_t rows() const { return row_sums_.size(); }
-  size_t num_features() const { return num_features_; }
-
-  /// Scatters row r into `scratch` (the probe side of a one-vs-many scan).
-  void ScatterRow(size_t r, DenseScratch* scratch) const;
-
-  /// out[i - begin] = WeightedJaccard(query, row i) for i in [begin, end),
-  /// one O(nnz(row)) gather per row. Same numerics as WeightedJaccardVsDense.
-  void WeightedJaccardBatch(const DenseScratch& query, size_t begin, size_t end,
-                            double* out) const;
-
- private:
-  std::vector<size_t> offsets_;      // rows() + 1 entries
-  std::vector<int32_t> features_;    // concatenated row feature ids
-  std::vector<double> weights_;      // parallel to features_
-  std::vector<double> row_sums_;     // per-row weight sum (entry order)
-  size_t num_features_ = 0;
-};
 
 }  // namespace isum::core
 

@@ -23,10 +23,16 @@
 #include <cxxabi.h>
 #include <dlfcn.h>
 #include <execinfo.h>
+// glibc's dladdr1 hands out the link map, whose load bias maps a pc into
+// the object's ELF symbol table.
+#if defined(__GLIBC__) && __has_include(<link.h>)
+#define ISUM_PROFILER_HAVE_SYMTAB 1
+#include <fcntl.h>
+#include <link.h>
+#include <unistd.h>
 #endif
 #endif
-
-#include "obs/metrics.h"
+#endif
 
 namespace isum::obs {
 
@@ -64,47 +70,183 @@ constexpr uint32_t kPhaseStackDepth = 64;
 constinit thread_local const char* g_phase_stack[kPhaseStackDepth] = {};
 constinit thread_local std::atomic<uint32_t> g_phase_depth{0};
 
-/// Best-effort symbol name for one pc: dynamic-symbol lookup plus C++
-/// demangling. Executables export their symbols to dladdr via
-/// CMAKE_ENABLE_EXPORTS (-rdynamic) in the top-level CMakeLists. Functions
-/// with internal linkage have no dynamic symbol; they print as
-/// `<object basename>+0x<offset into the object>`, which ASLR does not move,
-/// so profiles of two runs still match them. Bare hex only when no loaded
-/// object contains the pc.
-std::string SymbolizePc(void* pc) {
 #ifdef ISUM_PROFILER_HAVE_BACKTRACE
-  Dl_info info;
-  if (dladdr(pc, &info) != 0) {
-    if (info.dli_sname != nullptr) {
-      int status = -1;
-      char* demangled =
-          abi::__cxa_demangle(info.dli_sname, nullptr, nullptr, &status);
-      if (status == 0 && demangled != nullptr) {
-        std::string name(demangled);
-        std::free(demangled);
-        return name;
-      }
-      std::free(demangled);
-      return info.dli_sname;
+/// `symbol` demangled, or as it is when it is not a mangled C++ name.
+std::string Demangle(const char* symbol) {
+  int status = -1;
+  char* demangled = abi::__cxa_demangle(symbol, nullptr, nullptr, &status);
+  std::string name = status == 0 && demangled != nullptr ? demangled : symbol;
+  std::free(demangled);
+  return name;
+}
+#endif
+
+#ifdef ISUM_PROFILER_HAVE_SYMTAB
+/// A named code range, [start, end) in the object's own virtual addresses
+/// (a pc minus the object's load bias).
+struct CodeSymbol {
+  uintptr_t start;
+  uintptr_t end;
+  std::string name;
+};
+
+/// Reads `size` bytes at `offset` of a regular file into `out`.
+bool ReadAt(int fd, uint64_t offset, size_t size, void* out) {
+  return pread(fd, out, size, static_cast<off_t>(offset)) ==
+         static_cast<ssize_t>(size);
+}
+
+/// The code symbols of the ELF file at `path`, sorted by start: every
+/// STT_FUNC entry of its .symtab (none in a stripped object) and each of
+/// its PLT sections as `<object>@plt`, since the stubs through which it
+/// calls shared libraries have no symbol. Empty when unreadable.
+std::vector<CodeSymbol> ReadCodeSymbols(const std::string& path,
+                                        const std::string& object) {
+  std::vector<CodeSymbol> symbols;
+  const int fd = open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return symbols;
+  ElfW(Ehdr) header{};
+  std::vector<ElfW(Shdr)> sections;
+  if (ReadAt(fd, 0, sizeof(header), &header) &&
+      std::memcmp(header.e_ident, ELFMAG, SELFMAG) == 0 &&
+      header.e_shentsize == sizeof(ElfW(Shdr))) {
+    sections.resize(header.e_shnum);
+    if (!ReadAt(fd, header.e_shoff, sections.size() * sizeof(ElfW(Shdr)),
+                sections.data())) {
+      sections.clear();
     }
-    if (info.dli_fname != nullptr && info.dli_fbase != nullptr) {
+  }
+  // A section's bytes as a string ("" when out of range or unreadable).
+  auto contents = [&](size_t index) {
+    std::string bytes;
+    if (index >= sections.size()) return bytes;
+    bytes.resize(sections[index].sh_size);
+    if (!ReadAt(fd, sections[index].sh_offset, bytes.size(), bytes.data())) {
+      bytes.clear();
+    }
+    return bytes;
+  };
+  const std::string section_names = contents(header.e_shstrndx);
+  for (const ElfW(Shdr)& section : sections) {
+    if ((section.sh_flags & SHF_EXECINSTR) != 0 &&
+        section.sh_name < section_names.size() &&
+        section_names.compare(section.sh_name, 4, ".plt") == 0) {
+      symbols.push_back(CodeSymbol{section.sh_addr,
+                                   section.sh_addr + section.sh_size,
+                                   object + "@plt"});
+    }
+    if (section.sh_type != SHT_SYMTAB ||
+        section.sh_entsize != sizeof(ElfW(Sym))) {
+      continue;
+    }
+    const std::string entries = contents(&section - sections.data());
+    const std::string names = contents(section.sh_link);
+    for (size_t at = 0; at + sizeof(ElfW(Sym)) <= entries.size();
+         at += sizeof(ElfW(Sym))) {
+      ElfW(Sym) entry;
+      std::memcpy(&entry, entries.data() + at, sizeof(entry));
+      if (ELF64_ST_TYPE(entry.st_info) == STT_FUNC && entry.st_size != 0 &&
+          entry.st_shndx != SHN_UNDEF && entry.st_name < names.size()) {
+        symbols.push_back(CodeSymbol{entry.st_value,
+                                     entry.st_value + entry.st_size,
+                                     names.c_str() + entry.st_name});
+      }
+    }
+  }
+  close(fd);
+  std::sort(symbols.begin(), symbols.end(),
+            [](const CodeSymbol& a, const CodeSymbol& b) {
+              if (a.start != b.start) return a.start < b.start;
+              return a.name < b.name;
+            });
+  return symbols;
+}
+#endif  // ISUM_PROFILER_HAVE_SYMTAB
+
+/// Names the pcs of one Stop(), caching each pc's name and each object's
+/// code symbols. A pc is named by its dynamic symbol (dladdr; executables
+/// export theirs via CMAKE_ENABLE_EXPORTS in the top-level CMakeLists),
+/// else by the enclosing code symbol of its object's ELF file (the main
+/// executable read through /proc/self/exe), which names functions with
+/// internal linkage; both demangled. A pc in an object without .symtab,
+/// or outside every code symbol, prints as
+/// `<object basename>+0x<offset into the object>`, which ASLR does not
+/// move, so profiles of two runs still match it. Bare hex only when no
+/// loaded object contains the pc.
+class Symbolizer {
+ public:
+  const std::string& Name(void* pc) {
+    auto it = names_.find(pc);
+    if (it == names_.end()) it = names_.emplace(pc, Resolve(pc)).first;
+    return it->second;
+  }
+
+ private:
+  std::string Resolve(void* pc) {
+#ifdef ISUM_PROFILER_HAVE_BACKTRACE
+    Dl_info info;
+#ifdef ISUM_PROFILER_HAVE_SYMTAB
+    link_map* map = nullptr;
+    const int found = dladdr1(pc, &info, reinterpret_cast<void**>(&map),
+                              RTLD_DL_LINKMAP);
+#else
+    const int found = dladdr(pc, &info);
+#endif
+    if (found != 0 && info.dli_sname != nullptr) {
+      return Demangle(info.dli_sname);
+    }
+    if (found != 0 && info.dli_fname != nullptr && info.dli_fbase != nullptr) {
       const char* slash = std::strrchr(info.dli_fname, '/');
+      const std::string object = slash == nullptr ? info.dli_fname : slash + 1;
+#ifdef ISUM_PROFILER_HAVE_SYMTAB
+      if (const CodeSymbol* symbol = Enclosing(map, object, pc)) {
+        return Demangle(symbol->name.c_str());
+      }
+#endif
       char offset[32];
       std::snprintf(offset, sizeof(offset), "+0x%llx",
                     static_cast<unsigned long long>(
                         reinterpret_cast<uintptr_t>(pc) -
                         reinterpret_cast<uintptr_t>(info.dli_fbase)));
-      return std::string(slash == nullptr ? info.dli_fname : slash + 1) +
-             offset;
+      return object + offset;
     }
-  }
 #endif
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%llx",
-                static_cast<unsigned long long>(
-                    reinterpret_cast<uintptr_t>(pc)));
-  return buf;
-}
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "0x%llx",
+                  static_cast<unsigned long long>(
+                      reinterpret_cast<uintptr_t>(pc)));
+    return buf;
+  }
+
+#ifdef ISUM_PROFILER_HAVE_SYMTAB
+  /// The code symbol of `map`'s object (named `object`) containing `pc`,
+  /// or null.
+  const CodeSymbol* Enclosing(const link_map* map, const std::string& object,
+                              void* pc) {
+    if (map == nullptr) return nullptr;
+    // The main executable's link map has an empty name.
+    const std::string path =
+        map->l_name[0] != '\0' ? map->l_name : "/proc/self/exe";
+    auto table = tables_.find(path);
+    if (table == tables_.end()) {
+      table = tables_.emplace(path, ReadCodeSymbols(path, object)).first;
+    }
+    const std::vector<CodeSymbol>& symbols = table->second;
+    const uintptr_t vaddr = reinterpret_cast<uintptr_t>(pc) - map->l_addr;
+    auto next = std::upper_bound(
+        symbols.begin(), symbols.end(), vaddr,
+        [](uintptr_t v, const CodeSymbol& symbol) { return v < symbol.start; });
+    if (next == symbols.begin() || vaddr >= std::prev(next)->end) {
+      return nullptr;
+    }
+    return &*std::prev(next);
+  }
+
+  /// By object path.
+  std::unordered_map<std::string, std::vector<CodeSymbol>> tables_;
+#endif
+  std::unordered_map<void*, std::string> names_;
+};
 
 /// Drops the handler's own frames from the innermost end of a symbolized
 /// stack. The frame directly above `SigprofHandler` is always the signal
@@ -237,10 +379,6 @@ bool Profiler::Start(const ProfilerOptions& options) {
   }
   g_active_buffer.store(buffer, std::memory_order_release);
 
-#ifdef ISUM_OBS_PROFILING
-  internal::ArmAllocHooks();
-#endif
-
   itimerval timer;
   std::memset(&timer, 0, sizeof(timer));
   const long interval_usec =
@@ -248,9 +386,6 @@ bool Profiler::Start(const ProfilerOptions& options) {
   timer.it_interval.tv_usec = interval_usec;
   timer.it_value.tv_usec = interval_usec;
   if (setitimer(ITIMER_PROF, &timer, nullptr) != 0) {
-#ifdef ISUM_OBS_PROFILING
-    (void)internal::DisarmAllocHooks();
-#endif
     g_active_buffer.store(nullptr, std::memory_order_release);
     delete[] buffer->samples;
     delete buffer;
@@ -276,49 +411,6 @@ ProfileDump Profiler::Stop() {
   SampleBuffer* buffer =
       g_active_buffer.exchange(nullptr, std::memory_order_acq_rel);
 
-#ifdef ISUM_OBS_PROFILING
-  internal::AllocSnapshot alloc = internal::DisarmAllocHooks();
-  dump.alloc_enabled = true;
-  dump.alloc_total_bytes = alloc.total_bytes;
-  dump.alloc_total_count = alloc.total_count;
-  dump.alloc_live_bytes = alloc.live_bytes;
-  dump.alloc_peak_bytes = alloc.peak_bytes;
-  for (const internal::AllocPhaseTotals& phase : alloc.phases) {
-    // Merge by content: distinct static strings can spell the same name.
-    const std::string name = phase.phase != nullptr ? phase.phase : "";
-    ProfileAllocPhase* merged = nullptr;
-    for (ProfileAllocPhase& existing : dump.alloc_phases) {
-      if (existing.phase == name) {
-        merged = &existing;
-        break;
-      }
-    }
-    if (merged == nullptr) {
-      dump.alloc_phases.push_back(ProfileAllocPhase{name, 0, 0});
-      merged = &dump.alloc_phases.back();
-    }
-    merged->bytes += phase.bytes;
-    merged->count += phase.count;
-  }
-  std::sort(dump.alloc_phases.begin(), dump.alloc_phases.end(),
-            [](const ProfileAllocPhase& a, const ProfileAllocPhase& b) {
-              if (a.bytes != b.bytes) return a.bytes > b.bytes;
-              return a.phase < b.phase;
-            });
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.GetGauge("alloc.live_bytes")
-      ->Set(static_cast<double>(dump.alloc_live_bytes));
-  registry.GetGauge("alloc.peak_bytes")
-      ->Set(static_cast<double>(dump.alloc_peak_bytes));
-  registry.GetCounter("alloc.bytes_total")->Add(dump.alloc_total_bytes);
-  registry.GetCounter("alloc.count_total")->Add(dump.alloc_total_count);
-  for (const ProfileAllocPhase& phase : dump.alloc_phases) {
-    if (phase.phase.empty()) continue;
-    registry.GetCounter("alloc." + phase.phase + ".bytes")->Add(phase.bytes);
-    registry.GetCounter("alloc." + phase.phase + ".count")->Add(phase.count);
-  }
-#endif  // ISUM_OBS_PROFILING
-
   if (buffer == nullptr) return dump;
   // One in-flight signal can still be writing the slot it claimed before
   // the exchange above; it bounds-checked the slot and the buffer stays
@@ -330,14 +422,7 @@ ProfileDump Profiler::Stop() {
   dump.dropped = buffer->dropped.load(std::memory_order_relaxed);
 
   // Symbolize (cached per pc) and aggregate unique (phase, stack) pairs.
-  std::unordered_map<void*, std::string> symbol_cache;
-  auto symbol = [&symbol_cache](void* pc) -> const std::string& {
-    auto it = symbol_cache.find(pc);
-    if (it == symbol_cache.end()) {
-      it = symbol_cache.emplace(pc, SymbolizePc(pc)).first;
-    }
-    return it->second;
-  };
+  Symbolizer symbolizer;
   std::unordered_map<std::string, size_t> stack_index;
   for (uint64_t i = 0; i < captured; ++i) {
     const RawSample& sample = buffer->samples[i];
@@ -347,7 +432,9 @@ ProfileDump Profiler::Stop() {
     std::vector<std::string> names;
     const int num_frames = std::clamp(sample.num_frames, 0, kMaxFrames);
     names.reserve(static_cast<size_t>(num_frames));
-    for (int f = 0; f < num_frames; ++f) names.push_back(symbol(sample.pcs[f]));
+    for (int f = 0; f < num_frames; ++f) {
+      names.push_back(symbolizer.Name(sample.pcs[f]));
+    }
     names.erase(names.begin(),
                 names.begin() + static_cast<ptrdiff_t>(
                                     LeadingHandlerFrames(names)));

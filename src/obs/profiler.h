@@ -14,26 +14,18 @@ namespace isum::obs {
 /// Sampling profiler: the third pillar of the obs layer beside metrics
 /// (obs/metrics.h) and tracing (obs/trace.h).
 ///
-/// Two instruments, one Start/Stop session:
-///
-///  - CPU sampling: a POSIX interval timer (ITIMER_PROF) delivers SIGPROF
-///    at `sample_hz` of consumed CPU time; the handler captures a backtrace
-///    plus the innermost active TraceSpan name on the interrupted thread
-///    into a preallocated lock-free sample buffer. Samples therefore
-///    aggregate *per phase* ("compress/feature-extraction" -> its hot
-///    frames). Symbolization (dladdr + demangling) happens at Stop() —
-///    the handler itself is async-signal-safe (common/signal_safe.h).
-///
-///  - Allocation accounting (only when the tree is built with
-///    -DISUM_OBS_PROFILING=ON, and then for every session): interposing
-///    operator new/delete hooks (obs/alloc_hooks.cc) charge bytes/counts to
-///    the current phase and maintain live/peak gauges. Disarmed, the hooks
-///    cost one relaxed atomic load per allocation; with the option OFF they
-///    are not compiled (or linked) at all.
+/// A POSIX interval timer (ITIMER_PROF) delivers SIGPROF at `sample_hz`
+/// of consumed CPU time; the handler captures a backtrace plus the
+/// innermost active TraceSpan name on the interrupted thread into a
+/// preallocated lock-free sample buffer. Samples therefore aggregate *per
+/// phase* ("compress/feature-extraction" -> its hot frames).
+/// Symbolization (dladdr, then the object's ELF .symtab for functions with
+/// internal linkage, plus demangling) happens at Stop() — the handler
+/// itself is async-signal-safe (common/signal_safe.h).
 ///
 /// Determinism: like the tracer, the profiler observes and never steers —
-/// no algorithm reads sample or allocation state, so profiled runs keep
-/// byte-identical selections (asserted by the profile-smoke CI job).
+/// no algorithm reads sample state, so profiled runs keep byte-identical
+/// selections (asserted by the profile-smoke CI job).
 ///
 /// Bench drivers get all of this through bench_util.h ObsScope: every
 /// --trace= run samples at the default sample_hz, and
@@ -58,14 +50,7 @@ struct ProfileStack {
   uint64_t count = 0;
 };
 
-/// Per-phase allocation totals for the session ("" = outside any span).
-struct ProfileAllocPhase {
-  std::string phase;
-  uint64_t bytes = 0;
-  uint64_t count = 0;
-};
-
-/// Result of Profiler::Stop(): aggregated samples plus allocation totals.
+/// Result of Profiler::Stop(): the aggregated samples.
 struct ProfileDump {
   int sample_hz = 0;
   uint64_t samples = 0;     ///< captured (post-aggregation sum of counts)
@@ -73,17 +58,6 @@ struct ProfileDump {
   uint64_t attributed = 0;  ///< samples carrying a non-empty phase
   /// Unique stacks, descending count (ties by phase then frames).
   std::vector<ProfileStack> stacks;
-
-  /// True when the allocation hooks ran (ISUM_OBS_PROFILING builds).
-  bool alloc_enabled = false;
-  uint64_t alloc_total_bytes = 0;
-  uint64_t alloc_total_count = 0;
-  /// Live bytes can go negative when memory allocated before arming is
-  /// freed during the session; consumers clamp for display.
-  int64_t alloc_live_bytes = 0;
-  uint64_t alloc_peak_bytes = 0;
-  /// Descending bytes (ties by phase name).
-  std::vector<ProfileAllocPhase> alloc_phases;
 };
 
 class Profiler {
@@ -100,8 +74,6 @@ class Profiler {
   bool Start(const ProfilerOptions& options) ISUM_EXCLUDES(mu_);
 
   /// Disarms the timer, symbolizes and aggregates the captured samples,
-  /// publishes allocation totals into MetricsRegistry::Global()
-  /// (alloc.live_bytes / alloc.peak_bytes gauges, alloc.* phase counters),
   /// and returns the dump. Returns a default dump when not running.
   ProfileDump Stop() ISUM_EXCLUDES(mu_);
 
@@ -132,27 +104,6 @@ void PushPhase(const char* name);
 void PopPhase();
 /// Innermost active span name on the calling thread (nullptr if none).
 ISUM_SIGNAL_SAFE const char* CurrentPhase();
-
-#ifdef ISUM_OBS_PROFILING
-/// Allocation-hook control (obs/alloc_hooks.cc; only linked when
-/// ISUM_OBS_PROFILING=ON). Arm/Disarm bracket a profiling session.
-struct AllocPhaseTotals {
-  const char* phase;  ///< static span name (nullptr = outside any span)
-  uint64_t bytes;
-  uint64_t count;
-};
-struct AllocSnapshot {
-  uint64_t total_bytes = 0;
-  uint64_t total_count = 0;
-  int64_t live_bytes = 0;
-  uint64_t peak_bytes = 0;
-  std::vector<AllocPhaseTotals> phases;
-};
-void ArmAllocHooks();
-/// Disarms and returns the session's totals, resetting the per-session
-/// accumulators (live bytes carry over: they are genuinely still live).
-AllocSnapshot DisarmAllocHooks();
-#endif  // ISUM_OBS_PROFILING
 
 }  // namespace internal
 

@@ -293,23 +293,6 @@ bool Tracer::WriteProfile(const ProfileDump& dump) {
   AppendMetric(&event, "samples", dump.samples);
   AppendMetric(&event, "dropped", dump.dropped);
   AppendMetric(&event, "attributed", dump.attributed);
-  if (dump.alloc_enabled) {
-    AppendMetric(&event, "alloc_total_bytes", dump.alloc_total_bytes);
-    AppendMetric(&event, "alloc_total_count", dump.alloc_total_count);
-    AppendMetric(&event, "alloc_live_bytes",
-                 static_cast<double>(dump.alloc_live_bytes));
-    AppendMetric(&event, "alloc_peak_bytes", dump.alloc_peak_bytes);
-    event += ",\"alloc_phases\":[";
-    for (const ProfileAllocPhase& phase : dump.alloc_phases) {
-      if (event.back() != '[') event.push_back(',');
-      event += "{\"phase\":";
-      AppendQuoted(&event, phase.phase);
-      AppendMetric(&event, "bytes", phase.bytes);
-      AppendMetric(&event, "count", phase.count);
-      event.push_back('}');
-    }
-    event.push_back(']');
-  }
   event += ",\"stacks\":[";
   for (const ProfileStack& stack : dump.stacks) {
     if (event.back() != '[') event.push_back(',');

@@ -153,11 +153,9 @@ class Tracer {
 
   /// Writes `dump` as one metadata event ("ph":"M", kProfileEvent) at the
   /// current session time and flushes it. Its args are sample_hz, samples,
-  /// dropped and attributed; when the allocation hooks ran, the alloc_*
-  /// totals and alloc_phases (phase, bytes, count); and the raw stacks
-  /// (phase, frames outermost first, count), with "" as the phase of
-  /// samples outside any span. Returns false when no file is open or a
-  /// write to it has failed.
+  /// dropped and attributed, and the raw stacks (phase, frames outermost
+  /// first, count), with "" as the phase of samples outside any span.
+  /// Returns false when no file is open or a write to it has failed.
   bool WriteProfile(const ProfileDump& dump);
 
   /// Per-file filters for instant events that polls emit. ClaimPeriod is

@@ -97,11 +97,13 @@ TEST(BenchObsFlags, ParsesTheDriversOwnFlags) {
 
 TEST(BenchObsFlags, MalformedNumericValuesExitTwo) {
   // A value that is not wholly a number is not taken: no silent "no
-  // budget" from --time-budget=abc, no wrapped count from a negative one.
-  // ObsScope then exits 2 naming the argument.
+  // budget" from --time-budget=abc or from a budget that is not positive,
+  // no wrapped count from a negative one. ObsScope then exits 2 naming the
+  // argument.
   for (const char* bad :
        {"--time-budget=abc", "--time-budget=", "--time-budget=2s",
-        "--time-budget=nan", "--checkpoint-every=-1",
+        "--time-budget=nan", "--time-budget=-1", "--time-budget=0",
+        "--checkpoint-every=-1",
         "--checkpoint-every=4.5", "--checkpoint-every= 3",
         "--checkpoint-every=99999999999999999999"}) {
     SCOPED_TRACE(bad);

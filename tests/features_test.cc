@@ -173,29 +173,6 @@ TEST_P(BatchKernels, VsDenseMatchesSortedMerge) {
   }
 }
 
-TEST_P(BatchKernels, FeatureMatrixMatchesPairwiseLoops) {
-  Rng rng(GetParam() ^ 0xFACE);
-  constexpr int kMaxFeature = 24;
-  std::vector<SparseVector> rows;
-  for (int i = 0; i < 40; ++i) rows.push_back(RandomVector(rng, kMaxFeature));
-  const FeatureMatrix matrix =
-      FeatureMatrix::FromVectors(rows, kMaxFeature * 2);
-  ASSERT_EQ(matrix.rows(), rows.size());
-
-  DenseScratch scratch;
-  std::vector<double> weighted(rows.size());
-  for (size_t q = 0; q < rows.size(); ++q) {
-    matrix.ScatterRow(q, &scratch);
-    EXPECT_NEAR(scratch.sum(), rows[q].Sum(), 1e-12);
-    matrix.WeightedJaccardBatch(scratch, 0, rows.size(), weighted.data());
-    for (size_t r = 0; r < rows.size(); ++r) {
-      EXPECT_NEAR(weighted[r], WeightedJaccard(rows[q], rows[r]), 1e-12)
-          << "q=" << q << " r=" << r;
-    }
-    EXPECT_DOUBLE_EQ(weighted[q], 1.0);
-  }
-}
-
 TEST_P(BatchKernels, KernelsIgnoreExplicitZeroEntries) {
   Rng rng(GetParam() ^ 0xD00D);
   for (int trial = 0; trial < 20; ++trial) {

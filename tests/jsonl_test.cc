@@ -229,8 +229,8 @@ TEST(JsonFuzz, BenchRecordIsumBenchShape) {
 }
 
 TEST(JsonFuzz, ProfileRecord) {
-  // A trace file carrying a profile event (obs::Tracer::WriteProfile) with
-  // allocation totals, between the run's label and a span. Written out
+  // A trace file carrying a profile event (obs::Tracer::WriteProfile)
+  // between the run's label and a span. Written out
   // rather than taken from the tracer, whose thread-name lines grow with
   // every thread the test process started before. Prefixes stand for
   // killed runs.
@@ -242,10 +242,7 @@ TEST(JsonFuzz, ProfileRecord) {
       "\"}},\n"
       "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"profile\","
       "\"ts\":250000.000,\"args\":{\"sample_hz\":100,\"samples\":4,"
-      "\"dropped\":0,\"attributed\":3,\"alloc_total_bytes\":4096,"
-      "\"alloc_total_count\":8,\"alloc_live_bytes\":-128,"
-      "\"alloc_peak_bytes\":2048,\"alloc_phases\":[{\"phase\":\"compress\","
-      "\"bytes\":4096,\"count\":8}],\"stacks\":["
+      "\"dropped\":0,\"attributed\":3,\"stacks\":["
       "{\"phase\":\"compress/greedy-pick\",\"frames\":[\"main\",\"Greedy\"],"
       "\"count\":3},{\"phase\":\"\",\"frames\":[\"main\"],\"count\":1}]}},\n"
       "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\","

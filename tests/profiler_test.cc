@@ -3,24 +3,21 @@
 // profile event of a trace file (Tracer::WriteProfile, read back by
 // tracecat, which also renders the collapsed stacks; driven from synthetic
 // ProfileDumps, so golden assertions don't depend on real sampling).
-// Allocation-accounting tests are compiled only under ISUM_OBS_PROFILING.
 // Suite names start with `Profiler` so the TSan CI job picks the
 // signal-heavy tests up via its --gtest_filter.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
 
 #if defined(__has_include)
-#if __has_include(<dlfcn.h>) && __has_include(<execinfo.h>)
-#define ISUM_PROFILER_TEST_HAVE_DLADDR 1
+#if __has_include(<dlfcn.h>) && __has_include(<execinfo.h>) && \
+    __has_include(<link.h>) && defined(__GLIBC__)
+#define ISUM_PROFILER_TEST_HAVE_SYMTAB 1
 #include <dlfcn.h>
 #endif
 #endif
@@ -36,8 +33,10 @@ namespace {
 /// Consumes CPU until the profiler has captured at least `min_samples` (or
 /// the iteration cap is hit — the caller asserts on the count, so a stuck
 /// timer fails the test instead of hanging it). ITIMER_PROF ticks on
-/// consumed CPU time, so this loop must actually burn cycles.
-uint64_t SpinUntilSamples(uint64_t min_samples) {
+/// consumed CPU time, so this loop must actually burn cycles. Never
+/// inlined, so its samples carry its own frame, which has internal linkage
+/// and so no dynamic symbol.
+[[gnu::noinline]] uint64_t SpinUntilSamples(uint64_t min_samples) {
   volatile uint64_t sink = 0;
   for (int outer = 0; outer < 20000; ++outer) {
     for (uint64_t i = 0; i < 200000; ++i) sink = sink + i * i;
@@ -112,10 +111,8 @@ TEST(ProfilerAttribution, SamplesInsideSpanCarryItsPhase) {
       << "/" << dump.samples;
 }
 
-#ifdef ISUM_PROFILER_TEST_HAVE_DLADDR
-/// Frames of the samples one 1 kHz session takes inside SpinUntilSamples,
-/// which, like this function, has internal linkage and so no dynamic
-/// symbol.
+#ifdef ISUM_PROFILER_TEST_HAVE_SYMTAB
+/// Frames of the samples one 1 kHz session takes inside SpinUntilSamples.
 std::set<std::string> InternalLinkageSessionFrames() {
   Tracer::Global().Enable();
   ProfilerOptions options;
@@ -137,36 +134,35 @@ std::set<std::string> InternalLinkageSessionFrames() {
 }
 
 TEST(ProfilerSymbols, InternalLinkageFramesHaveStableNames) {
-  // The return address into InternalLinkageSessionFrames is the same pc in
-  // both sessions. It must print as `<object>+0x<offset>`, the same both
-  // times, and never as a bare address, which ASLR moves between runs.
-  const std::set<std::string> first = InternalLinkageSessionFrames();
-  const std::set<std::string> second = InternalLinkageSessionFrames();
-  ASSERT_FALSE(first.empty());
-  ASSERT_FALSE(second.empty());
-  for (const std::set<std::string>* frames : {&first, &second}) {
-    for (const std::string& frame : *frames) {
-      EXPECT_NE(frame.rfind("0x", 0), 0u) << "bare address frame " << frame;
-    }
-  }
+  // SpinUntilSamples has no dynamic symbol, so its name comes from the
+  // test binary's .symtab: one demangled frame for every pc sampled in
+  // it, the same in both sessions, never `<object>+0x<offset>` (one frame
+  // per pc) and never a bare address, which ASLR moves between runs.
   Dl_info info;
-  ASSERT_NE(dladdr(reinterpret_cast<void*>(&InternalLinkageSessionFrames),
-                   &info),
-            0);
+  ASSERT_NE(dladdr(reinterpret_cast<void*>(&SpinUntilSamples), &info), 0);
   ASSERT_EQ(info.dli_sname, nullptr);  // internal linkage: no dynamic symbol
   const char* slash = std::strrchr(info.dli_fname, '/');
   const std::string object =
       std::string(slash == nullptr ? info.dli_fname : slash + 1) + "+0x";
-  std::vector<std::string> shared;
-  std::set_intersection(first.begin(), first.end(), second.begin(),
-                        second.end(), std::back_inserter(shared));
-  EXPECT_TRUE(std::any_of(shared.begin(), shared.end(),
-                          [&](const std::string& frame) {
-                            return frame.rfind(object, 0) == 0;
-                          }))
-      << "no " << object << "<offset> frame common to both sessions";
+  std::set<std::string> spin_frames;
+  for (const std::set<std::string>& frames :
+       {InternalLinkageSessionFrames(), InternalLinkageSessionFrames()}) {
+    ASSERT_FALSE(frames.empty());
+    for (const std::string& frame : frames) {
+      EXPECT_NE(frame.rfind("0x", 0), 0u) << "bare address frame " << frame;
+      EXPECT_NE(frame.rfind(object, 0), 0u) << "offset frame " << frame;
+      if (frame.find("SpinUntilSamples") != std::string::npos) {
+        spin_frames.insert(frame);
+      }
+    }
+  }
+  ASSERT_EQ(spin_frames.size(), 1u);
+  EXPECT_EQ(spin_frames.begin()->rfind(
+                "isum::obs::(anonymous namespace)::SpinUntilSamples(", 0),
+            0u)
+      << *spin_frames.begin();
 }
-#endif  // ISUM_PROFILER_TEST_HAVE_DLADDR
+#endif  // ISUM_PROFILER_TEST_HAVE_SYMTAB
 
 TEST(ProfilerPhaseStack, PushPopNestAndOverflowAreSafe) {
   EXPECT_EQ(internal::CurrentPhase(), nullptr);
@@ -202,14 +198,6 @@ ProfileDump SampleDump() {
   dump.stacks.push_back(
       ProfileStack{"whatif/optimize", {"main", "Optimize"}, 1});
   dump.stacks.push_back(ProfileStack{"", {"main"}, 1});
-  dump.alloc_enabled = true;
-  dump.alloc_total_bytes = 4096;
-  dump.alloc_total_count = 8;
-  dump.alloc_live_bytes = -128;
-  dump.alloc_peak_bytes = 2048;
-  dump.alloc_phases.push_back(
-      ProfileAllocPhase{"compress/greedy-pick", 3072, 6});
-  dump.alloc_phases.push_back(ProfileAllocPhase{"", 1024, 2});
   return dump;
 }
 
@@ -276,13 +264,12 @@ TEST(ProfilerExport, CollapsedStacksSanitizeSeparators) {
   EXPECT_EQ(tracecat::CollapsedStacks(RoundTrip(dump)), "phase:x;fn:y 1\n");
 }
 
-TEST(ProfilerExport, ProfileJsonCarriesScalarsPhasesFramesAndAllocs) {
+TEST(ProfilerExport, ProfileJsonCarriesScalarsPhasesAndFrames) {
   const std::string trace = TraceWithProfile(SampleDump(), true);
   EXPECT_NE(FindProfileHead(trace), std::string::npos) << trace;
   EXPECT_NE(trace.find("\"args\":{\"sample_hz\":100,\"samples\":10,"
-                       "\"dropped\":1,\"attributed\":9,"),
+                       "\"dropped\":1,\"attributed\":9,\"stacks\":["),
             std::string::npos);
-  EXPECT_NE(trace.find("\"alloc_live_bytes\":-128,"), std::string::npos);
   EXPECT_NE(trace.find("{\"phase\":\"compress/greedy-pick\",\"frames\":"
                        "[\"main\",\"Greedy\",\"Score\"],\"count\":6}"),
             std::string::npos);
@@ -294,8 +281,6 @@ TEST(ProfilerExport, ProfileJsonCarriesScalarsPhasesFramesAndAllocs) {
   EXPECT_EQ(record.dump.dropped, 1u);
   EXPECT_EQ(record.dump.attributed, 9u);
   EXPECT_DOUBLE_EQ(record.attributed_percent, 90.0);
-  EXPECT_TRUE(record.dump.alloc_enabled);
-  EXPECT_EQ(record.dump.alloc_live_bytes, -128);
   // Phases aggregate the two greedy-pick stacks and sort descending.
   ASSERT_EQ(record.phases.size(), 3u);
   EXPECT_EQ(record.phases[0].name, "compress/greedy-pick");
@@ -314,10 +299,6 @@ TEST(ProfilerExport, ProfileJsonCarriesScalarsPhasesFramesAndAllocs) {
   EXPECT_EQ(frame("Greedy").total, 8u);
   EXPECT_EQ(frame("Score").self, 6u);
   EXPECT_EQ(frame("Score").total, 6u);
-  ASSERT_EQ(record.dump.alloc_phases.size(), 2u);
-  EXPECT_EQ(record.dump.alloc_phases[0].phase, "compress/greedy-pick");
-  EXPECT_EQ(record.dump.alloc_phases[0].bytes, 3072u);
-  EXPECT_EQ(record.dump.alloc_phases[0].count, 6u);
 }
 
 TEST(ProfilerExport, ProfileJsonIsLineDisciplined) {
@@ -334,72 +315,6 @@ TEST(ProfilerExport, ProfileJsonIsLineDisciplined) {
   EXPECT_EQ(tracecat::CollapsedStacks(*record),
             tracecat::CollapsedStacks(RoundTrip(SampleDump())));
 }
-
-#ifdef ISUM_OBS_PROFILING
-
-TEST(ProfilerAlloc, HooksAreCompiledIn) {
-  // Every profiler session arms the hooks in this build.
-  ASSERT_TRUE(Profiler::Global().Start(ProfilerOptions()));
-  {
-    std::vector<char> block(1 << 16);
-    block[0] = 1;
-  }
-  const ProfileDump dump = Profiler::Global().Stop();
-  EXPECT_TRUE(dump.alloc_enabled);
-  EXPECT_GE(dump.alloc_total_bytes, static_cast<uint64_t>(1 << 16));
-}
-
-TEST(ProfilerAlloc, TracksBytesAndPhases) {
-  internal::ArmAllocHooks();
-  internal::PushPhase("alloc-test/phase");
-  {
-    std::vector<char> block(1 << 16);
-    block[0] = 1;
-  }
-  internal::PopPhase();
-  const internal::AllocSnapshot snapshot = internal::DisarmAllocHooks();
-  EXPECT_GE(snapshot.total_bytes, static_cast<uint64_t>(1 << 16));
-  EXPECT_GE(snapshot.total_count, 1u);
-  EXPECT_GE(snapshot.peak_bytes, static_cast<uint64_t>(1 << 16));
-  bool found_phase = false;
-  for (const internal::AllocPhaseTotals& phase : snapshot.phases) {
-    if (phase.phase != nullptr &&
-        std::string(phase.phase) == "alloc-test/phase") {
-      found_phase = true;
-      EXPECT_GE(phase.bytes, static_cast<uint64_t>(1 << 16));
-    }
-  }
-  EXPECT_TRUE(found_phase);
-}
-
-TEST(ProfilerAlloc, DisarmedHooksStopCounting) {
-  internal::ArmAllocHooks();
-  (void)internal::DisarmAllocHooks();
-  {
-    std::vector<char> block(1 << 12);
-    block[0] = 1;
-  }
-  internal::ArmAllocHooks();
-  const internal::AllocSnapshot snapshot = internal::DisarmAllocHooks();
-  // Only what this re-armed window saw; the disarmed vector is invisible.
-  EXPECT_LT(snapshot.total_bytes, static_cast<uint64_t>(1 << 12));
-}
-
-#else
-
-TEST(ProfilerAlloc, HooksAreCompiledOut) {
-  // Without the hooks no session accounts allocations.
-  ASSERT_TRUE(Profiler::Global().Start(ProfilerOptions()));
-  {
-    std::vector<char> block(1 << 16);
-    block[0] = 1;
-  }
-  const ProfileDump dump = Profiler::Global().Stop();
-  EXPECT_FALSE(dump.alloc_enabled);
-  EXPECT_EQ(dump.alloc_total_bytes, 0u);
-}
-
-#endif  // ISUM_OBS_PROFILING
 
 }  // namespace
 }  // namespace isum::obs

@@ -675,7 +675,7 @@ TEST(TracecatBenchRss, FailsPastToleranceFirstToLast) {
 // ---- sampling profiles ----
 
 /// A trace file in obs::Tracer's layout whose profile event was written by
-/// hand: 200 samples at 100 Hz, 2.5 s into the run, with allocations.
+/// hand: 200 samples at 100 Hz, 2.5 s into the run.
 std::string SampleProfileTrace() {
   std::string out = "[\n";
   out += "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
@@ -683,11 +683,7 @@ std::string SampleProfileTrace() {
          "\"schema\":\"isum-events-v2\"}},\n";
   out += "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"profile\","
          "\"ts\":2500000.000,\"args\":{\"sample_hz\":100,\"samples\":200,"
-         "\"dropped\":3,\"attributed\":190,\"alloc_total_bytes\":4096,"
-         "\"alloc_total_count\":8,\"alloc_live_bytes\":-128,"
-         "\"alloc_peak_bytes\":2048,\"alloc_phases\":["
-         "{\"phase\":\"compress/greedy-pick\",\"bytes\":3072,\"count\":6},"
-         "{\"phase\":\"\",\"bytes\":1024,\"count\":2}],\"stacks\":["
+         "\"dropped\":3,\"attributed\":190,\"stacks\":["
          "{\"phase\":\"compress/greedy-pick\",\"frames\":[\"main\","
          "\"Greedy\",\"isum::core::Score\"],\"count\":120},"
          "{\"phase\":\"whatif/optimize\",\"frames\":[\"main\","
@@ -717,10 +713,6 @@ TEST(TracecatProfile, ParsesFullRecord) {
   EXPECT_EQ(r.dump.dropped, 3u);
   EXPECT_EQ(r.dump.attributed, 190u);
   EXPECT_DOUBLE_EQ(r.attributed_percent, 95.0);
-  EXPECT_TRUE(r.dump.alloc_enabled);
-  EXPECT_EQ(r.dump.alloc_total_bytes, 4096u);
-  EXPECT_EQ(r.dump.alloc_live_bytes, -128);
-  EXPECT_EQ(r.dump.alloc_peak_bytes, 2048u);
   ASSERT_EQ(r.dump.stacks.size(), 4u);
   EXPECT_EQ(r.dump.stacks[0].frames,
             (std::vector<std::string>{"main", "Greedy", "isum::core::Score"}));
@@ -739,8 +731,6 @@ TEST(TracecatProfile, ParsesFullRecord) {
   EXPECT_EQ(r.frames[2].total, 150u);
   EXPECT_EQ(r.frames[3].name, "main");
   EXPECT_EQ(r.frames[3].total, 200u);
-  ASSERT_EQ(r.dump.alloc_phases.size(), 2u);
-  EXPECT_EQ(r.dump.alloc_phases[0].bytes, 3072u);
 }
 
 TEST(TracecatProfile, RoundTripsEmitterOutput) {
@@ -764,7 +754,6 @@ TEST(TracecatProfile, RoundTripsEmitterOutput) {
   EXPECT_EQ(parsed->dump.sample_hz, 500);
   EXPECT_EQ(parsed->dump.samples, 4u);
   EXPECT_EQ(parsed->dump.attributed, 3u);
-  EXPECT_FALSE(parsed->dump.alloc_enabled);
   ASSERT_EQ(parsed->dump.stacks.size(), 2u);
   for (size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(parsed->dump.stacks[i].phase, dump.stacks[i].phase);
@@ -786,7 +775,8 @@ TEST(TracecatProfile, RejectsSchemaInvalidInput) {
     return trace;
   };
   // A field of the wrong type, a missing one, a frame that is not a
-  // string, stacks that are not an array, an unknown key, no args.
+  // string, stacks that are not an array, an unknown key, the allocation
+  // totals that builds with allocation accounting wrote, no args.
   for (const std::string& trace :
        {with("\"samples\":200", "\"samples\":\"200\""),
         with("\"sample_hz\":100,", ""),
@@ -794,6 +784,7 @@ TEST(TracecatProfile, RejectsSchemaInvalidInput) {
         with("[\"main\",\"Greedy\",", "[7,\"Greedy\","),
         with("\"stacks\":[", "\"stacks\":7,\"x\":["),
         with("\"dropped\":3,", "\"mystery\":1,\"dropped\":3,"),
+        with("\"stacks\":[", "\"alloc_total_bytes\":4096,\"stacks\":["),
         with(",\"args\":{\"sample_hz\"", ",\"x\":{\"sample_hz\"")}) {
     const auto parsed = ParseProfile(trace);
     EXPECT_FALSE(parsed.ok());
@@ -811,7 +802,6 @@ TEST(TracecatProfile, SingleLineRecordParsesLikeTheEmitterLayout) {
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(a->dump.samples, b->dump.samples);
   EXPECT_EQ(a->dump.attributed, b->dump.attributed);
-  EXPECT_EQ(a->dump.alloc_live_bytes, b->dump.alloc_live_bytes);
   // The report and the collapsed stacks render every remaining field.
   EXPECT_EQ(ProfileReport(*a, 100), ProfileReport(*b, 100));
   EXPECT_EQ(CollapsedStacks(*a), CollapsedStacks(*b));
@@ -851,7 +841,7 @@ TEST(TracecatProfile, SpanAndDecisionReadersSkipTheProfileEvent) {
   EXPECT_TRUE(journal->events.empty());
 }
 
-TEST(TracecatProfile, ReportRendersPhaseFrameAndAllocTables) {
+TEST(TracecatProfile, ReportRendersPhaseAndFrameTables) {
   const std::string report = ProfileReport(SampleProfile(), 5);
   EXPECT_NE(report.find("bench_fig2_scalability"), std::string::npos);
   EXPECT_NE(report.find("200 sample(s) at 100 Hz over 2.50s wall"),
@@ -862,8 +852,6 @@ TEST(TracecatProfile, ReportRendersPhaseFrameAndAllocTables) {
   EXPECT_NE(report.find("(unattributed)"), std::string::npos);
   EXPECT_NE(report.find("frames by self samples"), std::string::npos);
   EXPECT_NE(report.find("isum::core::Score"), std::string::npos);
-  EXPECT_NE(report.find("== allocations =="), std::string::npos);
-  EXPECT_NE(report.find("net freed"), std::string::npos);
 }
 
 TEST(TracecatProfile, CheckEnforcesAttributionAndConsistency) {
@@ -902,7 +890,6 @@ TEST(TracecatProfile, DiffReportsShareMovements) {
   EXPECT_NE(diff.find("+35.0%"), std::string::npos);
   EXPECT_NE(diff.find("isum::core::Score"), std::string::npos);
   EXPECT_NE(diff.find("-40.0%"), std::string::npos);
-  EXPECT_NE(diff.find("allocated:"), std::string::npos);
 }
 
 TEST(TracecatReport, OmitsRobustnessSectionOnCleanRuns) {

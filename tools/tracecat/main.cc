@@ -21,8 +21,8 @@
 // (default tolerance +10%), for CI smoke jobs.
 //
 // The profile subcommand reads the `profile` event of a --trace= file
-// (src/obs/profiler.h): per-phase sample attribution, top frames by self
-// samples, the allocation hot-list. --check validates the profile and
+// (src/obs/profiler.h): per-phase sample attribution and top frames by
+// self samples. --check validates the profile and
 // requires --min-attributed=P percent (default 0) of samples to land in a
 // named phase. --diff compares two traces' profiles by sample share.
 // --collapsed prints the stacks as flamegraph.pl input.

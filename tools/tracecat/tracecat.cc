@@ -1134,10 +1134,7 @@ const char* PhaseOrUnattributed(const std::string& phase) {
 /// The profile event's args, back in the dump they were written from.
 StatusOr<obs::ProfileDump> ReadProfileDump(const JsonValue& args) {
   ISUM_RETURN_IF_ERROR(CheckKnownKeys(
-      args,
-      {"sample_hz", "samples", "dropped", "attributed", "alloc_total_bytes",
-       "alloc_total_count", "alloc_live_bytes", "alloc_peak_bytes",
-       "alloc_phases", "stacks"},
+      args, {"sample_hz", "samples", "dropped", "attributed", "stacks"},
       "profile"));
   obs::ProfileDump dump;
   ISUM_ASSIGN_OR_RETURN(dump.sample_hz, IntegerField<int>(args, "sample_hz"));
@@ -1145,28 +1142,6 @@ StatusOr<obs::ProfileDump> ReadProfileDump(const JsonValue& args) {
   ISUM_ASSIGN_OR_RETURN(dump.dropped, IntegerField<uint64_t>(args, "dropped"));
   ISUM_ASSIGN_OR_RETURN(dump.attributed,
                         IntegerField<uint64_t>(args, "attributed"));
-  dump.alloc_enabled = args.Has("alloc_total_bytes");
-  if (dump.alloc_enabled) {
-    ISUM_ASSIGN_OR_RETURN(dump.alloc_total_bytes,
-                          IntegerField<uint64_t>(args, "alloc_total_bytes"));
-    ISUM_ASSIGN_OR_RETURN(dump.alloc_total_count,
-                          IntegerField<uint64_t>(args, "alloc_total_count"));
-    ISUM_ASSIGN_OR_RETURN(dump.alloc_live_bytes,
-                          IntegerField<int64_t>(args, "alloc_live_bytes"));
-    ISUM_ASSIGN_OR_RETURN(dump.alloc_peak_bytes,
-                          IntegerField<uint64_t>(args, "alloc_peak_bytes"));
-    ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue>* phases,
-                          ArrayField(args, "alloc_phases"));
-    for (const JsonValue& entry : *phases) {
-      obs::ProfileAllocPhase phase;
-      ISUM_ASSIGN_OR_RETURN(phase.phase, entry.String("phase"));
-      ISUM_ASSIGN_OR_RETURN(phase.bytes,
-                            IntegerField<uint64_t>(entry, "bytes"));
-      ISUM_ASSIGN_OR_RETURN(phase.count,
-                            IntegerField<uint64_t>(entry, "count"));
-      dump.alloc_phases.push_back(std::move(phase));
-    }
-  }
   ISUM_ASSIGN_OR_RETURN(const std::vector<JsonValue>* stacks,
                         ArrayField(args, "stacks"));
   for (const JsonValue& entry : *stacks) {
@@ -1332,25 +1307,6 @@ std::string ProfileReport(const ProfileRecord& record, size_t top_k) {
     }
   }
 
-  if (dump.alloc_enabled) {
-    out += "\n== allocations ==\n";
-    out += StrFormat(
-        "total: %s in %llu allocation(s); peak %s, live at stop %s%s\n",
-        HumanBytes(static_cast<double>(dump.alloc_total_bytes)).c_str(),
-        static_cast<unsigned long long>(dump.alloc_total_count),
-        HumanBytes(static_cast<double>(dump.alloc_peak_bytes)).c_str(),
-        HumanBytes(std::abs(static_cast<double>(dump.alloc_live_bytes)))
-            .c_str(),
-        dump.alloc_live_bytes < 0 ? " (net freed)" : "");
-    if (!dump.alloc_phases.empty()) {
-      out += StrFormat("%-40s %12s %10s\n", "phase", "bytes", "count");
-      for (const obs::ProfileAllocPhase& a : dump.alloc_phases) {
-        out += StrFormat("%-40s %12s %10llu\n", PhaseOrUnattributed(a.phase),
-                         HumanBytes(static_cast<double>(a.bytes)).c_str(),
-                         static_cast<unsigned long long>(a.count));
-      }
-    }
-  }
   return out;
 }
 
@@ -1463,22 +1419,6 @@ std::string ProfileDiff(const ProfileRecord& from, const ProfileRecord& to,
     }
   }
 
-  if (from.dump.alloc_enabled && to.dump.alloc_enabled) {
-    const double from_bytes = static_cast<double>(from.dump.alloc_total_bytes);
-    const double to_bytes = static_cast<double>(to.dump.alloc_total_bytes);
-    std::string alloc_delta;
-    if (from_bytes > 0.0) {
-      alloc_delta =
-          StrFormat(" (%+.1f%%)", 100.0 * (to_bytes - from_bytes) / from_bytes);
-    }
-    out += StrFormat("\nallocated: %s -> %s%s; peak %s -> %s\n",
-                     HumanBytes(from_bytes).c_str(),
-                     HumanBytes(to_bytes).c_str(), alloc_delta.c_str(),
-                     HumanBytes(static_cast<double>(from.dump.alloc_peak_bytes))
-                         .c_str(),
-                     HumanBytes(static_cast<double>(to.dump.alloc_peak_bytes))
-                         .c_str());
-  }
   return out;
 }
 

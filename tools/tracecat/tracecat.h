@@ -154,8 +154,7 @@ struct ProfileRecord {
 StatusOr<ProfileRecord> ParseProfile(const std::string& content);
 
 /// Renders the profile report: header (samples, rate, attribution), the
-/// per-phase attribution table, top-k frames by self samples, and — when
-/// the allocation hooks ran — the allocation hot-list.
+/// per-phase attribution table and the top-k frames by self samples.
 std::string ProfileReport(const ProfileRecord& record, size_t top_k);
 
 /// The stacks in the collapsed-stack format flamegraph.pl consumes, for
